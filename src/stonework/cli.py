@@ -44,7 +44,10 @@ def _parse_metric(source: str):
     if source.startswith("discrete:"):
         from .ultra import UltraPseudometric
 
-        return UltraPseudometric.discrete(int(source.split(":", 1)[1]))
+        n = int(source.split(":", 1)[1])
+        if n < 1:
+            raise StoneworkError(f"discrete:N needs N >= 1, got {n}")
+        return UltraPseudometric.discrete(n)
     return metric_from_json(_load_json(source))
 
 

@@ -20,8 +20,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import NoWitness, ResourceLimit
-from .finmon import FiniteMonoid, validate_monoid
+from .finmon import FiniteMonoid, validate_action, validate_monoid
 from .ultra import UltraPseudometric, nonexpansive_counterexample
 from .limits import max_enum
 
@@ -41,9 +43,6 @@ class ContrastInstance:
     @property
     def carrier_size(self) -> int:
         return self.cube_size + self.k
-
-    def cube_label(self, mask: int) -> int:
-        return mask
 
     def segment_label(self, m: int) -> int:
         if not 0 <= m < self.k:
@@ -147,20 +146,19 @@ def rna_certificate(instance: ContrastInstance) -> ContrastCertificate:
     left_witness = nonexpansive_counterexample(m, d, "left")
     right_witness = nonexpansive_counterexample(m, d, "right")
 
-    rows = m.table
-    injective = len(set(rows)) == m.size
+    injective = len(set(m.table)) == m.size
+    table = np.asarray(m.table, dtype=np.intp)
     rank = d.rank_matrix()
-    lipschitz = left_witness is None and all(
-        rank[row[x]][row[y]] <= rank[x][y]
-        for row in rows
-        for x in range(m.size)
-        for y in range(x + 1, m.size)
+    # rank[s*x, s*y] <= rank[x, y] for every translation s and pair (x, y)
+    lipschitz = left_witness is None and bool(
+        (rank[table[:, :, None], table[:, None, :]] <= rank).all()
     )
-    homomorphism = all(
-        rows[m.table[s][t]] == tuple(rows[s][rows[t][x]] for x in range(m.size))
-        for s in range(m.size)
-        for t in range(m.size)
-    )
+    # the translations multiply like the monoid: the left self-action law
+    try:
+        validate_action(m, m.size, m.table)
+        homomorphism = True
+    except ValueError:
+        homomorphism = False
     return ContrastCertificate(
         k=instance.k,
         left_nonexpansive=left_witness is None,

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .boolring import (
     BoolRing,
     GroupEndo,
@@ -28,7 +30,7 @@ from .boolring import (
     pontryagin_dual,
 )
 from .errors import DimensionMismatch
-from .finmon import SelfMapMonoid
+from .finmon import CHUNK_ENTRIES, SelfMapMonoid
 from .ultra import Partition
 
 ON_MAPS = "on_maps"
@@ -149,22 +151,27 @@ def entourage_partition(maps: SelfMapMonoid, chi: int, tag: str,
     """The chi-entourage as a partition of a transformation monoid.
 
     Keys by the preimage/image value the relation compares, so the result
-    is an equivalence relation by construction; tests confirm it matches
-    the pairwise relation.
+    is an equivalence relation by construction.  For the dual tag the
+    character quantification is evaluated literally, as each map's parity
+    vector over every character, and the pairs it relates must be exactly
+    the pairs sharing a class.
     """
     if ring is None:
         ring = BoolRing(maps.carrier_size)
-    ent = EntourageChi(ring=ring, chi=chi, tag=tag)
-    ids = []
+    EntourageChi(ring=ring, chi=chi, tag=tag)      # validates chi and tag
+    keys = [preimage_mask(f, chi) if tag == ON_MAPS else phi(f, ring).apply(chi)
+            for f in maps.elements]
     seen: dict[int, int] = {}
-    for f in maps.elements:
-        key = preimage_mask(f, chi) if tag == ON_MAPS else phi(f, ring).apply(chi)
-        ids.append(seen.setdefault(key, len(seen)))
-    part = Partition.from_class_ids(ids)
+    part = Partition.from_class_ids([seen.setdefault(key, len(seen)) for key in keys])
     if tag == ON_DUAL_ENDOS:
-        # the character quantification must induce the same classes
-        for i, f in enumerate(maps.elements):
-            for j in range(i + 1, len(maps.elements)):
-                if part.relates(i, j) != ent.relates(f, maps.elements[j]):
-                    raise AssertionError("character relation disagrees with classes")
+        chars = np.fromiter(pontryagin_dual(ring).elements(), dtype=np.int64)
+        parities = np.bitwise_count(np.asarray(keys, dtype=np.int64)[:, None] & chars) & 1
+        ids = np.asarray(part.class_id)
+        step = max(1, CHUNK_ENTRIES // (len(keys) * len(chars)))
+        for start in range(0, len(keys), step):
+            block = parities[start:start + step]
+            related = (block[:, None, :] == parities[None, :, :]).all(axis=2)
+            same_class = ids[start:start + step, None] == ids[None, :]
+            if not np.array_equal(related, same_class):
+                raise AssertionError("character relation disagrees with classes")
     return part

@@ -8,8 +8,10 @@ carrier images.  Everything is immutable after construction.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -147,73 +149,200 @@ def self_action(m: FiniteMonoid) -> MonoidAction:
     return MonoidAction(monoid=m, carrier_size=m.size, act=m.table)
 
 
+# Entries of the (pairs, n) composite block one chunk of a batched compose
+# builds, so that composing all k * k pairs never holds a (k, k, n) array.
+# Chunk temporaries stay near 256 KB: freeing blocks of several MB raises
+# glibc's mmap and trim thresholds, and the heap then keeps what it freed.
+CHUNK_ENTRIES = 1 << 15
+
+# Tables of at most this many entries are built in Python: below it the
+# fixed cost of the numpy calls (about 40 us) exceeds the whole build.  The
+# suite's random transformation monoids have 1 to 6 elements.
+SMALL_TABLE = 32
+
+# Lookup keys pack a prefix rank and a block of base-n digits into an int64;
+# every key stays below this bound.
+_KEY_BOUND = 1 << 62
+
+
 @dataclass(frozen=True)
 class SelfMapMonoid:
     """A set of self-maps of a finite carrier, closed under composition.
 
     Maps are stored in ascending lexicographic order of their value
-    arrays; the identity map must be present.  Closure is guaranteed by
-    the constructors in this package and can be re-verified with
-    verify_closure (quadratic, meant for test-size instances).
+    arrays; the identity map must be present.  ``elements`` holds them as
+    tuples of ints and ``values``, built on first use, as a read-only
+    (k, n) array of the smallest unsigned dtype that holds n - 1.
+
+    ``compose(i, j)`` is the one composition primitive.  For two Python
+    ints it reads the composition table, which is built once.  For index
+    arrays, which broadcast against each other like numpy operands, it
+    returns the index array of every composite: value rows are composed
+    in chunks of at most ``CHUNK_ENTRIES`` entries and each composite is
+    looked up by an exact key, for any carrier size.  A composite outside
+    the set raises KeyError.  verify_closure, and the table once it has
+    more than ``SMALL_TABLE`` entries, are each one batched call over all
+    pairs; a smaller table is built in Python.
     """
 
     carrier_size: int
     elements: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        ident = tuple(range(self.carrier_size))
-        if ident not in set(self.elements):
-            raise ValueError("identity map missing")
-        if list(self.elements) != sorted(set(self.elements)):
+        n, elements = self.carrier_size, self.elements
+        if any(len(f) != n for f in elements):
+            raise ValueError("map length differs from carrier size")
+        if not set(chain.from_iterable(elements)) <= set(range(n)):
+            raise ValueError("map value outside the carrier")
+        if any(f >= g for f, g in zip(elements, elements[1:])):
             raise ValueError("elements not in canonical order")
+        try:
+            object.__setattr__(self, "_identity", self.index_of(range(n)))
+        except KeyError:
+            raise ValueError("identity map missing") from None
+
+    @property
+    def values(self) -> np.ndarray:
+        """The maps as a read-only (k, n) array, rows in element order."""
+        values = self.__dict__.get("_values")
+        if values is None:
+            k, n = len(self.elements), self.carrier_size
+            values = np.fromiter(chain.from_iterable(self.elements), count=k * n,
+                                 dtype=np.min_scalar_type(max(n - 1, 0))).reshape(k, n)
+            values.flags.writeable = False
+            object.__setattr__(self, "_values", values)
+        return values
 
     def __len__(self) -> int:
         return len(self.elements)
 
     @property
     def identity_index(self) -> int:
-        return self.index_of(tuple(range(self.carrier_size)))
+        return self._identity
 
     def index_of(self, f) -> int:
-        return self._index()[tuple(f)]
+        """Index of the map f; KeyError if it is not an element."""
+        f = tuple(f)
+        i = bisect_left(self.elements, f)
+        if i == len(self.elements) or self.elements[i] != f:
+            raise KeyError(f)
+        return i
 
-    def _index(self) -> dict:
-        idx = getattr(self, "_index_cache", None)
-        if idx is None:
-            idx = {f: i for i, f in enumerate(self.elements)}
-            object.__setattr__(self, "_index_cache", idx)
-        return idx
+    def compose(self, i, j):
+        """Index of elements[i] after elements[j] (apply j first).
 
-    def compose(self, i: int, j: int) -> int:
-        """Index of elements[i] after elements[j] (apply j first)."""
-        f, g = self.elements[i], self.elements[j]
-        return self.index_of(tuple(f[g[x]] for x in range(self.carrier_size)))
+        i and j are ints, giving an int, or integer arrays that broadcast
+        against each other, giving an integer index array of the
+        broadcast shape.
+        """
+        if type(i) is int and type(j) is int:
+            return self._table()[i][j]
+        values = self.values
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        if i.size * j.size * self.carrier_size <= CHUNK_ENTRIES or i.ndim == j.ndim == 0:
+            # composite[..., x] = values[i, values[j, x]]
+            out = self._lookup(values[i[..., None], values[j]])
+            return out if out.ndim else int(out)
+        shape = np.broadcast(i, j).shape
+        i = i.reshape((1,) * (len(shape) - i.ndim) + i.shape)
+        j = j.reshape((1,) * (len(shape) - j.ndim) + j.shape)
+        out = np.empty(shape, dtype=np.min_scalar_type(len(self.elements) - 1))
+        step = max(1, CHUNK_ENTRIES // max(1, math.prod(shape[1:]) * self.carrier_size))
+        for start in range(0, shape[0], step):
+            f = i if len(i) == 1 else i[start:start + step]
+            g = j if len(j) == 1 else j[start:start + step]
+            out[start:start + step] = self._lookup(values[f[..., None], values[g]])
+        return out
+
+    def _lookup(self, maps: np.ndarray) -> np.ndarray:
+        """Indices of the value rows maps[..., :]; KeyError for a non-element.
+
+        Exact for any carrier size: the key of a map is built block by
+        block, each step packing the rank of the prefix so far with the
+        next block of base-n digits (see _key_levels).
+        """
+        flat = maps.reshape(math.prod(maps.shape[:-1]), self.carrier_size)
+        rank = np.zeros(len(flat), dtype=np.intp)     # the index of a carrier-0 map
+        for lo, hi, powers, keys in self._key_levels():
+            key = flat[:, lo:hi] @ powers
+            if lo:
+                key += rank * (powers[0] * self.carrier_size)
+            rank = keys.searchsorted(key)
+            missing = keys[rank] != key
+            if missing.any():
+                raise KeyError(tuple(flat[int(missing.argmax())].tolist()))
+        return rank.reshape(maps.shape[:-1])
+
+    def _key_levels(self) -> list:
+        """Lookup keys per block of coordinates, built once.
+
+        The n coordinates are cut into blocks of w base-n digits, with w
+        as large as keeps rank * n**w + digits below _KEY_BOUND.  Level b
+        holds the ascending distinct keys rank * n**w + digits_b of the
+        elements, where rank is an element's index among the keys of level
+        b - 1, followed by the sentinel _KEY_BOUND; after the last level
+        that index is the element's own index.  A single block (every
+        n <= 15) is the plain base-n key.
+        """
+        levels = self.__dict__.get("_levels")
+        if levels is None:
+            k, n = self.values.shape
+            width = 1
+            while width < n and k * n ** (width + 1) < _KEY_BOUND:
+                width += 1
+            levels = []
+            rank = np.zeros(k, dtype=np.intp)
+            for lo in range(0, n, width):
+                hi = min(lo + width, n)
+                powers = n ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
+                key = self.values[:, lo:hi] @ powers
+                if lo:
+                    key += rank * (powers[0] * n)
+                if hi < n:
+                    # the elements ascend, so equal keys are adjacent and ascend;
+                    # at the last level the keys of distinct elements are distinct
+                    new = np.ones(k, dtype=bool)
+                    np.not_equal(key[1:], key[:-1], out=new[1:])
+                    rank = new.cumsum() - 1
+                    key = key[new]
+                levels.append((lo, hi, powers, np.concatenate((key, [_KEY_BOUND]))))
+            object.__setattr__(self, "_levels", levels)
+        return levels
+
+    def _table(self) -> tuple[tuple[int, ...], ...]:
+        """The composition table, rows indexed by the left factor."""
+        table = self.__dict__.get("_table_cache")
+        if table is None:
+            el = self.elements
+            if len(el) ** 2 <= SMALL_TABLE:
+                index = {f: i for i, f in enumerate(el)}
+                table = tuple(tuple(index[tuple(f[x] for x in g)] for g in el) for f in el)
+            else:
+                ids = np.arange(len(el))
+                composites = self.compose(ids[:, None], ids)
+                # entries are shared int objects, which keeps a large table small;
+                # converting a block of rows at a time keeps the temporaries small
+                shared = np.array(ids.tolist(), dtype=object)
+                step = max(1, CHUNK_ENTRIES // len(el))
+                rows = []
+                for start in range(0, len(el), step):
+                    rows.extend(map(tuple, shared[composites[start:start + step]]))
+                table = tuple(rows)
+            object.__setattr__(self, "_table_cache", table)
+        return table
 
     def verify_closure(self) -> bool:
-        idx = self._index()
-        n = self.carrier_size
-        for f in self.elements:
-            for g in self.elements:
-                if tuple(f[g[x]] for x in range(n)) not in idx:
-                    return False
+        ids = np.arange(len(self.elements))
+        try:
+            self.compose(ids[:, None], ids)
+        except KeyError:
+            return False
         return True
 
     def to_monoid(self) -> FiniteMonoid:
         """Composition table under the canonical element order."""
         k = len(self.elements)
-        table = tuple(
-            tuple(self.compose(i, j) for j in range(k)) for i in range(k)
-        )
-        return FiniteMonoid(size=k, identity=self.identity_index, table=table)
-
-
-def selfmap_monoid_from_maps(maps, carrier_size: int) -> SelfMapMonoid:
-    """Canonicalize a collection of maps and verify closure."""
-    elements = tuple(sorted({tuple(int(v) for v in f) for f in maps}))
-    mon = SelfMapMonoid(carrier_size=carrier_size, elements=elements)
-    if not mon.verify_closure():
-        raise ValueError("map set is not closed under composition")
-    return mon
+        return FiniteMonoid(size=k, identity=self._identity, table=self._table())
 
 
 def full_selfmap_monoid(n: int, limit: int | None = None) -> SelfMapMonoid:
@@ -227,23 +356,26 @@ def full_selfmap_monoid(n: int, limit: int | None = None) -> SelfMapMonoid:
 
 def generated_selfmap_monoid(carrier_size: int, generators,
                              max_size: int | None = None) -> SelfMapMonoid:
-    """Closure of the given maps (plus the identity) under composition."""
-    ident = tuple(range(carrier_size))
-    seen = {ident}
-    frontier = [tuple(int(v) for v in g) for g in generators]
-    for g in frontier:
-        seen.add(g)
+    """Closure of the given maps (plus the identity) under composition.
+
+    Breadth-first over words in the generators: every element is the
+    identity or f after g for an element f and a generator g, so each new
+    map is composed with the generators only.  Raises ValueError exactly
+    when the closure has more than max_size elements.
+    """
+    gens = [tuple(int(v) for v in g) for g in generators]
+    frontier = [tuple(range(carrier_size))]
+    seen = set(frontier)
     while frontier:
+        if max_size is not None and len(seen) > max_size:
+            raise ValueError("generated monoid exceeds max_size")
         nxt = []
-        for g in frontier:
-            for f in list(seen):
-                for h in (tuple(f[g[x]] for x in range(carrier_size)),
-                          tuple(g[f[x]] for x in range(carrier_size))):
-                    if h not in seen:
-                        if max_size is not None and len(seen) >= max_size:
-                            raise ValueError("generated monoid exceeds max_size")
-                        seen.add(h)
-                        nxt.append(h)
+        for f in frontier:
+            for g in gens:
+                h = tuple(f[x] for x in g)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
         frontier = nxt
     return SelfMapMonoid(carrier_size=carrier_size, elements=tuple(sorted(seen)))
 
@@ -258,5 +390,5 @@ def cayley_embed(m: FiniteMonoid) -> tuple[SelfMapMonoid, tuple[int, ...]]:
     maps = SelfMapMonoid(
         carrier_size=m.size, elements=tuple(sorted(set(m.table)))
     )
-    to_map = tuple(maps.index_of(m.table[s]) for s in range(m.size))
+    to_map = tuple(maps._lookup(np.asarray(m.table, dtype=np.int64)).tolist())
     return maps, to_map

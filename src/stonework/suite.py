@@ -126,20 +126,6 @@ def _rng(cfg: SuiteConfig, name: str) -> random.Random:
 # vectorized composition tables
 
 
-def _selfmap_tables(n: int):
-    """Maps, their value arrays, and the all-pairs composition index table."""
-    maps = full_selfmap_monoid(n)
-    arr = np.asarray(maps.elements, dtype=np.int64)
-    comp = arr[:, arr]                       # comp[s, t, x] = s(t(x))
-    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = arr @ powers                      # ascending with the lex element order
-    ckeys = comp @ powers
-    table = np.searchsorted(keys, ckeys)
-    if not np.array_equal(keys[table], ckeys):
-        raise AssertionError("self-map composition left the enumerated set")
-    return maps, arr, table
-
-
 def _atom_image_array(arr: np.ndarray, n: int) -> np.ndarray:
     """Per-map atom images: images[s, a] = mask of the preimage of atom a."""
     bits = (arr[:, :, None] == np.arange(n)[None, None, :]).astype(np.int64)
@@ -230,10 +216,12 @@ def check_phi(cfg: SuiteConfig):
     params = {"points": list(range(1, cfg.bound_points + 1))}
     instances = 0
     for n in range(1, cfg.bound_points + 1):
-        maps, arr, map_table = _selfmap_tables(n)
+        maps = full_selfmap_monoid(n)
+        ids = np.arange(len(maps))
+        map_table = maps.compose(ids[:, None], ids)
         endos = enumerate_ring_endos(BoolRing(n))
         _, _, endo_keys, endo_table = _endo_tables(endos, n)
-        images = _atom_image_array(arr, n)
+        images = _atom_image_array(maps.values, n)
         shifts = 1 << (n * np.arange(n - 1, -1, -1, dtype=np.int64))
         phi_keys = images @ shifts
         phi_idx = np.minimum(np.searchsorted(endo_keys, phi_keys), len(endos) - 1)
@@ -296,8 +284,8 @@ def check_delta(cfg: SuiteConfig):
 
     # restriction to the image of phi
     for n in range(1, cfg.bound_points + 1):
-        maps, arr, _ = _selfmap_tables(n)
-        images = _atom_image_array(arr, n)
+        maps = full_selfmap_monoid(n)
+        images = _atom_image_array(maps.values, n)
         dense = ((images[:, None, :] >> np.arange(n)[None, :, None]) & 1).astype(np.uint8)
         instances += len(maps) ** 2
         prod = np.einsum("aij,bjk->abik", dense, dense) % 2

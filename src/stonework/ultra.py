@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -413,18 +413,23 @@ def check_left_congruence(m: FiniteMonoid, p: Partition) -> bool:
 def enumerate_theta(d: UltraPseudometric, limit: int | None = None) -> SelfMapMonoid:
     """All self-maps that do not increase any distance.
 
-    Closed under composition and contains the identity, so the result is
-    a transformation monoid in canonical order.
+    Extends value prefixes f(0), ..., f(x-1) one coordinate at a time and
+    keeps a prefix only while every pair it completes passes
+    d(f(y), f(x)) <= d(y, x).  Prefixes stay in lexicographic order, and
+    the maps are closed under composition and contain the identity, so
+    the result is a transformation monoid in canonical order.
     """
     n = d.carrier_size
     guard_enum(n**n, f"1-Lipschitz maps on {n} points", limit)
     rank = d.rank_matrix()
-    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    elements = tuple(
-        f for f in product(range(n), repeat=n)
-        if all(rank[f[x]][f[y]] <= rank[x][y] for x, y in pairs)
-    )
-    return SelfMapMonoid(carrier_size=n, elements=elements)
+    rank = rank.astype(np.min_scalar_type(rank.max()))
+    prefixes = np.zeros((1, 0), dtype=np.min_scalar_type(n - 1))
+    for x in range(n):
+        # ok[p, v]: prefix p extended by f(x) = v keeps every pair (y, x)
+        ok = (rank[prefixes] <= rank[:x, x][None, :, None]).all(axis=1)
+        rows, vals = np.nonzero(ok)
+        prefixes = np.column_stack([prefixes[rows], vals.astype(prefixes.dtype)])
+    return SelfMapMonoid(carrier_size=n, elements=tuple(zip(*prefixes.T.tolist())))
 
 
 def epsilon_A_relates(theta: SelfMapMonoid, d: UltraPseudometric,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .errors import CarrierMismatch
 from .finmon import MonoidAction
-from .ultra import Partition, meet_all, partition_from_json
+from .ultra import Partition, partition_from_json
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +128,6 @@ def is_saturated_under(family: PartitionFamily, action: MonoidAction) -> bool:
         for p in members
         for s in range(action.monoid.size)
     )
-
-
-def separates_points(functions) -> bool:
-    """Do the two-valued functions separate points (meet of kernels discrete)?"""
-    kernels = [kernel_partition(f) for f in functions]
-    met = meet_all(kernels)
-    return met.num_classes() == met.carrier_size
 
 
 @dataclass(frozen=True)

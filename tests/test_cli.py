@@ -215,3 +215,18 @@ def test_enumeration_cap_env_var():
     proc = run_cli(["theta", "--metric", "discrete:3"],
                    env_extra={"STONEWORK_MAX_ENUM": "27"})
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+@pytest.mark.parametrize("command", ["theta", "check", "kantorovich"])
+def test_discrete_metric_needs_a_point(tmp_path, command, size):
+    monoid = tmp_path / "m.json"
+    monoid.write_text(json.dumps({"size": 1, "identity": 0, "table": [[0]]}))
+    extra = {
+        "theta": [],
+        "check": ["--nonexpansive", "left", "--monoid", str(monoid)],
+        "kantorovich": ["--vector", "0"],
+    }[command]
+    proc = run_cli([command, "--metric", f"discrete:{size}", *extra])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1

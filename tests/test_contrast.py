@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from stonework.contrast import (
+    ContrastInstance,
     agreement_neighborhood,
     build_contrast,
     contrast_report,
@@ -11,7 +12,8 @@ from stonework.contrast import (
     table_digest,
 )
 from stonework.errors import NoWitness, ResourceLimit
-from stonework.ultra import check_nonexpansive, nonexpansive_counterexample
+from stonework.finmon import FiniteMonoid
+from stonework.ultra import UltraPseudometric, check_nonexpansive, nonexpansive_counterexample
 
 
 def test_smallest_instance_table_written_out():
@@ -117,3 +119,31 @@ def test_resource_limit_on_large_truncation():
         build_contrast(8)
     with pytest.raises(ValueError):
         build_contrast(0)
+
+
+def _certificate_by_loops(m, d):
+    """Translation laws checked pair by pair, without arrays."""
+    rows, rank = m.table, d.rank_matrix()
+    lipschitz = all(
+        rank[row[x]][row[y]] <= rank[x][y]
+        for row in rows for x in range(m.size) for y in range(m.size)
+    )
+    homomorphism = all(
+        rows[m.table[s][t]] == tuple(rows[s][rows[t][x]] for x in range(m.size))
+        for s in range(m.size) for t in range(m.size)
+    )
+    return lipschitz, homomorphism
+
+
+def test_certificate_matches_pairwise_loops():
+    for k in (1, 2, 3):
+        inst = build_contrast(k)
+        cert = rna_certificate(inst)
+        expected = _certificate_by_loops(inst.monoid, inst.metric)
+        assert (cert.translations_lipschitz, cert.embedding_homomorphism) == expected
+    # a non-associative table: its translations do not multiply like it
+    broken = FiniteMonoid(size=3, identity=0, table=((0, 1, 2), (1, 2, 1), (2, 2, 2)))
+    inst = ContrastInstance(k=1, monoid=broken, metric=UltraPseudometric.discrete(3))
+    cert = rna_certificate(inst)
+    assert _certificate_by_loops(broken, inst.metric) == (True, False)
+    assert (cert.translations_lipschitz, cert.embedding_homomorphism) == (True, False)

@@ -1,7 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
+from stonework import finmon
+from stonework.contrast import build_contrast
 from stonework.errors import AssociativityViolation, IdentityViolation, ResourceLimit
 from stonework.finmon import (
     MonoidAction,
@@ -17,6 +20,8 @@ from stonework.finmon import (
     validate_action,
     validate_monoid,
 )
+from stonework.generators import random_ultrametric
+from stonework.ultra import enumerate_theta
 
 Z2 = [[0, 1], [1, 0]]
 SEMILATTICE = [[0, 1], [1, 1]]
@@ -163,6 +168,10 @@ def test_selfmap_monoid_constructor_guards():
         SelfMapMonoid(carrier_size=2, elements=((0, 0),))  # identity missing
     with pytest.raises(ValueError):
         SelfMapMonoid(carrier_size=2, elements=((1, 0), (0, 1)))  # bad order
+    with pytest.raises(ValueError):
+        SelfMapMonoid(carrier_size=2, elements=((0, 1), (0, 1)))  # repeated map
+    with pytest.raises(ValueError):
+        SelfMapMonoid(carrier_size=2, elements=((0, 1), (0, 2)))  # value off the carrier
 
 
 def test_monoid_json_round_trip():
@@ -178,3 +187,95 @@ def test_action_validation():
     assert again == MonoidAction(m, m.size, m.table)
     with pytest.raises(ValueError):
         validate_action(m, 2, [[0, 1], [0, 0]][::-1])  # identity must act as identity
+
+
+def test_cayley_of_contrast_reproduces_the_table():
+    # carrier 37 needs several key blocks: a base-37 key of 37 digits
+    # does not fit one machine word
+    m = build_contrast(5).monoid
+    maps, to_map = cayley_embed(m)
+    assert maps.carrier_size == 37 and len(set(to_map)) == m.size
+    table = maps.to_monoid().table
+    for s in range(m.size):
+        for t in range(m.size):
+            assert table[to_map[s]][to_map[t]] == to_map[m.table[s][t]]
+
+
+def _selfmap_cases():
+    rng = random.Random(11)
+    theta = enumerate_theta(random_ultrametric(rng, 4))
+    return [
+        full_selfmap_monoid(3),
+        theta,
+        cayley_embed(validate_monoid(SEMILATTICE, 0))[0],
+        cayley_embed(build_contrast(3).monoid)[0],
+    ]
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_batched_compose_matches_scalar_compose(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)   # force the chunked path
+    for maps in _selfmap_cases():
+        k, n = len(maps), maps.carrier_size
+        ids = np.arange(k)
+        table = maps.compose(ids[:, None], ids)
+        assert table.shape == (k, k)
+        for i in range(k):
+            for j in range(k):
+                f, g = maps.elements[i], maps.elements[j]
+                assert maps.compose(i, j) == table[i, j]
+                assert maps.elements[table[i, j]] == tuple(f[g[x]] for x in range(n))
+        assert np.array_equal(maps.compose(ids, ids[:, None]), table.T)
+        assert np.array_equal(maps.compose(ids[::-1], 1), table[::-1, 1])
+        assert maps.compose(np.int64(k - 1), np.intp(0)) == table[k - 1, 0]
+        assert maps.to_monoid().table == tuple(map(tuple, table.tolist()))
+        assert maps.verify_closure()
+
+
+def test_non_closed_map_set_is_detected():
+    maps = SelfMapMonoid(carrier_size=3, elements=((0, 1, 2), (1, 2, 0)))
+    assert not maps.verify_closure()
+    with pytest.raises(KeyError):
+        maps.compose(1, 1)          # (1,2,0) twice is (2,0,1), not listed
+    with pytest.raises(KeyError):
+        maps.compose(np.arange(2)[:, None], np.arange(2))
+    with pytest.raises(KeyError):
+        maps.to_monoid()
+
+
+def test_selfmap_values_and_index():
+    maps = full_selfmap_monoid(3)
+    assert maps.values.shape == (27, 3) and maps.values.dtype == np.uint8
+    assert [tuple(row) for row in maps.values.tolist()] == list(maps.elements)
+    assert maps.index_of((0, 1, 2)) == maps.identity_index == 5
+    with pytest.raises(KeyError):
+        maps.index_of((0, 1))
+
+
+def _closure_by_all_pairs(n, gens):
+    """Brute-force closure: compose every new map with every map seen, both sides."""
+    seen = {tuple(range(n)), *gens}
+    new = list(seen)
+    while new:
+        fresh = []
+        for f in new:
+            for g in list(seen):
+                for h in (tuple(f[g[x]] for x in range(n)), tuple(g[f[x]] for x in range(n))):
+                    if h not in seen:
+                        seen.add(h)
+                        fresh.append(h)
+        new = fresh
+    return tuple(sorted(seen))
+
+
+def test_generated_monoid_matches_all_pairs_closure():
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        gens = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        closure = _closure_by_all_pairs(n, gens)
+        assert generated_selfmap_monoid(n, gens).elements == closure
+        assert len(generated_selfmap_monoid(n, gens, max_size=len(closure))) == len(closure)
+        with pytest.raises(ValueError):
+            generated_selfmap_monoid(n, gens, max_size=len(closure) - 1)

@@ -10,7 +10,12 @@ from stonework.errors import (
     ResourceLimit,
 )
 from stonework.finmon import validate_monoid
-from stonework.generators import random_chain, random_one_sided_metric, random_transformation_monoid
+from stonework.generators import (
+    random_chain,
+    random_one_sided_metric,
+    random_transformation_monoid,
+    random_ultrametric,
+)
 from stonework.ultra import (
     MonotoneChain,
     Partition,
@@ -294,6 +299,21 @@ def test_theta_two_level_count_against_filter():
     assert len(theta) == 15
     assert theta.verify_closure()
     assert tuple(range(3)) in theta.elements
+
+
+def test_theta_matches_literal_filter_on_random_ultrametrics():
+    from itertools import product
+
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        d = random_ultrametric(rng, n)
+        expected = tuple(
+            f
+            for f in product(range(n), repeat=n)
+            if all(d.d(f[x], f[y]) <= d.d(x, y) for x in range(n) for y in range(n))
+        )
+        assert enumerate_theta(d).elements == expected
 
 
 def test_theta_resource_limit():
