@@ -5,13 +5,20 @@ masks (bit a = atom a), addition is XOR (symmetric difference) and
 multiplication is AND (intersection).  Ring endomorphisms are stored by
 their atom images, additive (group) endomorphisms as bit matrices, and
 characters of the additive group as masks pairing by overlap parity.
+
+Sets of additive maps are also held as self-maps of the 2**n ring
+elements, in a SelfMapMonoid of value tables (``additive_monoid``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 from .errors import DimensionMismatch
+from .finmon import SelfMapMonoid
 from .limits import guard_enum
 
 
@@ -22,6 +29,15 @@ def parity(x: int) -> int:
 def mask_to_bits(mask: int, n: int) -> str:
     """Bitstring with atom 0 leftmost."""
     return "".join("1" if mask >> i & 1 else "0" for i in range(n))
+
+
+def xor_over_bits(masks, x: int) -> int:
+    """XOR of masks[a] over the set bits a of x."""
+    out = 0
+    for a, mask in enumerate(masks):
+        if x >> a & 1:
+            out ^= mask
+    return out
 
 
 def bits_to_mask(bits: str) -> int:
@@ -101,14 +117,7 @@ class RingEndo:
             raise ValueError("atom images do not cover the unit")
 
     def apply(self, x: int) -> int:
-        out = 0
-        a = 0
-        while x:
-            if x & 1:
-                out ^= self.atom_images[a]
-            x >>= 1
-            a += 1
-        return out
+        return xor_over_bits(self.atom_images, x)
 
     def compose(self, other: RingEndo) -> RingEndo:
         """self after other."""
@@ -116,12 +125,8 @@ class RingEndo:
         return RingEndo(ring=self.ring, atom_images=images)
 
     def to_group_endo(self) -> GroupEndo:
-        n = self.ring.atom_count
-        rows = tuple(
-            sum(((self.atom_images[j] >> i) & 1) << j for j in range(n))
-            for i in range(n)
-        )
-        return GroupEndo(ring=self.ring, rows=rows)
+        # the atom images are the matrix's columns
+        return GroupEndo(ring=self.ring, rows=self.atom_images).transpose()
 
     def to_json(self) -> dict:
         n = self.ring.atom_count
@@ -188,17 +193,8 @@ class GroupEndo:
 
     def compose(self, other: GroupEndo) -> GroupEndo:
         # row_i of (self after other) collects other's rows selected by self's row_i
-        rows = []
-        for r in self.rows:
-            acc = 0
-            j = 0
-            while r:
-                if r & 1:
-                    acc ^= other.rows[j]
-                r >>= 1
-                j += 1
-            rows.append(acc)
-        return GroupEndo(ring=self.ring, rows=tuple(rows))
+        rows = tuple(xor_over_bits(other.rows, r) for r in self.rows)
+        return GroupEndo(ring=self.ring, rows=rows)
 
     def transpose(self) -> GroupEndo:
         n = self.ring.atom_count
@@ -207,9 +203,6 @@ class GroupEndo:
             for i in range(n)
         )
         return GroupEndo(ring=self.ring, rows=rows)
-
-    def columns(self) -> tuple[int, ...]:
-        return self.transpose().rows
 
     def to_json(self) -> dict:
         n = self.ring.atom_count
@@ -224,19 +217,38 @@ def enumerate_group_endos(ring: BoolRing, limit: int | None = None) -> list[Grou
     """All additive endomorphisms: every n-by-n bit matrix, in row-lex order."""
     n = ring.atom_count
     guard_enum(1 << (n * n), f"group endomorphisms of a {n}-atom ring", limit)
-    out = []
-    rows = [0] * n
+    return [GroupEndo(ring=ring, rows=rows) for rows in product(ring.elements(), repeat=n)]
 
-    def descend(i: int) -> None:
-        if i == n:
-            out.append(GroupEndo(ring=ring, rows=tuple(rows)))
-            return
-        for r in ring.elements():
-            rows[i] = r
-            descend(i + 1)
 
-    descend(0)
+def transpose_masks(masks, n: int) -> np.ndarray:
+    """Transposes of n-by-n bit matrices given as an (E, n) array of masks:
+    bit j of out[e, i] is bit i of masks[e, j], so rows become columns."""
+    masks = np.asarray(masks, dtype=np.int64)
+    bits = (masks[:, None, :] >> np.arange(n)[:, None]) & 1      # bits[e, i, j]
+    return (bits << np.arange(n)).sum(axis=-1)
+
+
+def additive_values(columns, n: int) -> np.ndarray:
+    """Value tables of additive maps from their atom images (a matrix's
+    columns): out[e, x] is the XOR of columns[e, a] over the bits a of x."""
+    columns = np.asarray(columns, dtype=np.int64)
+    out = np.zeros((len(columns), 1 << n), dtype=np.int64)
+    for x in range(1, 1 << n):
+        lsb = x & -x
+        out[:, x] = out[:, x ^ lsb] ^ columns[:, lsb.bit_length() - 1]
     return out
+
+
+def additive_monoid(columns, n: int) -> tuple[SelfMapMonoid, np.ndarray]:
+    """Additive maps, given by atom images, as self-maps of the 2**n elements.
+
+    Returns the SelfMapMonoid of their distinct value tables, which must
+    include the identity, and the index of each input map in it.  Closure
+    is not assumed.
+    """
+    values, where = np.unique(additive_values(columns, n), axis=0, return_inverse=True)
+    maps = SelfMapMonoid(carrier_size=1 << n, elements=tuple(map(tuple, values.tolist())))
+    return maps, where.reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .duality import delta_adjoint, phi
 from .errors import StoneworkError
 from .finmon import action_from_json, monoid_from_json
 from .navector import free_space, kantorovich_norm_with_auxiliary, optimal_pairing, vector
-from .suite import TSV_HEADER, SuiteConfig, VerificationReport, run_suite
+from .suite import CHECKS, CONTROL, TSV_HEADER, SuiteConfig, VerificationReport, run_suite
 from .contrast import contrast_report
 from .ultra import (
     chain_from_json,
@@ -51,9 +51,21 @@ def _parse_metric(source: str):
     return metric_from_json(_load_json(source))
 
 
+def _selfmap_from_json(data) -> tuple[int, ...]:
+    """The map of a {"map": [images]} object, each image a point of the carrier."""
+    images = data.get("map") if isinstance(data, dict) else None
+    if not isinstance(images, list):
+        raise StoneworkError('self-map input must be an object with a "map" list')
+    for y, v in enumerate(images):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise StoneworkError(f"map[{y}] is {json.dumps(v)}, not an integer")
+        if not 0 <= v < len(images):
+            raise StoneworkError(f"map[{y}] is {v}, outside the {len(images)}-point carrier")
+    return tuple(images)
+
+
 def cmd_dualize(args) -> int:
-    data = _load_json(args.input)
-    s = tuple(int(v) for v in data["map"])
+    s = _selfmap_from_json(_load_json(args.input))
     ring = BoolRing(len(s))
     endo = phi(s, ring)
     dual = delta_adjoint(endo.to_group_endo())
@@ -158,9 +170,8 @@ def cmd_verify(args) -> int:
         bound_atoms=args.bound_atoms,
         bound_k=args.bound_k,
         seed=args.seed,
-        self_test=args.self_test,
     )
-    reports = run_suite(cfg)
+    reports = run_suite(cfg, CHECKS + [CONTROL] if args.self_test else CHECKS)
     _emit_reports(reports, args.out)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -176,7 +187,7 @@ DUALITY_CHECKS = {
 
 def cmd_verify_duality(args) -> int:
     cfg = SuiteConfig(bound_points=args.points, bound_atoms=min(args.points, 3))
-    reports = [r for r in run_suite(cfg) if r.check in DUALITY_CHECKS]
+    reports = run_suite(cfg, [(name, fn) for name, fn in CHECKS if name in DUALITY_CHECKS])
     _emit_reports(reports, "tsv")
     return 0 if all(r.passed for r in reports) else 1
 

@@ -58,6 +58,14 @@ def phi(s, ring: BoolRing | None = None) -> RingEndo:
     return RingEndo(ring=ring, atom_images=images)
 
 
+def phi_array(values) -> np.ndarray:
+    """phi on a (k, n) array of self-maps: out[s] = phi(values[s]).atom_images."""
+    values = np.asarray(values)
+    n = values.shape[1]
+    hits = values[:, :, None] == np.arange(n)                 # hits[s, y, a]
+    return (hits * (1 << np.arange(n, dtype=np.int64))[:, None]).sum(axis=1)
+
+
 def phi_inverse(mu: RingEndo) -> tuple[int, ...]:
     """The unique self-map s with phi(s) = mu.
 

@@ -241,7 +241,7 @@ class SelfMapMonoid:
         i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
         if i.size * j.size * self.carrier_size <= CHUNK_ENTRIES or i.ndim == j.ndim == 0:
             # composite[..., x] = values[i, values[j, x]]
-            out = self._lookup(values[i[..., None], values[j]])
+            out = self.lookup(values[i[..., None], values[j]])
             return out if out.ndim else int(out)
         shape = np.broadcast(i, j).shape
         i = i.reshape((1,) * (len(shape) - i.ndim) + i.shape)
@@ -251,10 +251,10 @@ class SelfMapMonoid:
         for start in range(0, shape[0], step):
             f = i if len(i) == 1 else i[start:start + step]
             g = j if len(j) == 1 else j[start:start + step]
-            out[start:start + step] = self._lookup(values[f[..., None], values[g]])
+            out[start:start + step] = self.lookup(values[f[..., None], values[g]])
         return out
 
-    def _lookup(self, maps: np.ndarray) -> np.ndarray:
+    def lookup(self, maps: np.ndarray) -> np.ndarray:
         """Indices of the value rows maps[..., :]; KeyError for a non-element.
 
         Exact for any carrier size: the key of a map is built block by
@@ -331,13 +331,17 @@ class SelfMapMonoid:
             object.__setattr__(self, "_table_cache", table)
         return table
 
-    def verify_closure(self) -> bool:
+    def composites(self) -> np.ndarray | None:
+        """out[i, j] = index of elements[i] after elements[j], as one batched
+        compose; None if some composite is not an element."""
         ids = np.arange(len(self.elements))
         try:
-            self.compose(ids[:, None], ids)
+            return self.compose(ids[:, None], ids)
         except KeyError:
-            return False
-        return True
+            return None
+
+    def verify_closure(self) -> bool:
+        return self.composites() is not None
 
     def to_monoid(self) -> FiniteMonoid:
         """Composition table under the canonical element order."""
@@ -390,5 +394,5 @@ def cayley_embed(m: FiniteMonoid) -> tuple[SelfMapMonoid, tuple[int, ...]]:
     maps = SelfMapMonoid(
         carrier_size=m.size, elements=tuple(sorted(set(m.table)))
     )
-    to_map = tuple(maps._lookup(np.asarray(m.table, dtype=np.int64)).tolist())
+    to_map = tuple(maps.lookup(np.asarray(m.table, dtype=np.int64)).tolist())
     return maps, to_map

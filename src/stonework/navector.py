@@ -68,7 +68,11 @@ class FreeVector:
 
 
 def vector(space: UltraPseudometric, points) -> FreeVector:
-    return FreeVector(space=space, support=frozenset(map(int, points)))
+    """The sum of the given base points; a repeated point cancels in pairs."""
+    support: set[int] = set()
+    for x in points:
+        support ^= {int(x)}
+    return FreeVector(space=space, support=frozenset(support))
 
 
 def _matchings(points: list[int]):
@@ -155,7 +159,4 @@ def lipschitz_linear_extend(f, v: FreeVector) -> FreeVector:
         for y in range(x + 1, zero):
             if v.space.dist[f[x]][f[y]] > v.space.dist[x][y]:
                 raise NotLipschitz(x, y)
-    image: set[int] = set()
-    for x in v.support:
-        image ^= {f[x]}
-    return FreeVector(space=v.space, support=frozenset(image))
+    return vector(v.space, (f[x] for x in v.support))

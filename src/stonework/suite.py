@@ -18,10 +18,18 @@ import numpy as np
 
 from . import contrast as contrast_mod
 from . import navector
-from .boolring import BoolRing, enumerate_group_endos, enumerate_ring_endos, ring_homs_to_Z2
-from .duality import entourage_transport, hom_embed
+from .boolring import (
+    BoolRing,
+    additive_monoid,
+    additive_values,
+    enumerate_group_endos,
+    enumerate_ring_endos,
+    ring_homs_to_Z2,
+    transpose_masks,
+)
+from .duality import entourage_transport, hom_embed, phi_array
 from .errors import AssociativityViolation, NoWitness, StoneworkError
-from .finmon import full_selfmap_monoid, validate_monoid
+from .finmon import SelfMapMonoid, full_selfmap_monoid, is_submonoid, validate_monoid
 from .generators import (
     enumerate_actions,
     enumerate_small_monoids,
@@ -40,7 +48,6 @@ from .ultra import (
     epsilon_A_relation,
     minimax_path_distance,
     nonexpansive_counterexample,
-    ball_submonoid_check,
 )
 from .unif import (
     Cover,
@@ -65,7 +72,6 @@ class SuiteConfig:
     theta_metric_count: int = 50
     ball_instance_count: int = 100
     cover_pair_count: int = 500
-    self_test: bool = False
 
     def validate(self) -> None:
         from .errors import ConfigError
@@ -123,72 +129,49 @@ def _rng(cfg: SuiteConfig, name: str) -> random.Random:
 
 
 # ---------------------------------------------------------------------------
-# vectorized composition tables
+# additive maps as self-maps of the ring elements
 
 
-def _atom_image_array(arr: np.ndarray, n: int) -> np.ndarray:
-    """Per-map atom images: images[s, a] = mask of the preimage of atom a."""
-    bits = (arr[:, :, None] == np.arange(n)[None, None, :]).astype(np.int64)
-    pows2 = (1 << np.arange(n, dtype=np.int64))
-    return (bits * pows2[None, :, None]).sum(axis=1)
-
-
-def _endo_tables(endos, n: int):
-    """Atom-image array, full action maps, composition table, and keys."""
-    images = np.asarray([e.atom_images for e in endos], dtype=np.int64)
-    size = 1 << n
-    full = np.zeros((len(endos), size), dtype=np.int64)
-    for x in range(1, size):
-        lsb = x & -x
-        full[:, x] = full[:, x ^ lsb] ^ images[:, lsb.bit_length() - 1]
-    comp = full[:, images]                   # comp[a, b, j] = a(b(atom_j))
-    shifts = 1 << (n * np.arange(n - 1, -1, -1, dtype=np.int64))
-    keys = images @ shifts
-    ckeys = comp @ shifts
-    table = np.searchsorted(keys, ckeys)
-    if not np.array_equal(keys[table], ckeys):
-        raise AssertionError("ring-endomorphism composition left the enumerated set")
-    return images, full, keys, table
-
-
-def _dense_from_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """Row masks to dense 0/1 matrices: dense[e, i, j] = bit j of row i."""
-    return ((rows[:, :, None] >> np.arange(n)[None, None, :]) & 1).astype(np.uint8)
-
-
-def _keys_from_dense(dense: np.ndarray, n: int) -> np.ndarray:
-    rows = (dense.astype(np.int64) * (1 << np.arange(n, dtype=np.int64))).sum(axis=-1)
-    shifts = 1 << (n * np.arange(n - 1, -1, -1, dtype=np.int64))
-    return rows @ shifts
-
-
-def _group_full_action(dense: np.ndarray, n: int) -> np.ndarray:
-    """full[e, x] = matrix e applied to mask x (XOR of columns over bits of x)."""
-    cols = (dense.astype(np.int64) * (1 << np.arange(n, dtype=np.int64))[None, :, None]).sum(axis=1)
-    size = 1 << n
-    full = np.zeros((dense.shape[0], size), dtype=np.int64)
-    for x in range(1, size):
-        lsb = x & -x
-        full[:, x] = full[:, x ^ lsb] ^ cols[:, lsb.bit_length() - 1]
-    return full
-
-
-def _adjoint_pointwise_ok(dense: np.ndarray, n: int) -> bool:
+def _adjoint_pointwise_ok(values: np.ndarray, adjoint: np.ndarray) -> bool:
     """Transpose matrices realize character precomposition on every argument.
 
-    For every matrix, character mask f, and ring element chi the mask
-    computed by the transpose action must satisfy
-    parity(mask & chi) == parity(f & (matrix applied to chi)).
+    values[e] and adjoint[e] are the value tables of a matrix and of its
+    transpose.  For every matrix, character mask f, and ring element chi
+    the mask adjoint[e, f] must satisfy
+    parity(adjoint[e, f] & chi) == parity(f & values[e, chi]).
     """
-    full = _group_full_action(dense, n)                    # (E, 2^n)
-    denseT = dense.transpose(0, 2, 1)
-    fullT = _group_full_action(denseT, n)                  # transpose action
-    size = 1 << n
-    fs = np.arange(size, dtype=np.int64)
-    adj_mask = fullT[:, fs]                                # (E, f) mask of f.sigma
-    lhs = np.bitwise_count(adj_mask[:, :, None] & fs[None, None, :]) & 1
-    rhs = np.bitwise_count(fs[None, :, None] & full[:, None, :]) & 1
+    fs = np.arange(values.shape[1], dtype=np.int64)
+    lhs = np.bitwise_count(adjoint[:, :, None] & fs) & 1
+    rhs = np.bitwise_count(fs[:, None] & values[:, None, :]) & 1
     return bool(np.array_equal(lhs, rhs))
+
+
+def _delta_law(source: SelfMapMonoid, target: SelfMapMonoid, order: np.ndarray):
+    """Check that the transpose is an anti-isomorphism from source onto target.
+
+    source and target hold additive maps as self-maps of the ring
+    elements; order lists source indices in the caller's scan order.
+    Returns None, a failure message, or the first pair (a, b), as
+    positions in order, with delta(a after b) != delta(b) after delta(a).
+    """
+    n = source.carrier_size.bit_length() - 1
+    table, target_table = source.composites(), target.composites()
+    if table is None or target_table is None:
+        return "composition left the matrix set"
+    columns = source.values[:, 1 << np.arange(n)]
+    try:
+        delta = target.lookup(additive_values(transpose_masks(columns, n), n))
+    except KeyError:
+        return "transpose left the matrix set"
+    if not np.array_equal(np.sort(delta), np.arange(len(target))):
+        return "transpose is not a bijection"
+    # delta(a after b) against delta(b) after delta(a)
+    bad = delta[table] != target_table[np.ix_(delta, delta)].T
+    if bad.any():
+        return tuple(map(int, np.argwhere(bad[np.ix_(order, order)])[0]))
+    if not _adjoint_pointwise_ok(source.values, target.values[delta]):
+        return "transpose does not realize the adjoint"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +200,21 @@ def check_phi(cfg: SuiteConfig):
     instances = 0
     for n in range(1, cfg.bound_points + 1):
         maps = full_selfmap_monoid(n)
-        ids = np.arange(len(maps))
-        map_table = maps.compose(ids[:, None], ids)
+        map_table = maps.composites()
         endos = enumerate_ring_endos(BoolRing(n))
-        _, _, endo_keys, endo_table = _endo_tables(endos, n)
-        images = _atom_image_array(maps.values, n)
-        shifts = 1 << (n * np.arange(n - 1, -1, -1, dtype=np.int64))
-        phi_keys = images @ shifts
-        phi_idx = np.minimum(np.searchsorted(endo_keys, phi_keys), len(endos) - 1)
+        endo_maps, _ = additive_monoid([e.atom_images for e in endos], n)
+        endo_table = endo_maps.composites()
+        if endo_table is None:
+            return params, instances, {
+                "n": n, "failure": "ring-endomorphism composition left the enumerated set"}
         instances += len(maps) ** 2
+        try:
+            phi_idx = endo_maps.lookup(additive_values(phi_array(maps.values), n))
+        except KeyError:
+            phi_idx = None
         bijective = (
-            len(endos) == len(maps)
-            and np.array_equal(endo_keys[phi_idx], phi_keys)
+            phi_idx is not None
+            and len(endo_maps) == len(endos) == len(maps)
             and np.array_equal(np.sort(phi_idx), np.arange(len(endos)))
         )
         if not bijective:
@@ -246,6 +232,13 @@ def check_phi(cfg: SuiteConfig):
     return params, instances, None
 
 
+# how check_delta words two of _delta_law's failures on the phi image
+_ON_PHI_IMAGE = {
+    "composition left the matrix set": "phi image not closed under composition",
+    "transpose does not realize the adjoint": "adjoint check fails on the phi image",
+}
+
+
 def check_delta(cfg: SuiteConfig):
     params = {"atoms": list(range(1, cfg.bound_atoms + 1)),
               "points": list(range(1, cfg.bound_points + 1))}
@@ -254,59 +247,36 @@ def check_delta(cfg: SuiteConfig):
     # full additive endomorphism monoid
     for n in range(1, cfg.bound_atoms + 1):
         endos = enumerate_group_endos(BoolRing(n))
-        rows = np.asarray([e.rows for e in endos], dtype=np.int64)
-        dense = _dense_from_rows(rows, n)
-        keys = _keys_from_dense(dense, n)
-        prod = np.einsum("aij,bjk->abik", dense, dense) % 2
-        ckeys = _keys_from_dense(prod.reshape(-1, n, n), n).reshape(len(endos), len(endos))
-        table = np.minimum(np.searchsorted(keys, ckeys), len(endos) - 1)
-        if not np.array_equal(keys[table], ckeys):
-            return params, instances, {"n": n, "failure": "composition left the matrix set"}
-        dkeys = _keys_from_dense(dense.transpose(0, 2, 1), n)
-        delta = np.minimum(np.searchsorted(keys, dkeys), len(endos) - 1)
-        if not np.array_equal(keys[delta], dkeys):
-            return params, instances, {"n": n, "failure": "transpose left the matrix set"}
+        matrices, order = additive_monoid(transpose_masks([e.rows for e in endos], n), n)
         instances += len(endos) ** 2
-        if not np.array_equal(np.sort(delta), np.arange(len(endos))):
-            return params, instances, {"n": n, "failure": "transpose is not a bijection"}
-        lhs = delta[table]
-        rhs = table[np.ix_(delta, delta)].T
-        if not np.array_equal(lhs, rhs):
-            a, b = map(int, np.argwhere(lhs != rhs)[0])
+        failure = _delta_law(matrices, matrices, order)
+        if isinstance(failure, str):
+            return params, instances, {"n": n, "failure": failure}
+        if failure is not None:
             return params, instances, {
                 "n": n,
-                "sigma": endos[a].to_json(),
-                "tau": endos[b].to_json(),
+                "sigma": endos[failure[0]].to_json(),
+                "tau": endos[failure[1]].to_json(),
                 "failure": "delta(sigma.tau) != delta(tau).delta(sigma)",
             }
-        if not _adjoint_pointwise_ok(dense, n):
-            return params, instances, {"n": n, "failure": "transpose does not realize the adjoint"}
 
-    # restriction to the image of phi
+    # restriction to the image of phi, onto the monoid of its transposes
     for n in range(1, cfg.bound_points + 1):
         maps = full_selfmap_monoid(n)
-        images = _atom_image_array(maps.values, n)
-        dense = ((images[:, None, :] >> np.arange(n)[None, :, None]) & 1).astype(np.uint8)
+        images = phi_array(maps.values)
+        image, order = additive_monoid(images, n)
+        transposes, _ = additive_monoid(transpose_masks(images, n), n)
         instances += len(maps) ** 2
-        prod = np.einsum("aij,bjk->abik", dense, dense) % 2
-        lhs = prod.transpose(0, 1, 3, 2)
-        denseT = dense.transpose(0, 2, 1)
-        rhs = np.einsum("tij,sjk->stik", denseT, denseT) % 2
-        if not np.array_equal(lhs, rhs):
-            s, t = map(int, np.argwhere((lhs != rhs).any(axis=(2, 3)))[0])
+        failure = _delta_law(image, transposes, order)
+        if isinstance(failure, str):
+            return params, instances, {"n": n, "failure": _ON_PHI_IMAGE.get(failure, failure)}
+        if failure is not None:
             return params, instances, {
                 "n": n,
-                "s": list(maps.elements[s]),
-                "t": list(maps.elements[t]),
+                "s": list(maps.elements[failure[0]]),
+                "t": list(maps.elements[failure[1]]),
                 "failure": "anti-law fails on the phi image",
             }
-        image_keys = np.sort(_keys_from_dense(dense, n))
-        pkeys = _keys_from_dense(prod.reshape(-1, n, n), n)
-        pos = np.searchsorted(image_keys, pkeys)
-        if not np.array_equal(image_keys[np.minimum(pos, len(image_keys) - 1)], pkeys):
-            return params, instances, {"n": n, "failure": "phi image not closed under composition"}
-        if not _adjoint_pointwise_ok(dense, n):
-            return params, instances, {"n": n, "failure": "adjoint check fails on the phi image"}
     return params, instances, None
 
 
@@ -498,6 +468,12 @@ def check_ball_submonoids(cfg: SuiteConfig):
         carrier = rng.randint(2, 4)
         m, _ = random_transformation_monoid(rng, carrier, max_size=6)
         d = random_one_sided_metric(rng, m, "right")
+        if nonexpansive_counterexample(m, d, "right") is not None:
+            return params, instances, {
+                "monoid": m.to_json(),
+                "metric": d.to_json(),
+                "failure": "generator produced a non-right-nonexpansive metric",
+            }
         radii = [v for v in d.values() if v > 0]
         if radii:
             radii = [radii[0] / 2] + radii + [radii[-1] * 2]
@@ -505,7 +481,7 @@ def check_ball_submonoids(cfg: SuiteConfig):
             radii = [Fraction(1)]
         for r in radii:
             instances += 1
-            if not ball_submonoid_check(m, d, r, side="right"):
+            if not is_submonoid(m, d.ball(m.identity, r)):
                 return params, instances, {
                     "monoid": m.to_json(),
                     "metric": d.to_json(),
@@ -829,15 +805,17 @@ CHECKS: list[tuple[str, object]] = [
     ("covering-combinators", check_covering_combinators),
 ]
 
+# the negative control that verify --self-test runs after CHECKS
+CONTROL = ("corrupted-table-control", check_corrupted_table_control)
 
-def run_suite(cfg: SuiteConfig | None = None) -> list[VerificationReport]:
+
+def run_suite(cfg: SuiteConfig | None = None,
+              checks: list[tuple[str, object]] | None = None) -> list[VerificationReport]:
+    """Run the given (name, check) pairs in order, by default CHECKS."""
     cfg = cfg or SuiteConfig()
     cfg.validate()
-    todo = list(CHECKS)
-    if cfg.self_test:
-        todo.append(("corrupted-table-control", check_corrupted_table_control))
     reports = []
-    for name, fn in todo:
+    for name, fn in CHECKS if checks is None else checks:
         start = time.perf_counter()
         try:
             params, instances, witness = fn(cfg)

@@ -139,6 +139,8 @@ class UltraPseudometric:
 
     def __post_init__(self):
         n = self.carrier_size
+        if n < 1:
+            raise ValueError("ultra-pseudometric needs at least one point")
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance matrix has wrong shape")
         for x in range(n):

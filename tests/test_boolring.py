@@ -5,6 +5,7 @@ from stonework.boolring import (
     BoolRing,
     GroupEndo,
     RingEndo,
+    additive_monoid,
     bits_to_mask,
     enumerate_group_endos,
     enumerate_ring_endos,
@@ -16,6 +17,7 @@ from stonework.boolring import (
     ring_endo_from_json,
     ring_from_json,
     ring_homs_to_Z2,
+    transpose_masks,
 )
 from stonework.finmon import full_selfmap_monoid
 from stonework.duality import phi
@@ -182,3 +184,35 @@ def test_ring_endo_to_group_endo_consistent():
         sigma = endo.to_group_endo()
         for x in ring.elements():
             assert sigma.apply(x) == endo.apply(x)
+
+
+def _compose_against_reference(endos, columns, n):
+    """The additive monoid's batched compose against the endos' own compose."""
+    maps, where = additive_monoid(columns, n)
+    assert len(maps) == len(endos)
+    index = {e: i for i, e in enumerate(endos)}
+    table = maps.compose(where[:, None], where)
+    for a, sigma in enumerate(endos):
+        for b, tau in enumerate(endos):
+            assert table[a, b] == where[index[sigma.compose(tau)]]
+    for e, row in zip(endos, maps.values[where].tolist()):
+        assert row == [e.apply(x) for x in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_additive_monoid_composes_like_ring_endos(n):
+    endos = enumerate_ring_endos(BoolRing(n))
+    _compose_against_reference(endos, [e.atom_images for e in endos], n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_additive_monoid_composes_like_group_endos(n):
+    endos = enumerate_group_endos(BoolRing(n))
+    _compose_against_reference(endos, transpose_masks([e.rows for e in endos], n), n)
+
+
+def test_transpose_masks_matches_group_endo_transpose():
+    endos = enumerate_group_endos(BoolRing(3))
+    transposed = transpose_masks([e.rows for e in endos], 3)
+    assert [tuple(row) for row in transposed.tolist()] == \
+        [e.transpose().rows for e in endos]

@@ -230,3 +230,32 @@ def test_discrete_metric_needs_a_point(tmp_path, command, size):
     proc = run_cli([command, "--metric", f"discrete:{size}", *extra])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("stdin,problem", [
+    ('{"map": 5}', '"map" list'),
+    ("[1, 2]", '"map" list'),
+    ("{}", '"map" list'),
+    ('{"map": [0.5, 1]}', "map[0] is 0.5, not an integer"),
+    ('{"map": [true, 0]}', "map[0] is true, not an integer"),
+    ('{"map": [0, 7]}', "map[1] is 7, outside the 2-point carrier"),
+])
+def test_dualize_rejects_malformed_maps(stdin, problem):
+    proc = run_cli(["dualize"], stdin=stdin)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert problem in proc.stderr
+
+
+def test_theta_rejects_an_empty_metric(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dist": []}))
+    proc = run_cli(["theta", "--metric", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+
+
+def test_kantorovich_repeated_point_cancels():
+    proc = run_cli(["kantorovich", "--metric", "discrete:3", "--vector", "0,0"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["norm"] == "0"

@@ -22,6 +22,7 @@ from stonework.duality import (
     entourage_transport,
     hom_embed,
     phi,
+    phi_array,
     phi_inverse,
 )
 from stonework.errors import DimensionMismatch
@@ -53,6 +54,13 @@ def test_phi_bijective_with_inverse(n):
     assert images == {e.atom_images for e in endos}
     for e in endos:
         assert phi(phi_inverse(e), ring) == e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_phi_array_matches_phi(n):
+    maps = full_selfmap_monoid(n)
+    images = phi_array(maps.values).tolist()
+    assert [tuple(row) for row in images] == [phi(f).atom_images for f in maps.elements]
 
 
 def test_phi_dimension_mismatch():

@@ -46,6 +46,14 @@ def test_vector_guards():
         FreeVector(space=close_pair, support=frozenset({0}))  # not pointed
 
 
+def test_repeated_points_cancel_in_pairs():
+    space = free_space(TWO_LEVEL)
+    assert vector(space, [0, 0]).is_zero()
+    assert kantorovich_norm(vector(space, [0, 0])) == 0
+    assert vector(space, [0, 1, 0]) == vector(space, [1])
+    assert vector(space, [2, 2, 2]) == vector(space, [2])
+
+
 def test_norm_zero_singleton_and_pair():
     space = free_space(TWO_LEVEL)
     assert kantorovich_norm(vector(space, [])) == 0

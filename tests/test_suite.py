@@ -1,0 +1,59 @@
+import pytest
+
+from stonework import suite
+from stonework.duality import phi_array
+from stonework.suite import SuiteConfig, check_delta, check_phi, run_suite
+
+SMALL = SuiteConfig(bound_points=3, bound_atoms=3)
+
+
+def test_run_suite_runs_only_the_given_checks():
+    checks = [(name, fn) for name, fn in suite.CHECKS if name == "phi-anti-isomorphism"]
+    reports = run_suite(SMALL, checks)
+    assert [r.check for r in reports] == ["phi-anti-isomorphism"]
+    assert reports[0].passed
+
+
+@pytest.mark.parametrize("atoms,failure,pair", [
+    (3, "delta(sigma.tau) != delta(tau).delta(sigma)", ("sigma", "tau")),
+    (1, "anti-law fails on the phi image", ("s", "t")),    # 1x1 matrices pass
+])
+def test_delta_fails_when_transpose_is_the_identity(monkeypatch, atoms, failure, pair):
+    monkeypatch.setattr(suite, "transpose_masks", lambda masks, n: masks)
+    _, _, witness = check_delta(SuiteConfig(bound_points=3, bound_atoms=atoms))
+    assert witness["failure"] == failure
+    assert witness["n"] == 2 and set(pair) < set(witness)
+
+
+def test_phi_fails_when_the_array_form_is_wrong(monkeypatch):
+    # a bijection onto the ring endomorphisms that is not phi
+    monkeypatch.setattr(suite, "phi_array", lambda values: phi_array(values[::-1]))
+    _, _, witness = check_phi(SMALL)
+    assert witness["failure"] == "phi(s.t) != phi(t).phi(s)"
+    assert witness["n"] == 2
+
+
+def test_phi_fails_when_the_array_form_is_not_onto(monkeypatch):
+    def constant(values):
+        return phi_array(values[:1].repeat(len(values), axis=0))
+
+    monkeypatch.setattr(suite, "phi_array", constant)
+    _, _, witness = check_phi(SMALL)
+    assert witness == {"n": 2, "failure": "phi is not a bijection"}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_ball_checks_test_the_precondition_once_per_instance(monkeypatch, side):
+    calls = []
+    real = suite.nonexpansive_counterexample
+
+    def counting(m, d, s):
+        calls.append(s)
+        return real(m, d, s)
+
+    monkeypatch.setattr(suite, "nonexpansive_counterexample", counting)
+    cfg = SuiteConfig(ball_instance_count=20)
+    check = suite.check_ball_submonoids if side == "right" else suite.check_ball_left_congruences
+    _, instances, witness = check(cfg)
+    assert witness is None and instances > 20
+    assert calls == [side] * 20

@@ -82,6 +82,13 @@ def test_metric_validation_catches_asymmetry_and_triangle():
         UltraPseudometric.from_rows([[0, -1], [-1, 0]])
 
 
+def test_metric_needs_a_point():
+    with pytest.raises(ValueError, match="at least one point"):
+        UltraPseudometric.discrete(0)
+    with pytest.raises(ValueError, match="at least one point"):
+        UltraPseudometric.from_rows([])
+
+
 def test_metric_json_round_trip_exact():
     d = UltraPseudometric.from_rows([[0, HALF, 1], [HALF, 0, 1], [1, 1, 0]])
     blob = d.to_json()
