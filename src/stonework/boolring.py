@@ -142,14 +142,14 @@ def identity_ring_endo(ring: BoolRing) -> RingEndo:
     return RingEndo(ring=ring, atom_images=tuple(1 << a for a in range(ring.atom_count)))
 
 
-def enumerate_ring_endos(ring: BoolRing, limit: int | None = None) -> list[RingEndo]:
+def enumerate_ring_endos(ring: BoolRing) -> list[RingEndo]:
     """All ring endomorphisms, by brute force over atom-image assignments.
 
     Depth-first over atoms with disjointness pruning; results come out in
     ascending lexicographic order of the atom-image tuples.
     """
     n = ring.atom_count
-    guard_enum(n**n, f"ring endomorphisms of a {n}-atom ring", limit)
+    guard_enum(n**n, f"ring endomorphisms of a {n}-atom ring")
     out: list[RingEndo] = []
     images: list[int] = []
 
@@ -213,10 +213,10 @@ def group_endo_from_json(ring: BoolRing, obj: dict) -> GroupEndo:
     return GroupEndo(ring=ring, rows=tuple(bits_to_mask(b) for b in obj["matrix"]))
 
 
-def enumerate_group_endos(ring: BoolRing, limit: int | None = None) -> list[GroupEndo]:
+def enumerate_group_endos(ring: BoolRing) -> list[GroupEndo]:
     """All additive endomorphisms: every n-by-n bit matrix, in row-lex order."""
     n = ring.atom_count
-    guard_enum(1 << (n * n), f"group endomorphisms of a {n}-atom ring", limit)
+    guard_enum(1 << (n * n), f"group endomorphisms of a {n}-atom ring")
     return [GroupEndo(ring=ring, rows=rows) for rows in product(ring.elements(), repeat=n)]
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .boolring import BoolRing
@@ -35,9 +36,18 @@ def _load_json(path: str | None):
         return json.load(fh)
 
 
+def _write(text: str) -> None:
+    """Write and flush stdout; once the reader has closed the pipe, drop the output."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the null device takes what is left, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_metric(source: str):
@@ -159,9 +169,8 @@ def _emit_reports(reports: list[VerificationReport], out: str) -> None:
     if out == "json":
         _emit([r.to_json() for r in reports])
     else:
-        print(TSV_HEADER)
-        for r in reports:
-            print(r.to_tsv_row())
+        rows = [TSV_HEADER] + [r.to_tsv_row() for r in reports]
+        _write("\n".join(rows) + "\n")
 
 
 def cmd_verify(args) -> int:

@@ -169,8 +169,7 @@ def entourage_partition(maps: SelfMapMonoid, chi: int, tag: str,
     EntourageChi(ring=ring, chi=chi, tag=tag)      # validates chi and tag
     keys = [preimage_mask(f, chi) if tag == ON_MAPS else phi(f, ring).apply(chi)
             for f in maps.elements]
-    seen: dict[int, int] = {}
-    part = Partition.from_class_ids([seen.setdefault(key, len(seen)) for key in keys])
+    part = Partition.from_class_ids(keys)
     if tag == ON_DUAL_ENDOS:
         chars = np.fromiter(pontryagin_dual(ring).elements(), dtype=np.int64)
         parities = np.bitwise_count(np.asarray(keys, dtype=np.int64)[:, None] & chars) & 1

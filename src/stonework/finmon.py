@@ -349,11 +349,11 @@ class SelfMapMonoid:
         return FiniteMonoid(size=k, identity=self._identity, table=self._table())
 
 
-def full_selfmap_monoid(n: int, limit: int | None = None) -> SelfMapMonoid:
+def full_selfmap_monoid(n: int) -> SelfMapMonoid:
     """All n**n self-maps of an n-point set, lexicographically ordered."""
     if n < 1:
         raise ValueError("carrier must be nonempty")
-    guard_enum(n**n, f"full self-map monoid on {n} points", limit)
+    guard_enum(n**n, f"full self-map monoid on {n} points")
     elements = tuple(product(range(n), repeat=n))
     return SelfMapMonoid(carrier_size=n, elements=elements)
 

@@ -1,9 +1,9 @@
 """Enumeration size guard.
 
-Exhaustive enumerations (all self-maps, all bit matrices, all support
-pairings) are capped so that desk-scale runs stay desk-scale.  The default
-cap can be overridden per call or globally through the STONEWORK_MAX_ENUM
-environment variable.
+Exhaustive enumerations (all self-maps, all bit matrices, all ring
+endomorphisms) are capped so that desk-scale runs stay desk-scale.  The
+default cap can be overridden through the STONEWORK_MAX_ENUM environment
+variable.
 """
 
 import os
@@ -28,10 +28,9 @@ def max_enum() -> int:
     return value
 
 
-def guard_enum(count: int, what: str, limit: int | None = None) -> None:
-    bound = max_enum() if limit is None else limit
+def guard_enum(count: int, what: str) -> None:
+    bound = max_enum()
     if count > bound:
         raise ResourceLimit(
-            f"{what} needs {count} items, above the bound {bound} "
-            f"(override with {ENV_VAR} or an explicit limit)"
+            f"{what} needs {count} items, above the bound {bound} (override with {ENV_VAR})"
         )

@@ -99,23 +99,26 @@ def _best_matching(space: UltraPseudometric, points: list[int]):
 def optimal_pairing(v: FreeVector) -> tuple[Fraction, list[tuple[int, int]]]:
     """Norm together with a pairing of the support realizing it.
 
-    The support is matched up perfectly (padded with the zero point when
-    odd); the norm is the smallest achievable maximum pair distance.
-    Intermediate points cannot help: by the strong triangle inequality a
-    two-step pairing through an extra point is never better, which the
-    auxiliary-point search below validates on small instances.
+    The support, padded with the zero point when odd, is matched up
+    perfectly; the norm is the smallest achievable maximum pair distance.
+    By the strong triangle inequality {d <= r} is an equivalence relation,
+    so a matching within distance r exists exactly when every class of it
+    holds an even number of points: the norm is the least such r among
+    the distances, and consecutive points of each class pair up.
     """
     points = sorted(v.support)
-    if not points:
-        return Fraction(0), []
-    if len(points) > MAX_SUPPORT:
-        raise ResourceLimit(
-            f"support of size {len(points)} above the pairing bound {MAX_SUPPORT}"
-        )
     if len(points) % 2:
         points.append(v.zero_point)
-    norm, pairs = _best_matching(v.space, points)
-    return norm, pairs
+    dist = v.space.dist
+    for r in sorted({dist[a][b] for a in points for b in points}):
+        classes: dict[int, list[int]] = {}
+        for x in points:
+            first = next(p for p in points if dist[p][x] <= r)
+            classes.setdefault(first, []).append(x)
+        if all(len(c) % 2 == 0 for c in classes.values()):
+            pairs = (pair for c in classes.values() for pair in zip(c[::2], c[1::2]))
+            return r, sorted(pairs)
+    return Fraction(0), []      # the zero vector: nothing to pair
 
 
 def kantorovich_norm(v: FreeVector) -> Fraction:
@@ -124,17 +127,23 @@ def kantorovich_norm(v: FreeVector) -> Fraction:
 
 
 def kantorovich_norm_with_auxiliary(v: FreeVector) -> Fraction:
-    """Reference norm allowing one doubled auxiliary point in the pairing.
+    """Reference norm by search: every pairing, also with one doubled
+    auxiliary point.
 
     A doubled point cancels over the two-element field, so this searches
-    a strictly larger representation class; agreement with the plain
-    pairing search is a checkable instance of the maximality argument.
+    a strictly larger representation class than the pairings of the
+    support; agreement with kantorovich_norm checks the closed form and
+    the maximality argument on small instances.  Supports above
+    MAX_SUPPORT points raise ResourceLimit.
     """
-    base = kantorovich_norm(v)
     points = sorted(v.support)
+    if len(points) > MAX_SUPPORT:
+        raise ResourceLimit(
+            f"support of size {len(points)} above the pairing bound {MAX_SUPPORT}"
+        )
     if len(points) % 2:
         points.append(v.zero_point)
-    best = base
+    best, _ = _best_matching(v.space, points)
     for z in range(v.space.carrier_size):
         worst, _ = _best_matching(v.space, points + [z, z])
         if worst < best:

@@ -62,16 +62,19 @@ from .unif import (
 )
 
 
+# instances per seeded random sweep
+CHAIN_COUNT = 200
+THETA_METRIC_COUNT = 50
+BALL_INSTANCE_COUNT = 100
+COVER_PAIR_COUNT = 500
+
+
 @dataclass
 class SuiteConfig:
     bound_points: int = 3      # carrier sizes for the dualities
     bound_atoms: int = 3       # ring sizes for full additive-endomorphism sweeps
     bound_k: int = 4           # truncation level of the contrast instance
     seed: int = 0
-    chain_count: int = 200
-    theta_metric_count: int = 50
-    ball_instance_count: int = 100
-    cover_pair_count: int = 500
 
     def validate(self) -> None:
         from .errors import ConfigError
@@ -334,9 +337,9 @@ def check_entourage_transport(cfg: SuiteConfig):
 
 def check_chain_metrization(cfg: SuiteConfig):
     rng = _rng(cfg, "chain-metrization")
-    params = {"chains": cfg.chain_count, "max_points": 6}
+    params = {"chains": CHAIN_COUNT, "max_points": 6}
     instances = 0
-    for _ in range(cfg.chain_count):
+    for _ in range(CHAIN_COUNT):
         n = rng.randint(2, 6)
         chain = random_chain(rng, n)
         d = d_from_chain(chain)
@@ -397,9 +400,9 @@ def check_theta_discrete(cfg: SuiteConfig):
 
 def check_theta_closure(cfg: SuiteConfig):
     rng = _rng(cfg, "theta-closure")
-    params = {"metrics": cfg.theta_metric_count, "max_points": 4}
+    params = {"metrics": THETA_METRIC_COUNT, "max_points": 4}
     instances = 0
-    for _ in range(cfg.theta_metric_count):
+    for _ in range(THETA_METRIC_COUNT):
         n = rng.randint(2, 4)
         d = random_ultrametric(rng, n)
         theta = enumerate_theta(d)
@@ -460,19 +463,20 @@ def check_theta_entourages(cfg: SuiteConfig):
     return params, instances, None
 
 
-def check_ball_submonoids(cfg: SuiteConfig):
-    rng = _rng(cfg, "ball-submonoids")
-    params = {"instances": cfg.ball_instance_count, "max_monoid": 6}
+def _ball_check(cfg: SuiteConfig, name: str, side: str, law):
+    """law(m, d, r) on every radius r of random side-nonexpansive metrics d."""
+    rng = _rng(cfg, name)
+    params = {"instances": BALL_INSTANCE_COUNT, "max_monoid": 6}
     instances = 0
-    for _ in range(cfg.ball_instance_count):
+    for _ in range(BALL_INSTANCE_COUNT):
         carrier = rng.randint(2, 4)
         m, _ = random_transformation_monoid(rng, carrier, max_size=6)
-        d = random_one_sided_metric(rng, m, "right")
-        if nonexpansive_counterexample(m, d, "right") is not None:
+        d = random_one_sided_metric(rng, m, side)
+        if nonexpansive_counterexample(m, d, side) is not None:
             return params, instances, {
                 "monoid": m.to_json(),
                 "metric": d.to_json(),
-                "failure": "generator produced a non-right-nonexpansive metric",
+                "failure": f"generator produced a non-{side}-nonexpansive metric",
             }
         radii = [v for v in d.values() if v > 0]
         if radii:
@@ -481,43 +485,23 @@ def check_ball_submonoids(cfg: SuiteConfig):
             radii = [Fraction(1)]
         for r in radii:
             instances += 1
-            if not is_submonoid(m, d.ball(m.identity, r)):
+            if not law(m, d, r):
                 return params, instances, {
                     "monoid": m.to_json(),
                     "metric": d.to_json(),
                     "radius": str(r),
                 }
     return params, instances, None
+
+
+def check_ball_submonoids(cfg: SuiteConfig):
+    return _ball_check(cfg, "ball-submonoids", "right",
+                       lambda m, d, r: is_submonoid(m, d.ball(m.identity, r)))
 
 
 def check_ball_left_congruences(cfg: SuiteConfig):
-    rng = _rng(cfg, "ball-left-congruences")
-    params = {"instances": cfg.ball_instance_count, "max_monoid": 6}
-    instances = 0
-    for _ in range(cfg.ball_instance_count):
-        carrier = rng.randint(2, 4)
-        m, _ = random_transformation_monoid(rng, carrier, max_size=6)
-        d = random_one_sided_metric(rng, m, "left")
-        if nonexpansive_counterexample(m, d, "left") is not None:
-            return params, instances, {
-                "monoid": m.to_json(),
-                "metric": d.to_json(),
-                "failure": "generator produced a non-left-nonexpansive metric",
-            }
-        radii = [v for v in d.values() if v > 0]
-        if radii:
-            radii = [radii[0] / 2] + radii + [radii[-1] * 2]
-        else:
-            radii = [Fraction(1)]
-        for r in radii:
-            instances += 1
-            if not check_left_congruence(m, d.ball_partition(r)):
-                return params, instances, {
-                    "monoid": m.to_json(),
-                    "metric": d.to_json(),
-                    "radius": str(r),
-                }
-    return params, instances, None
+    return _ball_check(cfg, "ball-left-congruences", "left",
+                       lambda m, d, r: check_left_congruence(m, d.ball_partition(r)))
 
 
 def check_saturation(cfg: SuiteConfig):
@@ -579,9 +563,9 @@ def _partitions_of(n: int):
 
 def check_covering_combinators(cfg: SuiteConfig):
     rng = _rng(cfg, "covering-combinators")
-    params = {"pairs": cfg.cover_pair_count, "max_points": 6}
+    params = {"pairs": COVER_PAIR_COUNT, "max_points": 6}
     instances = 0
-    for _ in range(cfg.cover_pair_count):
+    for _ in range(COVER_PAIR_COUNT):
         n = rng.randint(2, 6)
         p = random_cover(rng, n)
         q = random_cover(rng, n)
@@ -674,27 +658,28 @@ def check_kantorovich_contraction(cfg: SuiteConfig):
         norms = {
             s: navector.kantorovich_norm(navector.vector(space, s)) for s in supports
         }
-        for f in theta.elements:
+        # pushed[i][s]: the support that the extension of map i sends s to
+        pushed = [
+            {s: tuple(sorted(navector.lipschitz_linear_extend(
+                f, navector.vector(space, s)).support)) for s in supports}
+            for f in theta.elements
+        ]
+        for f, images in zip(theta.elements, pushed):
             for s in supports:
                 instances += 1
-                image = navector.lipschitz_linear_extend(f, navector.vector(space, s))
-                if navector.kantorovich_norm(image) > norms[s]:
+                if norms[images[s]] > norms[s]:
                     return params, instances, {
                         "space": space.to_json(),
                         "map": list(f),
                         "support": list(s),
                         "failure": "extension increased the norm",
                     }
-        for f in theta.elements:
-            for g in theta.elements:
-                fg = tuple(f[g[x]] for x in range(base))
+        for i, f in enumerate(theta.elements):
+            for j, g in enumerate(theta.elements):
+                direct = pushed[theta.compose(i, j)]
                 for s in supports:
                     instances += 1
-                    direct = navector.lipschitz_linear_extend(fg, navector.vector(space, s))
-                    staged = navector.lipschitz_linear_extend(
-                        f, navector.lipschitz_linear_extend(g, navector.vector(space, s))
-                    )
-                    if direct.support != staged.support:
+                    if direct[s] != pushed[i][pushed[j][s]]:
                         return params, instances, {
                             "space": space.to_json(),
                             "f": list(f),

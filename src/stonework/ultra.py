@@ -98,16 +98,15 @@ class Partition:
         """Common refinement: related iff related in both."""
         if other.carrier_size != self.carrier_size:
             raise CarrierMismatch("partitions on different carriers")
-        pairs = list(zip(self.class_id, other.class_id))
-        seen: dict[tuple[int, int], int] = {}
-        return Partition.from_class_ids([seen.setdefault(p, len(seen)) for p in pairs])
+        return Partition.from_class_ids(zip(self.class_id, other.class_id))
 
     def to_json(self) -> dict:
         return {"classes": sorted(self.classes())}
 
 
-def _normalize(ids: tuple[int, ...]) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
+def _normalize(ids: tuple) -> tuple[int, ...]:
+    """Renumber hashable class keys by first occurrence."""
+    seen: dict = {}
     return tuple(seen.setdefault(k, len(seen)) for k in ids)
 
 
@@ -412,7 +411,7 @@ def check_left_congruence(m: FiniteMonoid, p: Partition) -> bool:
 # the 1-Lipschitz monoid and its pointwise entourages
 
 
-def enumerate_theta(d: UltraPseudometric, limit: int | None = None) -> SelfMapMonoid:
+def enumerate_theta(d: UltraPseudometric) -> SelfMapMonoid:
     """All self-maps that do not increase any distance.
 
     Extends value prefixes f(0), ..., f(x-1) one coordinate at a time and
@@ -422,7 +421,7 @@ def enumerate_theta(d: UltraPseudometric, limit: int | None = None) -> SelfMapMo
     the result is a transformation monoid in canonical order.
     """
     n = d.carrier_size
-    guard_enum(n**n, f"1-Lipschitz maps on {n} points", limit)
+    guard_enum(n**n, f"1-Lipschitz maps on {n} points")
     rank = d.rank_matrix()
     rank = rank.astype(np.min_scalar_type(rank.max()))
     prefixes = np.zeros((1, 0), dtype=np.min_scalar_type(n - 1))
@@ -460,8 +459,7 @@ def epsilon_A_relation(theta: SelfMapMonoid, d: UltraPseudometric,
         raise ValueError("evaluation point outside the carrier")
     balls = d.ball_partition(eps)
     keys = [tuple(balls.class_id[f[a]] for a in points) for f in theta.elements]
-    seen: dict[tuple, int] = {}
-    part = Partition.from_class_ids([seen.setdefault(k, len(seen)) for k in keys])
+    part = Partition.from_class_ids(keys)
     for i in range(len(theta.elements)):
         for j in range(i + 1, len(theta.elements)):
             if part.relates(i, j) != epsilon_A_relates(theta, d, points, eps, i, j):

@@ -80,8 +80,7 @@ def kernel_partition(f) -> Partition:
     values = list(f)
     if len(set(values)) > 2:
         raise ValueError("function takes more than two values")
-    seen: dict = {}
-    return Partition.from_class_ids([seen.setdefault(v, len(seen)) for v in values])
+    return Partition.from_class_ids(values)
 
 
 def saturate(action: MonoidAction, gamma) -> PartitionFamily:

@@ -259,3 +259,22 @@ def test_kantorovich_repeated_point_cancels():
     proc = run_cli(["kantorovich", "--metric", "discrete:3", "--vector", "0,0"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["norm"] == "0"
+
+
+def test_kantorovich_support_above_the_oracle_bound():
+    proc = run_cli(["kantorovich", "--metric", "discrete:9", "--vector", "0,1,2,3,4,5,6,7,8"])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: support of size 9 above the pairing bound 8\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["theta", "--metric", "discrete:3"],        # the JSON writer
+    ["verify-duality", "--points", "1"],        # the TSV writer
+])
+def test_closed_stdout_keeps_the_exit_code(args):
+    proc = subprocess.Popen(RUN + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    proc.stdout.close()     # the reader is gone before the first write
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 0
+    assert err == ""      # no traceback

@@ -98,12 +98,14 @@ def test_full_selfmap_counts():
     assert tuple(range(3)) in theta.elements
 
 
-def test_full_selfmap_resource_limit():
+def test_full_selfmap_resource_limit(monkeypatch):
     with pytest.raises(ResourceLimit):
         full_selfmap_monoid(10)
-    assert len(full_selfmap_monoid(3, limit=27)) == 27
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "27")
+    assert len(full_selfmap_monoid(3)) == 27
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "26")
     with pytest.raises(ResourceLimit):
-        full_selfmap_monoid(3, limit=26)
+        full_selfmap_monoid(3)
 
 
 def test_cayley_trivial_and_z2():

@@ -7,6 +7,7 @@ from stonework.errors import NotLipschitz, ResourceLimit
 from stonework.generators import random_ultrametric
 from stonework.navector import (
     FreeVector,
+    _best_matching,
     free_space,
     kantorovich_norm,
     kantorovich_norm_with_auxiliary,
@@ -139,7 +140,32 @@ def test_extension_respects_composition():
 
 
 def test_support_resource_limit():
-    base = UltraPseudometric.discrete(9)
-    space = free_space(base)
-    with pytest.raises(ResourceLimit):
-        kantorovich_norm(vector(space, range(9)))
+    for n in (9, 16):
+        v = vector(free_space(UltraPseudometric.discrete(n)), range(n))
+        assert kantorovich_norm(v) == 1
+        with pytest.raises(ResourceLimit):
+            kantorovich_norm_with_auxiliary(v)
+
+
+def _search(v):
+    """The matching search on the padded support, as the closed form pads it."""
+    points = sorted(v.support)
+    if len(points) % 2:
+        points.append(v.zero_point)
+    return _best_matching(v.space, points) if points else (0, [])
+
+
+def test_closed_form_matches_the_search():
+    rng = random.Random(11)
+    for trial in range(600):
+        n = rng.randint(1, 8)
+        base = random_ultrametric(rng, n)
+        if trial % 2:
+            # a pseudometric with zero distances: pulled back along a random map
+            f = [rng.randrange(n) for _ in range(n)]
+            base = UltraPseudometric.from_rows(
+                [[base.d(f[x], f[y]) for y in range(n)] for x in range(n)])
+        space = free_space(base)
+        for _ in range(6):
+            v = vector(space, [x for x in range(n) if rng.random() < 0.5])
+            assert optimal_pairing(v) == _search(v)

@@ -1,6 +1,6 @@
 import pytest
 
-from stonework import suite
+from stonework import navector, suite
 from stonework.duality import phi_array
 from stonework.suite import SuiteConfig, check_delta, check_phi, run_suite
 
@@ -52,8 +52,34 @@ def test_ball_checks_test_the_precondition_once_per_instance(monkeypatch, side):
         return real(m, d, s)
 
     monkeypatch.setattr(suite, "nonexpansive_counterexample", counting)
-    cfg = SuiteConfig(ball_instance_count=20)
+    monkeypatch.setattr(suite, "BALL_INSTANCE_COUNT", 20)
     check = suite.check_ball_submonoids if side == "right" else suite.check_ball_left_congruences
-    _, instances, witness = check(cfg)
+    _, instances, witness = check(SuiteConfig())
     assert witness is None and instances > 20
     assert calls == [side] * 20
+
+
+def test_contraction_fails_when_the_extension_is_applied_twice(monkeypatch):
+    real = navector.lipschitz_linear_extend
+    monkeypatch.setattr(navector, "lipschitz_linear_extend", lambda f, v: real(f, real(f, v)))
+    _, _, witness = suite.check_kantorovich_contraction(SMALL)
+    assert witness["failure"] == "extension is not multiplicative"
+    assert {"space", "f", "g", "support"} < set(witness)
+
+
+def test_contraction_fails_when_the_extension_raises_the_norm(monkeypatch):
+    def full_support(f, v):
+        return navector.vector(v.space, range(v.zero_point))
+
+    monkeypatch.setattr(navector, "lipschitz_linear_extend", full_support)
+    _, instances, witness = suite.check_kantorovich_contraction(SMALL)
+    assert witness["failure"] == "extension increased the norm"
+    assert witness["map"] == [0, 0, 0] and witness["support"] == [] and instances == 1
+
+
+def test_oracle_agreement_fails_when_the_norm_is_off(monkeypatch):
+    real = navector.kantorovich_norm
+    monkeypatch.setattr(navector, "kantorovich_norm", lambda v: real(v) + 1)
+    _, instances, witness = suite.check_kantorovich_oracle(SMALL)
+    assert instances == 1
+    assert witness["pairing_norm"] == "1" and witness["auxiliary_norm"] == "0"

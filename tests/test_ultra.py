@@ -323,9 +323,10 @@ def test_theta_matches_literal_filter_on_random_ultrametrics():
         assert enumerate_theta(d).elements == expected
 
 
-def test_theta_resource_limit():
+def test_theta_resource_limit(monkeypatch):
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "26")
     with pytest.raises(ResourceLimit):
-        enumerate_theta(UltraPseudometric.discrete(3), limit=26)
+        enumerate_theta(UltraPseudometric.discrete(3))
 
 
 def test_epsilon_relation_extremes():
