@@ -17,6 +17,7 @@ from .duality import delta_adjoint, phi
 from .errors import StoneworkError
 from .finmon import action_from_json, monoid_from_json
 from .navector import free_space, kantorovich_norm_with_auxiliary, optimal_pairing, vector
+from .schema import expect_int
 from .suite import CHECKS, CONTROL, TSV_HEADER, SuiteConfig, VerificationReport, run_suite
 from .contrast import contrast_report
 from .ultra import (
@@ -67,9 +68,7 @@ def _selfmap_from_json(data) -> tuple[int, ...]:
     if not isinstance(images, list):
         raise StoneworkError('self-map input must be an object with a "map" list')
     for y, v in enumerate(images):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise StoneworkError(f"map[{y}] is {json.dumps(v)}, not an integer")
-        if not 0 <= v < len(images):
+        if not 0 <= expect_int(v, f"map[{y}]") < len(images):
             raise StoneworkError(f"map[{y}] is {v}, outside the {len(images)}-point carrier")
     return tuple(images)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import AssociativityViolation, IdentityViolation
 from .limits import guard_enum
+from .schema import expect_field, expect_int, expect_int_rows, expect_object
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,11 @@ class FiniteMonoid:
 
 
 def monoid_from_json(obj: dict) -> FiniteMonoid:
-    return validate_monoid(obj["table"], obj["identity"])
+    obj = expect_object(obj, "monoid")
+    return validate_monoid(
+        expect_int_rows(expect_field(obj, "table", "monoid"), "monoid table"),
+        expect_int(expect_field(obj, "identity", "monoid"), "monoid identity"),
+    )
 
 
 def validate_monoid(table, identity: int) -> FiniteMonoid:
@@ -120,8 +125,11 @@ class MonoidAction:
 
 
 def action_from_json(obj: dict) -> MonoidAction:
+    obj = expect_object(obj, "action")
     return validate_action(
-        monoid_from_json(obj["monoid"]), obj["carrier_size"], obj["act"]
+        monoid_from_json(expect_field(obj, "monoid", "action")),
+        expect_int(expect_field(obj, "carrier_size", "action"), "action carrier_size", 0),
+        expect_int_rows(expect_field(obj, "act", "action"), "action act"),
     )
 
 

@@ -11,8 +11,11 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import numpy as np
+
 from .errors import AssociativityViolation, IdentityViolation
 from .finmon import (
+    CHUNK_ENTRIES,
     FiniteMonoid,
     MonoidAction,
     SelfMapMonoid,
@@ -163,25 +166,29 @@ def enumerate_small_monoids(size: int) -> list[FiniteMonoid]:
 
 
 def enumerate_actions(m: FiniteMonoid, carrier: int) -> list[MonoidAction]:
-    """Every action of m on the carrier (identity acts as the identity map)."""
-    ident = tuple(range(carrier))
-    maps = list(product(range(carrier), repeat=carrier))
+    """Every action of m on the carrier (identity acts as the identity map).
+
+    The candidates assign a self-map to each non-identity element, in
+    lexicographic order of the choice tuple; the action law is tested on
+    all of them at once, in chunks of at most CHUNK_ENTRIES law entries.
+    """
+    maps = np.array(list(product(range(carrier), repeat=carrier)),
+                    dtype=np.min_scalar_type(max(carrier - 1, 0)))
     non_identity = [s for s in range(m.size) if s != m.identity]
+    k, count = m.size, len(maps) ** len(non_identity)
+    table = np.asarray(m.table, dtype=np.intp)
     out = []
-    for choice in product(maps, repeat=len(non_identity)):
-        act: list = [None] * m.size
-        act[m.identity] = ident
-        for s, f in zip(non_identity, choice):
-            act[s] = f
-        ok = True
-        for s in range(m.size):
-            for t in range(m.size):
-                st = m.table[s][t]
-                if any(act[s][act[t][x]] != act[st][x] for x in range(carrier)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(MonoidAction(monoid=m, carrier_size=carrier, act=tuple(act)))
+    step = max(1, CHUNK_ENTRIES // max(1, k * k * carrier))
+    for start in range(0, count, step):
+        cand = np.arange(start, min(start + step, count))
+        act = np.empty((len(cand), k, carrier), dtype=maps.dtype)
+        act[:, m.identity] = np.arange(carrier)
+        for s in reversed(non_identity):        # the last element is the fastest digit
+            cand, digit = np.divmod(cand, len(maps))
+            act[:, s] = maps[digit]
+        # act[s][act[t][x]] == act[s*t][x] for every s, t, x
+        nested = np.take_along_axis(act[:, :, None, :], act[:, None, :, :], axis=3)
+        ok = (nested == act[:, table]).reshape(len(act), -1).all(axis=1)
+        out.extend(MonoidAction(monoid=m, carrier_size=carrier, act=tuple(map(tuple, rows)))
+                   for rows in act[ok].tolist())
     return out

@@ -1,0 +1,52 @@
+"""Strict readers for the fields of JSON inputs.
+
+Shapes and integer types are checked where the input enters, with no
+coercion: 3.7, "3" and true are not integers.  Every failure is a
+ValueError that names the field, so the CLI reports it on one line.
+"""
+
+from __future__ import annotations
+
+import json
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "an integer", float: "a number", type(None): "null"}
+
+
+def _kind(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def expect_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, not {_kind(value)}")
+    return value
+
+
+def expect_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {_kind(value)}")
+    return value
+
+
+def expect_field(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ValueError(f'{what} has no "{key}" field')
+    return obj[key]
+
+
+def expect_int(value, what: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        shown = json.dumps(value) if isinstance(value, (bool, float)) else _kind(value)
+        raise ValueError(f"{what} is {shown}, not an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} is {value}, below {minimum}")
+    return value
+
+
+def expect_int_rows(value, what: str) -> list[list[int]]:
+    """A list of lists of integers."""
+    return [
+        [expect_int(v, f"{what}[{i}][{j}]") for j, v in enumerate(expect_list(row, f"{what}[{i}]"))]
+        for i, row in enumerate(expect_list(value, what))
+    ]

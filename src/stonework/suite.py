@@ -56,9 +56,10 @@ from .unif import (
     cover_wedge,
     is_meet_closed,
     is_saturated_under,
-    preimage_partition,
+    partition_lattice,
     refines,
     saturate,
+    saturate_worklist,
 )
 
 
@@ -507,58 +508,46 @@ def check_ball_left_congruences(cfg: SuiteConfig):
 def check_saturation(cfg: SuiteConfig):
     params = {"monoid_size": 3, "carrier": 3}
     instances = 0
-    all_partitions = _partitions_of(3)
+    lattice = partition_lattice(3)
+    meet = lattice.meet.tolist()
+    meet_closed = {}        # is_meet_closed reads no action: once per distinct family
     for m in enumerate_small_monoids(3):
+        table = np.asarray(m.table)
         for action in enumerate_actions(m, 3):
-            for eps in all_partitions:
-                for s in range(m.size):
-                    for t in range(m.size):
-                        instances += 1
-                        st = m.table[s][t]
-                        nested = preimage_partition(
-                            action.act[t], preimage_partition(action.act[s], eps)
-                        )
-                        direct = preimage_partition(action.act[st], eps)
-                        if nested != direct:
-                            return params, instances, {
-                                "monoid": m.to_json(),
-                                "action": [list(r) for r in action.act],
-                                "partition": eps.to_json(),
-                                "pair": [s, t],
-                            }
-            for eps in all_partitions:
+            witness = {"monoid": m.to_json(), "action": [list(r) for r in action.act]}
+            pull = lattice.pullback(action.act)
+            # nested[e, s, t] = pull[t, pull[s, e]] against direct pull[s*t, e],
+            # flattened in the (eps, s, t) scan order
+            nested = pull[np.arange(m.size), pull.T[:, :, None]]
+            direct = pull[table].transpose(2, 0, 1)
+            bad = np.flatnonzero(nested != direct)
+            if bad.size:
+                e, s, t = np.unravel_index(bad[0], nested.shape)
+                return params, instances + int(bad[0]) + 1, {
+                    **witness,
+                    "partition": lattice.partitions[e].to_json(),
+                    "pair": [int(s), int(t)],
+                }
+            instances += nested.size
+            pulls = pull.T.tolist()
+            for eps in lattice.partitions:
                 family = saturate(action, [eps])
                 instances += 1
-                ok = (
-                    eps in family
-                    and is_meet_closed(family)
-                    and is_saturated_under(family, action)
-                    and saturate(action, family) == family
-                )
-                if not ok:
+                ids = {lattice.index_of(p) for p in family.members}
+                closed = all(ids.issuperset(pulls[p]) and ids.issuperset(meet[p][q] for q in ids)
+                             for p in ids)
+                if family not in meet_closed:
+                    meet_closed[family] = is_meet_closed(family)
+                failure = None
+                if family != saturate_worklist(action, [eps]):
+                    failure = "saturation disagrees with the worklist oracle"
+                elif not (eps in family and closed and meet_closed[family]
+                          and is_saturated_under(family, action)):
+                    failure = "saturation fixed point violated"
+                if failure:
                     return params, instances, {
-                        "monoid": m.to_json(),
-                        "action": [list(r) for r in action.act],
-                        "generator": eps.to_json(),
-                        "failure": "saturation fixed point violated",
-                    }
+                        **witness, "generator": eps.to_json(), "failure": failure}
     return params, instances, None
-
-
-def _partitions_of(n: int):
-    from .ultra import Partition
-
-    out = []
-
-    def descend(ids, next_id):
-        if len(ids) == n:
-            out.append(Partition.from_class_ids(ids))
-            return
-        for k in range(next_id + 1):
-            descend(ids + [k], max(next_id, k + 1))
-
-    descend([], 0)
-    return out
 
 
 def check_covering_combinators(cfg: SuiteConfig):

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .finmon import FiniteMonoid, SelfMapMonoid, is_submonoid
 from .limits import guard_enum
+from .schema import expect_field, expect_int, expect_int_rows, expect_list, expect_object
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +112,9 @@ def _normalize(ids: tuple) -> tuple[int, ...]:
 
 
 def partition_from_json(carrier_size: int, obj: dict) -> Partition:
-    return Partition.from_classes(carrier_size, obj["classes"])
+    obj = expect_object(obj, "partition")
+    classes = expect_int_rows(expect_field(obj, "classes", "partition"), "partition classes")
+    return Partition.from_classes(carrier_size, classes)
 
 
 def meet_all(parts) -> Partition:
@@ -277,8 +280,10 @@ class MonotoneChain:
 
 
 def chain_from_json(obj: dict) -> MonotoneChain:
-    n = int(obj["carrier_size"])
-    parts = tuple(partition_from_json(n, p) for p in obj["chain"])
+    obj = expect_object(obj, "chain")
+    n = expect_int(expect_field(obj, "carrier_size", "chain"), "chain carrier_size", 0)
+    levels = expect_list(expect_field(obj, "chain", "chain"), "chain levels")
+    parts = tuple(partition_from_json(n, p) for p in levels)
     return MonotoneChain(carrier_size=n, chain=parts)
 
 
@@ -418,16 +423,20 @@ def enumerate_theta(d: UltraPseudometric) -> SelfMapMonoid:
     keeps a prefix only while every pair it completes passes
     d(f(y), f(x)) <= d(y, x).  Prefixes stay in lexicographic order, and
     the maps are closed under composition and contain the identity, so
-    the result is a transformation monoid in canonical order.
+    the result is a transformation monoid in canonical order.  The bound
+    applies to the candidates of each step, the live prefixes times the n
+    values, so a metric with few such maps enumerates past 7 points.
     """
     n = d.carrier_size
-    guard_enum(n**n, f"1-Lipschitz maps on {n} points")
     rank = d.rank_matrix()
     rank = rank.astype(np.min_scalar_type(rank.max()))
     prefixes = np.zeros((1, 0), dtype=np.min_scalar_type(n - 1))
     for x in range(n):
+        guard_enum(len(prefixes) * n, f"1-Lipschitz maps on {n} points")
         # ok[p, v]: prefix p extended by f(x) = v keeps every pair (y, x)
-        ok = (rank[prefixes] <= rank[:x, x][None, :, None]).all(axis=1)
+        ok = np.ones((len(prefixes), n), dtype=bool)
+        for y in range(x):
+            ok &= rank[prefixes[:, y]] <= rank[y, x]
         rows, vals = np.nonzero(ok)
         prefixes = np.column_stack([prefixes[rows], vals.astype(prefixes.dtype)])
     return SelfMapMonoid(carrier_size=n, elements=tuple(zip(*prefixes.T.tolist())))

@@ -8,10 +8,18 @@ bases are kept as-is.
 
 from __future__ import annotations
 
+import functools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
+
+import numpy as np
 
 from .errors import CarrierMismatch
-from .finmon import MonoidAction
+from .finmon import CHUNK_ENTRIES, MonoidAction
+from .limits import guard_enum
+from .schema import expect_field, expect_int, expect_list, expect_object
 from .ultra import Partition, partition_from_json
 
 
@@ -54,8 +62,10 @@ class PartitionFamily:
 
 
 def family_from_json(obj: dict) -> PartitionFamily:
-    n = int(obj["carrier_size"])
-    return make_family(n, (partition_from_json(n, p) for p in obj["members"]))
+    obj = expect_object(obj, "family")
+    n = expect_int(expect_field(obj, "carrier_size", "family"), "family carrier_size", 0)
+    members = expect_list(expect_field(obj, "members", "family"), "family members")
+    return make_family(n, (partition_from_json(n, p) for p in members))
 
 
 def make_family(carrier_size: int, parts, **flags) -> PartitionFamily:
@@ -83,19 +93,155 @@ def kernel_partition(f) -> Partition:
     return Partition.from_class_ids(values)
 
 
+class PartitionLattice:
+    """Every partition of an n-point carrier, indexed.
+
+    ``rows`` is a read-only (B, n) array, B the Bell number of n: row i is
+    the class_id of ``partitions[i]``, a restricted-growth string, and the
+    rows ascend lexicographically (Knuth, TAOCP 7.2.1.5), which is the
+    order a PartitionFamily keeps its members in.  ``index_of`` finds one
+    partition; ``lookup`` finds the partitions of an array of class labels
+    by their first-occurrence keys.  The (B, B) ``meet`` table is built on
+    first use and ``pullback`` builds a (k, B) table per call.  Every table
+    is guarded by guard_enum, so the default bound stops at 7 points
+    (Bell(7) = 877): the meet table on 8 points has 4140**2 entries.
+    """
+
+    def __init__(self, n: int):
+        if n < 0:
+            raise ValueError("carrier size must be nonnegative")
+        self.n = n
+        # extend every string by each class id up to one past its largest
+        rows = np.zeros((1, 0), dtype=np.intp)
+        blocks = np.zeros(1, dtype=np.intp)        # classes used so far
+        for x in range(n):
+            counts = blocks + 1
+            guard_enum(int(counts.sum()) * n, f"partition lattice on {n} points")
+            parent = np.repeat(np.arange(len(rows)), counts)
+            ids = np.arange(len(parent)) - np.repeat(counts.cumsum() - counts, counts)
+            rows = np.column_stack((rows[parent], ids))
+            blocks = np.maximum(blocks[parent], ids + 1)
+        rows.flags.writeable = False
+        self.rows = rows
+        self.partitions = tuple(Partition(carrier_size=n, class_id=tuple(row))
+                                for row in rows.tolist())
+        # first[x], the first point in the class of x, is at most x: mixed
+        # radix x + 1 keys first-occurrence vectors exactly, and they ascend
+        # with the restricted-growth strings
+        self._weights = np.array([math.factorial(n) // math.factorial(x + 1)
+                                  for x in range(n)], dtype=np.int64)
+        self._keys = self._first_keys(rows)
+        self._dtype = np.min_scalar_type(len(rows) - 1)
+        self._meet = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def index_of(self, p: Partition) -> int:
+        """Index of a partition of the carrier."""
+        if p.carrier_size != self.n:
+            raise CarrierMismatch("partition and lattice carriers differ")
+        return bisect_left(self.partitions, p.class_id, key=attrgetter("class_id"))
+
+    def _first_keys(self, flat: np.ndarray) -> np.ndarray:
+        """Mixed-radix key of the first-occurrence vector of each label row."""
+        if self.n == 0:
+            return np.zeros(len(flat), dtype=np.int64)
+        first = (flat[:, :, None] == flat[:, None, :]).argmax(axis=2)
+        return first @ self._weights
+
+    def lookup(self, labels) -> np.ndarray:
+        """Index of the partition x ~ y iff labels[..., x] == labels[..., y],
+        for every row of an integer array of any shape (..., n)."""
+        labels = np.asarray(labels)
+        shape = labels.shape[:-1]
+        keys = self._first_keys(labels.reshape(math.prod(shape), self.n))
+        return self._keys.searchsorted(keys).reshape(shape)
+
+    def _table(self, labels_of, count: int) -> np.ndarray:
+        """A (count, B) index table, built in row blocks a:b of at most
+        CHUNK_ENTRIES class labels: labels_of(a, b) is the (b - a, B, n)
+        label array of the block."""
+        B, n = len(self), self.n
+        out = np.empty((count, B), dtype=self._dtype)
+        step = max(1, CHUNK_ENTRIES // max(1, B * n))
+        for start in range(0, count, step):
+            out[start:start + step] = self.lookup(labels_of(start, start + step))
+        out.flags.writeable = False
+        return out
+
+    @property
+    def meet(self) -> np.ndarray:
+        """meet[p, q] = index of the common refinement of p and q."""
+        if self._meet is None:
+            B, n, rows = len(self), self.n, self.rows
+            guard_enum(B * B, f"meet table of the partition lattice on {n} points")
+            self._meet = self._table(
+                lambda a, b: rows[a:b, None, :] * n + rows[None, :, :], B)
+        return self._meet
+
+    def pullback(self, act) -> np.ndarray:
+        """pull[s, p] = index of the preimage of partition p under act[s]:
+        x ~ y iff act[s][x] ~ act[s][y] in p."""
+        maps = np.asarray(act, dtype=np.intp).reshape(len(act), self.n)
+        guard_enum(len(maps) * len(self),
+                   f"pullback table of {len(maps)} maps on {self.n} points")
+        # labels[s, p, x] = rows[p, maps[s, x]]
+        return self._table(lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2),
+                           len(maps))
+
+
+@functools.cache
+def partition_lattice(n: int) -> PartitionLattice:
+    """The lattice on n points, built on first use and kept."""
+    return PartitionLattice(n)
+
+
+def _generators(action: MonoidAction, gamma) -> list[Partition]:
+    gamma = list(gamma.members) if isinstance(gamma, PartitionFamily) else list(gamma)
+    for p in gamma:
+        if p.carrier_size != action.carrier_size:
+            raise CarrierMismatch("generator partition on a different carrier")
+    return gamma
+
+
 def saturate(action: MonoidAction, gamma) -> PartitionFamily:
     """Least family containing gamma closed under translation preimages
     and pairwise meets.
+
+    A closure over the indices of the partition lattice: each round adds
+    the pullbacks of the newest members and their meets with every member.
+    Raises ResourceLimit where the lattice tables exceed the enumeration
+    bound (by default past 7 points); saturate_worklist is the oracle.
+    """
+    gamma = _generators(action, gamma)
+    lattice = partition_lattice(action.carrier_size)
+    pulls, meet = lattice.pullback(action.act).T.tolist(), lattice.meet
+    members: set[int] = set()
+    fresh = {lattice.index_of(p) for p in gamma}
+    while fresh:
+        members |= fresh
+        reached: set[int] = set()
+        for p in fresh:
+            reached.update(pulls[p])
+            row = meet[p].tolist()
+            reached.update(row[q] for q in members)
+        fresh = reached - members
+    return PartitionFamily(carrier_size=lattice.n,
+                           members=tuple(lattice.partitions[i] for i in sorted(members)),
+                           meet_closed=True, saturated=True)
+
+
+def saturate_worklist(action: MonoidAction, gamma) -> PartitionFamily:
+    """The saturation as a worklist over Partition objects: the oracle
+    for saturate.
 
     Monotone worklist iteration over a finite lattice, so the fixed point
     is reached after finitely many rounds.  The generators stay in the
     family because the identity translation pulls back to the identity.
     """
-    gamma = list(gamma.members) if isinstance(gamma, PartitionFamily) else list(gamma)
+    gamma = _generators(action, gamma)
     n = action.carrier_size
-    for p in gamma:
-        if p.carrier_size != n:
-            raise CarrierMismatch("generator partition on a different carrier")
     members: set[Partition] = set(gamma)
     frontier = list(members)
     while frontier:

@@ -278,3 +278,42 @@ def test_closed_stdout_keeps_the_exit_code(args):
     err = proc.stderr.read()
     assert proc.wait(timeout=300) == 0
     assert err == ""      # no traceback
+
+
+SATURATE_ACTION = {"monoid": {"size": 1, "identity": 0, "table": [[0]]},
+                   "carrier_size": 3, "act": [[0, 1, 2]]}
+SATURATE_FAMILY = {"carrier_size": 3, "members": [{"classes": [[0, 1], [2]]}]}
+
+
+@pytest.mark.parametrize("action,family,problem", [
+    (SATURATE_ACTION, [1, 2], "family must be an object, not a list"),
+    (SATURATE_ACTION, {"carrier_size": 3, "members": 5},
+     "family members must be a list, not an integer"),
+    (SATURATE_ACTION, {"carrier_size": 3, "members": [[0, 1]]},
+     "partition must be an object, not a list"),
+    ({**SATURATE_ACTION, "monoid": [[0]]}, SATURATE_FAMILY,
+     "monoid must be an object, not a list"),
+    (SATURATE_ACTION, {**SATURATE_FAMILY, "carrier_size": 3.7},
+     "family carrier_size is 3.7, not an integer"),
+    (SATURATE_ACTION, {"carrier_size": 3, "members": [{"classes": [[0, True], [2]]}]},
+     "partition classes[0][1] is true, not an integer"),
+])
+def test_saturate_rejects_malformed_inputs(tmp_path, action, family, problem):
+    apath, fpath = tmp_path / "a.json", tmp_path / "f.json"
+    apath.write_text(json.dumps(action))
+    fpath.write_text(json.dumps(family))
+    proc = run_cli(["saturate", "--action", str(apath), "--family", str(fpath)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert problem in proc.stderr
+
+
+def test_saturate_above_the_lattice_bound_exits_2(tmp_path):
+    apath, fpath = tmp_path / "a.json", tmp_path / "f.json"
+    apath.write_text(json.dumps({**SATURATE_ACTION, "carrier_size": 8,
+                                 "act": [list(range(8))]}))
+    fpath.write_text(json.dumps({"carrier_size": 8, "members": [{"classes": [list(range(8))]}]}))
+    proc = run_cli(["saturate", "--action", str(apath), "--family", str(fpath)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "above the bound" in proc.stderr

@@ -1,5 +1,7 @@
 import random
+from itertools import product
 
+from stonework.finmon import MonoidAction
 from stonework.generators import (
     congruence_closure,
     enumerate_actions,
@@ -89,3 +91,28 @@ def test_enumerate_small_monoids_and_actions():
                 st = m.mul(s, t)
                 for x in range(2):
                     assert action.act[st][x] == action.act[s][action.act[t][x]]
+
+
+def actions_by_loop(m, carrier):
+    """Every action of m on the carrier, one candidate at a time."""
+    ident = tuple(range(carrier))
+    maps = list(product(range(carrier), repeat=carrier))
+    non_identity = [s for s in range(m.size) if s != m.identity]
+    out = []
+    for choice in product(maps, repeat=len(non_identity)):
+        act = [ident] * m.size
+        for s, f in zip(non_identity, choice):
+            act[s] = f
+        if all(act[s][act[t][x]] == act[m.table[s][t]][x]
+               for s in range(m.size) for t in range(m.size) for x in range(carrier)):
+            out.append(MonoidAction(monoid=m, carrier_size=carrier, act=tuple(act)))
+    return out
+
+
+def test_enumerate_actions_matches_the_candidate_loop():
+    for size in (1, 2, 3):
+        for m in enumerate_small_monoids(size):
+            for carrier in (1, 2, 3):
+                assert enumerate_actions(m, carrier) == actions_by_loop(m, carrier)
+    # 199 actions of the 11 three-element monoids on 3 points
+    assert sum(len(enumerate_actions(m, 3)) for m in enumerate_small_monoids(3)) == 199

@@ -1,6 +1,6 @@
 import pytest
 
-from stonework import navector, suite
+from stonework import navector, suite, unif
 from stonework.duality import phi_array
 from stonework.suite import SuiteConfig, check_delta, check_phi, run_suite
 
@@ -83,3 +83,39 @@ def test_oracle_agreement_fails_when_the_norm_is_off(monkeypatch):
     _, instances, witness = suite.check_kantorovich_oracle(SMALL)
     assert instances == 1
     assert witness["pairing_norm"] == "1" and witness["auxiliary_norm"] == "0"
+
+
+def test_saturation_fails_on_a_wrong_pullback(monkeypatch):
+    # the pullbacks of the elements in reverse order: the same set per
+    # partition, so saturate is unchanged, but the composition law breaks
+    pullback = unif.PartitionLattice.pullback
+    monkeypatch.setattr(unif.PartitionLattice, "pullback",
+                        lambda self, act: pullback(self, act[::-1]))
+    _, instances, witness = suite.check_saturation(SMALL)
+    assert set(witness) == {"monoid", "action", "partition", "pair"}
+    assert 0 < instances < 9950
+
+
+def dropping_first_member(saturation):
+    def dropped(action, gamma):
+        family = saturation(action, gamma)
+        return unif.make_family(family.carrier_size, family.members[1:])
+    return dropped
+
+
+def test_saturation_fails_when_a_member_is_dropped(monkeypatch):
+    monkeypatch.setattr(suite, "saturate", dropping_first_member(unif.saturate))
+    _, _, witness = suite.check_saturation(SMALL)
+    assert witness["failure"] == "saturation disagrees with the worklist oracle"
+    assert set(witness) == {"monoid", "action", "generator", "failure"}
+
+
+def test_saturation_fails_when_both_drop_the_generator(monkeypatch):
+    # the first generator, the indiscrete partition, saturates to itself alone
+    monkeypatch.setattr(suite, "saturate", dropping_first_member(unif.saturate))
+    monkeypatch.setattr(suite, "saturate_worklist",
+                        dropping_first_member(unif.saturate_worklist))
+    _, instances, witness = suite.check_saturation(SMALL)
+    assert witness["failure"] == "saturation fixed point violated"
+    assert witness["generator"] == {"classes": [[0, 1, 2]]}
+    assert instances == 3 * 3 * 5 + 1

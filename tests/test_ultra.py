@@ -329,6 +329,35 @@ def test_theta_resource_limit(monkeypatch):
         enumerate_theta(UltraPseudometric.discrete(3))
 
 
+def lipschitz_count(d):
+    """Number of 1-Lipschitz self-maps, by backtracking over f(0), f(1), ..."""
+    rank = d.rank_matrix().tolist()
+    n = len(rank)
+    f = [0] * n
+
+    def extend(x):
+        if x == n:
+            return 1
+        total = 0
+        for v in range(n):
+            if all(rank[f[y]][v] <= rank[y][x] for y in range(x)):
+                f[x] = v
+                total += extend(x + 1)
+        return total
+
+    return extend(0)
+
+
+def test_theta_bound_counts_live_candidates():
+    # 8**8 maps in all, but only the live prefixes of each step count
+    d = random_ultrametric(random.Random(1), 8)
+    theta = enumerate_theta(d)
+    assert len(theta) == lipschitz_count(d) == 22560
+    assert list(theta.elements) == sorted(theta.elements)
+    with pytest.raises(ResourceLimit, match="16777216"):     # 8**7 prefixes times 8
+        enumerate_theta(UltraPseudometric.discrete(8))
+
+
 def test_epsilon_relation_extremes():
     d = UltraPseudometric.discrete(2)
     theta = enumerate_theta(d)

@@ -1,9 +1,18 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stonework.errors import CarrierMismatch
-from stonework.finmon import MonoidAction, validate_monoid
+from stonework.errors import CarrierMismatch, ResourceLimit
+from stonework.finmon import (
+    MonoidAction,
+    full_selfmap_monoid,
+    generated_selfmap_monoid,
+    validate_action,
+    validate_monoid,
+)
 from stonework.generators import random_cover, random_partition
 from stonework.ultra import Partition, meet_all
 from stonework.unif import (
@@ -20,9 +29,11 @@ from stonework.unif import (
     kernel_partition,
     make_family,
     ord_at,
+    partition_lattice,
     preimage_partition,
     refines,
     saturate,
+    saturate_worklist,
     star,
     star_refines,
 )
@@ -124,6 +135,100 @@ def test_composite_law_single_instance():
                 action.act[t], preimage_partition(action.act[s], eps)
             )
             assert nested == preimage_partition(action.act[m.mul(s, t)], eps)
+
+
+# --- the indexed partition lattice -------------------------------------------
+
+
+def restricted_growth_strings(n):
+    """Class-id strings in first-occurrence form, by depth-first descent."""
+    out = []
+
+    def descend(ids, next_id):
+        if len(ids) == n:
+            out.append(tuple(ids))
+            return
+        for k in range(next_id + 1):
+            descend(ids + [k], max(next_id, k + 1))
+
+    descend([], 0)
+    return out
+
+
+def test_lattice_rows_are_the_restricted_growth_strings_in_order():
+    counts = []
+    for n in range(8):
+        lattice = partition_lattice(n)
+        rows = [tuple(r) for r in lattice.rows.tolist()]
+        assert rows == restricted_growth_strings(n) == sorted(rows)
+        assert [p.class_id for p in lattice.partitions] == rows
+        counts.append(len(lattice))
+    assert counts == [1, 1, 2, 5, 15, 52, 203, 877]
+
+
+def test_lattice_lookup_of_any_labels():
+    lattice = partition_lattice(5)
+    rng = np.random.default_rng(0)
+    labels = rng.integers(-3, 40, size=(6, 50, 5))
+    found = lattice.lookup(labels)
+    assert found.shape == (6, 50)
+    for row, i in zip(labels.reshape(-1, 5).tolist(), found.ravel().tolist()):
+        assert lattice.partitions[i] == Partition.from_class_ids(row)
+        assert lattice.index_of(Partition.from_class_ids(row)) == i
+
+
+def test_pullback_is_the_preimage_on_every_self_map():
+    for n in range(1, 5):
+        lattice = partition_lattice(n)
+        maps = full_selfmap_monoid(n).elements
+        pull = lattice.pullback(maps)
+        assert pull.shape == (len(maps), len(lattice))
+        for s, f in enumerate(maps):
+            for i, p in enumerate(lattice.partitions):
+                assert lattice.partitions[pull[s, i]] == preimage_partition(f, p)
+
+
+def test_meet_table_is_the_partition_meet():
+    for n in range(1, 6):
+        lattice = partition_lattice(n)
+        parts = lattice.partitions
+        meet = lattice.meet.tolist()
+        for i, p in enumerate(parts):
+            for j, q in enumerate(parts):
+                assert parts[meet[i][j]] == p.meet(q)
+
+
+def test_saturate_above_the_lattice_bound_raises():
+    ident = tuple(range(8))
+    action = MonoidAction(monoid=validate_monoid([[0]], 0), carrier_size=8, act=(ident,))
+    with pytest.raises(ResourceLimit, match="17139600"):  # 4140**2 meets
+        saturate(action, [Partition.indiscrete(8)])
+    # the worklist oracle has no bound
+    assert len(saturate_worklist(action, [Partition.indiscrete(8)])) == 1
+
+
+@st.composite
+def actions_with_generators(draw):
+    """An action of a monoid of self-maps on 2-6 points and 1-2 partitions."""
+    n = draw(st.integers(2, 6))
+    point_lists = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    gens = draw(st.lists(point_lists, min_size=1, max_size=2))
+    try:
+        maps = generated_selfmap_monoid(n, gens, max_size=40)
+    except ValueError:      # one map generates at most a few dozen
+        maps = generated_selfmap_monoid(n, gens[:1])
+    action = validate_action(maps.to_monoid(), n, maps.elements)
+    labels = draw(st.lists(point_lists, min_size=1, max_size=2))
+    return action, [Partition.from_class_ids(ids) for ids in labels]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(actions_with_generators())
+def test_saturate_agrees_with_the_worklist(case):
+    action, gamma = case
+    family = saturate(action, gamma)
+    assert family == saturate_worklist(action, gamma)
+    assert family.meet_closed and family.saturated
 
 
 def test_family_json_round_trip():
