@@ -27,7 +27,17 @@ from .ultra import (
     metric_from_json,
     nonexpansive_counterexample,
 )
-from .unif import cover_from_json, cover_order, cover_star, cover_wedge, family_from_json, ord_at, saturate, star
+from .unif import (
+    Cover,
+    cover_blocks_from_json,
+    cover_order,
+    cover_star,
+    cover_wedge,
+    family_from_json,
+    ord_at,
+    saturate,
+    star,
+)
 
 
 def _load_json(path: str | None):
@@ -119,11 +129,12 @@ def cmd_saturate(args) -> int:
 
 
 def cmd_cover_ops(args) -> int:
-    covers = [_load_json(path) for path in args.covers]
+    covers = [cover_blocks_from_json(_load_json(path)) for path in args.covers]
     if not covers:
         raise StoneworkError("at least one cover file is required")
-    size = args.carrier_size or (max(max(b) for c in covers for b in c["blocks"]) + 1)
-    parsed = [cover_from_json(size, c) for c in covers]
+    size = args.carrier_size or 1 + max(
+        (x for blocks in covers for block in blocks for x in block), default=-1)
+    parsed = [Cover.from_blocks(size, blocks) for blocks in covers]
     if args.op == "wedge":
         if len(parsed) != 2:
             raise StoneworkError("wedge needs exactly two covers")

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolring import (
-    BoolRing,
-    GroupEndo,
-    RingEndo,
-    parity,
-    pontryagin_dual,
-)
+from .boolring import BoolRing, GroupEndo, RingEndo, pontryagin_dual
 from .errors import DimensionMismatch
 from .finmon import CHUNK_ENTRIES, SelfMapMonoid
 from .ultra import Partition
@@ -98,6 +92,39 @@ def hom_embed(s, ring: BoolRing | None = None) -> GroupEndo:
     return delta_adjoint(phi(s, ring).to_group_endo())
 
 
+def preimage_masks(values, chi: int) -> np.ndarray:
+    """preimage_mask(s, chi) for every row s of a (k, n) array of self-maps."""
+    values = np.asarray(values, dtype=np.int64)
+    return (chi >> values & 1) @ (1 << np.arange(values.shape[-1], dtype=np.int64))
+
+
+def entourage_keys(values, chi: int, ring: BoolRing | None = None):
+    """Keys of the chi-entourage for each row of a (k, n) array of self-maps.
+
+    Returns one key array per tag, in TAGS order: the preimage masks of
+    chi; the ring elements phi(s).apply(chi), each the XOR of the atom
+    images from phi_array over the bits of chi; and the (k, 2**n) parities
+    of that element against every character of the dual group.  Two maps
+    are related in a representation exactly when their keys for it are
+    equal.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    n = values.shape[-1]
+    if ring is None:
+        ring = BoolRing(n)
+    if ring.atom_count != n:
+        raise DimensionMismatch(f"self-maps on {n} points against a {ring.atom_count}-atom ring")
+    if not 0 <= chi < ring.size:
+        raise ValueError("chi out of range")
+    if values.size and not (values.min() >= 0 and values.max() < n):
+        raise ValueError("map value outside the carrier")
+    bits = [a for a in range(n) if chi >> a & 1]
+    images = np.bitwise_xor.reduce(phi_array(values)[:, bits], axis=1)
+    chars = np.fromiter(pontryagin_dual(ring).elements(), dtype=np.int64)
+    parities = np.bitwise_count(images[:, None] & chars) & 1
+    return preimage_masks(values, chi), images, parities
+
+
 @dataclass(frozen=True)
 class EntourageChi:
     """The basic entourage indexed by a ring element, in one representation.
@@ -122,36 +149,28 @@ class EntourageChi:
         if not 0 <= self.chi < self.ring.size:
             raise ValueError("chi out of range")
 
-    def relates(self, s1, s2) -> bool:
-        if self.tag == ON_MAPS:
-            return preimage_mask(s1, self.chi) == preimage_mask(s2, self.chi)
-        if self.tag == ON_RING_ENDOS:
-            return phi(s1, self.ring).apply(self.chi) == phi(s2, self.ring).apply(self.chi)
-        # literal quantification over every character of the ring
-        a = phi(s1, self.ring).apply(self.chi)
-        b = phi(s2, self.ring).apply(self.chi)
-        return all(
-            parity(psi & a) == parity(psi & b)
-            for psi in pontryagin_dual(self.ring).elements()
-        )
+    def relates(self, s1, s2):
+        """Membership of (s1, s2): a bool for two maps, else an (m,) array."""
+        return entourage_transport(self.chi, s1, s2, self.ring)[TAGS.index(self.tag)]
 
 
 def entourage_transport(chi: int, s1, s2, ring: BoolRing | None = None):
-    """Membership of (s1, s2) in the three representations of the chi-entourage.
+    """Membership of map pairs in the three representations of the chi-entourage.
 
-    The three booleans are always equal; the third is computed by the
-    literal character quantification rather than by the separation
+    s1 and s2 are (m, n) arrays of self-maps that broadcast against each
+    other; the result is a (3, m) boolean array whose row t tells which
+    pairs TAGS[t] relates.  Two single maps are the one-row case and give
+    a tuple of three bools.  The rows are always equal; the third compares
+    parities over every character rather than using the separation
     shortcut, so the agreement is informative.
     """
-    s1 = tuple(int(v) for v in s1)
-    s2 = tuple(int(v) for v in s2)
-    if len(s1) != len(s2):
+    s1, s2 = np.asarray(s1, dtype=np.int64), np.asarray(s2, dtype=np.int64)
+    if s1.shape[-1:] != s2.shape[-1:]:
         raise DimensionMismatch("self-maps on different carriers")
-    if ring is None:
-        ring = BoolRing(len(s1))
-    return tuple(
-        EntourageChi(ring=ring, chi=chi, tag=tag).relates(s1, s2) for tag in TAGS
-    )
+    (pre1, img1, par1), (pre2, img2, par2) = (
+        entourage_keys(np.atleast_2d(s), chi, ring) for s in (s1, s2))
+    memberships = np.stack([pre1 == pre2, img1 == img2, (par1 == par2).all(axis=1)])
+    return tuple(memberships[:, 0].tolist()) if s1.ndim == s2.ndim == 1 else memberships
 
 
 def entourage_partition(maps: SelfMapMonoid, chi: int, tag: str,
@@ -167,15 +186,12 @@ def entourage_partition(maps: SelfMapMonoid, chi: int, tag: str,
     if ring is None:
         ring = BoolRing(maps.carrier_size)
     EntourageChi(ring=ring, chi=chi, tag=tag)      # validates chi and tag
-    keys = [preimage_mask(f, chi) if tag == ON_MAPS else phi(f, ring).apply(chi)
-            for f in maps.elements]
-    part = Partition.from_class_ids(keys)
+    preimages, images, parities = entourage_keys(maps.values, chi, ring)
+    part = Partition.from_class_ids((preimages if tag == ON_MAPS else images).tolist())
     if tag == ON_DUAL_ENDOS:
-        chars = np.fromiter(pontryagin_dual(ring).elements(), dtype=np.int64)
-        parities = np.bitwise_count(np.asarray(keys, dtype=np.int64)[:, None] & chars) & 1
         ids = np.asarray(part.class_id)
-        step = max(1, CHUNK_ENTRIES // (len(keys) * len(chars)))
-        for start in range(0, len(keys), step):
+        step = max(1, CHUNK_ENTRIES // parities.size)
+        for start in range(0, len(ids), step):
             block = parities[start:start + step]
             related = (block[:, None, :] == parities[None, :, :]).all(axis=2)
             same_class = ids[start:start + step, None] == ids[None, :]

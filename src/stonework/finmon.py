@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AssociativityViolation, IdentityViolation
 from .limits import guard_enum
-from .schema import expect_field, expect_int, expect_int_rows, expect_object
+from .schema import expect_field, expect_int, expect_rows, expect_object
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class FiniteMonoid:
 def monoid_from_json(obj: dict) -> FiniteMonoid:
     obj = expect_object(obj, "monoid")
     return validate_monoid(
-        expect_int_rows(expect_field(obj, "table", "monoid"), "monoid table"),
+        expect_rows(expect_field(obj, "table", "monoid"), "monoid table"),
         expect_int(expect_field(obj, "identity", "monoid"), "monoid identity"),
     )
 
@@ -129,7 +129,7 @@ def action_from_json(obj: dict) -> MonoidAction:
     return validate_action(
         monoid_from_json(expect_field(obj, "monoid", "action")),
         expect_int(expect_field(obj, "carrier_size", "action"), "action carrier_size", 0),
-        expect_int_rows(expect_field(obj, "act", "action"), "action act"),
+        expect_rows(expect_field(obj, "act", "action"), "action act"),
     )
 
 

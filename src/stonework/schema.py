@@ -1,13 +1,15 @@
 """Strict readers for the fields of JSON inputs.
 
 Shapes and integer types are checked where the input enters, with no
-coercion: 3.7, "3" and true are not integers.  Every failure is a
+coercion: 3.7, "3" and true are not integers, and a rational is an
+integer or a string such as "1/2", never a float.  Every failure is a
 ValueError that names the field, so the CLI reports it on one line.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
                int: "an integer", float: "a number", type(None): "null"}
@@ -35,18 +37,33 @@ def expect_field(obj: dict, key: str, what: str):
     return obj[key]
 
 
+def _shown(value) -> str:
+    return json.dumps(value) if isinstance(value, (bool, float)) else _kind(value)
+
+
 def expect_int(value, what: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        shown = json.dumps(value) if isinstance(value, (bool, float)) else _kind(value)
-        raise ValueError(f"{what} is {shown}, not an integer")
+        raise ValueError(f"{what} is {_shown(value)}, not an integer")
     if minimum is not None and value < minimum:
         raise ValueError(f"{what} is {value}, below {minimum}")
     return value
 
 
-def expect_int_rows(value, what: str) -> list[list[int]]:
-    """A list of lists of integers."""
+def expect_rational(value, what: str) -> Fraction:
+    """An integer, or a string that parses as a rational such as "1/2"."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{what} is {json.dumps(value)}, not a rational") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} is {_shown(value)}, not a rational")
+    return Fraction(value)
+
+
+def expect_rows(value, what: str, item=expect_int) -> list[list]:
+    """A list of lists, each entry read by item (integers by default)."""
     return [
-        [expect_int(v, f"{what}[{i}][{j}]") for j, v in enumerate(expect_list(row, f"{what}[{i}]"))]
+        [item(v, f"{what}[{i}][{j}]") for j, v in enumerate(expect_list(row, f"{what}[{i}]"))]
         for i, row in enumerate(expect_list(value, what))
     ]

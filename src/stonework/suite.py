@@ -320,19 +320,22 @@ def check_entourage_transport(cfg: SuiteConfig):
     for n in range(1, bound + 1):
         ring = BoolRing(n)
         maps = full_selfmap_monoid(n)
+        k = len(maps)
+        # all pairs in scan order: pair p is (elements[p // k], elements[p % k])
+        s1, s2 = np.repeat(maps.values, k, axis=0), np.tile(maps.values, (k, 1))
         for chi in ring.elements():
-            for s1 in maps.elements:
-                for s2 in maps.elements:
-                    instances += 1
-                    triple = entourage_transport(chi, s1, s2, ring)
-                    if len(set(triple)) != 1:
-                        return params, instances, {
-                            "n": n,
-                            "chi": chi,
-                            "s1": list(s1),
-                            "s2": list(s2),
-                            "memberships": list(triple),
-                        }
+            memberships = entourage_transport(chi, s1, s2, ring)
+            split = np.flatnonzero((memberships != memberships[0]).any(axis=0))
+            if split.size:
+                p = int(split[0])
+                return params, instances + p + 1, {
+                    "n": n,
+                    "chi": chi,
+                    "s1": list(maps.elements[p // k]),
+                    "s2": list(maps.elements[p % k]),
+                    "memberships": memberships[:, p].tolist(),
+                }
+            instances += k * k
     return params, instances, None
 
 
@@ -613,16 +616,12 @@ def check_kantorovich_ultranorm(cfg: SuiteConfig):
     instances = 0
     for space in _kantorovich_spaces(cfg, 4):
         base = space.carrier_size - 1
-        supports = _subsets(base)
-        norms = {
-            s: navector.kantorovich_norm(navector.vector(space, s)) for s in supports
-        }
-        for s1 in supports:
-            v1 = navector.vector(space, s1)
-            for s2 in supports:
+        vectors = {s: navector.vector(space, s) for s in _subsets(base)}
+        norms = {v.support: navector.kantorovich_norm(v) for v in vectors.values()}
+        for s1, v1 in vectors.items():
+            for s2, v2 in vectors.items():
                 instances += 1
-                total = v1.add(navector.vector(space, s2))
-                if norms[tuple(sorted(total.support))] > max(norms[s1], norms[s2]):
+                if norms[v1.add(v2).support] > max(norms[v1.support], norms[v2.support]):
                     return params, instances, {
                         "space": space.to_json(),
                         "u": list(s1),

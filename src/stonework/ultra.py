@@ -20,7 +20,14 @@ from .errors import (
 )
 from .finmon import FiniteMonoid, SelfMapMonoid, is_submonoid
 from .limits import guard_enum
-from .schema import expect_field, expect_int, expect_int_rows, expect_list, expect_object
+from .schema import (
+    expect_field,
+    expect_int,
+    expect_list,
+    expect_object,
+    expect_rational,
+    expect_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +120,7 @@ def _normalize(ids: tuple) -> tuple[int, ...]:
 
 def partition_from_json(carrier_size: int, obj: dict) -> Partition:
     obj = expect_object(obj, "partition")
-    classes = expect_int_rows(expect_field(obj, "classes", "partition"), "partition classes")
+    classes = expect_rows(expect_field(obj, "classes", "partition"), "partition classes")
     return Partition.from_classes(carrier_size, classes)
 
 
@@ -218,7 +225,8 @@ class UltraPseudometric:
 
 
 def metric_from_json(obj: dict) -> UltraPseudometric:
-    rows = [[Fraction(s) for s in row] for row in obj["dist"]]
+    obj = expect_object(obj, "metric")
+    rows = expect_rows(expect_field(obj, "dist", "metric"), "metric dist", expect_rational)
     return UltraPseudometric.from_rows(rows)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CarrierMismatch
 from .finmon import CHUNK_ENTRIES, MonoidAction
 from .limits import guard_enum
-from .schema import expect_field, expect_int, expect_list, expect_object
+from .schema import expect_field, expect_int, expect_list, expect_object, expect_rows
 from .ultra import Partition, partition_from_json
 
 
@@ -360,8 +360,13 @@ class Cover:
         return {"blocks": self.sorted_blocks()}
 
 
+def cover_blocks_from_json(obj) -> list[list[int]]:
+    obj = expect_object(obj, "cover")
+    return expect_rows(expect_field(obj, "blocks", "cover"), "cover blocks")
+
+
 def cover_from_json(carrier_size: int, obj: dict) -> Cover:
-    return Cover.from_blocks(carrier_size, obj["blocks"])
+    return Cover.from_blocks(carrier_size, cover_blocks_from_json(obj))
 
 
 def cover_wedge(p: Cover, q: Cover) -> Cover:

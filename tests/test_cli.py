@@ -317,3 +317,31 @@ def test_saturate_above_the_lattice_bound_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert "above the bound" in proc.stderr
+
+
+@pytest.mark.parametrize("metric,problem", [
+    ({"dist": 5}, "metric dist must be a list, not an integer"),
+    ({"dist": [["0", True], ["1", "0"]]}, "metric dist[0][1] is true, not a rational"),
+    ({"dist": [["0", 0.5], ["1/2", "0"]]}, "metric dist[0][1] is 0.5, not a rational"),
+    ({"dist": [["0", "half"], ["1", "0"]]}, 'metric dist[0][1] is "half", not a rational'),
+])
+def test_theta_rejects_malformed_metrics(tmp_path, metric, problem):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(metric))
+    proc = run_cli(["theta", "--metric", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert problem in proc.stderr
+
+
+@pytest.mark.parametrize("cover,problem", [
+    ({"blocks": 5}, "cover blocks must be a list, not an integer"),
+    ({"blocks": [[0, True]]}, "cover blocks[0][1] is true, not an integer"),
+])
+def test_cover_ops_rejects_malformed_covers(tmp_path, cover, problem):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(cover))
+    proc = run_cli(["cover-ops", "--op", "ord", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert problem in proc.stderr

@@ -1,6 +1,9 @@
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stonework.boolring import (
     BoolRing,
@@ -15,6 +18,7 @@ from stonework.duality import (
     ON_DUAL_ENDOS,
     ON_MAPS,
     ON_RING_ENDOS,
+    TAGS,
     EntourageChi,
     delta_adjoint,
     delta_eval,
@@ -24,6 +28,7 @@ from stonework.duality import (
     phi,
     phi_array,
     phi_inverse,
+    preimage_mask,
 )
 from stonework.errors import DimensionMismatch
 from stonework.finmon import full_selfmap_monoid
@@ -136,6 +141,90 @@ def test_hom_embed_is_a_homomorphism():
             st = tuple(s[t[x]] for x in range(2))
             assert hom_embed(st, ring).rows == \
                 hom_embed(s, ring).compose(hom_embed(t, ring)).rows
+
+
+def phi_at(s, ring, chi):
+    return phi(s, ring).apply(chi)
+
+
+def oracle_transport(chi, s1, s2, ring, preimage=preimage_mask, image=phi_at):
+    """Memberships of one pair, computed per pair: preimage masks, phi(...).apply,
+    and a literal loop over every character of the ring."""
+    a, b = image(s1, ring, chi), image(s2, ring, chi)
+    return (
+        preimage(s1, chi) == preimage(s2, chi),
+        a == b,
+        all(parity(psi & a) == parity(psi & b) for psi in pontryagin_dual(ring).elements()),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_entourages_match_the_oracle(n):
+    ring = BoolRing(n)
+    maps = full_selfmap_monoid(n)
+    k = len(maps)
+    s1, s2 = np.repeat(maps.values, k, axis=0), np.tile(maps.values, (k, 1))
+    for chi in ring.elements():
+        memberships = entourage_transport(chi, s1, s2, ring)
+        assert memberships.shape == (3, k * k) and memberships.dtype == bool
+        parts = [entourage_partition(maps, chi, tag, ring) for tag in TAGS]
+        ents = [EntourageChi(ring=ring, chi=chi, tag=tag) for tag in TAGS]
+        for p, (i, j) in enumerate(product(range(k), repeat=2)):
+            f, g = maps.elements[i], maps.elements[j]
+            expected = oracle_transport(chi, f, g, ring)
+            assert tuple(memberships[:, p]) == expected
+            assert tuple(part.relates(i, j) for part in parts) == expected
+            assert tuple(ent.relates(f, g) for ent in ents) == expected
+
+
+def test_scalar_transport_returns_a_tuple_of_bools():
+    for result in (entourage_transport(1, (0, 1), (1, 0)),
+                   entourage_transport(3, range(3), [2, 1, 0], BoolRing(3))):
+        assert type(result) is tuple and len(result) == 3
+        assert all(type(x) is bool for x in result)
+    assert type(EntourageChi(ring=BoolRing(2), chi=1, tag=ON_MAPS).relates((0, 1), (0, 0))) is bool
+
+
+def test_transport_broadcasts_one_map_against_many():
+    maps = full_selfmap_monoid(2)
+    row = entourage_transport(1, (0, 1), maps.values)
+    assert row.shape == (3, 4)
+    assert row.tolist() == [[entourage_transport(1, (0, 1), f)[t] for f in maps.elements]
+                            for t in range(3)]
+
+
+@pytest.mark.parametrize("s1,s2,error", [
+    ((0, 1), (0, 1, 2), DimensionMismatch),
+    ((0, 2), (0, 1), ValueError),          # a value outside the carrier
+])
+def test_transport_rejects_bad_maps(s1, s2, error):
+    with pytest.raises(error):
+        entourage_transport(1, s1, s2)
+
+
+def test_transport_rejects_chi_and_ring_mismatch():
+    with pytest.raises(ValueError):
+        entourage_transport(4, (0, 1), (1, 0))
+    with pytest.raises(DimensionMismatch):
+        entourage_transport(1, (0, 1), (1, 0), BoolRing(3))
+
+
+@st.composite
+def transport_cases(draw):
+    n = draw(st.integers(4, 6))
+    maps = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    pairs = draw(st.lists(st.tuples(maps, maps), min_size=1, max_size=8))
+    return n, draw(st.integers(0, (1 << n) - 1)), pairs
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(transport_cases())
+def test_batched_transport_matches_the_oracle_past_the_suite_cap(case):
+    n, chi, pairs = case
+    ring = BoolRing(n)
+    memberships = entourage_transport(chi, [f for f, _ in pairs], [g for _, g in pairs], ring)
+    assert [tuple(col) for col in memberships.T.tolist()] == \
+        [oracle_transport(chi, f, g, ring) for f, g in pairs]
 
 
 def test_entourage_transport_examples():

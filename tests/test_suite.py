@@ -1,7 +1,10 @@
 import pytest
+from test_duality import oracle_transport, phi_at
 
-from stonework import navector, suite, unif
-from stonework.duality import phi_array
+from stonework import duality, navector, suite, unif
+from stonework.boolring import BoolRing
+from stonework.duality import phi_array, preimage_mask
+from stonework.finmon import full_selfmap_monoid
 from stonework.suite import SuiteConfig, check_delta, check_phi, run_suite
 
 SMALL = SuiteConfig(bound_points=3, bound_atoms=3)
@@ -40,6 +43,51 @@ def test_phi_fails_when_the_array_form_is_not_onto(monkeypatch):
     monkeypatch.setattr(suite, "phi_array", constant)
     _, _, witness = check_phi(SMALL)
     assert witness == {"n": 2, "failure": "phi is not a bijection"}
+
+
+def old_transport_scan(bound, memberships):
+    """The check as a per-pair scan over (chi, s1, s2), one membership triple at a time."""
+    instances = 0
+    for n in range(1, bound + 1):
+        ring = BoolRing(n)
+        maps = full_selfmap_monoid(n).elements
+        for chi in ring.elements():
+            for s1 in maps:
+                for s2 in maps:
+                    instances += 1
+                    triple = memberships(chi, s1, s2, ring)
+                    if len(set(triple)) != 1:
+                        return instances, {"n": n, "chi": chi, "s1": list(s1), "s2": list(s2),
+                                           "memberships": list(triple)}
+    return instances, None
+
+
+def shifted(s):
+    """The map followed by the cyclic shift of the points."""
+    return tuple((v + 1) % len(s) for v in s)
+
+
+def test_entourage_transport_fails_like_the_old_loop_on_a_wrong_phi(monkeypatch):
+    # phi of the shifted map: a bijection onto the ring endomorphisms that is not phi
+    monkeypatch.setattr(duality, "phi_array", lambda values: phi_array((values + 1) % values.shape[1]))
+    _, instances, witness = suite.check_entourage_transport(SMALL)
+    assert witness is not None and len(set(witness["memberships"])) == 2
+    assert (instances, witness) == old_transport_scan(3, lambda chi, s1, s2, ring: oracle_transport(
+        chi, s1, s2, ring, image=lambda s, ring, chi: phi_at(shifted(s), ring, chi)))
+
+
+def without_last_point(mask, n):
+    return mask & ~(1 << (n - 1))
+
+
+def test_entourage_transport_fails_like_the_old_loop_on_a_short_preimage(monkeypatch):
+    real = duality.preimage_masks
+    monkeypatch.setattr(duality, "preimage_masks", lambda values, chi: without_last_point(
+        real(values, chi), values.shape[-1]))
+    _, instances, witness = suite.check_entourage_transport(SMALL)
+    assert witness is not None and len(set(witness["memberships"])) == 2
+    assert (instances, witness) == old_transport_scan(3, lambda chi, s1, s2, ring: oracle_transport(
+        chi, s1, s2, ring, preimage=lambda s, chi: without_last_point(preimage_mask(s, chi), len(s))))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
