@@ -59,4 +59,4 @@ rng = random.Random(0)
 others = [d_from_chain(random_chain(rng, 5, depth=2)) for _ in range(3)]
 combined = sup_combine([d, *others], cap=1)
 print(f"\nsup of {1 + len(others)} chain metrics is again an ultra-pseudometric "
-      f"with top value {max(combined.values())}")
+      f"with top value {combined.levels[-1]}")

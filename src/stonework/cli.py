@@ -132,8 +132,12 @@ def cmd_cover_ops(args) -> int:
     covers = [cover_blocks_from_json(_load_json(path)) for path in args.covers]
     if not covers:
         raise StoneworkError("at least one cover file is required")
-    size = args.carrier_size or 1 + max(
-        (x for blocks in covers for block in blocks for x in block), default=-1)
+    if args.carrier_size is not None:
+        size = expect_int(args.carrier_size, "--carrier-size", 1)
+    else:
+        size = 1 + max((x for blocks in covers for block in blocks for x in block), default=-1)
+        if size < 1:
+            raise StoneworkError("the covers hold no points; a cover needs at least one")
     parsed = [Cover.from_blocks(size, blocks) for blocks in covers]
     if args.op == "wedge":
         if len(parsed) != 2:
@@ -143,6 +147,9 @@ def cmd_cover_ops(args) -> int:
         p = parsed[0]
         if args.set:
             points = [int(v) for v in args.set.split(",")]
+            for x in points:
+                if not 0 <= x < size:
+                    raise StoneworkError(f"--set point {x} is outside the {size}-point carrier")
             _emit({"star": sorted(star(points, p))})
         else:
             _emit(cover_star(p).to_json())

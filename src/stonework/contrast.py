@@ -84,22 +84,14 @@ def build_contrast(k: int) -> ContrastInstance:
     table = [[_mul(k, a, b) for b in range(n)] for a in range(n)]
     monoid = validate_monoid(table, (1 << k) - 1)
 
-    cube = 1 << k
-    zero, one = Fraction(0), Fraction(1)
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            if a == b:
-                row.append(zero)
-            elif a < cube and b < cube:
-                # least 1-based coordinate where the tuples differ
-                first = ((a ^ b) & -(a ^ b)).bit_length()
-                row.append(Fraction(1, first))
-            else:
-                row.append(one)
-        rows.append(row)
-    metric = UltraPseudometric.from_rows(rows)
+    # levels 0 < 1/k < ... < 1/2 < 1, so distance 1/f has rank k + 1 - f
+    levels = [Fraction(0)] + [Fraction(1, f) for f in range(k, 0, -1)]
+    cube = np.arange(1 << k)
+    rank = np.full((n, n), k)
+    for f in range(k, 0, -1):       # the least 1-based coordinate that differs wins
+        rank[:len(cube), :len(cube)][(cube[:, None] ^ cube) >> (f - 1) & 1 == 1] = k + 1 - f
+    np.fill_diagonal(rank, 0)
+    metric = UltraPseudometric(levels, rank)
     return ContrastInstance(k=k, monoid=monoid, metric=metric)
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import NotLipschitz, ResourceLimit
 from .ultra import UltraPseudometric
 
@@ -26,12 +28,11 @@ def free_space(d: UltraPseudometric) -> UltraPseudometric:
     strong triangle inequality and keeps the 1-Lipschitz monoid intact.
     """
     n = d.carrier_size
-    one = Fraction(1)
-    rows = [[min(d.dist[x][y], one) for y in range(n)] + [one] for x in range(n)]
-    rows.append([one] * n + [Fraction(0)])
-    for x in range(n):
-        rows[x][x] = Fraction(0)
-    return UltraPseudometric.from_rows(rows)
+    one = d.below(1)            # the rank of distance 1 after truncation
+    rank = np.full((n + 1, n + 1), one)
+    rank[:n, :n] = np.minimum(d.rank_matrix(), one)
+    rank[n, n] = 0
+    return UltraPseudometric((*d.levels[:one], Fraction(1)), rank)
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,9 @@ class FreeVector:
         zero = self.space.carrier_size - 1
         if any(not 0 <= x < zero for x in self.support):
             raise ValueError("support must avoid the zero point and stay in range")
-        one = Fraction(1)
-        for x in range(zero):
-            if self.space.dist[x][zero] != one:
-                raise ValueError("space is not pointed: zero point not at distance 1")
+        column = self.space.rank_matrix()[:zero, zero].tolist()
+        if any(self.space.levels[r] != 1 for r in set(column)):
+            raise ValueError("space is not pointed: zero point not at distance 1")
 
     @property
     def zero_point(self) -> int:
@@ -104,21 +104,26 @@ def optimal_pairing(v: FreeVector) -> tuple[Fraction, list[tuple[int, int]]]:
     By the strong triangle inequality {d <= r} is an equivalence relation,
     so a matching within distance r exists exactly when every class of it
     holds an even number of points: the norm is the least such r among
-    the distances, and consecutive points of each class pair up.
+    the distances, and consecutive points of each class pair up.  Each
+    class at r is a union of classes below r, so the scan runs from the
+    top down and stops below the least feasible r.
     """
     points = sorted(v.support)
     if len(points) % 2:
         points.append(v.zero_point)
-    dist = v.space.dist
-    for r in sorted({dist[a][b] for a in points for b in points}):
+    rank = v.space.rank_matrix().take(points, 0).take(points, 1).tolist()
+    best = 0, {}                # the zero vector: nothing to pair
+    for r in sorted({s for row in rank for s in row}, reverse=True):
         classes: dict[int, list[int]] = {}
-        for x in points:
-            first = next(p for p in points if dist[p][x] <= r)
+        for x, row in zip(points, rank):
+            first = next(i for i, s in enumerate(row) if s <= r)
             classes.setdefault(first, []).append(x)
-        if all(len(c) % 2 == 0 for c in classes.values()):
-            pairs = (pair for c in classes.values() for pair in zip(c[::2], c[1::2]))
-            return r, sorted(pairs)
-    return Fraction(0), []      # the zero vector: nothing to pair
+        if any(len(c) % 2 for c in classes.values()):
+            break
+        best = r, classes
+    r, classes = best
+    pairs = (pair for c in classes.values() for pair in zip(c[::2], c[1::2]))
+    return v.space.levels[r], sorted(pairs)
 
 
 def kantorovich_norm(v: FreeVector) -> Fraction:
@@ -164,8 +169,9 @@ def lipschitz_linear_extend(f, v: FreeVector) -> FreeVector:
         raise ValueError("map must be defined on exactly the base points")
     if any(not 0 <= x < zero for x in f):
         raise ValueError("map must send base points to base points")
+    rank = v.space.rank_matrix()
     for x in range(zero):
         for y in range(x + 1, zero):
-            if v.space.dist[f[x]][f[y]] > v.space.dist[x][y]:
+            if rank[f[x], f[y]] > rank[x, y]:
                 raise NotLipschitz(x, y)
     return vector(v.space, (f[x] for x in v.support))

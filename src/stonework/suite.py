@@ -68,6 +68,8 @@ CHAIN_COUNT = 200
 THETA_METRIC_COUNT = 50
 BALL_INSTANCE_COUNT = 100
 COVER_PAIR_COUNT = 500
+SANDWICH_FAILURES = ("finer level escapes the open ball", "diagonal",
+                     "open ball escapes the coarser level")
 
 
 @dataclass
@@ -351,7 +353,7 @@ def check_chain_metrization(cfg: SuiteConfig):
         for x in range(n):
             for y in range(x + 1, n):
                 instances += 1
-                closed = d.dist[x][y]
+                closed = d.d(x, y)
                 literal = minimax_path_distance(chain, x, y)
                 if closed != literal:
                     return params, instances, {
@@ -360,32 +362,22 @@ def check_chain_metrization(cfg: SuiteConfig):
                         "closed_form": str(closed),
                         "path_infimum": str(literal),
                     }
+        ids = np.array([chain.level(i).class_id for i in range(len(chain) + 1)])
+        related = ids[:, :, None] == ids[:, None, :]        # related[i]: level i
+        diagonal = np.eye(n, dtype=bool)
         for level in range(len(chain) + 1):
-            finer = chain.level(level + 1) if level < len(chain) else None
-            coarser = chain.level(level)
-            bound = Fraction(1, 2**level)
-            for x in range(n):
-                for y in range(n):
-                    inside = d.dist[x][y] < bound
-                    if finer is not None and finer.relates(x, y) and not inside:
-                        return params, instances, {
-                            **witness_base,
-                            "level": level,
-                            "pair": [x, y],
-                            "failure": "finer level escapes the open ball",
-                        }
-                    if x == y and not inside:
-                        return params, instances, {**witness_base, "level": level,
-                                                   "pair": [x, y], "failure": "diagonal"}
-                    if inside and not coarser.relates(x, y):
-                        return params, instances, {
-                            **witness_base,
-                            "level": level,
-                            "pair": [x, y],
-                            "failure": "open ball escapes the coarser level",
-                        }
-        # construction re-validates the strong triangle inequality
-        UltraPseudometric.from_rows(d.dist)
+            inside = d.rank_matrix() < d.below(Fraction(1, 2**level))
+            finer = related[level + 1] if level < len(chain) else np.zeros_like(diagonal)
+            # per pair, in this order: finer escapes, diagonal outside, ball escapes coarser
+            bad = np.stack([finer & ~inside, diagonal & ~inside, inside & ~related[level]])
+            if bad.any():
+                x, y = np.argwhere(bad.any(axis=0))[0]
+                return params, instances, {
+                    **witness_base,
+                    "level": level,
+                    "pair": [int(x), int(y)],
+                    "failure": SANDWICH_FAILURES[int(bad[:, x, y].argmax())],
+                }
     return params, instances, None
 
 
@@ -421,13 +413,7 @@ def check_theta_entourages(cfg: SuiteConfig):
     params = {"points": 3, "metrics": 5}
     n = 3
     metrics = [UltraPseudometric.discrete(n)]
-    two_level = UltraPseudometric.from_rows(
-        [
-            [0, Fraction(1, 2), 1],
-            [Fraction(1, 2), 0, 1],
-            [1, 1, 0],
-        ]
-    )
+    two_level = UltraPseudometric.from_rows([[0, "1/2", 1], ["1/2", 0, 1], [1, 1, 0]])
     metrics.append(two_level)
     while len(metrics) < 5:
         metrics.append(random_ultrametric(rng, n))
@@ -437,10 +423,7 @@ def check_theta_entourages(cfg: SuiteConfig):
     ]
     for d in metrics:
         theta = enumerate_theta(d)
-        eps_values = d.values() + [d.values()[-1] + 1]
-        for eps in eps_values:
-            if eps <= 0:
-                continue
+        for eps in [*d.levels[1:], d.levels[-1] + 1]:
             parts = {
                 tuple(points): epsilon_A_relation(theta, d, points, eps)
                 for points in point_sets
@@ -482,11 +465,8 @@ def _ball_check(cfg: SuiteConfig, name: str, side: str, law):
                 "metric": d.to_json(),
                 "failure": f"generator produced a non-{side}-nonexpansive metric",
             }
-        radii = [v for v in d.values() if v > 0]
-        if radii:
-            radii = [radii[0] / 2] + radii + [radii[-1] * 2]
-        else:
-            radii = [Fraction(1)]
+        positive = d.levels[1:]
+        radii = [positive[0] / 2, *positive, positive[-1] * 2] if positive else [Fraction(1)]
         for r in radii:
             instances += 1
             if not law(m, d, r):
@@ -601,12 +581,12 @@ def check_kantorovich_extension(cfg: SuiteConfig):
             for y in range(x + 1, base):
                 instances += 1
                 norm = navector.kantorovich_norm(navector.vector(space, [x, y]))
-                if norm != space.dist[x][y]:
+                if norm != space.d(x, y):
                     return params, instances, {
                         "space": space.to_json(),
                         "pair": [x, y],
                         "norm": str(norm),
-                        "distance": str(space.dist[x][y]),
+                        "distance": str(space.d(x, y)),
                     }
     return params, instances, None
 
@@ -638,9 +618,8 @@ def check_kantorovich_contraction(cfg: SuiteConfig):
         base = space.carrier_size - 1
         if base != 3:
             continue
-        restricted = UltraPseudometric.from_rows(
-            [[space.dist[x][y] for y in range(base)] for x in range(base)]
-        )
+        restricted = UltraPseudometric.from_rows([[space.d(x, y) for y in range(base)]
+                                                  for x in range(base)])
         theta = enumerate_theta(restricted)
         supports = _subsets(base)
         norms = {

@@ -1,14 +1,17 @@
 """Partitions, ultra-pseudometrics, chain metrization, and 1-Lipschitz monoids.
 
-Distances are exact rationals throughout; the strong triangle inequality
-is validated on construction (order-theoretically, via a rank table, so
-no tolerance enters anywhere).
+An ultra-pseudometric is stored as its sorted distinct distances, exact
+rationals, and the integer matrix of their ranks.  Every law is checked on
+the ranks, so no tolerance enters anywhere; the Fraction rows are a view
+derived for JSON, witnesses and the literal oracles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -48,8 +51,12 @@ class Partition:
     def __post_init__(self):
         if len(self.class_id) != self.carrier_size:
             raise ValueError("class_id length differs from carrier size")
-        if self.class_id != _normalize(self.class_id):
-            raise ValueError("class_id is not in first-occurrence normal form")
+        seen = 0                # each id is one of the seen classes or the next one
+        for k in self.class_id:
+            if k == seen:
+                seen += 1
+            elif not 0 <= k < seen:
+                raise ValueError("class_id is not in first-occurrence normal form")
 
     @staticmethod
     def from_class_ids(ids) -> Partition:
@@ -138,87 +145,95 @@ def meet_all(parts) -> Partition:
 # ultra-pseudometrics
 
 
-@dataclass(frozen=True)
 class UltraPseudometric:
     """Symmetric rational matrix with zero diagonal satisfying
-    d(x,z) <= max(d(x,y), d(y,z)) on every triple."""
+    d(x,z) <= max(d(x,y), d(y,z)) on every triple.
 
-    carrier_size: int
-    dist: tuple[tuple[Fraction, ...], ...]
+    Stored once, as levels (the sorted distinct distances, 0 first, each
+    one used) and the read-only integer rank_matrix(), with d(x, y) ==
+    levels[rank[x, y]]; equal metrics have equal levels and ranks.  The
+    constructor validates the ranks of levels given in that form, and
+    from_rows reads any rational matrix.  dist, the Fraction rows, is
+    derived on first use.
+    """
 
-    def __post_init__(self):
-        n = self.carrier_size
-        if n < 1:
-            raise ValueError("ultra-pseudometric needs at least one point")
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
+    def __init__(self, levels, rank):
+        rank = np.array(rank, dtype=np.int64)
+        if rank.ndim != 2 or rank.shape[0] != rank.shape[1]:
             raise ValueError("distance matrix has wrong shape")
-        for x in range(n):
-            if self.dist[x][x] != 0:
-                raise ValueError(f"nonzero diagonal at {x}")
-            for y in range(n):
-                if self.dist[x][y] < 0:
-                    raise ValueError(f"negative distance at ({x}, {y})")
-                if self.dist[x][y] != self.dist[y][x]:
-                    raise ValueError(f"asymmetry at ({x}, {y})")
-        bad = _strong_triangle_violation(self.rank_matrix())
+        if len(rank) < 1:
+            raise ValueError("ultra-pseudometric needs at least one point")
+        # an asymmetry at (x, y < x) shows first at (y, x), so in scan order
+        # the first defect of a row is its diagonal or lies to its right
+        bad = (rank != rank.T) | np.diag(np.diagonal(rank) != 0)
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            raise ValueError(f"nonzero diagonal at {x}" if x == y else f"asymmetry at ({x}, {y})")
+        if not np.array_equal(np.unique(rank), np.arange(len(levels))):
+            raise ValueError(f"ranks must use each of the {len(levels)} levels")
+        bad = _strong_triangle_violation(rank)
         if bad is not None:
             x, y, z = bad
             raise ValueError(
                 f"strong triangle fails: d({x},{z}) > max(d({x},{y}), d({y},{z}))"
             )
+        rank.flags.writeable = False
+        self.carrier_size = len(rank)
+        self.levels = tuple(levels)
+        self._rank = rank
 
     @staticmethod
     def from_rows(rows) -> UltraPseudometric:
-        dist = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        return UltraPseudometric(carrier_size=len(dist), dist=dist)
+        dist = [[Fraction(v) for v in row] for row in rows]
+        if any(len(row) != len(dist) for row in dist):
+            raise ValueError("distance matrix has wrong shape")
+        # 0 is a level even where the diagonal misses it: a nonzero diagonal
+        # then shows as a nonzero rank, and a negative distance ranks below it
+        levels = sorted({Fraction(0)}.union(*dist))
+        index = {v: i for i, v in enumerate(levels)}
+        rank = np.array([[index[v] for v in row] for row in dist], dtype=np.int64)
+        if index[0]:
+            x, y = np.argwhere(rank < index[0])[0]
+            raise ValueError(f"negative distance at ({x}, {y})")
+        return UltraPseudometric(levels, rank.reshape(len(dist), len(dist)))
 
     @staticmethod
     def discrete(n: int) -> UltraPseudometric:
-        one, zero = Fraction(1), Fraction(0)
-        rows = [[one if x != y else zero for y in range(n)] for x in range(n)]
-        return UltraPseudometric.from_rows(rows)
+        return UltraPseudometric.from_rows(
+            [[int(x != y) for y in range(n)] for x in range(n)])
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, UltraPseudometric) and self.levels == other.levels
+                and np.array_equal(self._rank, other._rank))
+
+    def __hash__(self) -> int:
+        return hash((self.levels, self._rank.tobytes()))
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as Fraction rows, for JSON, witnesses and the oracles."""
+        return tuple(tuple(self.levels[r] for r in row) for row in self._rank.tolist())
 
     def d(self, x: int, y: int) -> Fraction:
-        return self.dist[x][y]
-
-    def values(self) -> list[Fraction]:
-        """Sorted distinct off-diagonal distances."""
-        vals = {self.dist[x][y] for x in range(self.carrier_size)
-                for y in range(x + 1, self.carrier_size)}
-        return sorted(vals)
+        return self.levels[self._rank[x, y]]
 
     def rank_matrix(self) -> np.ndarray:
-        """Distances replaced by their order rank; exact and numpy-friendly."""
-        cached = getattr(self, "_rank_cache", None)
-        if cached is not None:
-            return cached
-        distinct = sorted({v for row in self.dist for v in row})
-        rank = {v: i for i, v in enumerate(distinct)}
-        arr = np.asarray(
-            [[rank[v] for v in row] for row in self.dist], dtype=np.int64
-        )
-        arr.flags.writeable = False
-        object.__setattr__(self, "_rank_cache", arr)
-        return arr
+        """The level of every pair: exact, ordered like the distances."""
+        return self._rank
+
+    def below(self, radius) -> int:
+        """Number of levels under radius: d(x, y) < radius iff rank < below(radius)."""
+        return bisect_left(self.levels, radius)
 
     def ball(self, center: int, radius: Fraction) -> list[int]:
         """Open ball, strict inequality."""
-        return [y for y in range(self.carrier_size) if self.dist[center][y] < radius]
+        return np.flatnonzero(self._rank[center] < self.below(radius)).tolist()
 
     def ball_partition(self, radius: Fraction) -> Partition:
         """Classes of the relation d(x,y) < radius (an equivalence relation)."""
-        n = self.carrier_size
-        ids = [-1] * n
-        k = 0
-        for x in range(n):
-            if ids[x] != -1:
-                continue
-            ids[x] = k
-            for y in range(x + 1, n):
-                if ids[y] == -1 and self.dist[x][y] < radius:
-                    ids[y] = k
-            k += 1
-        return Partition.from_class_ids(ids)
+        # key each point by the first point of its class (itself if radius <= 0)
+        close = (self._rank < self.below(radius)) | np.eye(self.carrier_size, dtype=bool)
+        return Partition.from_class_ids(close.argmax(axis=1).tolist())
 
     def to_json(self) -> dict:
         return {"dist": [[str(v) for v in row] for row in self.dist]}
@@ -305,14 +320,20 @@ def step_cost(chain: MonotoneChain, x: int, y: int) -> Fraction:
 def d_from_chain(chain: MonotoneChain) -> UltraPseudometric:
     """Closed-form chain metric: d(x,y) = 2**-(deepest level relating x,y).
 
-    Because the levels are nested equivalence relations this equals the
-    minimax over all point paths from x to y (see minimax_path_distance,
-    the literal brute-force form), and it satisfies the sandwich
-    level(i+1) <= {d < 2**-i} <= level(i) at every explicit level.
+    The levels are nested, so that depth counts the levels whose class ids
+    agree at x and y.  This equals the minimax over all point paths from x
+    to y (see minimax_path_distance, the literal brute-force form), and it
+    satisfies the sandwich level(i+1) <= {d < 2**-i} <= level(i) at every
+    explicit level.
     """
-    n = chain.carrier_size
-    rows = [[step_cost(chain, x, y) for y in range(n)] for x in range(n)]
-    return UltraPseudometric.from_rows(rows)
+    n, m = chain.carrier_size, len(chain)
+    ids = np.array([p.class_id for p in chain.chain], dtype=np.intp).reshape(m, n)
+    depth = (ids[:, :, None] == ids[:, None, :]).sum(axis=0)
+    np.fill_diagonal(depth, m + 1)      # deeper than every level: distance 0
+    # the deepest pairs are the closest, so ranks ascend with -depth
+    used, rank = np.unique(-depth, return_inverse=True)
+    levels = [Fraction(0) if k > m else Fraction(1, 2**k) for k in (-used).tolist()]
+    return UltraPseudometric(levels, rank.reshape(n, n))
 
 
 def minimax_path_distance(chain: MonotoneChain, x: int, y: int) -> Fraction:
@@ -409,15 +430,9 @@ def check_left_congruence(m: FiniteMonoid, p: Partition) -> bool:
     if p.carrier_size != m.size:
         raise CarrierMismatch("partition carrier differs from monoid size")
     ids = np.asarray(p.class_id, dtype=np.intp)
-    table = np.asarray(m.table, dtype=np.intp)
-    for s in range(m.size):
-        translated = ids[table[s]]
-        # classes of x determine classes of s*x
-        seen: dict[int, int] = {}
-        for k, t in zip(p.class_id, translated.tolist()):
-            if seen.setdefault(k, t) != t:
-                return False
-    return True
+    moved = ids[np.asarray(m.table, dtype=np.intp)]        # moved[s, x]: class of s*x
+    same = (moved[:, :, None] == moved[:, None, :]).all(axis=0)
+    return bool(same[ids[:, None] == ids[None, :]].all())
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +468,9 @@ def enumerate_theta(d: UltraPseudometric) -> SelfMapMonoid:
 def epsilon_A_relates(theta: SelfMapMonoid, d: UltraPseudometric,
                       points, eps, i: int, j: int) -> bool:
     """d(f_i(a), f_j(a)) < eps for every a in points."""
-    eps = Fraction(eps)
+    below, rank = d.below(eps), d.rank_matrix()
     f, g = theta.elements[i], theta.elements[j]
-    return all(d.dist[f[a]][g[a]] < eps for a in points)
+    return all(rank[f[a], g[a]] < below for a in points)
 
 
 def epsilon_A_relation(theta: SelfMapMonoid, d: UltraPseudometric,

@@ -345,3 +345,20 @@ def test_cover_ops_rejects_malformed_covers(tmp_path, cover, problem):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert problem in proc.stderr
+
+
+@pytest.mark.parametrize("op,cover,extra,problem", [
+    ("star", {"blocks": []}, [], "the covers hold no points"),
+    ("wedge", {"blocks": []}, [], "the covers hold no points"),
+    ("ord", {"blocks": []}, [], "the covers hold no points"),
+    ("ord", {"blocks": [[0, 1]]}, ["--carrier-size", "-2"], "--carrier-size is -2, below 1"),
+    ("star", {"blocks": [[0]]}, ["--set", "5"], "--set point 5 is outside the 1-point carrier"),
+])
+def test_cover_ops_rejects_empty_covers_and_outside_points(tmp_path, op, cover, extra, problem):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(cover))
+    files = [str(path)] * (2 if op == "wedge" else 1)
+    proc = run_cli(["cover-ops", "--op", op, *extra, *files])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert problem in proc.stderr

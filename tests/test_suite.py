@@ -1,13 +1,24 @@
+import json
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from test_duality import oracle_transport, phi_at
 
-from stonework import duality, navector, suite, unif
+from stonework import duality, navector, suite, ultra, unif
 from stonework.boolring import BoolRing
 from stonework.duality import phi_array, preimage_mask
 from stonework.finmon import full_selfmap_monoid
 from stonework.suite import SuiteConfig, check_delta, check_phi, run_suite
 
 SMALL = SuiteConfig(bound_points=3, bound_atoms=3)
+VERDICTS = Path(__file__).parent / "data" / "verify-seed0.json"
+
+
+def test_verdicts_match_the_recorded_seed0_reports():
+    reports = run_suite(SuiteConfig(seed=0), suite.CHECKS + [suite.CONTROL])
+    got = [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports]
+    assert json.loads(json.dumps(got)) == json.loads(VERDICTS.read_text())
 
 
 def test_run_suite_runs_only_the_given_checks():
@@ -167,3 +178,29 @@ def test_saturation_fails_when_both_drop_the_generator(monkeypatch):
     assert witness["failure"] == "saturation fixed point violated"
     assert witness["generator"] == {"classes": [[0, 1, 2]]}
     assert instances == 3 * 3 * 5 + 1
+
+
+def scaled_chain_metric(factor):
+    """The chain metric with every distance times factor: 1/2 is one level too deep."""
+    def metric(chain):
+        d = ultra.d_from_chain(chain)
+        return ultra.UltraPseudometric.from_rows([[v * factor for v in row] for row in d.dist])
+    return metric
+
+
+def test_chain_metrization_fails_one_level_too_deep(monkeypatch):
+    monkeypatch.setattr(suite, "d_from_chain", scaled_chain_metric(Fraction(1, 2)))
+    _, instances, witness = suite.check_chain_metrization(SMALL)
+    assert set(witness) == {"chain", "pair", "closed_form", "path_infimum"}
+    assert 2 * Fraction(witness["closed_form"]) == Fraction(witness["path_infimum"])
+    assert instances == 1
+
+
+def test_chain_metrization_sandwich_fails_one_level_too_shallow(monkeypatch):
+    # the path oracle agrees with the wrong metric, so only the sandwich can fail
+    shallow = scaled_chain_metric(2)
+    monkeypatch.setattr(suite, "d_from_chain", shallow)
+    monkeypatch.setattr(suite, "minimax_path_distance", lambda chain, x, y: shallow(chain).d(x, y))
+    _, _, witness = suite.check_chain_metrization(SMALL)
+    assert witness["failure"] == "finer level escapes the open ball"
+    assert set(witness) == {"chain", "level", "pair", "failure"}

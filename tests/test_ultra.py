@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stonework.errors import (
     CarrierMismatch,
@@ -48,6 +50,8 @@ def test_partition_normalization_and_equality():
     assert p.class_id == (0, 0, 1, 0)
     with pytest.raises(ValueError):
         Partition(carrier_size=2, class_id=(1, 0))  # not first-occurrence form
+    with pytest.raises(ValueError):
+        Partition(carrier_size=2, class_id=(0, -1))  # a negative id
 
 
 def test_partition_meet_and_refines():
@@ -162,6 +166,59 @@ def test_random_chains_match_minimax_oracle_and_sandwich():
                         assert coarser.relates(x, y)
 
 
+@st.composite
+def chains(draw, max_points):
+    """A chain on 1..max_points points: each level the meet of the last with drawn ids."""
+    n = draw(st.integers(1, max_points))
+    levels = []
+    for ids in draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                             max_size=4)):
+        level = Partition.from_class_ids(ids)
+        levels.append(levels[-1].meet(level) if levels else level)
+    return MonotoneChain(carrier_size=n, chain=tuple(levels))
+
+
+@st.composite
+def chain_and_pullback_metrics(draw):
+    """A chain metric on up to 8 points, or its pullback along a drawn map,
+    which puts distinct points at distance 0."""
+    d = d_from_chain(draw(chains(8)))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 8))
+        f = draw(st.lists(st.integers(0, d.carrier_size - 1), min_size=m, max_size=m))
+        d = UltraPseudometric.from_rows([[d.dist[a][b] for b in f] for a in f])
+    return d
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(chain_and_pullback_metrics())
+def test_stored_form_agrees_with_the_fraction_rows(d):
+    n = d.carrier_size
+    assert UltraPseudometric.from_rows(d.dist) == d
+    assert d.levels == tuple(sorted({v for row in d.dist for v in row}))
+    assert d.levels[0] == 0
+    for x in range(n):
+        for y in range(n):
+            assert d.d(x, y) == d.dist[x][y] and type(d.d(x, y)) is Fraction
+    radii = {*d.levels, *(v * 3 / 2 for v in d.levels), Fraction(1, 10**6)} - {0}
+    for r in radii:
+        part = d.ball_partition(r)
+        for x in range(n):
+            assert d.ball(x, r) == [y for y in range(n) if d.dist[x][y] < r]
+            for y in range(n):
+                assert part.relates(x, y) == (d.dist[x][y] < r)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(chains(6))
+def test_closed_form_agrees_with_the_minimax_oracle(chain):
+    d = d_from_chain(chain)
+    n = chain.carrier_size
+    for x in range(n):
+        for y in range(n):
+            assert d.d(x, y) == minimax_path_distance(chain, x, y)
+
+
 def test_sup_combine():
     d1 = UltraPseudometric.discrete(3)
     assert sup_combine([d1], cap=2) == d1
@@ -232,7 +289,7 @@ def test_ball_submonoid_trivial_radii():
     rng = random.Random(11)
     m, _ = random_transformation_monoid(rng, 3, max_size=6)
     d = random_one_sided_metric(rng, m, "right")
-    positive = [v for v in d.values() if v > 0]
+    positive = d.levels[1:]
     top = positive[-1] if positive else Fraction(1)
     assert ball_submonoid_check(m, d, top * 2, side="right")       # whole monoid
     assert ball_submonoid_check(m, d, Fraction(1, 1000), side="right")  # just {e}
@@ -243,7 +300,7 @@ def test_ball_submonoid_sweep_random_instances():
     for _ in range(10):
         m, _ = random_transformation_monoid(rng, rng.randint(2, 4), max_size=6)
         d = random_one_sided_metric(rng, m, "right")
-        radii = [v for v in d.values() if v > 0] or [Fraction(1)]
+        radii = d.levels[1:] or [Fraction(1)]
         for r in radii:
             assert ball_submonoid_check(m, d, r, side="right")
 
@@ -265,7 +322,7 @@ def test_left_congruence_basics():
     for _ in range(10):
         mm, _ = random_transformation_monoid(rng, rng.randint(2, 4), max_size=6)
         d = random_one_sided_metric(rng, mm, "left")
-        for r in d.values() or [Fraction(1)]:
+        for r in d.levels:
             assert check_left_congruence(mm, d.ball_partition(r))
 
 
