@@ -12,6 +12,7 @@ elements, in a SelfMapMonoid of value tables (``additive_monoid``).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import product
 
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .finmon import SelfMapMonoid
 from .limits import guard_enum
+from .schema import expect_field, expect_int, expect_list, expect_object
 
 
 def parity(x: int) -> int:
@@ -87,7 +89,22 @@ class BoolRing:
 
 
 def ring_from_json(obj: dict) -> BoolRing:
-    return BoolRing(int(obj["atoms"]))
+    obj = expect_object(obj, "ring")
+    return BoolRing(expect_int(expect_field(obj, "atoms", "ring"), "ring atoms", 1))
+
+
+def _masks_from_json(ring: BoolRing, obj, key: str, what: str) -> tuple[int, ...]:
+    """The field key of obj, one n-bit string per atom, read as masks."""
+    n = ring.atom_count
+    obj = expect_object(obj, what)
+    entries = expect_list(expect_field(obj, key, what), f"{what} {key}")
+    if len(entries) != n:
+        raise ValueError(f"{what} {key} has {len(entries)} entries, not {n}")
+    for i, bits in enumerate(entries):
+        if not (isinstance(bits, str) and len(bits) == n and set(bits) <= {"0", "1"}):
+            raise ValueError(
+                f"{what} {key}[{i}] is {json.dumps(bits)}, not a bit string of length {n}")
+    return tuple(bits_to_mask(bits) for bits in entries)
 
 
 @dataclass(frozen=True)
@@ -134,7 +151,7 @@ class RingEndo:
 
 
 def ring_endo_from_json(ring: BoolRing, obj: dict) -> RingEndo:
-    images = tuple(bits_to_mask(b) for b in obj["atom_images"])
+    images = _masks_from_json(ring, obj, "atom_images", "ring endomorphism")
     return RingEndo(ring=ring, atom_images=images)
 
 
@@ -210,7 +227,7 @@ class GroupEndo:
 
 
 def group_endo_from_json(ring: BoolRing, obj: dict) -> GroupEndo:
-    return GroupEndo(ring=ring, rows=tuple(bits_to_mask(b) for b in obj["matrix"]))
+    return GroupEndo(ring=ring, rows=_masks_from_json(ring, obj, "matrix", "group endomorphism"))
 
 
 def enumerate_group_endos(ring: BoolRing) -> list[GroupEndo]:

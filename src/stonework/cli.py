@@ -61,11 +61,19 @@ def _emit(obj) -> None:
     _write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _parse_int(entry: str, option: str) -> int:
+    """One integer of an option's text; a bad entry names the option."""
+    try:
+        return int(entry)
+    except ValueError:
+        raise StoneworkError(f"{option} has {entry!r}, not an integer") from None
+
+
 def _parse_metric(source: str):
     if source.startswith("discrete:"):
         from .ultra import UltraPseudometric
 
-        n = int(source.split(":", 1)[1])
+        n = _parse_int(source.split(":", 1)[1], "--metric discrete:N")
         if n < 1:
             raise StoneworkError(f"discrete:N needs N >= 1, got {n}")
         return UltraPseudometric.discrete(n)
@@ -146,7 +154,7 @@ def cmd_cover_ops(args) -> int:
     elif args.op == "star":
         p = parsed[0]
         if args.set:
-            points = [int(v) for v in args.set.split(",")]
+            points = [_parse_int(v, "--set") for v in args.set.split(",")]
             for x in points:
                 if not 0 <= x < size:
                     raise StoneworkError(f"--set point {x} is outside the {size}-point carrier")
@@ -163,7 +171,7 @@ def cmd_cover_ops(args) -> int:
 def cmd_kantorovich(args) -> int:
     base = _parse_metric(args.metric)
     space = free_space(base)
-    points = [int(v) for v in args.vector.split(",")] if args.vector else []
+    points = [_parse_int(v, "--vector") for v in args.vector.split(",")] if args.vector else []
     v = vector(space, points)
     norm, pairing = optimal_pairing(v)
     _emit({

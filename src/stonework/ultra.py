@@ -12,7 +12,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -295,6 +294,12 @@ class MonotoneChain:
                 return i
         return 0
 
+    @cached_property
+    def depths(self) -> tuple[tuple[int, ...], ...]:
+        """depth(x, y) for every pair, built once per chain for the path oracle."""
+        n = self.carrier_size
+        return tuple(tuple(self.depth(x, y) for y in range(n)) for x in range(n))
+
     def to_json(self) -> dict:
         return {
             "carrier_size": self.carrier_size,
@@ -310,19 +315,12 @@ def chain_from_json(obj: dict) -> MonotoneChain:
     return MonotoneChain(carrier_size=n, chain=parts)
 
 
-def step_cost(chain: MonotoneChain, x: int, y: int) -> Fraction:
-    """2**-(deepest level relating x and y); 0 on the diagonal."""
-    if x == y:
-        return Fraction(0)
-    return Fraction(1, 2 ** chain.depth(x, y))
-
-
 def d_from_chain(chain: MonotoneChain) -> UltraPseudometric:
     """Closed-form chain metric: d(x,y) = 2**-(deepest level relating x,y).
 
     The levels are nested, so that depth counts the levels whose class ids
     agree at x and y.  This equals the minimax over all point paths from x
-    to y (see minimax_path_distance, the literal brute-force form), and it
+    to y (see minimax_path_distance, the literal path-search form), and it
     satisfies the sandwich level(i+1) <= {d < 2**-i} <= level(i) at every
     explicit level.
     """
@@ -339,21 +337,41 @@ def d_from_chain(chain: MonotoneChain) -> UltraPseudometric:
 def minimax_path_distance(chain: MonotoneChain, x: int, y: int) -> Fraction:
     """Infimum over point paths of the maximal single-step cost.
 
-    Enumerates all simple paths (repeating a point never lowers a
-    maximum, so simple paths suffice on a finite carrier).
+    A step from a to b costs 2**-depth(a, b), so the cheapest path is the
+    one whose least step depth is largest.  That is searched over the
+    simple paths (repeating a point never lowers a maximum, so simple paths
+    suffice on a finite carrier) on the integer table chain.depths, read
+    through chain.depth alone and never through d_from_chain.
     """
     if x == y:
         return Fraction(0)
-    n = chain.carrier_size
-    cost = [[step_cost(chain, a, b) for b in range(n)] for a in range(n)]
-    best = cost[x][y]
-    others = [p for p in range(n) if p not in (x, y)]
-    for k in range(1, len(others) + 1):
-        for mids in permutations(others, k):
-            path = (x, *mids, y)
-            worst = max(cost[a][b] for a, b in zip(path, path[1:]))
-            if worst < best:
-                best = worst
+    return Fraction(1, 2 ** _widest_path_depth(chain.depths, x, y))
+
+
+def _widest_path_depth(depth, x: int, y: int) -> int:
+    """Largest least step depth over the simple paths from x to y != x.
+
+    Depth-first from x with the visited points as a bitmask.  A prefix is
+    dropped once its least depth is no better than the best complete path,
+    which loses nothing: extending a path never raises its least depth.
+    """
+    n = len(depth)
+    best = depth[x][y]                  # the direct step
+
+    def extend(a: int, seen: int, low) -> None:
+        nonlocal best
+        for b in range(n):
+            if seen >> b & 1:
+                continue
+            step = min(low, depth[a][b])
+            if step <= best:
+                continue
+            if b == y:
+                best = step
+            else:
+                extend(b, seen | 1 << b, step)
+
+    extend(x, 1 << x, float("inf"))
     return best
 
 

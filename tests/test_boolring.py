@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,39 @@ def test_endo_json_round_trips():
     assert ring_endo_from_json(ring, endo.to_json()) == endo
     sigma = GroupEndo(ring=ring, rows=(6, 1, 5))
     assert group_endo_from_json(ring, sigma.to_json()) == sigma
+
+
+@pytest.mark.parametrize("obj,problem", [
+    ({"atoms": "3"}, "ring atoms is a string, not an integer"),
+    ({"atoms": True}, "ring atoms is true, not an integer"),
+    ({"atoms": 3.7}, "ring atoms is 3.7, not an integer"),
+    ({"atoms": 0}, "ring atoms is 0, below 1"),
+    ({}, 'ring has no "atoms" field'),
+    ([3], "ring must be an object, not a list"),
+])
+def test_ring_reader_rejects_malformed_rings(obj, problem):
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        ring_from_json(obj)
+
+
+@pytest.mark.parametrize("reader,key,what", [
+    (ring_endo_from_json, "atom_images", "ring endomorphism"),
+    (group_endo_from_json, "matrix", "group endomorphism"),
+])
+@pytest.mark.parametrize("obj,problem", [
+    ({}, 'has no "KEY" field'),
+    ([], "must be an object, not a list"),
+    ({"KEY": "100"}, "KEY must be a list, not a string"),
+    ({"KEY": ["10", "01"]}, "KEY has 2 entries, not 3"),
+    ({"KEY": ["100", 2, "001"]}, "KEY[1] is 2, not a bit string of length 3"),
+    ({"KEY": ["100", "01x", "001"]}, 'KEY[1] is "01x", not a bit string of length 3'),
+    ({"KEY": ["100", "0100", "001"]}, 'KEY[1] is "0100", not a bit string of length 3'),
+])
+def test_endo_readers_reject_malformed_entries(reader, key, what, obj, problem):
+    if isinstance(obj, dict):
+        obj = {key: v for v in obj.values()}
+    with pytest.raises(ValueError, match=re.escape(f"{what} {problem.replace('KEY', key)}")):
+        reader(BoolRing(3), obj)
 
 
 def test_ring_endo_to_group_endo_consistent():

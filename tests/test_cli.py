@@ -362,3 +362,17 @@ def test_cover_ops_rejects_empty_covers_and_outside_points(tmp_path, op, cover, 
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert problem in proc.stderr
+
+
+@pytest.mark.parametrize("args,problem", [
+    (["kantorovich", "--metric", "discrete:3", "--vector", "0,x"], "--vector has 'x', not an integer"),
+    (["cover-ops", "--op", "star", "COVER", "--set", "a"], "--set has 'a', not an integer"),
+    (["theta", "--metric", "discrete:abc"], "--metric discrete:N has 'abc', not an integer"),
+])
+def test_integer_options_name_the_bad_entry(tmp_path, args, problem):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"blocks": [[0, 1], [2]]}))
+    proc = run_cli([str(path) if a == "COVER" else a for a in args])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert problem in proc.stderr

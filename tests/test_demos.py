@@ -1,6 +1,5 @@
 """Every narrative script under demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +16,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(script):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=300,
-        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr

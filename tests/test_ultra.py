@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from stonework.ultra import (
     MonotoneChain,
     Partition,
     UltraPseudometric,
+    _widest_path_depth,
     ball_submonoid_check,
     check_left_congruence,
     check_nonexpansive,
@@ -217,6 +219,45 @@ def test_closed_form_agrees_with_the_minimax_oracle(chain):
     for x in range(n):
         for y in range(n):
             assert d.d(x, y) == minimax_path_distance(chain, x, y)
+
+
+@st.composite
+def depth_tables(draw):
+    """A symmetric integer table on 2..7 points, neither nested nor ultrametric,
+    so a detour can beat the direct step."""
+    n = draw(st.integers(2, 7))
+    depth = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            depth[a][b] = depth[b][a] = draw(st.integers(0, 5))
+    return depth
+
+
+def widest_path_brute_force(depth, x, y):
+    others = [p for p in range(len(depth)) if p not in (x, y)]
+    return max(
+        min(depth[a][b] for a, b in zip(path, path[1:]))
+        for k in range(len(others) + 1)
+        for path in ((x, *mids, y) for mids in permutations(others, k))
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(depth_tables())
+def test_path_search_agrees_with_brute_force_on_any_table(depth):
+    n = len(depth)
+    for x in range(n):
+        for y in range(n):
+            if x != y:
+                assert _widest_path_depth(depth, x, y) == widest_path_brute_force(depth, x, y)
+
+
+def test_depth_table_is_the_literal_depth():
+    chain = random_chain(random.Random(3), 6, depth=4)
+    n = chain.carrier_size
+    assert chain.depths == tuple(tuple(chain.depth(x, y) for y in range(n)) for x in range(n))
+    assert chain.depths is chain.depths
+    assert chain == MonotoneChain(carrier_size=n, chain=chain.chain)
 
 
 def test_sup_combine():
