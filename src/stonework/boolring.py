@@ -7,7 +7,8 @@ their atom images, additive (group) endomorphisms as bit matrices, and
 characters of the additive group as masks pairing by overlap parity.
 
 Sets of additive maps are also held as self-maps of the 2**n ring
-elements, in a SelfMapMonoid of value tables (``additive_monoid``).
+elements: ``additive_monoid`` passes their distinct value tables, as the
+rows of one array, to a SelfMapMonoid.
 """
 
 from __future__ import annotations
@@ -264,8 +265,7 @@ def additive_monoid(columns, n: int) -> tuple[SelfMapMonoid, np.ndarray]:
     is not assumed.
     """
     values, where = np.unique(additive_values(columns, n), axis=0, return_inverse=True)
-    maps = SelfMapMonoid(carrier_size=1 << n, elements=tuple(map(tuple, values.tolist())))
-    return maps, where.reshape(-1)
+    return SelfMapMonoid(values), where.reshape(-1)
 
 
 @dataclass(frozen=True)

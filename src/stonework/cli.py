@@ -109,11 +109,10 @@ def cmd_metrize(args) -> int:
 def cmd_theta(args) -> int:
     d = _parse_metric(args.metric)
     theta = enumerate_theta(d)
-    maps = theta.elements
+    maps = theta.values.tolist()
     if args.injective:
-        maps = tuple(f for f in maps if len(set(f)) == d.carrier_size)
-    _emit({"carrier_size": d.carrier_size, "count": len(maps),
-           "maps": [list(f) for f in maps]})
+        maps = [f for f in maps if len(set(f)) == d.carrier_size]
+    _emit({"carrier_size": d.carrier_size, "count": len(maps), "maps": maps})
     return 0
 
 

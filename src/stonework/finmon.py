@@ -1,17 +1,17 @@
 """Finite monoids, monoid actions, and transformation monoids.
 
 Elements are integer indices.  A monoid is its multiplication table
-(row = left factor), a self-map monoid is a canonically ordered tuple of
-value arrays closed under composition, and an action is a table of
-carrier images.  Everything is immutable after construction.
+(row = left factor), a self-map monoid is one read-only (k, n) integer
+array of value rows in lexicographic order, closed under composition
+(tuples of ints are a derived view), and an action is a table of carrier
+images.  Everything is immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, product
+from functools import cached_property
 
 import numpy as np
 
@@ -113,9 +113,6 @@ class MonoidAction:
     carrier_size: int
     act: tuple[tuple[int, ...], ...]
 
-    def map_of(self, s: int) -> tuple[int, ...]:
-        return self.act[s]
-
     def to_json(self) -> dict:
         return {
             "monoid": self.monoid.to_json(),
@@ -173,78 +170,70 @@ SMALL_TABLE = 32
 _KEY_BOUND = 1 << 62
 
 
-@dataclass(frozen=True)
 class SelfMapMonoid:
     """A set of self-maps of a finite carrier, closed under composition.
 
-    Maps are stored in ascending lexicographic order of their value
-    arrays; the identity map must be present.  ``elements`` holds them as
-    tuples of ints and ``values``, built on first use, as a read-only
-    (k, n) array of the smallest unsigned dtype that holds n - 1.
+    Stored once, as ``values``: a read-only (k, n) array of the smallest
+    unsigned dtype that holds n - 1, one map of a carrier of n >= 1 points
+    per row, rows in strictly ascending lexicographic order; the identity
+    map must be present.  ``elements``, the maps as tuples of ints, is
+    derived on first use for JSON, witnesses and the scalar oracles.
 
     ``compose(i, j)`` is the one composition primitive.  For two Python
     ints it reads the composition table, which is built once.  For index
     arrays, which broadcast against each other like numpy operands, it
     returns the index array of every composite: value rows are composed
     in chunks of at most ``CHUNK_ENTRIES`` entries and each composite is
-    looked up by an exact key, for any carrier size.  A composite outside
-    the set raises KeyError.  verify_closure, and the table once it has
-    more than ``SMALL_TABLE`` entries, are each one batched call over all
+    found by ``lookup``, for any carrier size.  A composite outside the
+    set raises KeyError.  verify_closure, and the table once it has more
+    than ``SMALL_TABLE`` entries, are each one batched call over all
     pairs; a smaller table is built in Python.
     """
 
-    carrier_size: int
-    elements: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n, elements = self.carrier_size, self.elements
-        if any(len(f) != n for f in elements):
-            raise ValueError("map length differs from carrier size")
-        if not set(chain.from_iterable(elements)) <= set(range(n)):
-            raise ValueError("map value outside the carrier")
-        if any(f >= g for f, g in zip(elements, elements[1:])):
-            raise ValueError("elements not in canonical order")
+    def __init__(self, values):
         try:
-            object.__setattr__(self, "_identity", self.index_of(range(n)))
+            values = np.asarray(values)
+        except ValueError:              # ragged rows
+            raise ValueError("map length differs from carrier size") from None
+        if values.ndim != 2 or not values.shape[1]:
+            raise ValueError("maps must form a (k, n) array with n >= 1")
+        n = values.shape[1]
+        # checked before narrowing, so a negative value cannot wrap into range
+        if values.size and (values.dtype.kind not in "iu" or values.min() < 0 or values.max() >= n):
+            raise ValueError("map value outside the carrier")
+        values = values.astype(np.min_scalar_type(n - 1), order="C")
+        if not _strictly_ascending(values):
+            raise ValueError("elements not in canonical order")
+        values.flags.writeable = False
+        self.values, self.carrier_size = values, n
+        try:
+            self.identity_index = int(self.lookup(np.arange(n)))
         except KeyError:
             raise ValueError("identity map missing") from None
 
-    @property
-    def values(self) -> np.ndarray:
-        """The maps as a read-only (k, n) array, rows in element order."""
-        values = self.__dict__.get("_values")
-        if values is None:
-            k, n = len(self.elements), self.carrier_size
-            values = np.fromiter(chain.from_iterable(self.elements), count=k * n,
-                                 dtype=np.min_scalar_type(max(n - 1, 0))).reshape(k, n)
-            values.flags.writeable = False
-            object.__setattr__(self, "_values", values)
-        return values
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SelfMapMonoid) and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.values.shape, self.values.tobytes()))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.values)
 
-    @property
-    def identity_index(self) -> int:
-        return self._identity
-
-    def index_of(self, f) -> int:
-        """Index of the map f; KeyError if it is not an element."""
-        f = tuple(f)
-        i = bisect_left(self.elements, f)
-        if i == len(self.elements) or self.elements[i] != f:
-            raise KeyError(f)
-        return i
+    @cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """The maps as tuples of ints, for JSON, witnesses and the scalar oracles."""
+        return tuple(map(tuple, self.values.tolist()))
 
     def compose(self, i, j):
-        """Index of elements[i] after elements[j] (apply j first).
+        """Index of map i after map j (apply j first).
 
         i and j are ints, giving an int, or integer arrays that broadcast
         against each other, giving an integer index array of the
         broadcast shape.
         """
         if type(i) is int and type(j) is int:
-            return self._table()[i][j]
+            return self._table[i][j]
         values = self.values
         i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
         if i.size * j.size * self.carrier_size <= CHUNK_ENTRIES or i.ndim == j.ndim == 0:
@@ -254,7 +243,7 @@ class SelfMapMonoid:
         shape = np.broadcast(i, j).shape
         i = i.reshape((1,) * (len(shape) - i.ndim) + i.shape)
         j = j.reshape((1,) * (len(shape) - j.ndim) + j.shape)
-        out = np.empty(shape, dtype=np.min_scalar_type(len(self.elements) - 1))
+        out = np.empty(shape, dtype=np.min_scalar_type(len(self) - 1))
         step = max(1, CHUNK_ENTRIES // max(1, math.prod(shape[1:]) * self.carrier_size))
         for start in range(0, shape[0], step):
             f = i if len(i) == 1 else i[start:start + step]
@@ -262,27 +251,36 @@ class SelfMapMonoid:
             out[start:start + step] = self.lookup(values[f[..., None], values[g]])
         return out
 
-    def lookup(self, maps: np.ndarray) -> np.ndarray:
+    def lookup(self, maps) -> np.ndarray:
         """Indices of the value rows maps[..., :]; KeyError for a non-element.
 
         Exact for any carrier size: the key of a map is built block by
         block, each step packing the rank of the prefix so far with the
-        next block of base-n digits (see _key_levels).
+        next block of base-n digits (see _key_levels).  A row with a value
+        outside the carrier raises KeyError before any key is built, since
+        such digits would alias the key of an element; a row of another
+        length raises ValueError.
         """
-        flat = maps.reshape(math.prod(maps.shape[:-1]), self.carrier_size)
-        rank = np.zeros(len(flat), dtype=np.intp)     # the index of a carrier-0 map
-        for lo, hi, powers, keys in self._key_levels():
+        maps, n = np.asarray(maps), self.carrier_size
+        if maps.shape[-1:] != (n,):
+            raise ValueError(f"maps of shape {maps.shape} on a {n}-point carrier")
+        flat = maps.reshape(math.prod(maps.shape[:-1]), n)
+        if flat.size and (flat.max() >= n or flat.dtype.kind != "u" and flat.min() < 0):
+            off = ((flat < 0) | (flat >= n)).any(axis=1)
+            raise KeyError(tuple(flat[off.argmax()].tolist()))
+        for lo, hi, powers, keys in self._key_levels:
             key = flat[:, lo:hi] @ powers
             if lo:
-                key += rank * (powers[0] * self.carrier_size)
+                key += rank * (powers[0] * n)
             rank = keys.searchsorted(key)
             missing = keys[rank] != key
             if missing.any():
                 raise KeyError(tuple(flat[int(missing.argmax())].tolist()))
         return rank.reshape(maps.shape[:-1])
 
+    @cached_property
     def _key_levels(self) -> list:
-        """Lookup keys per block of coordinates, built once.
+        """Lookup keys per block of coordinates.
 
         The n coordinates are cut into blocks of w base-n digits, with w
         as large as keeps rank * n**w + digits below _KEY_BOUND.  Level b
@@ -292,57 +290,51 @@ class SelfMapMonoid:
         that index is the element's own index.  A single block (every
         n <= 15) is the plain base-n key.
         """
-        levels = self.__dict__.get("_levels")
-        if levels is None:
-            k, n = self.values.shape
-            width = 1
-            while width < n and k * n ** (width + 1) < _KEY_BOUND:
-                width += 1
-            levels = []
-            rank = np.zeros(k, dtype=np.intp)
-            for lo in range(0, n, width):
-                hi = min(lo + width, n)
-                powers = n ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
-                key = self.values[:, lo:hi] @ powers
-                if lo:
-                    key += rank * (powers[0] * n)
-                if hi < n:
-                    # the elements ascend, so equal keys are adjacent and ascend;
-                    # at the last level the keys of distinct elements are distinct
-                    new = np.ones(k, dtype=bool)
-                    np.not_equal(key[1:], key[:-1], out=new[1:])
-                    rank = new.cumsum() - 1
-                    key = key[new]
-                levels.append((lo, hi, powers, np.concatenate((key, [_KEY_BOUND]))))
-            object.__setattr__(self, "_levels", levels)
+        k, n = self.values.shape
+        width = 1
+        while width < n and k * n ** (width + 1) < _KEY_BOUND:
+            width += 1
+        levels = []
+        rank = np.zeros(k, dtype=np.intp)
+        for lo in range(0, n, width):
+            hi = min(lo + width, n)
+            powers = n ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
+            key = self.values[:, lo:hi] @ powers
+            if lo:
+                key += rank * (powers[0] * n)
+            if hi < n:
+                # the elements ascend, so equal keys are adjacent and ascend;
+                # at the last level the keys of distinct elements are distinct
+                new = np.ones(k, dtype=bool)
+                np.not_equal(key[1:], key[:-1], out=new[1:])
+                rank = new.cumsum() - 1
+                key = key[new]
+            levels.append((lo, hi, powers, np.concatenate((key, [_KEY_BOUND]))))
         return levels
 
+    @cached_property
     def _table(self) -> tuple[tuple[int, ...], ...]:
         """The composition table, rows indexed by the left factor."""
-        table = self.__dict__.get("_table_cache")
-        if table is None:
+        k = len(self)
+        if k * k <= SMALL_TABLE:
             el = self.elements
-            if len(el) ** 2 <= SMALL_TABLE:
-                index = {f: i for i, f in enumerate(el)}
-                table = tuple(tuple(index[tuple(f[x] for x in g)] for g in el) for f in el)
-            else:
-                ids = np.arange(len(el))
-                composites = self.compose(ids[:, None], ids)
-                # entries are shared int objects, which keeps a large table small;
-                # converting a block of rows at a time keeps the temporaries small
-                shared = np.array(ids.tolist(), dtype=object)
-                step = max(1, CHUNK_ENTRIES // len(el))
-                rows = []
-                for start in range(0, len(el), step):
-                    rows.extend(map(tuple, shared[composites[start:start + step]]))
-                table = tuple(rows)
-            object.__setattr__(self, "_table_cache", table)
-        return table
+            index = {f: i for i, f in enumerate(el)}
+            return tuple(tuple(index[tuple(f[x] for x in g)] for g in el) for f in el)
+        ids = np.arange(k)
+        composites = self.compose(ids[:, None], ids)
+        # entries are shared int objects, which keeps a large table small;
+        # converting a block of rows at a time keeps the temporaries small
+        shared = np.array(ids.tolist(), dtype=object)
+        step = max(1, CHUNK_ENTRIES // k)
+        rows = []
+        for start in range(0, k, step):
+            rows.extend(map(tuple, shared[composites[start:start + step]]))
+        return tuple(rows)
 
     def composites(self) -> np.ndarray | None:
-        """out[i, j] = index of elements[i] after elements[j], as one batched
-        compose; None if some composite is not an element."""
-        ids = np.arange(len(self.elements))
+        """out[i, j] = index of map i after map j, as one batched compose;
+        None if some composite is not an element."""
+        ids = np.arange(len(self))
         try:
             return self.compose(ids[:, None], ids)
         except KeyError:
@@ -353,8 +345,15 @@ class SelfMapMonoid:
 
     def to_monoid(self) -> FiniteMonoid:
         """Composition table under the canonical element order."""
-        k = len(self.elements)
-        return FiniteMonoid(size=k, identity=self._identity, table=self._table())
+        return FiniteMonoid(size=len(self), identity=self.identity_index, table=self._table)
+
+
+def _strictly_ascending(rows: np.ndarray) -> bool:
+    """True iff the rows of a 2-D array strictly ascend lexicographically:
+    each is larger than the one before where the two first differ."""
+    first = (rows[1:] != rows[:-1]).argmax(axis=1)     # 0 where two rows are equal
+    at = np.arange(len(first)), first
+    return bool((rows[1:][at] > rows[:-1][at]).all())
 
 
 def full_selfmap_monoid(n: int) -> SelfMapMonoid:
@@ -362,8 +361,8 @@ def full_selfmap_monoid(n: int) -> SelfMapMonoid:
     if n < 1:
         raise ValueError("carrier must be nonempty")
     guard_enum(n**n, f"full self-map monoid on {n} points")
-    elements = tuple(product(range(n), repeat=n))
-    return SelfMapMonoid(carrier_size=n, elements=elements)
+    # row r holds the n base-n digits of r, most significant first
+    return SelfMapMonoid(np.indices((n,) * n, dtype=np.min_scalar_type(n - 1)).reshape(n, -1).T)
 
 
 def generated_selfmap_monoid(carrier_size: int, generators,
@@ -389,7 +388,7 @@ def generated_selfmap_monoid(carrier_size: int, generators,
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
-    return SelfMapMonoid(carrier_size=carrier_size, elements=tuple(sorted(seen)))
+    return SelfMapMonoid(sorted(seen))
 
 
 def cayley_embed(m: FiniteMonoid) -> tuple[SelfMapMonoid, tuple[int, ...]]:
@@ -399,8 +398,5 @@ def cayley_embed(m: FiniteMonoid) -> tuple[SelfMapMonoid, tuple[int, ...]]:
     the element-to-map index table.  The representation is injective
     (evaluate at the identity) and multiplication-preserving.
     """
-    maps = SelfMapMonoid(
-        carrier_size=m.size, elements=tuple(sorted(set(m.table)))
-    )
-    to_map = tuple(maps.lookup(np.asarray(m.table, dtype=np.int64)).tolist())
-    return maps, to_map
+    values, to_map = np.unique(np.asarray(m.table), axis=0, return_inverse=True)
+    return SelfMapMonoid(values), tuple(to_map.reshape(-1).tolist())

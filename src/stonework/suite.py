@@ -231,8 +231,8 @@ def check_phi(cfg: SuiteConfig):
             s, t = map(int, np.argwhere(lhs != rhs)[0])
             return params, instances, {
                 "n": n,
-                "s": list(maps.elements[s]),
-                "t": list(maps.elements[t]),
+                "s": maps.values[s].tolist(),
+                "t": maps.values[t].tolist(),
                 "failure": "phi(s.t) != phi(t).phi(s)",
             }
     return params, instances, None
@@ -279,8 +279,8 @@ def check_delta(cfg: SuiteConfig):
         if failure is not None:
             return params, instances, {
                 "n": n,
-                "s": list(maps.elements[failure[0]]),
-                "t": list(maps.elements[failure[1]]),
+                "s": maps.values[failure[0]].tolist(),
+                "t": maps.values[failure[1]].tolist(),
                 "failure": "anti-law fails on the phi image",
             }
     return params, instances, None
@@ -333,8 +333,8 @@ def check_entourage_transport(cfg: SuiteConfig):
                 return params, instances + p + 1, {
                     "n": n,
                     "chi": chi,
-                    "s1": list(maps.elements[p // k]),
-                    "s2": list(maps.elements[p % k]),
+                    "s1": maps.values[p // k].tolist(),
+                    "s2": maps.values[p % k].tolist(),
                     "memberships": memberships[:, p].tolist(),
                 }
             instances += k * k
@@ -389,7 +389,7 @@ def check_theta_discrete(cfg: SuiteConfig):
         theta = enumerate_theta(UltraPseudometric.discrete(n))
         everything = full_selfmap_monoid(n)
         instances += len(everything)
-        if theta.elements != everything.elements:
+        if not np.array_equal(theta.values, everything.values):
             return params, instances, {"n": n, "theta": len(theta), "maps": len(everything)}
     return params, instances, None
 
@@ -432,7 +432,7 @@ def check_theta_entourages(cfg: SuiteConfig):
             for points in point_sets:
                 part_a = parts[tuple(points)]
                 for s0 in range(len(theta)):
-                    s0_map = theta.elements[s0]
+                    s0_map = theta.values[s0].tolist()
                     part_moved = parts[tuple(sorted({s0_map[a] for a in points}))]
                     translated: dict[int, int] = {}
                     for i in range(len(theta)):
@@ -444,7 +444,7 @@ def check_theta_entourages(cfg: SuiteConfig):
                                 "metric": d.to_json(),
                                 "points": points,
                                 "eps": str(eps),
-                                "s0": list(s0_map),
+                                "s0": s0_map,
                                 "failure": "right translation does not respect the entourage",
                             }
     return params, instances, None

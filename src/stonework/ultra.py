@@ -480,15 +480,16 @@ def enumerate_theta(d: UltraPseudometric) -> SelfMapMonoid:
             ok &= rank[prefixes[:, y]] <= rank[y, x]
         rows, vals = np.nonzero(ok)
         prefixes = np.column_stack([prefixes[rows], vals.astype(prefixes.dtype)])
-    return SelfMapMonoid(carrier_size=n, elements=tuple(zip(*prefixes.T.tolist())))
+    return SelfMapMonoid(prefixes)
 
 
-def epsilon_A_relates(theta: SelfMapMonoid, d: UltraPseudometric,
-                      points, eps, i: int, j: int) -> bool:
-    """d(f_i(a), f_j(a)) < eps for every a in points."""
-    below, rank = d.below(eps), d.rank_matrix()
-    f, g = theta.elements[i], theta.elements[j]
-    return all(rank[f[a], g[a]] < below for a in points)
+def epsilon_A_relates(theta: SelfMapMonoid, d: UltraPseudometric, points, eps, i, j):
+    """d(f_i(a), f_j(a)) < eps for every a in points: a bool for two int
+    indices, a bool array of the broadcast shape for index arrays."""
+    points = list(points)
+    f, g = theta.values[i][..., points], theta.values[j][..., points]
+    out = (d.rank_matrix()[f, g] < d.below(eps)).all(axis=-1)
+    return out if out.ndim else bool(out)
 
 
 def epsilon_A_relation(theta: SelfMapMonoid, d: UltraPseudometric,
@@ -507,11 +508,12 @@ def epsilon_A_relation(theta: SelfMapMonoid, d: UltraPseudometric,
         raise ValueError("eps must be positive")
     if any(not 0 <= a < d.carrier_size for a in points):
         raise ValueError("evaluation point outside the carrier")
-    balls = d.ball_partition(eps)
-    keys = [tuple(balls.class_id[f[a]] for a in points) for f in theta.elements]
-    part = Partition.from_class_ids(keys)
-    for i in range(len(theta.elements)):
-        for j in range(i + 1, len(theta.elements)):
-            if part.relates(i, j) != epsilon_A_relates(theta, d, points, eps, i, j):
-                raise AssertionError("pointwise relation is not an equivalence")
+    balls = np.asarray(d.ball_partition(eps).class_id)
+    part = Partition.from_class_ids(map(tuple, balls[theta.values[:, points]].tolist()))
+    ids = np.asarray(part.class_id)
+    for i in range(len(theta) - 1):
+        later = np.arange(i + 1, len(theta))
+        if not np.array_equal(epsilon_A_relates(theta, d, points, eps, i, later),
+                              ids[later] == ids[i]):
+            raise AssertionError("pointwise relation is not an equivalence")
     return part

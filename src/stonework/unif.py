@@ -350,9 +350,6 @@ class Cover:
     def from_partition(p: Partition) -> Cover:
         return Cover.from_blocks(p.carrier_size, p.classes())
 
-    def is_partition(self) -> bool:
-        return sum(len(b) for b in self.blocks) == self.carrier_size
-
     def sorted_blocks(self) -> list[list[int]]:
         return sorted(sorted(b) for b in self.blocks)
 

@@ -21,7 +21,7 @@ from stonework.finmon import (
     validate_monoid,
 )
 from stonework.generators import random_ultrametric
-from stonework.ultra import enumerate_theta
+from stonework.ultra import UltraPseudometric, enumerate_theta
 
 Z2 = [[0, 1], [1, 0]]
 SEMILATTICE = [[0, 1], [1, 1]]
@@ -167,13 +167,25 @@ def test_adjoin_identity():
 
 def test_selfmap_monoid_constructor_guards():
     with pytest.raises(ValueError):
-        SelfMapMonoid(carrier_size=2, elements=((0, 0),))  # identity missing
+        SelfMapMonoid([(0, 0)])  # identity missing
     with pytest.raises(ValueError):
-        SelfMapMonoid(carrier_size=2, elements=((1, 0), (0, 1)))  # bad order
+        SelfMapMonoid([(1, 0), (0, 1)])  # bad order
     with pytest.raises(ValueError):
-        SelfMapMonoid(carrier_size=2, elements=((0, 1), (0, 1)))  # repeated map
+        SelfMapMonoid([(0, 1), (0, 1)])  # repeated map
     with pytest.raises(ValueError):
-        SelfMapMonoid(carrier_size=2, elements=((0, 1), (0, 2)))  # value off the carrier
+        SelfMapMonoid([(0, 1), (0, 2)])  # value off the carrier
+    with pytest.raises(ValueError):
+        SelfMapMonoid([0, 1])  # one map, not a (k, n) array
+    with pytest.raises(ValueError):
+        SelfMapMonoid([(0, 1), (0,)])  # ragged rows
+    with pytest.raises(ValueError):
+        SelfMapMonoid(np.zeros((1, 0), dtype=int))  # no carrier points
+    # on 256 points a -1 narrowed to uint8 would wrap to 255, a point of the
+    # carrier, and the two rows would then pass as a monoid
+    shifted = np.arange(256)
+    shifted[0] = -1
+    with pytest.raises(ValueError, match="outside the carrier"):
+        SelfMapMonoid([np.arange(256), shifted])
 
 
 def test_monoid_json_round_trip():
@@ -236,7 +248,7 @@ def test_batched_compose_matches_scalar_compose(monkeypatch, chunk):
 
 
 def test_non_closed_map_set_is_detected():
-    maps = SelfMapMonoid(carrier_size=3, elements=((0, 1, 2), (1, 2, 0)))
+    maps = SelfMapMonoid([(0, 1, 2), (1, 2, 0)])
     assert not maps.verify_closure()
     with pytest.raises(KeyError):
         maps.compose(1, 1)          # (1,2,0) twice is (2,0,1), not listed
@@ -250,9 +262,33 @@ def test_selfmap_values_and_index():
     maps = full_selfmap_monoid(3)
     assert maps.values.shape == (27, 3) and maps.values.dtype == np.uint8
     assert [tuple(row) for row in maps.values.tolist()] == list(maps.elements)
-    assert maps.index_of((0, 1, 2)) == maps.identity_index == 5
+    assert maps.lookup(np.array([0, 1, 2])) == maps.identity_index == 5
+    with pytest.raises(ValueError):
+        maps.lookup(np.array([0, 1]))      # a map of another carrier
+
+
+def test_lookup_rejects_rows_off_the_carrier():
+    # base-n keys alias once a digit leaves range(n): each of these rows
+    # has the key of a real element
+    maps = full_selfmap_monoid(3)
+    for row in ([0, 0, 3], [1, -1, 0]):
+        with pytest.raises(KeyError):
+            maps.lookup(np.array([row]))
+    cycle = SelfMapMonoid([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
     with pytest.raises(KeyError):
-        maps.index_of((0, 1))
+        cycle.lookup(np.array([0, 0, 5]))
+    with pytest.raises(ValueError):
+        cycle.lookup(np.array([[0, 1, 2, 0]]))
+
+
+def test_the_tuple_view_is_built_only_on_demand():
+    theta = enumerate_theta(UltraPseudometric.discrete(6))
+    assert len(theta) == 6 ** 6 and "elements" not in theta.__dict__
+    theta = enumerate_theta(random_ultrametric(random.Random(5), 5))
+    assert theta.verify_closure() and "elements" not in theta.__dict__
+    assert theta.elements == tuple(map(tuple, theta.values.tolist()))
+    again = SelfMapMonoid(list(theta.elements))
+    assert again == theta and hash(again) == hash(theta)
 
 
 def _closure_by_all_pairs(n, gens):

@@ -12,13 +12,19 @@ from stonework.finmon import full_selfmap_monoid
 from stonework.suite import SuiteConfig, check_delta, check_phi, run_suite
 
 SMALL = SuiteConfig(bound_points=3, bound_atoms=3)
-VERDICTS = Path(__file__).parent / "data" / "verify-seed0.json"
+DATA = Path(__file__).parent / "data"
 
 
-def test_verdicts_match_the_recorded_seed0_reports():
-    reports = run_suite(SuiteConfig(seed=0), suite.CHECKS + [suite.CONTROL])
+@pytest.mark.parametrize("recorded,cfg", [
+    pytest.param("verify-seed0", SuiteConfig(seed=0), id="verify-seed0"),
+    # the largest accepted bounds: the n=4 self-map and ring-endomorphism tables
+    pytest.param("verify-seed0-max", SuiteConfig(bound_points=4, bound_atoms=3, bound_k=7, seed=0),
+                 id="verify-seed0-max"),
+])
+def test_verdicts_match_the_recorded_seed0_reports(recorded, cfg):
+    reports = run_suite(cfg, suite.CHECKS + [suite.CONTROL])
     got = [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports]
-    assert json.loads(json.dumps(got)) == json.loads(VERDICTS.read_text())
+    assert json.loads(json.dumps(got)) == json.loads((DATA / f"{recorded}.json").read_text())
 
 
 def test_run_suite_runs_only_the_given_checks():
