@@ -9,7 +9,6 @@ bounds for uniform structures.
 
 from stonework import (
     Cover,
-    MonoidAction,
     Partition,
     boundedness_report,
     cover_order,
@@ -19,6 +18,7 @@ from stonework import (
     refines,
     saturate,
     star_refines,
+    validate_action,
     validate_monoid,
 )
 from stonework.ultra import meet_all
@@ -26,9 +26,7 @@ from stonework.ultra import meet_all
 # three maps on three points: identity, clamp-up, constant-top
 table = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
 monoid = validate_monoid(table, 0)
-action = MonoidAction(
-    monoid=monoid, carrier_size=3, act=((0, 1, 2), (1, 2, 2), (2, 2, 2))
-)
+action = validate_action(monoid, 3, ((0, 1, 2), (1, 2, 2), (2, 2, 2)))
 
 gamma = [Partition.from_classes(3, [[0, 1], [2]])]
 family = saturate(action, gamma)

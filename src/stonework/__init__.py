@@ -44,7 +44,6 @@ from .finmon import (
     FiniteMonoid,
     MonoidAction,
     SelfMapMonoid,
-    adjoin_identity,
     cayley_embed,
     full_selfmap_monoid,
     is_submonoid,

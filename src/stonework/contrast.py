@@ -138,16 +138,15 @@ def rna_certificate(instance: ContrastInstance) -> ContrastCertificate:
     left_witness = nonexpansive_counterexample(m, d, "left")
     right_witness = nonexpansive_counterexample(m, d, "right")
 
-    injective = len(set(m.table)) == m.size
-    table = np.asarray(m.table, dtype=np.intp)
-    rank = d.rank_matrix()
+    table, rank = m.values, d.rank_matrix()
+    injective = len(np.unique(table, axis=0)) == m.size
     # rank[s*x, s*y] <= rank[x, y] for every translation s and pair (x, y)
     lipschitz = left_witness is None and bool(
         (rank[table[:, :, None], table[:, None, :]] <= rank).all()
     )
     # the translations multiply like the monoid: the left self-action law
     try:
-        validate_action(m, m.size, m.table)
+        validate_action(m, m.size, table)
         homomorphism = True
     except ValueError:
         homomorphism = False
@@ -183,7 +182,7 @@ def obstruction_witness(instance: ContrastInstance, j: int) -> tuple[int, int]:
     for n in range(j, instance.k):
         u = instance.identity & ~(1 << n)
         nat = instance.segment_label(n)
-        if m.table[u][nat] == instance.sink:
+        if m.mul(u, nat) == instance.sink:
             return u, nat
     raise NoWitness(f"no free coordinate beyond agreement depth {j}")
 
@@ -207,7 +206,7 @@ def contrast_report(k: int) -> dict:
                 "u_description": instance.describe(u),
                 "n": nat,
                 "n_description": instance.describe(nat),
-                "product": instance.monoid.table[u][nat],
+                "product": instance.monoid.mul(u, nat),
             }
         )
     return {

@@ -1,16 +1,16 @@
 """Finite monoids, monoid actions, and transformation monoids.
 
-Elements are integer indices.  A monoid is its multiplication table
-(row = left factor), a self-map monoid is one read-only (k, n) integer
-array of value rows in lexicographic order, closed under composition
-(tuples of ints are a derived view), and an action is a table of carrier
-images.  Everything is immutable after construction.
+Elements are integer indices, and each object is stored once, as one
+read-only integer array of the smallest unsigned dtype: a monoid as its
+(k, k) multiplication table (row = left factor), an action as its (k, n)
+table of carrier images, and a self-map monoid as its (k, n) value rows
+in lexicographic order, closed under composition.  Tuples of ints are
+views derived on first use.  Everything is immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,21 +20,81 @@ from .limits import guard_enum
 from .schema import expect_field, expect_int, expect_rows, expect_object
 
 
-@dataclass(frozen=True)
 class FiniteMonoid:
-    size: int
-    identity: int
-    table: tuple[tuple[int, ...], ...]
+    """A monoid on range(k), stored once as ``values``: the read-only
+    C-ordered (k, k) array x * y (row = left factor) of the smallest
+    unsigned dtype that holds k - 1.  ``table``, its rows as tuples of
+    ints, is derived on first use for witnesses and the scalar oracles.
+    The constructor checks only the shape and dtype; validate_monoid
+    checks the laws."""
+
+    def __init__(self, values, identity: int):
+        self.values = _stored(values, len(values))
+        if self.values.shape[1] != len(values):
+            raise ValueError("multiplication table is not square")
+        self.identity = int(identity)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, FiniteMonoid) and self.identity == other.identity
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self) -> int:
+        return hash((self.identity, self.values.shape, self.values.tobytes()))
+
+    @property
+    def size(self) -> int:
+        return len(self.values)
 
     def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
+        return int(self.values[x, y])
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of ints, for witnesses and the scalar oracles."""
+        # shared int objects keep a large table small, and converting a
+        # block of rows at a time keeps the temporaries small
+        k = self.size
+        shared = np.array(range(k), dtype=object)
+        step = max(1, CHUNK_ENTRIES // k)
+        rows = []
+        for start in range(0, k, step):
+            rows.extend(map(tuple, shared[self.values[start:start + step]]))
+        return tuple(rows)
 
     def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "identity": self.identity,
-            "table": [list(row) for row in self.table],
-        }
+        return {"size": self.size, "identity": self.identity, "table": self.values.tolist()}
+
+
+def _stored(values, rows: int) -> np.ndarray:
+    """A read-only C-ordered copy of values, refused unless it is a 2-D
+    array of the given number of rows whose dtype is the smallest unsigned
+    one that holds every column index."""
+    values = np.asarray(values)
+    if (values.ndim != 2 or len(values) != rows
+            or values.dtype != np.min_scalar_type(max(values.shape[1] - 1, 0))):
+        raise ValueError(f"not a stored table of {rows} rows: {values.dtype} {values.shape}")
+    values = np.array(values, order="C")
+    values.flags.writeable = False
+    return values
+
+
+def _narrowed(rows, shape, shape_error: str, range_error: str) -> np.ndarray:
+    """rows as a read-only C-ordered array of the smallest unsigned dtype
+    for its columns, refused unless it has the given shape (if None, any
+    2-D shape with a column) and every entry indexes a column.  The entries
+    are checked as given, before narrowing, so -1 cannot wrap into range."""
+    try:
+        arr = np.asarray(rows)
+    except ValueError:              # ragged rows
+        raise ValueError(shape_error) from None
+    if (arr.shape != shape) if shape else (arr.ndim != 2 or not arr.shape[1]):
+        raise ValueError(shape_error)
+    cols = arr.shape[1]
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= cols):
+        raise ValueError(range_error)
+    arr = arr.astype(np.min_scalar_type(max(cols - 1, 0)), order="C")
+    arr.flags.writeable = False
+    return arr
 
 
 def monoid_from_json(obj: dict) -> FiniteMonoid:
@@ -51,15 +111,10 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
     Raises IdentityViolation or AssociativityViolation with the first
     offending element/triple in scan order.
     """
-    rows = tuple(tuple(int(v) for v in row) for row in table)
-    n = len(rows)
+    n = len(table)
     if n == 0:
         raise ValueError("empty multiplication table")
-    if any(len(row) != n for row in rows):
-        raise ValueError("multiplication table is not square")
-    arr = np.asarray(rows, dtype=np.intp)
-    if arr.min() < 0 or arr.max() >= n:
-        raise ValueError("table entry out of range")
+    arr = _narrowed(table, (n, n), "multiplication table is not square", "table entry out of range")
     if not (0 <= identity < n):
         raise ValueError(f"identity index {identity} out of range")
 
@@ -78,46 +133,53 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
         x, y, z = np.argwhere(lhs != rhs)[0]
         raise AssociativityViolation(int(x), int(y), int(z))
 
-    return FiniteMonoid(size=n, identity=int(identity), table=rows)
+    return FiniteMonoid(arr, identity)
 
 
 def opposite(m: FiniteMonoid) -> FiniteMonoid:
-    """Reverse the multiplication order: table'[x][y] = table[y][x]."""
-    n = m.size
-    table = tuple(tuple(m.table[y][x] for y in range(n)) for x in range(n))
-    return FiniteMonoid(size=n, identity=m.identity, table=table)
+    """Reverse the multiplication order: the transposed table."""
+    return FiniteMonoid(m.values.T, m.identity)
 
 
 def is_submonoid(m: FiniteMonoid, subset) -> bool:
     """True iff the subset contains the identity and is product-closed."""
-    sub = set(subset)
-    if not sub <= set(range(m.size)):
+    sub = sorted(set(subset))
+    if not set(sub) <= set(range(m.size)):
         raise ValueError("subset contains non-elements")
-    if m.identity not in sub:
-        return False
-    return all(m.table[x][y] in sub for x in sub for y in sub)
+    inside = np.zeros(m.size, dtype=bool)
+    inside[sub] = True
+    return bool(inside[m.identity] and inside[m.values[np.ix_(sub, sub)]].all())
 
 
-def adjoin_identity(table) -> FiniteMonoid:
-    """Adjoin a fresh identity to a semigroup table (new element is last)."""
-    rows = [list(map(int, row)) + [i] for i, row in enumerate(table)]
-    rows.append(list(range(len(rows) + 1)))
-    return validate_monoid(rows, len(rows) - 1)
-
-
-@dataclass(frozen=True)
 class MonoidAction:
-    """Left action of a monoid on a finite carrier: act[s][x] = s.x."""
+    """A left action of a monoid on range(n), stored once as ``values``:
+    the read-only C-ordered (k, n) array s.x of the smallest unsigned dtype
+    that holds n - 1.  ``act``, its rows as tuples of ints, is derived on
+    first use for the scalar oracles.  The constructor checks only the
+    shape and dtype; validate_action checks the laws."""
 
-    monoid: FiniteMonoid
-    carrier_size: int
-    act: tuple[tuple[int, ...], ...]
+    def __init__(self, monoid: FiniteMonoid, values):
+        self.monoid = monoid
+        self.values = _stored(values, monoid.size)
+        self.carrier_size = self.values.shape[1]
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, MonoidAction) and self.monoid == other.monoid
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self) -> int:
+        return hash((self.monoid, self.values.shape, self.values.tobytes()))
+
+    @cached_property
+    def act(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of ints, for the scalar oracles."""
+        return tuple(map(tuple, self.values.tolist()))
 
     def to_json(self) -> dict:
         return {
             "monoid": self.monoid.to_json(),
             "carrier_size": self.carrier_size,
-            "act": [list(row) for row in self.act],
+            "act": self.values.tolist(),
         }
 
 
@@ -132,26 +194,16 @@ def action_from_json(obj: dict) -> MonoidAction:
 
 def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
     """Check act[e] = id and act[s*t] = act[s] after act[t]."""
-    rows = tuple(tuple(int(v) for v in row) for row in act)
-    if len(rows) != m.size or any(len(row) != carrier_size for row in rows):
-        raise ValueError("action table has wrong shape")
-    arr = np.asarray(rows, dtype=np.intp)
-    if carrier_size > 0 and (arr.min() < 0 or arr.max() >= carrier_size):
-        raise ValueError("action entry out of range")
+    arr = _narrowed(act, (m.size, carrier_size),
+                    "action table has wrong shape", "action entry out of range")
     if not np.array_equal(arr[m.identity], np.arange(carrier_size)):
         raise ValueError("identity does not act as the identity map")
-    tab = np.asarray(m.table, dtype=np.intp)
-    lhs = arr[tab, :]           # act[s*t][x]
+    lhs = arr[m.values, :]      # act[s*t][x]
     rhs = arr[:, arr]           # act[s][act[t][x]]
     if not np.array_equal(lhs, rhs):
         s, t, x = np.argwhere(lhs != rhs)[0]
         raise ValueError(f"action law fails at (s, t, x) = ({s}, {t}, {x})")
-    return MonoidAction(monoid=m, carrier_size=carrier_size, act=rows)
-
-
-def self_action(m: FiniteMonoid) -> MonoidAction:
-    """The monoid acting on itself by left translations."""
-    return MonoidAction(monoid=m, carrier_size=m.size, act=m.table)
+    return MonoidAction(m, arr)
 
 
 # Entries of the (pairs, n) composite block one chunk of a batched compose
@@ -161,8 +213,8 @@ def self_action(m: FiniteMonoid) -> MonoidAction:
 CHUNK_ENTRIES = 1 << 15
 
 # Tables of at most this many entries are built in Python: below it the
-# fixed cost of the numpy calls (about 40 us) exceeds the whole build.  The
-# suite's random transformation monoids have 1 to 6 elements.
+# fixed cost of the numpy calls and lookup keys exceeds the whole build.
+# The suite's random transformation monoids have 1 to 6 elements.
 SMALL_TABLE = 32
 
 # Lookup keys pack a prefix rank and a block of base-n digits into an int64;
@@ -180,36 +232,27 @@ class SelfMapMonoid:
     derived on first use for JSON, witnesses and the scalar oracles.
 
     ``compose(i, j)`` is the one composition primitive.  For two Python
-    ints it reads the composition table, which is built once.  For index
-    arrays, which broadcast against each other like numpy operands, it
-    returns the index array of every composite: value rows are composed
-    in chunks of at most ``CHUNK_ENTRIES`` entries and each composite is
-    found by ``lookup``, for any carrier size.  A composite outside the
-    set raises KeyError.  verify_closure, and the table once it has more
-    than ``SMALL_TABLE`` entries, are each one batched call over all
-    pairs; a smaller table is built in Python.
+    ints it reads the composition array, which is built once and also
+    backs composites(), to_monoid() and verify_closure: in Python up to
+    ``SMALL_TABLE`` entries, else as one batched call over all pairs.
+    For index arrays, which broadcast against each other like numpy
+    operands, it returns the index array of every composite: value rows
+    are composed in chunks of at most ``CHUNK_ENTRIES`` entries and each
+    composite is found by ``lookup``, for any carrier size.  A composite
+    outside the set raises KeyError.
     """
 
     def __init__(self, values):
-        try:
-            values = np.asarray(values)
-        except ValueError:              # ragged rows
-            raise ValueError("map length differs from carrier size") from None
-        if values.ndim != 2 or not values.shape[1]:
-            raise ValueError("maps must form a (k, n) array with n >= 1")
-        n = values.shape[1]
-        # checked before narrowing, so a negative value cannot wrap into range
-        if values.size and (values.dtype.kind not in "iu" or values.min() < 0 or values.max() >= n):
-            raise ValueError("map value outside the carrier")
-        values = values.astype(np.min_scalar_type(n - 1), order="C")
+        values = _narrowed(values, None, "maps must form a (k, n) array with n >= 1",
+                           "map value outside the carrier")
         if not _strictly_ascending(values):
             raise ValueError("elements not in canonical order")
-        values.flags.writeable = False
+        n = values.shape[1]
         self.values, self.carrier_size = values, n
-        try:
-            self.identity_index = int(self.lookup(np.arange(n)))
-        except KeyError:
-            raise ValueError("identity map missing") from None
+        found = np.flatnonzero((values == np.arange(n)).all(axis=1))
+        if not found.size:
+            raise ValueError("identity map missing")
+        self.identity_index = int(found[0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SelfMapMonoid) and np.array_equal(self.values, other.values)
@@ -233,7 +276,7 @@ class SelfMapMonoid:
         broadcast shape.
         """
         if type(i) is int and type(j) is int:
-            return self._table[i][j]
+            return int(self._product[i, j])
         values = self.values
         i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
         if i.size * j.size * self.carrier_size <= CHUNK_ENTRIES or i.ndim == j.ndim == 0:
@@ -313,30 +356,25 @@ class SelfMapMonoid:
         return levels
 
     @cached_property
-    def _table(self) -> tuple[tuple[int, ...], ...]:
-        """The composition table, rows indexed by the left factor."""
+    def _product(self) -> np.ndarray:
+        """The read-only composites(); KeyError if one is not an element."""
         k = len(self)
         if k * k <= SMALL_TABLE:
             el = self.elements
             index = {f: i for i, f in enumerate(el)}
-            return tuple(tuple(index[tuple(f[x] for x in g)] for g in el) for f in el)
-        ids = np.arange(k)
-        composites = self.compose(ids[:, None], ids)
-        # entries are shared int objects, which keeps a large table small;
-        # converting a block of rows at a time keeps the temporaries small
-        shared = np.array(ids.tolist(), dtype=object)
-        step = max(1, CHUNK_ENTRIES // k)
-        rows = []
-        for start in range(0, k, step):
-            rows.extend(map(tuple, shared[composites[start:start + step]]))
-        return tuple(rows)
+            out = [[index[tuple(f[x] for x in g)] for g in el] for f in el]
+        else:
+            ids = np.arange(k)
+            out = self.compose(ids[:, None], ids)
+        out = np.asarray(out).astype(np.min_scalar_type(k - 1), copy=False)
+        out.flags.writeable = False
+        return out
 
     def composites(self) -> np.ndarray | None:
-        """out[i, j] = index of map i after map j, as one batched compose;
-        None if some composite is not an element."""
-        ids = np.arange(len(self))
+        """out[i, j] = index of map i after map j, read-only; None if some
+        composite is not an element."""
         try:
-            return self.compose(ids[:, None], ids)
+            return self._product
         except KeyError:
             return None
 
@@ -345,7 +383,7 @@ class SelfMapMonoid:
 
     def to_monoid(self) -> FiniteMonoid:
         """Composition table under the canonical element order."""
-        return FiniteMonoid(size=len(self), identity=self.identity_index, table=self._table)
+        return FiniteMonoid(self._product, self.identity_index)
 
 
 def _strictly_ascending(rows: np.ndarray) -> bool:
@@ -398,5 +436,5 @@ def cayley_embed(m: FiniteMonoid) -> tuple[SelfMapMonoid, tuple[int, ...]]:
     the element-to-map index table.  The representation is injective
     (evaluate at the identity) and multiplication-preserving.
     """
-    values, to_map = np.unique(np.asarray(m.table), axis=0, return_inverse=True)
+    values, to_map = np.unique(m.values, axis=0, return_inverse=True)
     return SelfMapMonoid(values), tuple(to_map.reshape(-1).tolist())

@@ -97,40 +97,20 @@ def congruence_closure(m: FiniteMonoid, p: Partition, side: str) -> Partition:
     """Smallest coarsening of p preserved by all one-sided translations."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    parent = list(range(m.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[ry] = rx
-        return True
-
-    for x in range(m.size):
-        for y in range(x + 1, m.size):
-            if p.relates(x, y):
-                union(x, y)
-    changed = True
-    while changed:
-        changed = False
-        for x in range(m.size):
-            for y in range(x + 1, m.size):
-                if find(x) != find(y):
-                    continue
-                for s in range(m.size):
-                    if side == "right":
-                        xs, ys = m.table[x][s], m.table[y][s]
-                    else:
-                        xs, ys = m.table[s][x], m.table[s][y]
-                    if union(xs, ys):
-                        changed = True
-    return Partition.from_class_ids([find(x) for x in range(m.size)])
+    # moved[x, s] is x*s or s*x: x ~ y must give moved[x, s] ~ moved[y, s]
+    moved = m.values if side == "right" else m.values.T
+    ids = np.asarray(p.class_id)
+    rel = ids[:, None] == ids
+    while True:
+        # add the translated pairs, then every two-step chain of them
+        xs, ys = np.nonzero(rel)
+        grown = rel.copy()
+        grown[moved[xs], moved[ys]] = True
+        grown = grown @ grown
+        if np.array_equal(grown, rel):
+            # the first related point keys each class
+            return Partition.from_class_ids(rel.argmax(axis=1).tolist())
+        rel = grown
 
 
 def random_one_sided_metric(rng: random.Random, m: FiniteMonoid,
@@ -176,7 +156,6 @@ def enumerate_actions(m: FiniteMonoid, carrier: int) -> list[MonoidAction]:
                     dtype=np.min_scalar_type(max(carrier - 1, 0)))
     non_identity = [s for s in range(m.size) if s != m.identity]
     k, count = m.size, len(maps) ** len(non_identity)
-    table = np.asarray(m.table, dtype=np.intp)
     out = []
     step = max(1, CHUNK_ENTRIES // max(1, k * k * carrier))
     for start in range(0, count, step):
@@ -188,7 +167,6 @@ def enumerate_actions(m: FiniteMonoid, carrier: int) -> list[MonoidAction]:
             act[:, s] = maps[digit]
         # act[s][act[t][x]] == act[s*t][x] for every s, t, x
         nested = np.take_along_axis(act[:, :, None, :], act[:, None, :, :], axis=3)
-        ok = (nested == act[:, table]).reshape(len(act), -1).all(axis=1)
-        out.extend(MonoidAction(monoid=m, carrier_size=carrier, act=tuple(map(tuple, rows)))
-                   for rows in act[ok].tolist())
+        ok = (nested == act[:, m.values]).reshape(len(act), -1).all(axis=1)
+        out.extend(MonoidAction(m, rows) for rows in act[ok])
     return out

@@ -423,30 +423,31 @@ def check_theta_entourages(cfg: SuiteConfig):
     ]
     for d in metrics:
         theta = enumerate_theta(d)
+        product = theta.to_monoid().values         # product[i, s0]: map i after map s0
         for eps in [*d.levels[1:], d.levels[-1] + 1]:
-            parts = {
-                tuple(points): epsilon_A_relation(theta, d, points, eps)
+            ids = {
+                tuple(points): np.asarray(epsilon_A_relation(theta, d, points, eps).class_id)
                 for points in point_sets
             }
-            instances += len(parts) * len(theta)
+            # ids number classes by first occurrence: firsts[c] is class c's first element
+            firsts = {key: np.unique(v, return_index=True)[1] for key, v in ids.items()}
+            instances += len(ids) * len(theta)
             for points in point_sets:
-                part_a = parts[tuple(points)]
                 for s0 in range(len(theta)):
                     s0_map = theta.values[s0].tolist()
-                    part_moved = parts[tuple(sorted({s0_map[a] for a in points}))]
-                    translated: dict[int, int] = {}
-                    for i in range(len(theta)):
-                        key = part_moved.class_id[i]
-                        val = part_a.class_id[theta.compose(i, s0)]
-                        instances += 1
-                        if translated.setdefault(key, val) != val:
-                            return params, instances, {
-                                "metric": d.to_json(),
-                                "points": points,
-                                "eps": str(eps),
-                                "s0": s0_map,
-                                "failure": "right translation does not respect the entourage",
-                            }
+                    moved = tuple(sorted({s0_map[a] for a in points}))
+                    # the class of i*s0 at points is constant on each class at moved
+                    vals = ids[tuple(points)][product[:, s0]]
+                    bad = np.flatnonzero(vals != vals[firsts[moved]][ids[moved]])
+                    if bad.size:
+                        return params, instances + int(bad[0]) + 1, {
+                            "metric": d.to_json(),
+                            "points": points,
+                            "eps": str(eps),
+                            "s0": s0_map,
+                            "failure": "right translation does not respect the entourage",
+                        }
+                    instances += len(theta)
     return params, instances, None
 
 
@@ -495,14 +496,13 @@ def check_saturation(cfg: SuiteConfig):
     meet = lattice.meet.tolist()
     meet_closed = {}        # is_meet_closed reads no action: once per distinct family
     for m in enumerate_small_monoids(3):
-        table = np.asarray(m.table)
         for action in enumerate_actions(m, 3):
-            witness = {"monoid": m.to_json(), "action": [list(r) for r in action.act]}
-            pull = lattice.pullback(action.act)
+            witness = {"monoid": m.to_json(), "action": action.values.tolist()}
+            pull = lattice.pullback(action.values)
             # nested[e, s, t] = pull[t, pull[s, e]] against direct pull[s*t, e],
             # flattened in the (eps, s, t) scan order
             nested = pull[np.arange(m.size), pull.T[:, :, None]]
-            direct = pull[table].transpose(2, 0, 1)
+            direct = pull[m.values].transpose(2, 0, 1)
             bad = np.flatnonzero(nested != direct)
             if bad.size:
                 e, s, t = np.unravel_index(bad[0], nested.shape)
@@ -707,7 +707,7 @@ def check_contrast(cfg: SuiteConfig):
                 u, nat = contrast_mod.obstruction_witness(instance, j)
             except NoWitness:
                 return params, instances, {"k": k, "j": j, "failure": "missing witness"}
-            if instance.monoid.table[u][nat] != instance.sink:
+            if instance.monoid.mul(u, nat) != instance.sink:
                 return params, instances, {"k": k, "j": j, "u": u, "n": nat}
         try:
             contrast_mod.obstruction_witness(instance, k)

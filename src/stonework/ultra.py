@@ -300,6 +300,11 @@ class MonotoneChain:
         n = self.carrier_size
         return tuple(tuple(self.depth(x, y) for y in range(n)) for x in range(n))
 
+    @cached_property
+    def path_depths(self) -> tuple[tuple[int, ...], ...]:
+        """The widest-path closure of depths, built once per chain for the path oracle."""
+        return _widest_path_depths(self.depths)
+
     def to_json(self) -> dict:
         return {
             "carrier_size": self.carrier_size,
@@ -338,41 +343,29 @@ def minimax_path_distance(chain: MonotoneChain, x: int, y: int) -> Fraction:
     """Infimum over point paths of the maximal single-step cost.
 
     A step from a to b costs 2**-depth(a, b), so the cheapest path is the
-    one whose least step depth is largest.  That is searched over the
-    simple paths (repeating a point never lowers a maximum, so simple paths
-    suffice on a finite carrier) on the integer table chain.depths, read
-    through chain.depth alone and never through d_from_chain.
+    one whose least step depth is largest.  That is the widest-path closure
+    of the integer table chain.depths, read through chain.depth alone and
+    never through d_from_chain.
     """
     if x == y:
         return Fraction(0)
-    return Fraction(1, 2 ** _widest_path_depth(chain.depths, x, y))
+    return Fraction(1, 2 ** chain.path_depths[x][y])
 
 
-def _widest_path_depth(depth, x: int, y: int) -> int:
-    """Largest least step depth over the simple paths from x to y != x.
+def _widest_path_depths(depth) -> tuple[tuple[int, ...], ...]:
+    """Largest least step depth over the paths between every two points.
 
-    Depth-first from x with the visited points as a bitmask.  A prefix is
-    dropped once its least depth is no better than the best complete path,
-    which loses nothing: extending a path never raises its least depth.
+    The (max, min) Floyd-Warshall closure (T. C. Hu, Oper. Res. 9, 1961):
+    after round k, w[a][b] is the best over the paths whose inner points
+    are below k.  Off the diagonal that is also the best over the simple
+    paths, since cutting out a cycle never lowers a path's least step.
     """
     n = len(depth)
-    best = depth[x][y]                  # the direct step
-
-    def extend(a: int, seen: int, low) -> None:
-        nonlocal best
-        for b in range(n):
-            if seen >> b & 1:
-                continue
-            step = min(low, depth[a][b])
-            if step <= best:
-                continue
-            if b == y:
-                best = step
-            else:
-                extend(b, seen | 1 << b, step)
-
-    extend(x, 1 << x, float("inf"))
-    return best
+    w = np.array(depth, dtype=np.int64).reshape(n, n)
+    for k in range(n):
+        # row and column k do not change in round k, so the update is in place
+        np.maximum(w, np.minimum(w[:, k, None], w[k]), out=w)
+    return tuple(map(tuple, w.tolist()))
 
 
 def sup_combine(metrics, cap) -> UltraPseudometric:
@@ -406,18 +399,9 @@ def nonexpansive_counterexample(m: FiniteMonoid, d: UltraPseudometric, side: str
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     rank = d.rank_matrix()
-    table = np.asarray(m.table, dtype=np.intp)
-    if side == "right":
-        xs = table[:, None, :]        # (x, 1, s)
-        ys = table[None, :, :]        # (1, y, s)
-        moved = rank[xs, ys]          # (x, y, s)
-        base = rank[:, :, None]
-    else:
-        sx = table.T[:, None, :]      # (x, 1, s) with entry table[s, x]
-        sy = table.T[None, :, :]
-        moved = rank[sx, sy]
-        base = rank[:, :, None]
-    bad = np.argwhere(moved > base)
+    moved = m.values if side == "right" else m.values.T     # moved[x, s]: x*s or s*x
+    # rank of (moved[x, s], moved[y, s]) against rank of (x, y), on (x, y, s)
+    bad = np.argwhere(rank[moved[:, None, :], moved[None, :, :]] > rank[:, :, None])
     if bad.size:
         x, y, s = bad[0]
         return int(x), int(y), int(s)
@@ -448,7 +432,7 @@ def check_left_congruence(m: FiniteMonoid, p: Partition) -> bool:
     if p.carrier_size != m.size:
         raise CarrierMismatch("partition carrier differs from monoid size")
     ids = np.asarray(p.class_id, dtype=np.intp)
-    moved = ids[np.asarray(m.table, dtype=np.intp)]        # moved[s, x]: class of s*x
+    moved = ids[m.values]           # moved[s, x]: class of s*x
     same = (moved[:, :, None] == moved[:, None, :]).all(axis=0)
     return bool(same[ids[:, None] == ids[None, :]].all())
 

@@ -180,10 +180,9 @@ class PartitionLattice:
                 lambda a, b: rows[a:b, None, :] * n + rows[None, :, :], B)
         return self._meet
 
-    def pullback(self, act) -> np.ndarray:
-        """pull[s, p] = index of the preimage of partition p under act[s]:
-        x ~ y iff act[s][x] ~ act[s][y] in p."""
-        maps = np.asarray(act, dtype=np.intp).reshape(len(act), self.n)
+    def pullback(self, maps: np.ndarray) -> np.ndarray:
+        """pull[s, p] = index of the preimage of partition p under maps[s],
+        for a (k, n) integer array: x ~ y iff maps[s, x] ~ maps[s, y] in p."""
         guard_enum(len(maps) * len(self),
                    f"pullback table of {len(maps)} maps on {self.n} points")
         # labels[s, p, x] = rows[p, maps[s, x]]
@@ -216,7 +215,7 @@ def saturate(action: MonoidAction, gamma) -> PartitionFamily:
     """
     gamma = _generators(action, gamma)
     lattice = partition_lattice(action.carrier_size)
-    pulls, meet = lattice.pullback(action.act).T.tolist(), lattice.meet
+    pulls, meet = lattice.pullback(action.values).T.tolist(), lattice.meet
     members: set[int] = set()
     fresh = {lattice.index_of(p) for p in gamma}
     while fresh:

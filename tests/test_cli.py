@@ -1,19 +1,36 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+from stonework import cli
 from stonework.finmon import validate_monoid
 
 RUN = [sys.executable, "-m", "stonework"]
 
 
-def run_cli(args, stdin=None, env_extra=None):
-    env = None
-    if env_extra:
-        env = dict(os.environ, **env_extra)
+def run_cli(args, stdin=None):
+    """cli.main(args) in this process, with stdin, stdout and stderr
+    redirected; a SystemExit (argparse's usage errors) gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin or "")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(args, stdin=None, env_extra=None):
+    """`python -m stonework` as its own process: for the module entry point
+    and the environment variables read by a fresh interpreter."""
+    env = dict(os.environ, **env_extra) if env_extra else None
     return subprocess.run(
         RUN + args, input=stdin, capture_output=True, text=True, timeout=300,
         env=env,
@@ -21,7 +38,8 @@ def run_cli(args, stdin=None, env_extra=None):
 
 
 def test_dualize_round_trip():
-    proc = run_cli(["dualize"], stdin=json.dumps({"map": [1, 0, 0]}))
+    # the one run of the module entry point, stdin piped in
+    proc = run_cli_process(["dualize"], stdin=json.dumps({"map": [1, 0, 0]}))
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["ring_endo"]["atom_images"] == ["011", "100", "000"]
@@ -208,12 +226,12 @@ def test_domain_error_exit_code():
 
 
 def test_enumeration_cap_env_var():
-    proc = run_cli(["theta", "--metric", "discrete:3"],
-                   env_extra={"STONEWORK_MAX_ENUM": "26"})
+    proc = run_cli_process(["theta", "--metric", "discrete:3"],
+                           env_extra={"STONEWORK_MAX_ENUM": "26"})
     assert proc.returncode == 2
     assert "26" in proc.stderr
-    proc = run_cli(["theta", "--metric", "discrete:3"],
-                   env_extra={"STONEWORK_MAX_ENUM": "27"})
+    proc = run_cli_process(["theta", "--metric", "discrete:3"],
+                           env_extra={"STONEWORK_MAX_ENUM": "27"})
     assert proc.returncode == 0
 
 

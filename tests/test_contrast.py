@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stonework.contrast import (
@@ -142,7 +143,7 @@ def test_certificate_matches_pairwise_loops():
         expected = _certificate_by_loops(inst.monoid, inst.metric)
         assert (cert.translations_lipschitz, cert.embedding_homomorphism) == expected
     # a non-associative table: its translations do not multiply like it
-    broken = FiniteMonoid(size=3, identity=0, table=((0, 1, 2), (1, 2, 1), (2, 2, 2)))
+    broken = FiniteMonoid(np.array([[0, 1, 2], [1, 2, 1], [2, 2, 2]], dtype=np.uint8), 0)
     inst = ContrastInstance(k=1, monoid=broken, metric=UltraPseudometric.discrete(3))
     cert = rna_certificate(inst)
     assert _certificate_by_loops(broken, inst.metric) == (True, False)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,21 +8,21 @@ from stonework import finmon
 from stonework.contrast import build_contrast
 from stonework.errors import AssociativityViolation, IdentityViolation, ResourceLimit
 from stonework.finmon import (
+    FiniteMonoid,
     MonoidAction,
     SelfMapMonoid,
-    adjoin_identity,
     cayley_embed,
     full_selfmap_monoid,
     generated_selfmap_monoid,
     is_submonoid,
     monoid_from_json,
     opposite,
-    self_action,
     validate_action,
     validate_monoid,
 )
-from stonework.generators import random_ultrametric
-from stonework.ultra import UltraPseudometric, enumerate_theta
+from stonework.generators import enumerate_actions, random_ultrametric
+from stonework.ultra import UltraPseudometric, enumerate_theta, nonexpansive_counterexample
+from stonework.unif import partition_lattice, saturate, saturate_worklist
 
 Z2 = [[0, 1], [1, 0]]
 SEMILATTICE = [[0, 1], [1, 1]]
@@ -159,8 +160,12 @@ def test_is_submonoid():
 
 
 def test_adjoin_identity():
-    # a left-zero semigroup has no identity; adjoining one fixes that
-    m = adjoin_identity([[0, 0], [1, 1]])
+    # a left-zero semigroup has no identity; adjoining one as a new last
+    # element fixes that
+    semigroup = [[0, 0], [1, 1]]
+    with pytest.raises(IdentityViolation):
+        validate_monoid(semigroup, 0)
+    m = validate_monoid([row + [i] for i, row in enumerate(semigroup)] + [[0, 1, 2]], 2)
     assert m.size == 3 and m.identity == 2
     assert m.mul(0, 1) == 0 and m.mul(2, 1) == 1
 
@@ -195,12 +200,20 @@ def test_monoid_json_round_trip():
 
 def test_action_validation():
     m = validate_monoid(SEMILATTICE, 0)
-    act = self_action(m)
+    # the monoid acting on itself by left translations
+    act = validate_action(m, m.size, m.values)
     assert act.act == m.table
     again = validate_action(m, m.size, m.table)
-    assert again == MonoidAction(m, m.size, m.table)
+    assert again == act == MonoidAction(m, m.values)
     with pytest.raises(ValueError):
         validate_action(m, 2, [[0, 1], [0, 0]][::-1])  # identity must act as identity
+    # the self-action of a monoid always validates; that of a table which
+    # is not associative breaks the action law
+    full = full_selfmap_monoid(3).to_monoid()
+    assert validate_action(full, full.size, full.values).act == full.table
+    broken = FiniteMonoid(np.array([[0, 1, 2], [1, 2, 1], [2, 2, 2]], dtype=np.uint8), 0)
+    with pytest.raises(ValueError, match="action law fails"):
+        validate_action(broken, 3, broken.values)
 
 
 def test_cayley_of_contrast_reproduces_the_table():
@@ -213,6 +226,87 @@ def test_cayley_of_contrast_reproduces_the_table():
     for s in range(m.size):
         for t in range(m.size):
             assert table[to_map[s]][to_map[t]] == to_map[m.table[s][t]]
+
+
+def test_stored_tables_are_read_only_and_narrowed():
+    m = validate_monoid(SEMILATTICE, 0)
+    action = validate_action(validate_monoid([[0]], 0), 300, [list(range(300))])
+    for values, dtype in ((m.values, np.uint8), (full_selfmap_monoid(4).to_monoid().values, np.uint8),
+                          (opposite(m).values, np.uint8), (action.values, np.uint16)):
+        assert values.dtype == dtype and values.flags.c_contiguous
+        with pytest.raises(ValueError):
+            values[0, 0] = 1
+    assert np.array_equal(opposite(m).values, m.values.T)
+    # the constructors check shape and dtype only, and keep a copy
+    own = np.array(SEMILATTICE, dtype=np.uint8)
+    kept = FiniteMonoid(own, 0)
+    own[1, 1] = 0
+    assert kept == m
+    for bad in (SEMILATTICE, np.array(SEMILATTICE), np.zeros((300, 300), dtype=np.uint8),
+                np.zeros((2, 3), dtype=np.uint8), np.zeros(2, dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            FiniteMonoid(bad, 0)
+    assert FiniteMonoid(np.zeros((300, 300), dtype=np.uint16), 0).size == 300
+    with pytest.raises(ValueError):
+        MonoidAction(m, [[0, 1], [1, 1]])
+    with pytest.raises(ValueError):
+        MonoidAction(m, np.zeros((3, 2), dtype=np.uint8))     # one row per element
+
+
+def test_a_negative_entry_is_refused_before_narrowing():
+    # on 256 elements or points a -1 narrowed to uint8 would wrap to 255,
+    # and each table below would then pass
+    cyclic = [[(x + y) % 256 for y in range(256)] for x in range(256)]
+    cyclic[0][255] = -1
+    with pytest.raises(ValueError, match="table entry out of range"):
+        validate_monoid(cyclic, 0)
+    with pytest.raises(ValueError, match="action entry out of range"):
+        validate_action(validate_monoid([[0]], 0), 256, [[*range(255), -1]])
+
+
+def test_equality_and_hashing_go_by_value():
+    m = validate_monoid(Z2, 0)
+    same = FiniteMonoid(np.array(Z2, dtype=np.uint8), 0)
+    assert m == same and hash(m) == hash(same) and len({m, same}) == 1
+    assert m != FiniteMonoid(np.array(Z2, dtype=np.uint8), 1)
+    assert m != validate_monoid(SEMILATTICE, 0)
+    act = validate_action(m, 2, [[0, 1], [1, 0]])
+    again = validate_action(same, 2, ((0, 1), (1, 0)))
+    assert act == again and hash(act) == hash(again)
+    assert act != validate_action(m, 2, [[0, 1], [0, 1]])
+
+
+def test_the_table_views_are_built_only_on_demand():
+    m = full_selfmap_monoid(3).to_monoid()
+    d = UltraPseudometric.discrete(m.size)
+    assert is_submonoid(m, range(m.size)) and opposite(opposite(m)) == m
+    assert nonexpansive_counterexample(m, d, "left") is None
+    maps, to_map = cayley_embed(m)
+    assert len(maps) == m.size and len(set(to_map)) == m.size
+    assert validate_action(m, m.size, m.values).monoid is m
+    assert "table" not in m.__dict__
+    assert m.table == tuple(map(tuple, m.values.tolist())) and "table" in m.__dict__
+
+    small = validate_monoid(SEMILATTICE, 0)
+    actions = enumerate_actions(small, 3)
+    lattice = partition_lattice(3)
+    for action in actions:
+        saturate(action, lattice.partitions[1:2])
+    assert not any("act" in a.__dict__ or "table" in a.monoid.__dict__ for a in actions)
+    saturate_worklist(actions[-1], lattice.partitions[1:2])
+    assert actions[-1].act == tuple(map(tuple, actions[-1].values.tolist()))
+
+
+def test_validate_monoid_on_256_elements_stays_small():
+    m = full_selfmap_monoid(4).to_monoid()
+    table = m.table
+    tracemalloc.start()
+    try:
+        assert validate_monoid(table, m.identity) == m
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20       # 273 MiB when the triples were compared as intp
 
 
 def _selfmap_cases():

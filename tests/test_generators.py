@@ -1,7 +1,7 @@
 import random
 from itertools import product
 
-from stonework.finmon import MonoidAction
+from stonework.finmon import validate_action
 from stonework.generators import (
     congruence_closure,
     enumerate_actions,
@@ -105,7 +105,7 @@ def actions_by_loop(m, carrier):
             act[s] = f
         if all(act[s][act[t][x]] == act[m.table[s][t]][x]
                for s in range(m.size) for t in range(m.size) for x in range(carrier)):
-            out.append(MonoidAction(monoid=m, carrier_size=carrier, act=tuple(act)))
+            out.append(validate_action(m, carrier, act))
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -23,7 +24,7 @@ from stonework.ultra import (
     MonotoneChain,
     Partition,
     UltraPseudometric,
-    _widest_path_depth,
+    _widest_path_depths,
     ball_submonoid_check,
     check_left_congruence,
     check_nonexpansive,
@@ -246,10 +247,11 @@ def widest_path_brute_force(depth, x, y):
 @given(depth_tables())
 def test_path_search_agrees_with_brute_force_on_any_table(depth):
     n = len(depth)
+    closure = _widest_path_depths(depth)
     for x in range(n):
         for y in range(n):
             if x != y:
-                assert _widest_path_depth(depth, x, y) == widest_path_brute_force(depth, x, y)
+                assert closure[x][y] == widest_path_brute_force(depth, x, y)
 
 
 def test_depth_table_is_the_literal_depth():
@@ -258,6 +260,20 @@ def test_depth_table_is_the_literal_depth():
     assert chain.depths == tuple(tuple(chain.depth(x, y) for y in range(n)) for x in range(n))
     assert chain.depths is chain.depths
     assert chain == MonotoneChain(carrier_size=n, chain=chain.chain)
+
+
+@pytest.mark.parametrize("n", [11, 16])
+def test_path_oracle_is_polynomial_on_a_one_level_chain(n):
+    # one big class and a lone point: every simple path inside the class
+    # beats the direct step, which made a simple-path search exponential
+    # (1.2 s for one pair at n = 11)
+    chain = MonotoneChain(carrier_size=n, chain=(Partition.from_class_ids([0] * (n - 1) + [1]),))
+    d = d_from_chain(chain)
+    start = time.perf_counter()
+    for x in range(n):
+        for y in range(n):
+            assert minimax_path_distance(chain, x, y) == d.dist[x][y]
+    assert time.perf_counter() - start < 0.25
 
 
 def test_sup_combine():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from stonework.errors import CarrierMismatch, ResourceLimit
 from stonework.finmon import (
-    MonoidAction,
     full_selfmap_monoid,
     generated_selfmap_monoid,
     validate_action,
@@ -46,7 +45,7 @@ def chain_action():
     top = (2, 2, 2)
     table = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
     m = validate_monoid(table, 0)
-    return MonoidAction(monoid=m, carrier_size=3, act=(ident, up, top))
+    return validate_action(m, 3, (ident, up, top))
 
 
 # --- preimages and kernels --------------------------------------------------
@@ -91,7 +90,7 @@ def test_kernel_partition():
 def test_saturate_trivial_action_is_meet_closure():
     ident = (0, 1, 2)
     m = validate_monoid([[0]], 0)
-    action = MonoidAction(monoid=m, carrier_size=3, act=(ident,))
+    action = validate_action(m, 3, (ident,))
     p = Partition.from_classes(3, [[0, 1], [2]])
     q = Partition.from_classes(3, [[0], [1, 2]])
     fam = saturate(action, [p, q])
@@ -200,7 +199,7 @@ def test_meet_table_is_the_partition_meet():
 
 def test_saturate_above_the_lattice_bound_raises():
     ident = tuple(range(8))
-    action = MonoidAction(monoid=validate_monoid([[0]], 0), carrier_size=8, act=(ident,))
+    action = validate_action(validate_monoid([[0]], 0), 8, (ident,))
     with pytest.raises(ResourceLimit, match="17139600"):  # 4140**2 meets
         saturate(action, [Partition.indiscrete(8)])
     # the worklist oracle has no bound
