@@ -58,10 +58,23 @@ class FreeVector:
     def zero_point(self) -> int:
         return self.space.carrier_size - 1
 
+    @classmethod
+    def _unchecked(cls, space: UltraPseudometric, support: frozenset[int]) -> FreeVector:
+        """A vector over a space already checked to be pointed, on a support
+        already inside its base points; skips __post_init__ (and the frozen
+        __setattr__)."""
+        v = object.__new__(cls)
+        fields = v.__dict__
+        fields["space"] = space
+        fields["support"] = support
+        return v
+
     def add(self, other: FreeVector) -> FreeVector:
         if other.space is not self.space and other.space != self.space:
             raise ValueError("vectors over different spaces")
-        return FreeVector(space=self.space, support=self.support ^ other.support)
+        # both supports avoid the zero point of this checked space, so their
+        # symmetric difference does too
+        return FreeVector._unchecked(self.space, self.support ^ other.support)
 
     def is_zero(self) -> bool:
         return not self.support
@@ -75,25 +88,38 @@ def vector(space: UltraPseudometric, points) -> FreeVector:
     return FreeVector(space=space, support=frozenset(support))
 
 
-def _matchings(points: list[int]):
-    """All perfect matchings of an even-length list of point indices."""
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    for i, partner in enumerate(rest):
-        for tail in _matchings(rest[:i] + rest[i + 1:]):
-            yield [(first, partner)] + tail
+def _best_matching(space: UltraPseudometric, points: list[int], below=None):
+    """The first perfect matching of least maximal pair distance, with that
+    distance, of an even-length list of point indices.
 
+    An exhaustive branch-and-bound search over the pairings on integer
+    ranks: the first free point pairs with each later free point in turn,
+    in list order, and a branch is cut once its largest pair rank reaches
+    that of the best complete pairing found so far.  The cut is strict, so
+    the result is the first minimal pairing in that enumeration order.
+    With below, a distance, only pairings whose maximal distance is less
+    than it count, and None is returned when there is none.
+    """
+    rank = space.rank_matrix().take(points, 0).take(points, 1).tolist()
+    best = [len(space.levels) if below is None else space.below(below), None]
+    chosen: list[tuple[int, int]] = []
 
-def _best_matching(space: UltraPseudometric, points: list[int]):
-    best_norm = None
-    best_pairs = None
-    for pairs in _matchings(points):
-        worst = max((space.dist[a][b] for a, b in pairs), default=Fraction(0))
-        if best_norm is None or worst < best_norm:
-            best_norm, best_pairs = worst, pairs
-    return best_norm, best_pairs
+    def extend(free: list[int], worst: int) -> None:
+        if not free:
+            best[:] = worst, list(chosen)
+            return
+        first, rest = free[0], free[1:]
+        row = rank[first]
+        for i, partner in enumerate(rest):
+            step = max(worst, row[partner])
+            if step < best[0]:
+                chosen.append((points[first], points[partner]))
+                extend(rest[:i] + rest[i + 1:], step)
+                chosen.pop()
+
+    extend(list(range(len(points))), 0)
+    r, pairs = best
+    return None if pairs is None else (space.levels[r], pairs)
 
 
 def optimal_pairing(v: FreeVector) -> tuple[Fraction, list[tuple[int, int]]]:
@@ -138,8 +164,10 @@ def kantorovich_norm_with_auxiliary(v: FreeVector) -> Fraction:
     A doubled point cancels over the two-element field, so this searches
     a strictly larger representation class than the pairings of the
     support; agreement with kantorovich_norm checks the closed form and
-    the maximality argument on small instances.  Supports above
-    MAX_SUPPORT points raise ResourceLimit.
+    the maximality argument on small instances.  Each search is the
+    exhaustive _best_matching, bounded by the best norm found so far, and
+    none of them uses the class parities of optimal_pairing.  Supports
+    above MAX_SUPPORT points raise ResourceLimit.
     """
     points = sorted(v.support)
     if len(points) > MAX_SUPPORT:
@@ -150,9 +178,9 @@ def kantorovich_norm_with_auxiliary(v: FreeVector) -> Fraction:
         points.append(v.zero_point)
     best, _ = _best_matching(v.space, points)
     for z in range(v.space.carrier_size):
-        worst, _ = _best_matching(v.space, points + [z, z])
-        if worst < best:
-            best = worst
+        found = _best_matching(v.space, points + [z, z], below=best)
+        if found is not None:
+            best = found[0]
     return best
 
 

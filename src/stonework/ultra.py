@@ -20,7 +20,7 @@ from .errors import (
     ChainNotMonotone,
     PreconditionUnverified,
 )
-from .finmon import FiniteMonoid, SelfMapMonoid, is_submonoid
+from .finmon import CHUNK_ENTRIES, FiniteMonoid, SelfMapMonoid, is_submonoid
 from .limits import guard_enum
 from .schema import (
     expect_field,
@@ -59,8 +59,18 @@ class Partition:
 
     @staticmethod
     def from_class_ids(ids) -> Partition:
-        ids = _normalize(tuple(ids))
-        return Partition(carrier_size=len(ids), class_id=ids)
+        """The partition x ~ y iff ids[x] == ids[y], for any hashable labels."""
+        return Partition._unchecked(_normalize(ids))
+
+    @classmethod
+    def _unchecked(cls, class_id: tuple[int, ...]) -> Partition:
+        """A partition from ids already in first-occurrence normal form;
+        skips __post_init__ (and the frozen __setattr__)."""
+        p = object.__new__(cls)
+        fields = p.__dict__
+        fields["carrier_size"] = len(class_id)
+        fields["class_id"] = class_id
+        return p
 
     @staticmethod
     def from_classes(carrier_size: int, classes) -> Partition:
@@ -118,10 +128,11 @@ class Partition:
         return {"classes": sorted(self.classes())}
 
 
-def _normalize(ids: tuple) -> tuple[int, ...]:
-    """Renumber hashable class keys by first occurrence."""
+def _normalize(ids) -> tuple[int, ...]:
+    """Renumber hashable class keys by first occurrence, in one pass over
+    any iterable of them."""
     seen: dict = {}
-    return tuple(seen.setdefault(k, len(seen)) for k in ids)
+    return tuple([seen.setdefault(k, len(seen)) for k in ids])
 
 
 def partition_from_json(carrier_size: int, obj: dict) -> Partition:
@@ -176,10 +187,21 @@ class UltraPseudometric:
             raise ValueError(
                 f"strong triangle fails: d({x},{z}) > max(d({x},{y}), d({y},{z}))"
             )
+        self._store(levels, rank)
+
+    def _store(self, levels, rank: np.ndarray) -> None:
         rank.flags.writeable = False
         self.carrier_size = len(rank)
         self.levels = tuple(levels)
         self._rank = rank
+
+    @classmethod
+    def _unchecked(cls, levels, rank: np.ndarray) -> UltraPseudometric:
+        """A metric from an int64 rank array its producer has made valid by
+        construction; skips the checks of __init__."""
+        d = object.__new__(cls)
+        d._store(levels, rank)
+        return d
 
     @staticmethod
     def from_rows(rows) -> UltraPseudometric:
@@ -336,7 +358,8 @@ def d_from_chain(chain: MonotoneChain) -> UltraPseudometric:
     # the deepest pairs are the closest, so ranks ascend with -depth
     used, rank = np.unique(-depth, return_inverse=True)
     levels = [Fraction(0) if k > m else Fraction(1, 2**k) for k in (-used).tolist()]
-    return UltraPseudometric(levels, rank.reshape(n, n))
+    # nested levels make the depths an ultrametric, and np.unique uses each rank
+    return UltraPseudometric._unchecked(levels, rank.astype(np.int64, copy=False).reshape(n, n))
 
 
 def minimax_path_distance(chain: MonotoneChain, x: int, y: int) -> Fraction:
@@ -495,9 +518,11 @@ def epsilon_A_relation(theta: SelfMapMonoid, d: UltraPseudometric,
     balls = np.asarray(d.ball_partition(eps).class_id)
     part = Partition.from_class_ids(map(tuple, balls[theta.values[:, points]].tolist()))
     ids = np.asarray(part.class_id)
-    for i in range(len(theta) - 1):
-        later = np.arange(i + 1, len(theta))
-        if not np.array_equal(epsilon_A_relates(theta, d, points, eps, i, later),
-                              ids[later] == ids[i]):
+    idx = np.arange(len(theta))
+    # all pairs in one broadcast call, in row blocks of at most CHUNK_ENTRIES
+    step = max(1, CHUNK_ENTRIES // (len(theta) * len(points)))
+    for rows in np.split(idx, range(step, len(idx), step)):
+        if not np.array_equal(epsilon_A_relates(theta, d, points, eps, rows[:, None], idx),
+                              ids[rows, None] == ids):
             raise AssertionError("pointwise relation is not an equivalence")
     return part

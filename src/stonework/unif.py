@@ -76,13 +76,13 @@ def make_family(carrier_size: int, parts, **flags) -> PartitionFamily:
 def preimage_partition(s, p: Partition) -> Partition:
     """Pull a partition back along a self-map: x ~ y iff s(x) ~ s(y).
 
-    The pullback of an equivalence relation is again one, so the result
-    is always a valid partition.
+    s is any sequence of points: a tuple, a list or a numpy row.  The
+    pullback of an equivalence relation is again one, so the result is
+    always a valid partition.
     """
-    s = tuple(int(v) for v in s)
     if len(s) != p.carrier_size:
         raise CarrierMismatch("map and partition carriers differ")
-    return Partition.from_class_ids([p.class_id[s[x]] for x in range(len(s))])
+    return Partition.from_class_ids(map(p.class_id.__getitem__, s))
 
 
 def kernel_partition(f) -> Partition:

@@ -169,3 +169,68 @@ def test_closed_form_matches_the_search():
         for _ in range(6):
             v = vector(space, [x for x in range(n) if rng.random() < 0.5])
             assert optimal_pairing(v) == _search(v)
+
+
+def _all_matchings(points):
+    """Every perfect matching of an even-length list, unpruned, first point first."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for i, partner in enumerate(rest):
+        for tail in _all_matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, partner)] + tail
+
+
+def _reference(space, points):
+    """The first matching of least maximal distance, compared as Fractions."""
+    best = None
+    for pairs in _all_matchings(points):
+        worst = max((space.d(a, b) for a, b in pairs), default=Fraction(0))
+        if best is None or worst < best[0]:
+            best = worst, pairs
+    return best
+
+
+def _random_space(rng, n, pullback):
+    base = random_ultrametric(rng, n)
+    if pullback:
+        # a pseudometric with zero distances: pulled back along a random map
+        f = [rng.randrange(n) for _ in range(n)]
+        base = UltraPseudometric.from_rows(
+            [[base.d(f[x], f[y]) for y in range(n)] for x in range(n)])
+    return free_space(base)
+
+
+def test_pruned_search_is_the_first_minimal_matching():
+    rng = random.Random(23)
+    for trial in range(150):
+        n = rng.randint(1, 8)
+        space = _random_space(rng, n, trial % 2)
+        points = sorted(rng.sample(range(n), rng.randint(0, n)))
+        if len(points) % 2:
+            points.append(n)            # padded with the zero point
+        assert _best_matching(space, points) == _reference(space, points)
+        for z in range(n + 1):
+            doubled = points + [z, z]
+            norm, pairs = _reference(space, doubled)
+            assert _best_matching(space, doubled) == (norm, pairs)
+            # a bound admits only strictly shorter pairings
+            assert _best_matching(space, doubled, below=norm) is None
+            for bound in space.levels:
+                if norm < bound:
+                    assert _best_matching(space, doubled, below=bound) == (norm, pairs)
+
+
+def test_auxiliary_norm_is_the_least_over_every_doubled_point():
+    rng = random.Random(29)
+    for trial in range(120):
+        n = rng.randint(1, 8)
+        space = _random_space(rng, n, trial % 2)
+        v = vector(space, rng.sample(range(n), rng.randint(0, n)))
+        points = sorted(v.support)
+        if len(points) % 2:
+            points.append(v.zero_point)
+        expected = min(_reference(space, pts)[0]
+                       for pts in [points, *(points + [z, z] for z in range(n + 1))])
+        assert kantorovich_norm_with_auxiliary(v) == expected

@@ -13,6 +13,7 @@ from stonework.errors import (
     PreconditionUnverified,
     ResourceLimit,
 )
+from stonework import ultra
 from stonework.finmon import validate_monoid
 from stonework.generators import (
     random_chain,
@@ -20,6 +21,7 @@ from stonework.generators import (
     random_transformation_monoid,
     random_ultrametric,
 )
+from stonework.navector import FreeVector, free_space, vector
 from stonework.ultra import (
     MonotoneChain,
     Partition,
@@ -55,6 +57,31 @@ def test_partition_normalization_and_equality():
         Partition(carrier_size=2, class_id=(1, 0))  # not first-occurrence form
     with pytest.raises(ValueError):
         Partition(carrier_size=2, class_id=(0, -1))  # a negative id
+
+
+def _setdefault_normal_form(labels):
+    """The first-occurrence renumbering, written out as a loop."""
+    seen = {}
+    return tuple(seen.setdefault(k, len(seen)) for k in labels)
+
+
+hashable_labels = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=12),
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from("ab")), max_size=12),
+    st.lists(st.integers(0, 3), max_size=12).flatmap(
+        lambda xs: st.lists(st.integers(0, 1), min_size=len(xs), max_size=len(xs))
+        .map(lambda ys: zip(xs, ys))),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(hashable_labels)
+def test_from_class_ids_is_the_first_occurrence_normal_form(labels):
+    labels = list(labels)
+    p = Partition.from_class_ids(iter(labels))
+    assert p.class_id == _setdefault_normal_form(labels)
+    assert p.carrier_size == len(labels)
+    assert Partition(carrier_size=p.carrier_size, class_id=p.class_id) == p
 
 
 def test_partition_meet_and_refines():
@@ -500,3 +527,41 @@ def test_epsilon_relation_saturation_instance():
                             theta, d, points, eps,
                             theta.compose(i, s0), theta.compose(j, s0),
                         )
+
+
+def test_epsilon_relation_check_runs_in_row_blocks(monkeypatch):
+    d = UltraPseudometric.from_rows([[0, HALF, 1], [HALF, 0, 1], [1, 1, 0]])
+    theta = enumerate_theta(d)
+    whole = epsilon_A_relation(theta, d, [0, 1], eps=Fraction(3, 4))
+    monkeypatch.setattr(ultra, "CHUNK_ENTRIES", 5)      # one row of maps at a time
+    assert epsilon_A_relation(theta, d, [0, 1], eps=Fraction(3, 4)) == whole
+    for i in range(len(theta)):
+        for j in range(len(theta)):
+            assert whole.relates(i, j) == epsilon_A_relates(theta, d, [0, 1], Fraction(3, 4), i, j)
+
+
+def test_epsilon_relation_rejects_a_keying_that_disagrees(monkeypatch):
+    d = UltraPseudometric.discrete(2)
+    theta = enumerate_theta(d)
+    real = ultra.epsilon_A_relates
+    monkeypatch.setattr(ultra, "epsilon_A_relates", lambda *args: ~real(*args))
+    with pytest.raises(AssertionError, match="not an equivalence"):
+        epsilon_A_relation(theta, d, [0], eps=HALF)
+
+
+def test_producers_pass_the_public_validators():
+    """Values built by the private unchecked constructors are valid."""
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        d = d_from_chain(random_chain(rng, n, depth=rng.randint(0, 4)))
+        assert UltraPseudometric(d.levels, d.rank_matrix()) == d
+        assert UltraPseudometric.from_rows(d.dist) == d
+        p = Partition.from_class_ids(rng.randrange(3) for _ in range(n))
+        assert Partition(carrier_size=p.carrier_size, class_id=p.class_id) == p
+        space = free_space(d)
+        u = vector(space, rng.sample(range(n), rng.randint(0, n)))
+        w = vector(space, rng.sample(range(n), rng.randint(0, n)))
+        total = u.add(w)
+        assert FreeVector(space=total.space, support=total.support) == total
+        assert total == vector(space, [*u.support, *w.support])

@@ -71,6 +71,17 @@ def test_preimage_matches_relation_oracle():
 def test_preimage_carrier_mismatch():
     with pytest.raises(CarrierMismatch):
         preimage_partition((0, 1), Partition.indiscrete(3))
+    with pytest.raises(CarrierMismatch):
+        preimage_partition(np.array([0, 1, 2, 0]), Partition.indiscrete(3))
+
+
+def test_preimage_reads_tuple_and_numpy_rows_alike():
+    p = Partition.from_classes(4, [[0, 3], [1], [2]])
+    for s in full_selfmap_monoid(4).values[::7]:
+        pulled = preimage_partition(tuple(s.tolist()), p)
+        assert preimage_partition(s, p) == pulled
+        assert preimage_partition(list(s.tolist()), p) == pulled
+        assert Partition(carrier_size=4, class_id=pulled.class_id) == pulled
 
 
 def test_kernel_partition():
