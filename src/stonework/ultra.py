@@ -352,13 +352,16 @@ def d_from_chain(chain: MonotoneChain) -> UltraPseudometric:
     explicit level.
     """
     n, m = chain.carrier_size, len(chain)
+    if n < 1:
+        raise ValueError("ultra-pseudometric needs at least one point")
     ids = np.array([p.class_id for p in chain.chain], dtype=np.intp).reshape(m, n)
     depth = (ids[:, :, None] == ids[:, None, :]).sum(axis=0)
     np.fill_diagonal(depth, m + 1)      # deeper than every level: distance 0
     # the deepest pairs are the closest, so ranks ascend with -depth
     used, rank = np.unique(-depth, return_inverse=True)
     levels = [Fraction(0) if k > m else Fraction(1, 2**k) for k in (-used).tolist()]
-    # nested levels make the depths an ultrametric, and np.unique uses each rank
+    # on n >= 1 points, nested levels make the depths an ultrametric, 0 is the
+    # first level (the diagonal), and np.unique uses each rank
     return UltraPseudometric._unchecked(levels, rank.astype(np.int64, copy=False).reshape(n, n))
 
 

@@ -273,6 +273,15 @@ def test_theta_rejects_an_empty_metric(tmp_path):
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
 
 
+def test_metrize_rejects_an_empty_chain(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"carrier_size": 0, "chain": []}))
+    proc = run_cli(["metrize", "--chain", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "at least one point" in proc.stderr
+
+
 def test_kantorovich_repeated_point_cancels():
     proc = run_cli(["kantorovich", "--metric", "discrete:3", "--vector", "0,0"])
     assert proc.returncode == 0

@@ -565,3 +565,8 @@ def test_producers_pass_the_public_validators():
         total = u.add(w)
         assert FreeVector(space=total.space, support=total.support) == total
         assert total == vector(space, [*u.support, *w.support])
+    # no chain metric on an empty carrier, as the public constructors refuse one
+    with pytest.raises(ValueError, match="at least one point"):
+        d_from_chain(MonotoneChain(carrier_size=0, chain=()))
+    with pytest.raises(ValueError, match="at least one point"):
+        UltraPseudometric.from_rows([])
