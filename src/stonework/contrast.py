@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NoWitness, ResourceLimit
-from .finmon import FiniteMonoid, validate_action, validate_monoid
+from .finmon import FiniteMonoid, first_true, validate_action, validate_monoid
 from .ultra import UltraPseudometric, nonexpansive_counterexample
 from .limits import max_enum
 
@@ -80,16 +80,19 @@ def build_contrast(k: int) -> ContrastInstance:
         raise ValueError("truncation level must be at least 1")
     if k > MAX_K or ((1 << k) + k) ** 3 > max_enum():
         raise ResourceLimit(f"truncation level {k} above the configured bound")
-    n = (1 << k) + k
-    table = [[_mul(k, a, b) for b in range(n)] for a in range(n)]
-    monoid = validate_monoid(table, (1 << k) - 1)
+    cube = 1 << k
+    n = cube + k
+    a, b = np.arange(n)[:, None], np.arange(n)
+    # _mul on every pair: the segment element b reads coordinate b - cube + 1 of a
+    reads = a >> np.maximum(b - cube, 0) & 1
+    table = np.where(a >= cube, a, np.where(b < cube, a & b, np.where(reads, b, cube)))
+    monoid = validate_monoid(table, cube - 1)
 
     # levels 0 < 1/k < ... < 1/2 < 1, so distance 1/f has rank k + 1 - f
     levels = [Fraction(0)] + [Fraction(1, f) for f in range(k, 0, -1)]
-    cube = np.arange(1 << k)
     rank = np.full((n, n), k)
     for f in range(k, 0, -1):       # the least 1-based coordinate that differs wins
-        rank[:len(cube), :len(cube)][(cube[:, None] ^ cube) >> (f - 1) & 1 == 1] = k + 1 - f
+        rank[:cube, :cube][(b[:cube, None] ^ b[:cube]) >> (f - 1) & 1 == 1] = k + 1 - f
     np.fill_diagonal(rank, 0)
     metric = UltraPseudometric(levels, rank)
     return ContrastInstance(k=k, monoid=monoid, metric=metric)
@@ -138,12 +141,13 @@ def rna_certificate(instance: ContrastInstance) -> ContrastCertificate:
     left_witness = nonexpansive_counterexample(m, d, "left")
     right_witness = nonexpansive_counterexample(m, d, "right")
 
-    table, rank = m.values, d.rank_matrix()
-    injective = len(np.unique(table, axis=0)) == m.size
+    n, table, rank = m.size, m.values, d.rank_matrix()
+    injective = len(np.unique(table, axis=0)) == n
+    rank = rank.astype(np.min_scalar_type(rank.max()))
+    flat, scaled = rank.ravel(), table.astype(np.intp) * n
     # rank[s*x, s*y] <= rank[x, y] for every translation s and pair (x, y)
-    lipschitz = left_witness is None and bool(
-        (rank[table[:, :, None], table[:, None, :]] <= rank).all()
-    )
+    lipschitz = left_witness is None and first_true((n, n, n), lambda a, b: flat.take(
+        scaled[a:b, :, None] + table[a:b, None, :]) > rank) is None
     # the translations multiply like the monoid: the left self-action law
     try:
         validate_action(m, m.size, table)

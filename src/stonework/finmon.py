@@ -109,7 +109,9 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
     """Check the identity and associativity laws and build the monoid.
 
     Raises IdentityViolation or AssociativityViolation with the first
-    offending element/triple in scan order.
+    offending element/triple in scan order, ascending (x, y, z).  The
+    triples are compared in blocks of x (see first_true), which keeps
+    that order, so no (n, n, n) array is built.
     """
     n = len(table)
     if n == 0:
@@ -126,12 +128,10 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
     if right_bad.size:
         raise IdentityViolation(int(right_bad[0]))
 
-    # (x*y)*z versus x*(y*z), all triples at once
-    lhs = arr[arr, :]
-    rhs = arr[:, arr]
-    if not np.array_equal(lhs, rhs):
-        x, y, z = np.argwhere(lhs != rhs)[0]
-        raise AssociativityViolation(int(x), int(y), int(z))
+    # (x*y)*z versus x*(y*z): associativity is the action law of m on itself
+    bad = _action_defect(arr, arr)
+    if bad is not None:
+        raise AssociativityViolation(*bad)
 
     return FiniteMonoid(arr, identity)
 
@@ -198,12 +198,18 @@ def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
                     "action table has wrong shape", "action entry out of range")
     if not np.array_equal(arr[m.identity], np.arange(carrier_size)):
         raise ValueError("identity does not act as the identity map")
-    lhs = arr[m.values, :]      # act[s*t][x]
-    rhs = arr[:, arr]           # act[s][act[t][x]]
-    if not np.array_equal(lhs, rhs):
-        s, t, x = np.argwhere(lhs != rhs)[0]
-        raise ValueError(f"action law fails at (s, t, x) = ({s}, {t}, {x})")
+    bad = _action_defect(m.values, arr)
+    if bad is not None:
+        raise ValueError("action law fails at (s, t, x) = ({}, {}, {})".format(*bad))
     return MonoidAction(m, arr)
+
+
+def _action_defect(table: np.ndarray, act: np.ndarray):
+    """First (s, t, x), ascending, with act[s*t][x] != act[s][act[t][x]],
+    or None; table is the (k, k) monoid, act a (k, n) stored table."""
+    k, n = act.shape
+    # act[s][act[t][x]]: one take from the block's rows, indexed by act itself
+    return first_true((k, k, n), lambda a, b: act[table[a:b]] != act[a:b].take(act, axis=1))
 
 
 # Entries of the (pairs, n) composite block one chunk of a batched compose
@@ -216,6 +222,26 @@ CHUNK_ENTRIES = 1 << 15
 # fixed cost of the numpy calls and lookup keys exceeds the whole build.
 # The suite's random transformation monoids have 1 to 6 elements.
 SMALL_TABLE = 32
+
+
+def first_true(shape, rows):
+    """Index, in C order, of the first True entry of a boolean array of
+    the given shape (count, ...), or None if there is none.
+
+    rows(start, stop) returns the array's rows start:stop.  They are built
+    and scanned in blocks of as many rows as fit in CHUNK_ENTRIES entries,
+    one row at the least, so the whole array never exists; the blocks go in
+    order, so the index is the one a scan of the whole array finds.
+    """
+    count, row = shape[0], math.prod(shape[1:])
+    step = max(1, CHUNK_ENTRIES // max(1, row))
+    for start in range(0, count, step):
+        block = rows(start, min(start + step, count))
+        if block.any():
+            at = np.unravel_index(block.argmax(), block.shape)
+            return (start + int(at[0]), *map(int, at[1:]))
+    return None
+
 
 # Lookup keys pack a prefix rank and a block of base-n digits into an int64;
 # every key stays below this bound.

@@ -20,7 +20,7 @@ from .errors import (
     ChainNotMonotone,
     PreconditionUnverified,
 )
-from .finmon import CHUNK_ENTRIES, FiniteMonoid, SelfMapMonoid, is_submonoid
+from .finmon import CHUNK_ENTRIES, FiniteMonoid, SelfMapMonoid, first_true, is_submonoid
 from .limits import guard_enum
 from .schema import (
     expect_field,
@@ -267,13 +267,12 @@ def metric_from_json(obj: dict) -> UltraPseudometric:
 
 
 def _strong_triangle_violation(rank: np.ndarray):
-    lhs = rank[:, None, :]
-    rhs = np.maximum(rank[:, :, None], rank[None, :, :])
-    bad = np.argwhere(lhs > rhs)
-    if bad.size:
-        x, y, z = bad[0]
-        return int(x), int(y), int(z)
-    return None
+    """First (x, y, z), ascending, with rank[x, z] > max(rank[x, y], rank[y, z]),
+    or None; ranks are nonnegative."""
+    rank = rank.astype(np.min_scalar_type(rank.max()))
+    n = len(rank)
+    return first_true((n, n, n), lambda a, b: rank[a:b, None, :] > np.maximum(
+        rank[a:b, :, None], rank))
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +417,23 @@ def nonexpansive_counterexample(m: FiniteMonoid, d: UltraPseudometric, side: str
     """First triple (x, y, s) violating the chosen translation law, or None.
 
     side "right" checks d(x*s, y*s) <= d(x, y); side "left" checks
-    d(s*x, s*y) <= d(x, y).  Scan order is ascending (x, y, s).
+    d(s*x, s*y) <= d(x, y).  Scan order is ascending (x, y, s).  The
+    triples are compared in blocks of x (see finmon.first_true), which
+    keeps that order, so no (n, n, n) array is built.
     """
     if d.carrier_size != m.size:
         raise CarrierMismatch("metric carrier differs from monoid size")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    n = m.size
     rank = d.rank_matrix()
+    rank = rank.astype(np.min_scalar_type(rank.max()))
+    flat = rank.ravel()
     moved = m.values if side == "right" else m.values.T     # moved[x, s]: x*s or s*x
+    scaled = moved.astype(np.intp) * n
     # rank of (moved[x, s], moved[y, s]) against rank of (x, y), on (x, y, s)
-    bad = np.argwhere(rank[moved[:, None, :], moved[None, :, :]] > rank[:, :, None])
-    if bad.size:
-        x, y, s = bad[0]
-        return int(x), int(y), int(s)
-    return None
+    return first_true((n, n, n), lambda a, b: flat.take(
+        scaled[a:b, None, :] + moved) > rank[a:b, :, None])
 
 
 def check_nonexpansive(m: FiniteMonoid, d: UltraPseudometric, side: str) -> bool:

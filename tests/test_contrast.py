@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stonework import finmon
 from stonework.contrast import (
     ContrastInstance,
+    _mul,
     agreement_neighborhood,
     build_contrast,
     contrast_report,
@@ -13,7 +16,8 @@ from stonework.contrast import (
     table_digest,
 )
 from stonework.errors import NoWitness, ResourceLimit
-from stonework.finmon import FiniteMonoid
+from stonework.finmon import FiniteMonoid, full_selfmap_monoid
+from stonework.generators import random_one_sided_metric, random_ultrametric
 from stonework.ultra import UltraPseudometric, check_nonexpansive, nonexpansive_counterexample
 
 
@@ -148,3 +152,41 @@ def test_certificate_matches_pairwise_loops():
     cert = rna_certificate(inst)
     assert _certificate_by_loops(broken, inst.metric) == (True, False)
     assert (cert.translations_lipschitz, cert.embedding_homomorphism) == (True, False)
+
+
+def test_vectorized_table_matches_the_scalar_product():
+    for k in range(1, 8):
+        n = build_contrast(k).carrier_size
+        assert build_contrast(k).monoid.table == tuple(
+            tuple(_mul(k, a, b) for b in range(n)) for a in range(n))
+
+
+def _first_true_by_cube(bad):
+    """The whole-array reference: the first True index in C order."""
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_blocked_certificate_matches_the_whole_cube(monkeypatch, step):
+    """Seeded random monoids, associative or with one product replaced, with
+    random metrics or left-nonexpansive ones, against the whole-cube forms."""
+    rng, nprng = random.Random(step), np.random.default_rng(step)
+    for base in (full_selfmap_monoid(3).to_monoid(), build_contrast(3).monoid):
+        n = base.size
+        for planted in (False, True):
+            table = base.values.copy()
+            if planted:
+                x, y = nprng.choice(np.delete(np.arange(n), base.identity), 2)
+                table[x, y] = (table[x, y] + nprng.integers(1, n)) % n
+            m = FiniteMonoid(table, base.identity)
+            for d in (random_ultrametric(rng, n), random_one_sided_metric(rng, m, "left")):
+                rank = d.rank_matrix()
+                left, right = (_first_true_by_cube(
+                    rank[moved[:, None, :], moved[None, :, :]] > rank[:, :, None])
+                    for moved in (table.T, table))
+                lipschitz = bool((rank[table[:, :, None], table[:, None, :]] <= rank).all())
+                monkeypatch.setattr(finmon, "CHUNK_ENTRIES", step * n * n)
+                cert = rna_certificate(ContrastInstance(k=1, monoid=m, metric=d))
+                assert (cert.left_witness, cert.right_witness) == (left, right)
+                assert cert.translations_lipschitz == (left is None and lipschitz)
+                assert cert.embedding_homomorphism == (not (table[table, :] != table[:, table]).any())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stonework import finmon
-from stonework.contrast import build_contrast
+from stonework.contrast import build_contrast, rna_certificate
 from stonework.errors import AssociativityViolation, IdentityViolation, ResourceLimit
 from stonework.finmon import (
     FiniteMonoid,
@@ -307,6 +307,133 @@ def test_validate_monoid_on_256_elements_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20       # 273 MiB when the triples were compared as intp
+
+
+def test_all_triples_laws_stay_small():
+    m = full_selfmap_monoid(4).to_monoid()
+    instance = build_contrast(7)
+    # 48.1, 21.7 and 21.2 MiB when each law was one whole (n, n, n) array
+    for run in (lambda: validate_monoid(m.values, m.identity),
+                lambda: build_contrast(7),
+                lambda: rna_certificate(instance)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def _first_true_by_cube(bad):
+    """The whole-array reference: the first True index in C order."""
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+
+
+def test_first_true_scans_row_blocks_in_order(monkeypatch):
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 3 * 4 * 5)    # blocks of 3 rows of (4, 5)
+    built = []
+
+    def rows_of(bad):
+        def rows(start, stop):
+            built.append((start, stop))
+            return bad[start:stop]
+        return rows
+
+    assert finmon.first_true((0, 4, 5), rows_of(np.ones((0, 4, 5), dtype=bool))) is None
+    assert finmon.first_true((10, 0), rows_of(np.ones((10, 0), dtype=bool))) is None
+    built.clear()
+    assert finmon.first_true((10, 4, 5), rows_of(np.zeros((10, 4, 5), dtype=bool))) is None
+    assert built == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    # a defect on the first and on the last row of a block, and on the last row
+    for row in (0, 2, 3, 5, 6, 8, 9):
+        bad = np.zeros((10, 4, 5), dtype=bool)
+        bad[row, rng.integers(4), rng.integers(5)] = True
+        bad[row + 1:] = rng.random((9 - row, 4, 5)) < 0.3      # later defects must not win
+        assert finmon.first_true(bad.shape, rows_of(bad)) == _first_true_by_cube(bad)
+    for _ in range(20):
+        bad = rng.random((10, 4, 5)) < 0.01
+        assert finmon.first_true(bad.shape, rows_of(bad)) == _first_true_by_cube(bad)
+
+
+# (first defective row, rows per block): the row is the first or the last
+# row of a block past the first, and every instance spans 3 blocks or more
+PLACEMENTS = [(None, 1), (0, 1), (1, 1), (2, 2), (3, 2), (3, 3), (5, 3)]
+
+
+def _relabeled(m: FiniteMonoid, table: np.ndarray, perm: np.ndarray):
+    """m with table and element x renamed perm[x]."""
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out, int(perm[m.identity])
+
+
+def _spoiled_rows(bad: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
+
+
+@pytest.mark.parametrize("row, step", PLACEMENTS)
+def test_blocked_associativity_matches_the_whole_cube(monkeypatch, relabeling, row, step):
+    rng = np.random.default_rng(row)
+    for m in (full_selfmap_monoid(3).to_monoid(), build_contrast(3).monoid):
+        n, others = m.size, np.delete(np.arange(m.size), m.identity)
+        while True:     # replace one product off the identity's row and column
+            table = m.values.copy()
+            if row is None:
+                perm = rng.permutation(n)
+                break
+            x, y = rng.choice(others, 2)
+            table[x, y] = (table[x, y] + rng.integers(1, n)) % n
+            spoiled = _spoiled_rows(table[table, :] != table[:, table])
+            if len(spoiled) and n - len(spoiled) >= row:
+                perm = relabeling(spoiled, n, row, rng)
+                break
+        table, identity = _relabeled(m, table, perm)
+        # the whole-cube form: (x*y)*z against x*(y*z) on all triples at once
+        expected = _first_true_by_cube(table[table, :] != table[:, table])
+        assert (expected[0] if expected else None) == row
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", step * n * n)
+        try:
+            validate_monoid(table, identity)
+            assert expected is None
+        except AssociativityViolation as exc:
+            assert exc.triple == expected
+
+
+@pytest.mark.parametrize("row, step", PLACEMENTS)
+def test_blocked_action_law_matches_the_whole_cube(monkeypatch, relabeling, row, step):
+    rng = np.random.default_rng(row)
+    full, contrast = full_selfmap_monoid(3), build_contrast(3).monoid
+    for m, act in ((full.to_monoid(), full.values), (contrast, contrast.values)):
+        k, n = act.shape
+        while True:     # replace one image off the identity's row
+            values = act.copy()
+            if row is None:
+                perm = rng.permutation(k)
+                break
+            values[rng.choice(np.delete(np.arange(k), m.identity)), rng.integers(n)] = rng.integers(n)
+            spoiled = _spoiled_rows(values[m.values, :] != values[:, values])
+            if len(spoiled) and k - len(spoiled) >= row:
+                perm = relabeling(spoiled, k, row, rng)
+                break
+        relabeled = FiniteMonoid(*_relabeled(m, m.values, perm))
+        values[perm] = values.copy()
+        # the whole-cube form: act[s*t][x] against act[s][act[t][x]]
+        expected = _first_true_by_cube(values[relabeled.values, :] != values[:, values])
+        assert (expected[0] if expected else None) == row
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", step * k * n)
+        try:
+            validate_action(relabeled, n, values)
+            assert expected is None
+        except ValueError as exc:
+            assert str(exc) == "action law fails at (s, t, x) = ({}, {}, {})".format(*expected)
+
+
+def test_blocked_action_law_on_no_points(monkeypatch):
+    m = full_selfmap_monoid(3).to_monoid()
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 1)
+    assert validate_action(m, 0, np.zeros((m.size, 0), dtype=np.uint8)).carrier_size == 0
 
 
 def _selfmap_cases():

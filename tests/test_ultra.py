@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,9 @@ from stonework.errors import (
     PreconditionUnverified,
     ResourceLimit,
 )
-from stonework import ultra
-from stonework.finmon import validate_monoid
+from stonework import finmon, ultra
+from stonework.contrast import build_contrast
+from stonework.finmon import FiniteMonoid, full_selfmap_monoid, validate_monoid
 from stonework.generators import (
     random_chain,
     random_one_sided_metric,
@@ -339,6 +341,80 @@ def test_right_nonexpansive_with_constant_translation():
     d = UltraPseudometric.from_rows([[0, 1, 1], [1, 0, HALF], [1, HALF, 0]])
     assert check_nonexpansive(m, d, "right")
     assert nonexpansive_counterexample(m, d, "right") is None
+
+
+# (first defective row, rows per block): the row is the first or the last
+# row of a block past the first, and every instance spans 3 blocks or more
+PLACEMENTS = [(None, 1), (0, 1), (1, 1), (2, 2), (3, 2), (3, 3), (5, 3)]
+
+
+def _first_true_by_cube(bad):
+    """The whole-array reference: the first True index in C order."""
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+
+
+def _spoiled_rows(bad):
+    return np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
+
+
+def _relabeled_ranks(rank, perm):
+    out = np.empty_like(rank)
+    out[np.ix_(perm, perm)] = rank
+    return out
+
+
+@pytest.mark.parametrize("row, step", PLACEMENTS)
+def test_blocked_strong_triangle_matches_the_whole_cube(monkeypatch, relabeling, row, step):
+    rng, nprng = random.Random(row), np.random.default_rng(row)
+    for n in (9, 16):
+        while True:     # a random ultrametric with one pair's rank replaced
+            rank = random_ultrametric(rng, n).rank_matrix().copy()
+            if row is None:
+                perm = nprng.permutation(n)
+                break
+            x, y = nprng.choice(n, 2, replace=False)
+            rank[x, y] = rank[y, x] = nprng.integers(rank.max() + 2)
+            spoiled = _spoiled_rows(rank[:, None, :] > np.maximum(rank[:, :, None], rank))
+            if len(spoiled) and n - len(spoiled) >= row:
+                perm = relabeling(spoiled, n, row, nprng)
+                break
+        rank = _relabeled_ranks(rank, perm)
+        # the whole-cube form: d(x, z) against max(d(x, y), d(y, z)) on all triples
+        expected = _first_true_by_cube(rank[:, None, :] > np.maximum(rank[:, :, None], rank[None]))
+        assert (expected[0] if expected else None) == row
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", step * n * n)   # the helper's value
+        assert ultra._strong_triangle_violation(rank) == expected
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("row, step", PLACEMENTS)
+def test_blocked_nonexpansiveness_matches_the_whole_cube(monkeypatch, relabeling, side, row, step):
+    rng, nprng = random.Random(row), np.random.default_rng(row)
+    for m in (full_selfmap_monoid(3).to_monoid(), build_contrast(3).monoid):
+        n = m.size
+        moved = m.values if side == "right" else m.values.T
+        while True:     # a random metric, or one nonexpansive on that side
+            if row is None:
+                d = random_one_sided_metric(rng, m, side)
+                perm = nprng.permutation(n)
+                break
+            d = random_ultrametric(rng, n)
+            rank = d.rank_matrix()
+            spoiled = _spoiled_rows(rank[moved[:, None, :], moved[None, :, :]] > rank[:, :, None])
+            if len(spoiled) and n - len(spoiled) >= row:
+                perm = relabeling(spoiled, n, row, nprng)
+                break
+        table = np.empty_like(m.values)
+        table[np.ix_(perm, perm)] = perm[m.values]
+        m = FiniteMonoid(table, perm[m.identity])
+        d = UltraPseudometric(d.levels, _relabeled_ranks(d.rank_matrix(), perm))
+        # the whole-cube form: d(x*s, y*s) or d(s*x, s*y) against d(x, y)
+        rank, moved = d.rank_matrix(), m.values if side == "right" else m.values.T
+        expected = _first_true_by_cube(
+            rank[moved[:, None, :], moved[None, :, :]] > rank[:, :, None])
+        assert (expected[0] if expected else None) == row
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", step * n * n)   # the helper's value
+        assert nonexpansive_counterexample(m, d, side) == expected
 
 
 def test_nonexpansive_counterexample_is_canonical_and_real():
