@@ -456,13 +456,24 @@ def ball_submonoid_check(m: FiniteMonoid, d: UltraPseudometric, r,
 
 
 def check_left_congruence(m: FiniteMonoid, p: Partition) -> bool:
-    """True iff x ~ y implies s*x ~ s*y for every s."""
+    """True iff x ~ y implies s*x ~ s*y for every s.
+
+    Each point is compared with the first point of its class only, which
+    is the same law: x ~ y holds iff both share that first point.  The
+    (k, n) array of those comparisons is scanned in row blocks of s (see
+    finmon.first_true), so no (k, n, n) array is built.
+    """
     if p.carrier_size != m.size:
         raise CarrierMismatch("partition carrier differs from monoid size")
     ids = np.asarray(p.class_id, dtype=np.intp)
-    moved = ids[m.values]           # moved[s, x]: class of s*x
-    same = (moved[:, :, None] == moved[:, None, :]).all(axis=0)
-    return bool(same[ids[:, None] == ids[None, :]].all())
+    seen: dict = {}
+    first = np.array([seen.setdefault(c, x) for x, c in enumerate(p.class_id)],
+                     dtype=np.intp)                 # first point of x's class
+
+    def split(a: int, b: int) -> np.ndarray:
+        moved = ids.take(m.values[a:b])             # moved[s, x]: class of s*x
+        return moved != moved.take(first, axis=1)
+    return first_true(m.values.shape, split) is None
 
 
 # ---------------------------------------------------------------------------

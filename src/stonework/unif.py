@@ -17,7 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import CarrierMismatch
-from .finmon import CHUNK_ENTRIES, MonoidAction
+from .finmon import CHUNK_ENTRIES, MonoidAction, first_true
 from .limits import guard_enum
 from .schema import expect_field, expect_int, expect_list, expect_object, expect_rows
 from .ultra import Partition, partition_from_json
@@ -52,7 +52,12 @@ class PartitionFamily:
         return len(self.members)
 
     def __contains__(self, p: Partition) -> bool:
-        return p in set(self.members)
+        """Membership by bisection on class_id, the members' order; a
+        partition on another carrier is not a member."""
+        if not isinstance(p, Partition):
+            return False
+        i = bisect_left(self.members, p.class_id, key=attrgetter("class_id"))
+        return i < len(self.members) and self.members[i] == p
 
     def to_json(self) -> dict:
         return {
@@ -102,7 +107,8 @@ class PartitionLattice:
     order a PartitionFamily keeps its members in.  ``index_of`` finds one
     partition; ``lookup`` finds the partitions of an array of class labels
     by their first-occurrence keys.  The (B, B) ``meet`` table is built on
-    first use and ``pullback`` builds a (k, B) table per call.  Every table
+    first use; ``pullback`` builds a (k, B) table and keeps the last one,
+    which a repeat call with the same maps returns.  Every table
     is guarded by guard_enum, so the default bound stops at 7 points
     (Bell(7) = 877): the meet table on 8 points has 4140**2 entries.
     """
@@ -133,6 +139,7 @@ class PartitionLattice:
         self._keys = self._first_keys(rows)
         self._dtype = np.min_scalar_type(len(rows) - 1)
         self._meet = None
+        self._pull = None           # (key of the maps, their pullback table)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -180,14 +187,23 @@ class PartitionLattice:
                 lambda a, b: rows[a:b, None, :] * n + rows[None, :, :], B)
         return self._meet
 
-    def pullback(self, maps: np.ndarray) -> np.ndarray:
+    def pullback(self, maps) -> np.ndarray:
         """pull[s, p] = index of the preimage of partition p under maps[s],
-        for a (k, n) integer array: x ~ y iff maps[s, x] ~ maps[s, y] in p."""
-        guard_enum(len(maps) * len(self),
-                   f"pullback table of {len(maps)} maps on {self.n} points")
-        # labels[s, p, x] = rows[p, maps[s, x]]
-        return self._table(lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2),
-                           len(maps))
+        for a (k, n) integer array: x ~ y iff maps[s, x] ~ maps[s, y] in p.
+
+        The table is read-only and kept until a call with other maps, so
+        a repeat call with maps of the same shape, dtype and entries
+        returns the same table without building it again.
+        """
+        maps = np.asarray(maps)
+        key = (maps.shape, maps.dtype, maps.tobytes())
+        if self._pull is None or self._pull[0] != key:
+            guard_enum(len(maps) * len(self),
+                       f"pullback table of {len(maps)} maps on {self.n} points")
+            # labels[s, p, x] = rows[p, maps[s, x]]
+            self._pull = key, self._table(
+                lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2), len(maps))
+        return self._pull[1]
 
 
 @functools.cache
@@ -260,18 +276,64 @@ def saturate_worklist(action: MonoidAction, gamma) -> PartitionFamily:
     return make_family(n, members, meet_closed=True, saturated=True)
 
 
+def _relation_keys(labels: np.ndarray) -> np.ndarray:
+    """Key of the relation x ~ y iff labels[..., x] == labels[..., y], for
+    each row of an integer array (..., n): the n-by-n bit matrix of the
+    relation, packed into one void scalar of ceil(n * n / 8) bytes.  Two
+    rows key equal exactly when they give the same partition, for every n.
+    """
+    *shape, n = labels.shape
+    if not n:           # no bits: the one partition of no points, one key
+        return np.zeros(shape, dtype="V1")
+    same = labels[..., :, None] == labels[..., None, :]
+    packed = np.packbits(same.reshape(*shape, n * n), axis=-1)
+    return packed.view(f"V{packed.shape[-1]}")[..., 0]
+
+
+def _members(family: PartitionFamily):
+    """The members' class_ids as an (M, n) array, and absent: labels of
+    shape (..., n) -> which rows give a partition that is not a member."""
+    ids = np.array([p.class_id for p in family.members],
+                   dtype=np.intp).reshape(len(family), family.carrier_size)
+    keys = np.sort(_relation_keys(ids))
+
+    def absent(labels: np.ndarray) -> np.ndarray:
+        found = _relation_keys(labels)
+        return keys.take(keys.searchsorted(found), mode="clip") != found
+    return ids, absent
+
+
 def is_meet_closed(family: PartitionFamily) -> bool:
-    members = set(family.members)
-    return all(p.meet(q) in members for p in members for q in members)
+    """Every pairwise meet of members is a member.
+
+    The meet of p and q is the partition of the labels
+    class_id_p[x] * n + class_id_q[x]; the labels of the pairs are keyed
+    and looked up among the members' keys, in blocks of rows p (see
+    finmon.first_true).  Meets commute, so a block of rows p from a on
+    pairs them with the members q from a on: a pair q < a was met in the
+    block of q.  Reads no PartitionLattice table, so it stays an oracle
+    for saturate.
+    """
+    ids, absent = _members(family)
+    n = family.carrier_size
+    return first_true((len(ids), len(ids), n), lambda a, b: absent(
+        ids[a:b, None, :] * n + ids[None, a:, :])) is None
 
 
 def is_saturated_under(family: PartitionFamily, action: MonoidAction) -> bool:
-    members = set(family.members)
-    return all(
-        preimage_partition(action.act[s], p) in members
-        for p in members
-        for s in range(action.monoid.size)
-    )
+    """Every translation preimage of a member is a member.
+
+    Member p pulls back along map s to the partition of the labels
+    class_id_p[s(x)]; every (member, map) pair's labels are keyed and
+    looked up among the members' keys, in blocks of members (see
+    finmon.first_true).  Reads no PartitionLattice table, so it stays an
+    oracle for saturate.  The empty family is saturated under any action.
+    """
+    if family.members and family.carrier_size != action.carrier_size:
+        raise CarrierMismatch("family and action carriers differ")
+    ids, absent = _members(family)
+    return first_true((len(ids), *action.values.shape), lambda a, b: absent(
+        ids[a:b][:, action.values])) is None
 
 
 @dataclass(frozen=True)

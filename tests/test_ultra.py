@@ -417,6 +417,28 @@ def test_blocked_nonexpansiveness_matches_the_whole_cube(monkeypatch, relabeling
         assert nonexpansive_counterexample(m, d, side) == expected
 
 
+@pytest.mark.parametrize("row, step", PLACEMENTS)
+def test_blocked_left_congruence_matches_the_whole_cube(monkeypatch, row, step):
+    nprng = np.random.default_rng(row)
+    for n in (7, 12):
+        ids = np.asarray(Partition.from_class_ids(nprng.permutation(n) % 3).class_id)
+        # row s sends each class c into class g[s, c], at random points of it
+        g = nprng.integers(3, size=(n, 3))
+        table = np.array([[nprng.choice(np.flatnonzero(ids == g[s, ids[x]])) for x in range(n)]
+                          for s in range(n)])
+        if row is not None:     # one point of row's table leaves its class's image
+            x = nprng.integers(n)
+            table[row, x] = nprng.choice(np.flatnonzero(ids != g[row, ids[x]]))
+        m = FiniteMonoid(table.astype(np.min_scalar_type(n - 1)), 0)
+        # the whole-cube form: x ~ y but s*x and s*y in different classes
+        moved = ids[m.values]
+        expected = _first_true_by_cube((moved[:, :, None] != moved[:, None, :])
+                                       & (ids[:, None] == ids[None, :]))
+        assert (expected[0] if expected else None) == row
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", step * n)   # the helper's value
+        assert check_left_congruence(m, Partition.from_class_ids(ids)) == (row is None)
+
+
 def test_nonexpansive_counterexample_is_canonical_and_real():
     # right translation by the absorbing element collapses 0 and 1 but
     # moves them close to 2, which is far from both: expansion

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stonework import finmon
 from stonework.errors import CarrierMismatch, ResourceLimit
 from stonework.finmon import (
     full_selfmap_monoid,
@@ -17,6 +18,7 @@ from stonework.ultra import Partition, meet_all
 from stonework.unif import (
     BoundednessReport,
     Cover,
+    PartitionFamily,
     boundedness_report,
     cover_from_json,
     cover_order,
@@ -239,6 +241,138 @@ def test_saturate_agrees_with_the_worklist(case):
     family = saturate(action, gamma)
     assert family == saturate_worklist(action, gamma)
     assert family.meet_closed and family.saturated
+
+
+# --- the saturation oracles against their literal forms ----------------------
+
+
+def literal_meet_closed(family):
+    members = set(family.members)
+    return all(p.meet(q) in members for p in members for q in members)
+
+
+def literal_saturated(family, action):
+    members = set(family.members)
+    return all(preimage_partition(action.act[s], p) in members
+               for p in members for s in range(action.monoid.size))
+
+
+def drop(family, i):
+    """The family without member i, or the family itself for None."""
+    if i is None:
+        return family
+    return PartitionFamily(family.carrier_size, family.members[:i] + family.members[i + 1:])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(actions_with_generators(), st.data())
+def test_oracles_agree_with_the_literal_forms(case, data):
+    action, gamma = case
+    family = saturate(action, gamma)
+    n = action.carrier_size
+    random_family = make_family(n, map(Partition.from_class_ids, data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n), max_size=4))))
+    for fam in (drop(family, data.draw(st.none() | st.integers(0, len(family) - 1))),
+                random_family):
+        assert is_meet_closed(fam) == literal_meet_closed(fam)
+        assert is_saturated_under(fam, action) == literal_saturated(fam, action)
+
+
+def test_oracles_on_every_drop_one_family_of_a_large_saturation():
+    # the frontier benchmark's saturate-6 instance before its seeded relabeling
+    maps = generated_selfmap_monoid(6, [(3, 4, 5, 2, 0, 0), (2, 1, 1, 3, 0, 1)])
+    action = validate_action(maps.to_monoid(), 6, maps.elements)
+    family = saturate(action, [Partition.from_class_ids((0, 1, 1, 0, 1, 2))])
+    assert (len(maps), len(family)) == (376, 99)
+    assert is_meet_closed(family) and is_saturated_under(family, action)
+    # the literal forms, once: which other members pull back or meet to each
+    index = {p: i for i, p in enumerate(family.members)}
+    reached = [set() for _ in family.members]
+    for i, p in enumerate(family.members):
+        for f in action.act:
+            reached[index[preimage_partition(f, p)]].add(i)
+    met = [set() for _ in family.members]
+    for i, p in enumerate(family.members):
+        for j, q in enumerate(family.members):
+            met[index[p.meet(q)]].add((i, j))
+    outcomes = set()
+    for i in range(len(family)):
+        # dropping member i leaves a closure iff no other member reaches it
+        fam = drop(family, i)
+        got = is_saturated_under(fam, action), is_meet_closed(fam)
+        assert got == (reached[i] <= {i}, all(i in pair for pair in met[i]))
+        outcomes.add(got)
+    assert {sat for sat, _ in outcomes} == {closed for _, closed in outcomes} == {True, False}
+
+
+@pytest.mark.parametrize("n", [0, 1, 9])
+def test_oracles_at_the_key_widths(n):
+    if n == 9:      # 82 key bits, 11 bytes: 24 maps, 46 members
+        maps = generated_selfmap_monoid(9, [(0, 0, 2, 3, 3, 5, 6, 6, 8), (1, 2, 0, 4, 5, 3, 7, 8, 6)])
+        action = validate_action(maps.to_monoid(), 9, maps.elements)
+        gamma = [Partition.from_class_ids((0, 0, 1, 1, 2, 2, 3, 3, 3))]
+    else:           # the one-element monoid; the one partition, or none
+        action = validate_action(validate_monoid([[0]], 0), n, [list(range(n))])
+        gamma = [Partition.indiscrete(n)]
+    family = saturate_worklist(action, gamma)
+    assert len(family) == (46 if n == 9 else 1)
+    assert is_meet_closed(family) and is_saturated_under(family, action)
+    for i in [None, *range(len(family))]:
+        fam = drop(family, i)
+        assert is_meet_closed(fam) == literal_meet_closed(fam)
+        assert is_saturated_under(fam, action) == literal_saturated(fam, action)
+
+
+def test_oracles_on_the_empty_family_and_other_carriers():
+    action = chain_action()
+    for n in (0, 3, 5):
+        empty = make_family(n, [])
+        assert is_meet_closed(empty) and is_saturated_under(empty, action)
+    with pytest.raises(CarrierMismatch):
+        is_saturated_under(make_family(4, [Partition.indiscrete(4)]), action)
+
+
+def test_blocked_oracles_match_the_unblocked(monkeypatch):
+    maps = generated_selfmap_monoid(4, [(1, 2, 3, 0), (0, 0, 2, 2)])
+    action = validate_action(maps.to_monoid(), 4, maps.elements)
+    family = saturate(action, [Partition.from_classes(4, [[0, 1], [2], [3]])])
+    families = [drop(family, i) for i in [None, *range(len(family))]]
+    expected = [(is_meet_closed(f), is_saturated_under(f, action)) for f in families]
+    assert {e for e, _ in expected} == {e for _, e in expected} == {True, False}
+    k, n, size = len(maps), 4, len(family)
+    # one member, or one member's meets, per block; two; then three
+    for rows in (1, 2, 3):
+        for entries in (rows * k * n, rows * size * n):
+            monkeypatch.setattr(finmon, "CHUNK_ENTRIES", entries)   # first_true's value
+            assert [(is_meet_closed(f), is_saturated_under(f, action))
+                    for f in families] == expected
+
+
+def test_family_membership_is_set_membership():
+    family = make_family(4, partition_lattice(4).partitions[::3])
+    members = set(family.members)
+    for n in (3, 4, 5):
+        for p in partition_lattice(n).partitions:
+            assert (p in family) == (p in members)
+    assert "not a partition" not in family
+    assert Partition.indiscrete(4) not in make_family(4, [])
+
+
+def test_pullback_keeps_the_last_table():
+    lattice = partition_lattice(3)
+    maps = full_selfmap_monoid(3).values
+    first, second = maps[:5], maps[5:10]
+    table = lattice.pullback(first)
+    assert not table.flags.writeable
+    assert lattice.pullback(first.copy()) is table
+    other = lattice.pullback(second)
+    assert other is not table
+    for s, f in enumerate(second.tolist()):
+        for i, p in enumerate(lattice.partitions):
+            assert lattice.partitions[other[s, i]] == preimage_partition(f, p)
+    # the same maps as a wider dtype are other bytes: a new, equal table
+    again = lattice.pullback(first.astype(np.int64))
+    assert again is not table and np.array_equal(again, table)
 
 
 def test_family_json_round_trip():
