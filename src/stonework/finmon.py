@@ -231,11 +231,7 @@ def first_true(shape, rows):
     rows(start, stop) returns the array's rows start:stop.  They are built
     and scanned in blocks of as many rows as fit in CHUNK_ENTRIES entries,
     one row at the least, so the whole array never exists; the blocks go in
-    order, so the index is the one a scan of the whole array finds.  rows
-    may also reduce larger per-row temporaries to its block, as the
-    saturation oracles reduce the labels they key: shape is then that of
-    the temporaries, which sizes the blocks, and the index is one into
-    the blocks rows returns.
+    order, so the index is the one a scan of the whole array finds.
     """
     count, row = shape[0], math.prod(shape[1:])
     step = max(1, CHUNK_ENTRIES // max(1, row))

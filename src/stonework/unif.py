@@ -17,7 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import CarrierMismatch
-from .finmon import CHUNK_ENTRIES, MonoidAction, first_true
+from .finmon import CHUNK_ENTRIES, MonoidAction
 from .limits import guard_enum
 from .schema import expect_field, expect_int, expect_list, expect_object, expect_rows
 from .ultra import Partition, partition_from_json
@@ -107,8 +107,7 @@ class PartitionLattice:
     order a PartitionFamily keeps its members in.  ``index_of`` finds one
     partition; ``lookup`` finds the partitions of an array of class labels
     by their first-occurrence keys.  The (B, B) ``meet`` table is built on
-    first use; ``pullback`` builds a (k, B) table and keeps the last one,
-    which a repeat call with the same maps returns.  Every table
+    first use and ``pullback`` builds a (k, B) table per call.  Every table
     is guarded by guard_enum, so the default bound stops at 7 points
     (Bell(7) = 877): the meet table on 8 points has 4140**2 entries.
     """
@@ -139,7 +138,6 @@ class PartitionLattice:
         self._keys = self._first_keys(rows)
         self._dtype = np.min_scalar_type(len(rows) - 1)
         self._meet = None
-        self._pull = None           # (key of the maps, their pullback table)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -187,23 +185,14 @@ class PartitionLattice:
                 lambda a, b: rows[a:b, None, :] * n + rows[None, :, :], B)
         return self._meet
 
-    def pullback(self, maps) -> np.ndarray:
+    def pullback(self, maps: np.ndarray) -> np.ndarray:
         """pull[s, p] = index of the preimage of partition p under maps[s],
-        for a (k, n) integer array: x ~ y iff maps[s, x] ~ maps[s, y] in p.
-
-        The table is read-only and kept until a call with other maps, so
-        a repeat call with maps of the same shape, dtype and entries
-        returns the same table without building it again.
-        """
-        maps = np.asarray(maps)
-        key = (maps.shape, maps.dtype, maps.tobytes())
-        if self._pull is None or self._pull[0] != key:
-            guard_enum(len(maps) * len(self),
-                       f"pullback table of {len(maps)} maps on {self.n} points")
-            # labels[s, p, x] = rows[p, maps[s, x]]
-            self._pull = key, self._table(
-                lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2), len(maps))
-        return self._pull[1]
+        for a (k, n) integer array: x ~ y iff maps[s, x] ~ maps[s, y] in p."""
+        guard_enum(len(maps) * len(self),
+                   f"pullback table of {len(maps)} maps on {self.n} points")
+        # labels[s, p, x] = rows[p, maps[s, x]]
+        return self._table(lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2),
+                           len(maps))
 
 
 @functools.cache
@@ -290,50 +279,76 @@ def _relation_keys(labels: np.ndarray) -> np.ndarray:
     return packed.view(f"V{packed.shape[-1]}")[..., 0]
 
 
-def _members(family: PartitionFamily):
-    """The members' class_ids as an (M, n) array, and absent: labels of
-    shape (..., n) -> which rows give a partition that is not a member."""
-    ids = np.array([p.class_id for p in family.members],
-                   dtype=np.intp).reshape(len(family), family.carrier_size)
-    keys = np.sort(_relation_keys(ids))
+def _class_ids(family: PartitionFamily) -> np.ndarray:
+    """The members' class_ids as an (M, n) array."""
+    return np.array([p.class_id for p in family.members],
+                    dtype=np.intp).reshape(len(family), family.carrier_size)
 
-    def absent(labels: np.ndarray) -> np.ndarray:
-        found = _relation_keys(labels)
-        return keys.take(keys.searchsorted(found), mode="clip") != found
-    return ids, absent
+
+def _every_member(family: PartitionFamily, shape, labels_of, build) -> bool:
+    """Whether the partition of every row of a label array is a member.
+
+    labels_of(a, b) returns the rows a:b of an integer array (count, ..., n)
+    of class labels, and shape is that of its relation bits, (count, ...,
+    n, n): the rows are built in blocks of as many as fit in CHUNK_ENTRIES
+    bits, one row at the least.  The keys of _relation_keys only group the
+    label rows that give one partition.  The partition of each distinct
+    key is built once, by build(a, i) from the i-th label row, in C order,
+    of the block from a, and looked up in the family, so the verdict is
+    that of the literal construction.
+    """
+    count, row = shape[0], math.prod(shape[1:])
+    step = max(1, CHUNK_ENTRIES // max(1, row))
+    seen: set[bytes] = set()
+    for a in range(0, count, step):
+        keys = _relation_keys(labels_of(a, a + step)).ravel().tolist()
+        for key in dict.fromkeys(keys):         # the distinct keys, in order
+            if key not in seen:
+                seen.add(key)
+                if build(a, keys.index(key)) not in family:
+                    return False
+    return True
 
 
 def is_meet_closed(family: PartitionFamily) -> bool:
     """Every pairwise meet of members is a member.
 
     The meet of p and q is the partition of the labels
-    class_id_p[x] * n + class_id_q[x]; the labels of the pairs are keyed
-    and looked up among the members' keys, in blocks of rows p (see
-    finmon.first_true).  Meets commute, so a block of rows p from a on
-    pairs them with the members q from a on: a pair q < a was met in the
-    block of q.  Reads no PartitionLattice table, so it stays an oracle
-    for saturate.
+    class_id_p[x] * n + class_id_q[x].  Meets commute, so a block of
+    members p from a on pairs them with the members q from a on: a pair
+    q < a was met in the block of q.  Each distinct meet is built once by
+    Partition.meet (see _every_member).  Reads no PartitionLattice table,
+    so it stays an oracle for saturate.
     """
-    ids, absent = _members(family)
-    n = family.carrier_size
-    return first_true((len(ids), len(ids), n), lambda a, b: absent(
-        ids[a:b, None, :] * n + ids[None, a:, :])) is None
+    members, ids, n = family.members, _class_ids(family), family.carrier_size
+
+    def meet(a: int, i: int) -> Partition:
+        p, q = divmod(i, len(members) - a)
+        return members[a + p].meet(members[a + q])
+    return _every_member(family, (len(ids), len(ids), n, n), lambda a, b: (
+        ids[a:b, None, :] * n + ids[None, a:, :]), meet)
 
 
 def is_saturated_under(family: PartitionFamily, action: MonoidAction) -> bool:
     """Every translation preimage of a member is a member.
 
     Member p pulls back along map s to the partition of the labels
-    class_id_p[s(x)]; every (member, map) pair's labels are keyed and
-    looked up among the members' keys, in blocks of members (see
-    finmon.first_true).  Reads no PartitionLattice table, so it stays an
-    oracle for saturate.  The empty family is saturated under any action.
+    class_id_p[s(x)].  Each distinct pullback is built once by
+    preimage_partition (see _every_member).  Reads no PartitionLattice
+    table, so it stays an oracle for saturate.  The empty family is
+    saturated under any action.
     """
     if family.members and family.carrier_size != action.carrier_size:
         raise CarrierMismatch("family and action carriers differ")
-    ids, absent = _members(family)
-    return first_true((len(ids), *action.values.shape), lambda a, b: absent(
-        ids[a:b][:, action.values])) is None
+    members, ids, maps = family.members, _class_ids(family), action.values
+    k, n = len(maps), family.carrier_size
+
+    def pullback(a: int, i: int) -> Partition:
+        p, s = divmod(i, k)
+        return preimage_partition(action.act[s], members[a + p])
+    # take keeps the (rows, k, n) labels in C order, which keys them fastest
+    return _every_member(family, (len(ids), k, n, n),
+                         lambda a, b: ids[a:b].take(maps, axis=1), pullback)
 
 
 @dataclass(frozen=True)

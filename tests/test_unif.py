@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stonework import finmon
+from stonework import unif
 from stonework.errors import CarrierMismatch, ResourceLimit
 from stonework.finmon import (
     full_selfmap_monoid,
@@ -307,7 +307,7 @@ def test_oracles_on_every_drop_one_family_of_a_large_saturation():
 
 @pytest.mark.parametrize("n", [0, 1, 9])
 def test_oracles_at_the_key_widths(n):
-    if n == 9:      # 82 key bits, 11 bytes: 24 maps, 46 members
+    if n == 9:      # 81 key bits, 11 bytes: 24 maps, 46 members
         maps = generated_selfmap_monoid(9, [(0, 0, 2, 3, 3, 5, 6, 6, 8), (1, 2, 0, 4, 5, 3, 7, 8, 6)])
         action = validate_action(maps.to_monoid(), 9, maps.elements)
         gamma = [Partition.from_class_ids((0, 0, 1, 1, 2, 2, 3, 3, 3))]
@@ -340,12 +340,29 @@ def test_blocked_oracles_match_the_unblocked(monkeypatch):
     expected = [(is_meet_closed(f), is_saturated_under(f, action)) for f in families]
     assert {e for e, _ in expected} == {e for _, e in expected} == {True, False}
     k, n, size = len(maps), 4, len(family)
-    # one member, or one member's meets, per block; two; then three
+    # one member's pullbacks, or one member's meets, per block; two; then three
     for rows in (1, 2, 3):
-        for entries in (rows * k * n, rows * size * n):
-            monkeypatch.setattr(finmon, "CHUNK_ENTRIES", entries)   # first_true's value
+        for entries in (rows * k * n * n, rows * size * n * n):
+            monkeypatch.setattr(unif, "CHUNK_ENTRIES", entries)
             assert [(is_meet_closed(f), is_saturated_under(f, action))
                     for f in families] == expected
+
+
+def test_oracles_build_each_distinct_partition_once(monkeypatch):
+    maps = generated_selfmap_monoid(6, [(3, 4, 5, 2, 0, 0), (2, 1, 1, 3, 0, 1)])
+    action = validate_action(maps.to_monoid(), 6, maps.elements)
+    family = saturate(action, [Partition.from_class_ids((0, 1, 1, 0, 1, 2))])
+    pullbacks = {preimage_partition(f, p) for p in family.members for f in action.act}
+    meets = {p.meet(q) for p in family.members for q in family.members}
+    built = []
+    literal_pullback, literal_meet = unif.preimage_partition, Partition.meet
+    monkeypatch.setattr(unif, "preimage_partition",
+                        lambda s, p: built.append("pullback") or literal_pullback(s, p))
+    monkeypatch.setattr(Partition, "meet",
+                        lambda p, q: built.append("meet") or literal_meet(p, q))
+    monkeypatch.setattr(unif, "CHUNK_ENTRIES", 4 * 36 * len(maps))     # blocks of 4 members
+    assert is_saturated_under(family, action) and is_meet_closed(family)
+    assert (built.count("pullback"), built.count("meet")) == (len(pullbacks), len(meets))
 
 
 def test_family_membership_is_set_membership():
@@ -356,23 +373,6 @@ def test_family_membership_is_set_membership():
             assert (p in family) == (p in members)
     assert "not a partition" not in family
     assert Partition.indiscrete(4) not in make_family(4, [])
-
-
-def test_pullback_keeps_the_last_table():
-    lattice = partition_lattice(3)
-    maps = full_selfmap_monoid(3).values
-    first, second = maps[:5], maps[5:10]
-    table = lattice.pullback(first)
-    assert not table.flags.writeable
-    assert lattice.pullback(first.copy()) is table
-    other = lattice.pullback(second)
-    assert other is not table
-    for s, f in enumerate(second.tolist()):
-        for i, p in enumerate(lattice.partitions):
-            assert lattice.partitions[other[s, i]] == preimage_partition(f, p)
-    # the same maps as a wider dtype are other bytes: a new, equal table
-    again = lattice.pullback(first.astype(np.int64))
-    assert again is not table and np.array_equal(again, table)
 
 
 def test_family_json_round_trip():
