@@ -8,7 +8,8 @@ characters of the additive group as masks pairing by overlap parity.
 
 Sets of additive maps are also held as self-maps of the 2**n ring
 elements: ``additive_monoid`` passes their distinct value tables, as the
-rows of one array, to a SelfMapMonoid.
+rows of one array, to a SelfMapMonoid.  ``atom_keys`` keys a map by its
+n atom images alone, packed into one int64.
 """
 
 from __future__ import annotations
@@ -255,6 +256,14 @@ def additive_values(columns, n: int) -> np.ndarray:
         lsb = x & -x
         out[:, x] = out[:, x ^ lsb] ^ columns[:, lsb.bit_length() - 1]
     return out
+
+
+def atom_keys(columns, n: int) -> np.ndarray:
+    """One int64 key per additive map from its atom images, an integer
+    array (..., n): image a fills bits n*a to n*a + n - 1, so two maps key
+    equal exactly when they are equal (for n up to 7)."""
+    columns = np.asarray(columns, dtype=np.int64)
+    return (columns << n * np.arange(n)).sum(axis=-1)
 
 
 def additive_monoid(columns, n: int) -> tuple[SelfMapMonoid, np.ndarray]:

@@ -22,6 +22,7 @@ from .boolring import (
     BoolRing,
     additive_monoid,
     additive_values,
+    atom_keys,
     enumerate_group_endos,
     enumerate_ring_endos,
     ring_homs_to_Z2,
@@ -29,7 +30,7 @@ from .boolring import (
 )
 from .duality import entourage_transport, hom_embed, phi_array
 from .errors import AssociativityViolation, NoWitness, StoneworkError
-from .finmon import SelfMapMonoid, full_selfmap_monoid, is_submonoid, validate_monoid
+from .finmon import CHUNK_ENTRIES, SelfMapMonoid, full_selfmap_monoid, is_submonoid, validate_monoid
 from .generators import (
     enumerate_actions,
     enumerate_small_monoids,
@@ -58,7 +59,6 @@ from .unif import (
     is_saturated_under,
     partition_lattice,
     refines,
-    saturate,
     saturate_worklist,
 )
 
@@ -201,6 +201,29 @@ def check_duality_counts(cfg: SuiteConfig):
     return params, instances, None
 
 
+def _key_index(keys: np.ndarray, query: np.ndarray) -> np.ndarray | None:
+    """Positions of the query keys in the sorted keys; None if one is missing."""
+    at = np.minimum(keys.searchsorted(query), len(keys) - 1)
+    return at if np.array_equal(keys[at], query) else None
+
+
+def _atom_composites(columns: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray | None:
+    """out[i, j] = position in keys of additive map i after map j, for the
+    maps of the sorted atom_keys keys, given by their atom images in that
+    order; None if a composite is not among them.  Built in row blocks of
+    at most CHUNK_ENTRIES atom images."""
+    values = additive_values(columns, n)
+    out = np.empty((len(keys), len(keys)), dtype=np.min_scalar_type(len(keys) - 1))
+    step = max(1, CHUNK_ENTRIES // (len(keys) * n))
+    for start in range(0, len(keys), step):
+        # map i after map j sends atom a to map i's value at map j's image of a
+        at = _key_index(keys, atom_keys(values[start:start + step, columns], n))
+        if at is None:
+            return None
+        out[start:start + step] = at
+    return out
+
+
 def check_phi(cfg: SuiteConfig):
     params = {"points": list(range(1, cfg.bound_points + 1))}
     instances = 0
@@ -208,19 +231,18 @@ def check_phi(cfg: SuiteConfig):
         maps = full_selfmap_monoid(n)
         map_table = maps.composites()
         endos = enumerate_ring_endos(BoolRing(n))
-        endo_maps, _ = additive_monoid([e.atom_images for e in endos], n)
-        endo_table = endo_maps.composites()
+        # the distinct endomorphisms by their atom images, in key order
+        columns = np.array([e.atom_images for e in endos], dtype=np.int64).reshape(-1, n)
+        keys, first = np.unique(atom_keys(columns, n), return_index=True)
+        endo_table = _atom_composites(columns[first], keys, n)
         if endo_table is None:
             return params, instances, {
                 "n": n, "failure": "ring-endomorphism composition left the enumerated set"}
         instances += len(maps) ** 2
-        try:
-            phi_idx = endo_maps.lookup(additive_values(phi_array(maps.values), n))
-        except KeyError:
-            phi_idx = None
+        phi_idx = _key_index(keys, atom_keys(phi_array(maps.values), n))
         bijective = (
             phi_idx is not None
-            and len(endo_maps) == len(endos) == len(maps)
+            and len(keys) == len(endos) == len(maps)
             and np.array_equal(np.sort(phi_idx), np.arange(len(endos)))
         )
         if not bijective:
@@ -495,9 +517,11 @@ def check_saturation(cfg: SuiteConfig):
     lattice = partition_lattice(3)
     meet = lattice.meet.tolist()
     meet_closed = {}        # is_meet_closed reads no action: once per distinct family
+    # the saturations and their oracles read only the action table, so a
+    # table that has passed passes again under any other monoid
+    passed = set()
     for m in enumerate_small_monoids(3):
         for action in enumerate_actions(m, 3):
-            witness = {"monoid": m.to_json(), "action": action.values.tolist()}
             pull = lattice.pullback(action.values)
             # nested[e, s, t] = pull[t, pull[s, e]] against direct pull[s*t, e],
             # flattened in the (eps, s, t) scan order
@@ -507,14 +531,18 @@ def check_saturation(cfg: SuiteConfig):
             if bad.size:
                 e, s, t = np.unravel_index(bad[0], nested.shape)
                 return params, instances + int(bad[0]) + 1, {
-                    **witness,
+                    "monoid": m.to_json(), "action": action.values.tolist(),
                     "partition": lattice.partitions[e].to_json(),
                     "pair": [int(s), int(t)],
                 }
             instances += nested.size
+            table = (action.values.shape, action.values.tobytes())
+            if table in passed:
+                instances += len(lattice)
+                continue
             pulls = pull.T.tolist()
             for eps in lattice.partitions:
-                family = saturate(action, [eps])
+                family = lattice.saturation(pull, [eps])
                 instances += 1
                 ids = {lattice.index_of(p) for p in family.members}
                 closed = all(ids.issuperset(pulls[p]) and ids.issuperset(meet[p][q] for q in ids)
@@ -529,7 +557,9 @@ def check_saturation(cfg: SuiteConfig):
                     failure = "saturation fixed point violated"
                 if failure:
                     return params, instances, {
-                        **witness, "generator": eps.to_json(), "failure": failure}
+                        "monoid": m.to_json(), "action": action.values.tolist(),
+                        "generator": eps.to_json(), "failure": failure}
+            passed.add(table)
     return params, instances, None
 
 

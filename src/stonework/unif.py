@@ -107,9 +107,10 @@ class PartitionLattice:
     order a PartitionFamily keeps its members in.  ``index_of`` finds one
     partition; ``lookup`` finds the partitions of an array of class labels
     by their first-occurrence keys.  The (B, B) ``meet`` table is built on
-    first use and ``pullback`` builds a (k, B) table per call.  Every table
-    is guarded by guard_enum, so the default bound stops at 7 points
-    (Bell(7) = 877): the meet table on 8 points has 4140**2 entries.
+    first use and ``pullback`` builds a (k, B) table per call, which
+    ``saturation`` closes a family under.  Every table is guarded by
+    guard_enum, so the default bound stops at 7 points (Bell(7) = 877):
+    the meet table on 8 points has 4140**2 entries.
     """
 
     def __init__(self, n: int):
@@ -194,6 +195,29 @@ class PartitionLattice:
         return self._table(lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2),
                            len(maps))
 
+    def saturation(self, pull: np.ndarray, gamma) -> PartitionFamily:
+        """Least family containing gamma closed under the pullbacks of a
+        (k, B) table pull, as built by pullback, and under pairwise meets.
+
+        A closure over lattice indices: each round adds the pullbacks of
+        the newest members and their meets with every member.  gamma is an
+        iterable of partitions of the carrier.
+        """
+        pulls, meet = pull.T.tolist(), self.meet
+        members: set[int] = set()
+        fresh = {self.index_of(p) for p in gamma}
+        while fresh:
+            members |= fresh
+            reached: set[int] = set()
+            for p in fresh:
+                reached.update(pulls[p])
+                row = meet[p].tolist()
+                reached.update(row[q] for q in members)
+            fresh = reached - members
+        return PartitionFamily(carrier_size=self.n,
+                               members=tuple(self.partitions[i] for i in sorted(members)),
+                               meet_closed=True, saturated=True)
+
 
 @functools.cache
 def partition_lattice(n: int) -> PartitionLattice:
@@ -213,27 +237,13 @@ def saturate(action: MonoidAction, gamma) -> PartitionFamily:
     """Least family containing gamma closed under translation preimages
     and pairwise meets.
 
-    A closure over the indices of the partition lattice: each round adds
-    the pullbacks of the newest members and their meets with every member.
-    Raises ResourceLimit where the lattice tables exceed the enumeration
-    bound (by default past 7 points); saturate_worklist is the oracle.
+    PartitionLattice.saturation on the action's pullback table.  Raises
+    ResourceLimit where the lattice tables exceed the enumeration bound
+    (by default past 7 points); saturate_worklist is the oracle.
     """
     gamma = _generators(action, gamma)
     lattice = partition_lattice(action.carrier_size)
-    pulls, meet = lattice.pullback(action.values).T.tolist(), lattice.meet
-    members: set[int] = set()
-    fresh = {lattice.index_of(p) for p in gamma}
-    while fresh:
-        members |= fresh
-        reached: set[int] = set()
-        for p in fresh:
-            reached.update(pulls[p])
-            row = meet[p].tolist()
-            reached.update(row[q] for q in members)
-        fresh = reached - members
-    return PartitionFamily(carrier_size=lattice.n,
-                           members=tuple(lattice.partitions[i] for i in sorted(members)),
-                           meet_closed=True, saturated=True)
+    return lattice.saturation(lattice.pullback(action.values), gamma)
 
 
 def saturate_worklist(action: MonoidAction, gamma) -> PartitionFamily:

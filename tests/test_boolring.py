@@ -8,6 +8,8 @@ from stonework.boolring import (
     GroupEndo,
     RingEndo,
     additive_monoid,
+    additive_values,
+    atom_keys,
     bits_to_mask,
     enumerate_group_endos,
     enumerate_ring_endos,
@@ -244,6 +246,23 @@ def test_additive_monoid_composes_like_ring_endos(n):
 def test_additive_monoid_composes_like_group_endos(n):
     endos = enumerate_group_endos(BoolRing(n))
     _compose_against_reference(endos, transpose_masks([e.rows for e in endos], n), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_atom_keys_compose_like_ring_endos(n):
+    endos = enumerate_ring_endos(BoolRing(n))
+    columns = np.array([e.atom_images for e in endos]).reshape(-1, n)
+    # endo a after endo b sends atom x to endo a's value at endo b's image of x
+    composite = atom_keys(additive_values(columns, n)[:, columns], n)
+    for a, sigma in enumerate(endos):
+        for b, tau in enumerate(endos):
+            assert composite[a, b] == atom_keys(sigma.compose(tau).atom_images, n)
+
+
+def test_atom_keys_tell_every_additive_map_apart():
+    endos = enumerate_group_endos(BoolRing(3))
+    keys = atom_keys(transpose_masks([e.rows for e in endos], 3), 3)
+    assert len(set(keys.tolist())) == len(endos) == 512
 
 
 def test_transpose_masks_matches_group_endo_transpose():

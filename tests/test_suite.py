@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_duality import oracle_transport, phi_at
 
@@ -9,6 +11,7 @@ from stonework import duality, navector, suite, ultra, unif
 from stonework.boolring import BoolRing
 from stonework.duality import phi_array, preimage_mask
 from stonework.finmon import full_selfmap_monoid
+from stonework.generators import enumerate_actions, enumerate_small_monoids
 from stonework.suite import SuiteConfig, check_delta, check_phi, run_suite
 
 SMALL = SuiteConfig(bound_points=3, bound_atoms=3)
@@ -60,6 +63,16 @@ def test_phi_fails_when_the_array_form_is_not_onto(monkeypatch):
     monkeypatch.setattr(suite, "phi_array", constant)
     _, _, witness = check_phi(SMALL)
     assert witness == {"n": 2, "failure": "phi is not a bijection"}
+
+
+def test_phi_fails_when_an_endomorphism_is_missing(monkeypatch):
+    # drop the last endomorphism where there are two or more: at 2 atoms it
+    # has atom images (3, 0), the composite (0, 3) after (2, 1)
+    real = suite.enumerate_ring_endos
+    monkeypatch.setattr(suite, "enumerate_ring_endos", lambda ring: real(ring)[:-1] or real(ring))
+    _, instances, witness = check_phi(SMALL)
+    assert witness == {"n": 2, "failure": "ring-endomorphism composition left the enumerated set"}
+    assert instances == 1
 
 
 def old_transport_scan(bound, memberships):
@@ -162,14 +175,15 @@ def test_saturation_fails_on_a_wrong_pullback(monkeypatch):
 
 
 def dropping_first_member(saturation):
-    def dropped(action, gamma):
-        family = saturation(action, gamma)
+    def dropped(*args):
+        family = saturation(*args)
         return unif.make_family(family.carrier_size, family.members[1:])
     return dropped
 
 
 def test_saturation_fails_when_a_member_is_dropped(monkeypatch):
-    monkeypatch.setattr(suite, "saturate", dropping_first_member(unif.saturate))
+    monkeypatch.setattr(unif.PartitionLattice, "saturation",
+                        dropping_first_member(unif.PartitionLattice.saturation))
     _, _, witness = suite.check_saturation(SMALL)
     assert witness["failure"] == "saturation disagrees with the worklist oracle"
     assert set(witness) == {"monoid", "action", "generator", "failure"}
@@ -177,13 +191,82 @@ def test_saturation_fails_when_a_member_is_dropped(monkeypatch):
 
 def test_saturation_fails_when_both_drop_the_generator(monkeypatch):
     # the first generator, the indiscrete partition, saturates to itself alone
-    monkeypatch.setattr(suite, "saturate", dropping_first_member(unif.saturate))
+    monkeypatch.setattr(unif.PartitionLattice, "saturation",
+                        dropping_first_member(unif.PartitionLattice.saturation))
     monkeypatch.setattr(suite, "saturate_worklist",
                         dropping_first_member(unif.saturate_worklist))
     _, instances, witness = suite.check_saturation(SMALL)
     assert witness["failure"] == "saturation fixed point violated"
     assert witness["generator"] == {"classes": [[0, 1, 2]]}
     assert instances == 3 * 3 * 5 + 1
+
+
+def actions_in_scan_order():
+    return [action for m in enumerate_small_monoids(3) for action in enumerate_actions(m, 3)]
+
+
+def test_saturation_checks_the_last_distinct_action_table(monkeypatch):
+    # a saturation wrong only on the action table whose first occurrence
+    # comes last is still caught there: the check skips exact repeats only
+    scan = actions_in_scan_order()
+    firsts = {}
+    for at, action in enumerate(scan):
+        firsts.setdefault(action.values.tobytes(), at)
+    last = max(firsts.values())
+    current = []
+
+    def recording(m, carrier):
+        for action in enumerate_actions(m, carrier):
+            current[:] = [action]
+            yield action
+
+    saturation = unif.PartitionLattice.saturation
+    dropped = dropping_first_member(saturation)
+    monkeypatch.setattr(suite, "enumerate_actions", recording)
+    monkeypatch.setattr(unif.PartitionLattice, "saturation", lambda *args: (
+        dropped if np.array_equal(current[0].values, scan[last].values) else saturation)(*args))
+    _, instances, witness = suite.check_saturation(SMALL)
+    assert witness["failure"] == "saturation disagrees with the worklist oracle"
+    assert witness["action"] == scan[last].values.tolist()
+    assert witness["monoid"] == scan[last].monoid.to_json()
+    # every action before it: its composite law and its five generators
+    assert instances == last * (3 * 3 * 5 + 5) + 3 * 3 * 5 + 1
+
+
+def test_equal_action_tables_saturate_alike():
+    # the premise of the check's repeat-table set, at every 3-point action
+    by_table = {}
+    for action in actions_in_scan_order():
+        by_table.setdefault(action.values.tobytes(), []).append(action)
+    repeats = [actions for actions in by_table.values() if len(actions) > 1]
+    assert len(by_table) == 108 and repeats
+    for first, *others in repeats:
+        for eps in unif.partition_lattice(3).partitions:
+            family = unif.saturate(first, [eps])
+            expected = (family, unif.saturate_worklist(first, [eps]),
+                        unif.is_saturated_under(family, first))
+            for action in others:
+                assert action.monoid.to_json() != first.monoid.to_json()
+                assert (unif.saturate(action, [eps]), unif.saturate_worklist(action, [eps]),
+                        unif.is_saturated_under(family, action)) == expected
+
+
+def test_saturation_pulls_back_once_per_action_and_saturates_each_table_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(unif.PartitionLattice, "pullback",
+                        counting("pullback", unif.PartitionLattice.pullback))
+    monkeypatch.setattr(suite, "saturate_worklist",
+                        counting("saturate_worklist", unif.saturate_worklist))
+    assert suite.check_saturation(SMALL)[2] is None
+    # 199 actions of the eleven 3-element monoids, 108 distinct tables, 5 generators
+    assert calls == {"pullback": 199, "saturate_worklist": 108 * 5}
 
 
 def scaled_chain_metric(factor):
