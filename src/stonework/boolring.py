@@ -9,7 +9,8 @@ characters of the additive group as masks pairing by overlap parity.
 Sets of additive maps are also held as self-maps of the 2**n ring
 elements: ``additive_monoid`` passes their distinct value tables, as the
 rows of one array, to a SelfMapMonoid.  ``atom_keys`` keys a map by its
-n atom images alone, packed into one int64.
+n atom images alone, packed into one int64; ``atom_composites`` composes
+maps on those images and ``atom_index`` looks maps up by their keys.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionMismatch
-from .finmon import SelfMapMonoid
+from .finmon import CHUNK_ENTRIES, SelfMapMonoid
 from .limits import guard_enum
 from .schema import expect_field, expect_int, expect_list, expect_object
 
@@ -264,6 +265,38 @@ def atom_keys(columns, n: int) -> np.ndarray:
     equal exactly when they are equal (for n up to 7)."""
     columns = np.asarray(columns, dtype=np.int64)
     return (columns << n * np.arange(n)).sum(axis=-1)
+
+
+def atom_index(keys: np.ndarray, columns, n: int) -> np.ndarray | None:
+    """Position in the sorted atom_keys keys of each additive map of an
+    integer array (..., n) of atom images; None if one is not there."""
+    query = atom_keys(columns, n)
+    at = np.minimum(keys.searchsorted(query), len(keys) - 1)
+    return at if np.array_equal(keys[at], query) else None
+
+
+def atom_composites(columns, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct additive maps of an (E, n) array of atom images, and
+    their composition table.
+
+    Returns the sorted atom_keys of the distinct maps and out[i, j], the
+    position there of map i after map j (maps in key order), or None for
+    the table if a composite is not among the maps.  Composites are taken
+    on atom images alone, in row blocks of at most CHUNK_ENTRIES images.
+    """
+    columns = np.asarray(columns, dtype=np.int64).reshape(-1, n)
+    keys, first = np.unique(atom_keys(columns, n), return_index=True)
+    columns = columns[first]
+    values = additive_values(columns, n)
+    out = np.empty((len(keys), len(keys)), dtype=np.min_scalar_type(len(keys) - 1))
+    step = max(1, CHUNK_ENTRIES // (len(keys) * n))
+    for start in range(0, len(keys), step):
+        # map i after map j sends atom a to map i's value at map j's image of a
+        at = atom_index(keys, values[start:start + step, columns], n)
+        if at is None:
+            return keys, None
+        out[start:start + step] = at
+    return keys, out
 
 
 def additive_monoid(columns, n: int) -> tuple[SelfMapMonoid, np.ndarray]:

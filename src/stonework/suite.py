@@ -22,7 +22,8 @@ from .boolring import (
     BoolRing,
     additive_monoid,
     additive_values,
-    atom_keys,
+    atom_composites,
+    atom_index,
     enumerate_group_endos,
     enumerate_ring_endos,
     ring_homs_to_Z2,
@@ -30,7 +31,7 @@ from .boolring import (
 )
 from .duality import entourage_transport, hom_embed, phi_array
 from .errors import AssociativityViolation, NoWitness, StoneworkError
-from .finmon import CHUNK_ENTRIES, SelfMapMonoid, full_selfmap_monoid, is_submonoid, validate_monoid
+from .finmon import SelfMapMonoid, full_selfmap_monoid, is_submonoid, validate_monoid
 from .generators import (
     enumerate_actions,
     enumerate_small_monoids,
@@ -59,6 +60,7 @@ from .unif import (
     is_saturated_under,
     partition_lattice,
     refines,
+    saturate,
     saturate_worklist,
 )
 
@@ -201,29 +203,6 @@ def check_duality_counts(cfg: SuiteConfig):
     return params, instances, None
 
 
-def _key_index(keys: np.ndarray, query: np.ndarray) -> np.ndarray | None:
-    """Positions of the query keys in the sorted keys; None if one is missing."""
-    at = np.minimum(keys.searchsorted(query), len(keys) - 1)
-    return at if np.array_equal(keys[at], query) else None
-
-
-def _atom_composites(columns: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray | None:
-    """out[i, j] = position in keys of additive map i after map j, for the
-    maps of the sorted atom_keys keys, given by their atom images in that
-    order; None if a composite is not among them.  Built in row blocks of
-    at most CHUNK_ENTRIES atom images."""
-    values = additive_values(columns, n)
-    out = np.empty((len(keys), len(keys)), dtype=np.min_scalar_type(len(keys) - 1))
-    step = max(1, CHUNK_ENTRIES // (len(keys) * n))
-    for start in range(0, len(keys), step):
-        # map i after map j sends atom a to map i's value at map j's image of a
-        at = _key_index(keys, atom_keys(values[start:start + step, columns], n))
-        if at is None:
-            return None
-        out[start:start + step] = at
-    return out
-
-
 def check_phi(cfg: SuiteConfig):
     params = {"points": list(range(1, cfg.bound_points + 1))}
     instances = 0
@@ -231,15 +210,12 @@ def check_phi(cfg: SuiteConfig):
         maps = full_selfmap_monoid(n)
         map_table = maps.composites()
         endos = enumerate_ring_endos(BoolRing(n))
-        # the distinct endomorphisms by their atom images, in key order
-        columns = np.array([e.atom_images for e in endos], dtype=np.int64).reshape(-1, n)
-        keys, first = np.unique(atom_keys(columns, n), return_index=True)
-        endo_table = _atom_composites(columns[first], keys, n)
+        keys, endo_table = atom_composites([e.atom_images for e in endos], n)
         if endo_table is None:
             return params, instances, {
                 "n": n, "failure": "ring-endomorphism composition left the enumerated set"}
         instances += len(maps) ** 2
-        phi_idx = _key_index(keys, atom_keys(phi_array(maps.values), n))
+        phi_idx = atom_index(keys, phi_array(maps.values), n)
         bijective = (
             phi_idx is not None
             and len(keys) == len(endos) == len(maps)
@@ -542,7 +518,7 @@ def check_saturation(cfg: SuiteConfig):
                 continue
             pulls = pull.T.tolist()
             for eps in lattice.partitions:
-                family = lattice.saturation(pull, [eps])
+                family = saturate(action, [eps], pull)
                 instances += 1
                 ids = {lattice.index_of(p) for p in family.members}
                 closed = all(ids.issuperset(pulls[p]) and ids.issuperset(meet[p][q] for q in ids)

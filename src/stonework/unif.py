@@ -233,17 +233,21 @@ def _generators(action: MonoidAction, gamma) -> list[Partition]:
     return gamma
 
 
-def saturate(action: MonoidAction, gamma) -> PartitionFamily:
+def saturate(action: MonoidAction, gamma, pull: np.ndarray | None = None) -> PartitionFamily:
     """Least family containing gamma closed under translation preimages
     and pairwise meets.
 
-    PartitionLattice.saturation on the action's pullback table.  Raises
-    ResourceLimit where the lattice tables exceed the enumeration bound
-    (by default past 7 points); saturate_worklist is the oracle.
+    PartitionLattice.saturation on the action's pullback table: pull, if
+    the caller has built it with PartitionLattice.pullback, else a table
+    built here.  Raises ResourceLimit where the lattice tables exceed the
+    enumeration bound (by default past 7 points); saturate_worklist is the
+    oracle.
     """
     gamma = _generators(action, gamma)
     lattice = partition_lattice(action.carrier_size)
-    return lattice.saturation(lattice.pullback(action.values), gamma)
+    if pull is None:
+        pull = lattice.pullback(action.values)
+    return lattice.saturation(pull, gamma)
 
 
 def saturate_worklist(action: MonoidAction, gamma) -> PartitionFamily:

@@ -8,7 +8,8 @@ from stonework.boolring import (
     GroupEndo,
     RingEndo,
     additive_monoid,
-    additive_values,
+    atom_composites,
+    atom_index,
     atom_keys,
     bits_to_mask,
     enumerate_group_endos,
@@ -23,6 +24,7 @@ from stonework.boolring import (
     ring_homs_to_Z2,
     transpose_masks,
 )
+from stonework import boolring
 from stonework.finmon import full_selfmap_monoid
 from stonework.duality import phi
 
@@ -248,15 +250,61 @@ def test_additive_monoid_composes_like_group_endos(n):
     _compose_against_reference(endos, transpose_masks([e.rows for e in endos], n), n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_atom_keys_compose_like_ring_endos(n):
+def _ring_endo_columns(n):
     endos = enumerate_ring_endos(BoolRing(n))
-    columns = np.array([e.atom_images for e in endos]).reshape(-1, n)
-    # endo a after endo b sends atom x to endo a's value at endo b's image of x
-    composite = atom_keys(additive_values(columns, n)[:, columns], n)
+    return endos, np.array([e.atom_images for e in endos]).reshape(-1, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_atom_composites_compose_like_ring_endos(n):
+    endos, columns = _ring_endo_columns(n)
+    keys, table = atom_composites(columns, n)
+    where = atom_index(keys, columns, n)
+    assert len(keys) == len(endos)
+    assert np.array_equal(np.sort(where), np.arange(len(endos)))
+    index = {e: i for i, e in enumerate(endos)}
     for a, sigma in enumerate(endos):
         for b, tau in enumerate(endos):
-            assert composite[a, b] == atom_keys(sigma.compose(tau).atom_images, n)
+            assert table[where[a], where[b]] == where[index[sigma.compose(tau)]]
+    # repeated maps are composed once
+    again = atom_composites(np.concatenate([columns[::-1], columns]), n)
+    assert np.array_equal(again[0], keys) and np.array_equal(again[1], table)
+
+
+def test_atom_index_misses_a_map_outside_the_keys():
+    _, columns = _ring_endo_columns(2)
+    keys, _ = atom_composites(columns[1:], 2)
+    assert atom_index(keys, columns[1:], 2) is not None
+    assert atom_index(keys, columns, 2) is None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_blocked_atom_composites_match_the_unblocked(monkeypatch, n, rows):
+    _, columns = _ring_endo_columns(n)
+    keys, whole = atom_composites(columns, n)
+    monkeypatch.setattr(boolring, "CHUNK_ENTRIES", rows * len(keys) * n)
+    blocked_keys, blocked = atom_composites(columns, n)
+    assert np.array_equal(blocked_keys, keys) and np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_a_composite_missing_from_a_later_block_is_caught(monkeypatch, rows):
+    _, columns = _ring_endo_columns(3)
+    keys, whole = atom_composites(columns, 3)
+    ordered = columns[np.argsort(atom_index(keys, columns, 3))]     # key order
+    # drop a map that no map of the first block composes to, but some other pair does
+    for drop in range(len(keys)):
+        kept = np.delete(np.arange(len(keys)), drop)
+        if ((whole[np.ix_(kept[:rows], kept)] != drop).all()
+                and (whole[np.ix_(kept, kept)] == drop).any()):
+            break
+    else:
+        pytest.fail("no map is missed only after the first block")
+    monkeypatch.setattr(boolring, "CHUNK_ENTRIES", rows * len(kept) * 3)
+    kept_keys, table = atom_composites(ordered[kept], 3)
+    assert np.array_equal(kept_keys, keys[kept])
+    assert table is None
 
 
 def test_atom_keys_tell_every_additive_map_apart():

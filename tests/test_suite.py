@@ -262,11 +262,13 @@ def test_saturation_pulls_back_once_per_action_and_saturates_each_table_once(mon
 
     monkeypatch.setattr(unif.PartitionLattice, "pullback",
                         counting("pullback", unif.PartitionLattice.pullback))
+    monkeypatch.setattr(suite, "saturate", counting("saturate", unif.saturate))
     monkeypatch.setattr(suite, "saturate_worklist",
                         counting("saturate_worklist", unif.saturate_worklist))
     assert suite.check_saturation(SMALL)[2] is None
-    # 199 actions of the eleven 3-element monoids, 108 distinct tables, 5 generators
-    assert calls == {"pullback": 199, "saturate_worklist": 108 * 5}
+    # 199 actions of the eleven 3-element monoids, 108 distinct tables, 5
+    # generators: every saturate call reads the check's own pullback table
+    assert calls == {"pullback": 199, "saturate": 108 * 5, "saturate_worklist": 108 * 5}
 
 
 def scaled_chain_metric(factor):
