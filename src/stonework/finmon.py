@@ -58,7 +58,7 @@ class FiniteMonoid:
         step = max(1, CHUNK_ENTRIES // k)
         rows = []
         for start in range(0, k, step):
-            rows.extend(map(tuple, shared[self.values[start:start + step]]))
+            rows.extend(map(tuple, shared[self.values[start:start + step]].tolist()))
         return tuple(rows)
 
     def to_json(self) -> dict:
@@ -212,10 +212,11 @@ def _action_defect(table: np.ndarray, act: np.ndarray):
     return first_true((k, k, n), lambda a, b: act[table[a:b]] != act[a:b].take(act, axis=1))
 
 
-# Entries of the (pairs, n) composite block one chunk of a batched compose
-# builds, so that composing all k * k pairs never holds a (k, k, n) array.
-# Chunk temporaries stay near 256 KB: freeing blocks of several MB raises
-# glibc's mmap and trim thresholds, and the heap then keeps what it freed.
+# Entries of one block of a computation done in row blocks, such as the rows
+# of a law array (first_true) or of a composition table's keys, so that no
+# (k, k, n) array is ever held.  Block temporaries stay near 256 KB: freeing
+# blocks of several MB raises glibc's mmap and trim thresholds, and the heap
+# then keeps what it freed.
 CHUNK_ENTRIES = 1 << 15
 
 # Tables of at most this many entries are built in Python: below it the
@@ -257,15 +258,13 @@ class SelfMapMonoid:
     map must be present.  ``elements``, the maps as tuples of ints, is
     derived on first use for JSON, witnesses and the scalar oracles.
 
-    ``compose(i, j)`` is the one composition primitive.  For two Python
-    ints it reads the composition array, which is built once and also
-    backs composites(), to_monoid() and verify_closure: in Python up to
-    ``SMALL_TABLE`` entries, else as one batched call over all pairs.
-    For index arrays, which broadcast against each other like numpy
-    operands, it returns the index array of every composite: value rows
-    are composed in chunks of at most ``CHUNK_ENTRIES`` entries and each
-    composite is found by ``lookup``, for any carrier size.  A composite
-    outside the set raises KeyError.
+    ``compose(i, j)`` is the one composition primitive, and it reads one
+    table: the (k, k) composition array, built on first use (see
+    _product).  composites(), to_monoid() and verify_closure read it
+    through compose.  So every composition, of two ints or of index
+    arrays, needs the whole set closed: if any composite is not an
+    element, compose raises KeyError.  ``lookup`` finds the index of any
+    value row without the table.
     """
 
     def __init__(self, values):
@@ -297,28 +296,16 @@ class SelfMapMonoid:
     def compose(self, i, j):
         """Index of map i after map j (apply j first).
 
-        i and j are ints, giving an int, or integer arrays that broadcast
-        against each other, giving an integer index array of the
-        broadcast shape.
+        i and j index the composition table as they would any (k, k)
+        array: two ints give an int; integer arrays that broadcast against
+        each other, or slices, give the index array of every composite, a
+        read-only view for two slices.  KeyError if the set is not closed,
+        whichever composites are asked for.
         """
         if type(i) is int and type(j) is int:
             return int(self._product[i, j])
-        values = self.values
-        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-        if i.size * j.size * self.carrier_size <= CHUNK_ENTRIES or i.ndim == j.ndim == 0:
-            # composite[..., x] = values[i, values[j, x]]
-            out = self.lookup(values[i[..., None], values[j]])
-            return out if out.ndim else int(out)
-        shape = np.broadcast(i, j).shape
-        i = i.reshape((1,) * (len(shape) - i.ndim) + i.shape)
-        j = j.reshape((1,) * (len(shape) - j.ndim) + j.shape)
-        out = np.empty(shape, dtype=np.min_scalar_type(len(self) - 1))
-        step = max(1, CHUNK_ENTRIES // max(1, math.prod(shape[1:]) * self.carrier_size))
-        for start in range(0, shape[0], step):
-            f = i if len(i) == 1 else i[start:start + step]
-            g = j if len(j) == 1 else j[start:start + step]
-            out[start:start + step] = self.lookup(values[f[..., None], values[g]])
-        return out
+        out = self._product[i, j]
+        return out if out.ndim else int(out)
 
     def lookup(self, maps) -> np.ndarray:
         """Indices of the value rows maps[..., :]; KeyError for a non-element.
@@ -337,14 +324,8 @@ class SelfMapMonoid:
         if flat.size and (flat.max() >= n or flat.dtype.kind != "u" and flat.min() < 0):
             off = ((flat < 0) | (flat >= n)).any(axis=1)
             raise KeyError(tuple(flat[off.argmax()].tolist()))
-        for lo, hi, powers, keys in self._key_levels:
-            key = flat[:, lo:hi] @ powers
-            if lo:
-                key += rank * (powers[0] * n)
-            rank = keys.searchsorted(key)
-            missing = keys[rank] != key
-            if missing.any():
-                raise KeyError(tuple(flat[int(missing.argmax())].tolist()))
+        digits = (flat[:, lo:hi] @ powers for lo, hi, powers, _ in self._key_levels)
+        rank = self._ranks(digits, lambda at: tuple(flat[at[0]].tolist()))
         return rank.reshape(maps.shape[:-1])
 
     @cached_property
@@ -381,18 +362,58 @@ class SelfMapMonoid:
             levels.append((lo, hi, powers, np.concatenate((key, [_KEY_BOUND]))))
         return levels
 
+    def _ranks(self, digits, row):
+        """Element indices of the maps whose digit keys digits yields, one
+        array per level of _key_levels, each searched among that level's
+        keys.  KeyError(row(at)) for the first position at, in C order,
+        whose key is missing, at the first level that misses one."""
+        n = self.carrier_size
+        for (lo, _, powers, keys), key in zip(self._key_levels, digits):
+            if lo:
+                key += rank * (powers[0] * n)
+            rank = keys.searchsorted(key)
+            missing = keys[rank] != key
+            if missing.any():
+                raise KeyError(row(np.unravel_index(missing.argmax(), missing.shape)))
+        return rank
+
     @cached_property
     def _product(self) -> np.ndarray:
-        """The read-only composites(); KeyError if one is not an element."""
-        k = len(self)
+        """The read-only (k, k) composition table; KeyError if a composite
+        is not an element.
+
+        Up to SMALL_TABLE entries it is built in Python.  Beyond, from the
+        linearity of the lookup key: on level b, the digit key of f after g
+        is values[f] @ W_b[:, g], where W_b[y, g] sums the digit weights
+        powers[x - lo] of the level's points x with g(x) = y.  So a block
+        of rows of the table is one (rows, n) @ (n, k) product per level,
+        ranked like lookup ranks value rows; with at most CHUNK_ENTRIES
+        keys a block, no (k, k, n) array of composite maps is built.  The
+        products stay exact: every term is non-negative and no key reaches
+        _KEY_BOUND.
+        """
+        k, n = self.values.shape
         if k * k <= SMALL_TABLE:
             el = self.elements
             index = {f: i for i, f in enumerate(el)}
-            out = [[index[tuple(f[x] for x in g)] for g in el] for f in el]
+            out = np.array([[index[tuple(f[x] for x in g)] for g in el] for f in el],
+                           dtype=np.min_scalar_type(k - 1))
         else:
-            ids = np.arange(k)
-            out = self.compose(ids[:, None], ids)
-        out = np.asarray(out).astype(np.min_scalar_type(k - 1), copy=False)
+            values = self.values.astype(np.int64)
+            columns = np.arange(k)
+            weights = []
+            for lo, hi, powers, _ in self._key_levels:
+                w = np.zeros((n, k), dtype=np.int64)
+                for x in range(lo, hi):     # one entry per column, so no index repeats
+                    w[values[:, x], columns] += powers[x - lo]
+                weights.append(w)
+            out = np.empty((k, k), dtype=np.min_scalar_type(k - 1))
+            step = max(1, CHUNK_ENTRIES // k)
+            for start in range(0, k, step):
+                f = values[start:start + step]
+                out[start:start + step] = self._ranks(
+                    (f @ w for w in weights),
+                    lambda at: tuple(self.values[start + at[0]][self.values[at[1]]].tolist()))
         out.flags.writeable = False
         return out
 
@@ -400,7 +421,7 @@ class SelfMapMonoid:
         """out[i, j] = index of map i after map j, read-only; None if some
         composite is not an element."""
         try:
-            return self._product
+            return self.compose(slice(None), slice(None))
         except KeyError:
             return None
 
@@ -409,7 +430,7 @@ class SelfMapMonoid:
 
     def to_monoid(self) -> FiniteMonoid:
         """Composition table under the canonical element order."""
-        return FiniteMonoid(self._product, self.identity_index)
+        return FiniteMonoid(self.compose(slice(None), slice(None)), self.identity_index)
 
 
 def _strictly_ascending(rows: np.ndarray) -> bool:

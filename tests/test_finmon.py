@@ -479,6 +479,103 @@ def test_non_closed_map_set_is_detected():
         maps.to_monoid()
 
 
+def test_array_compose_needs_a_closed_set():
+    # the identity after (1,2,0) is listed, but (1,2,0) twice is not
+    maps = SelfMapMonoid([(0, 1, 2), (1, 2, 0)])
+    with pytest.raises(KeyError):
+        maps.compose(np.array([0]), np.array([1]))
+    with pytest.raises(KeyError):
+        maps.compose(0, 1)
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_a_composite_missing_after_the_first_row_block_is_caught(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)     # one row a block
+    gone = (0, 0, 1)
+    maps = SelfMapMonoid([f for f in full_selfmap_monoid(3).elements if f != gone])
+    # row 0 is the constant 0 map, whose composites are all itself
+    assert maps.elements[0] == (0, 0, 0)
+    assert maps.composites() is None and not maps.verify_closure()
+    with pytest.raises(KeyError) as exc:
+        maps.compose(np.arange(3), 0)
+    assert exc.value.args == (gone,)
+
+
+def _dihedral_and_constants(n: int) -> SelfMapMonoid:
+    """The 2n symmetries of an n-gon and the n constant maps, 3n maps
+    closed under composition."""
+    x = np.arange(n)
+    rows = [(x + r) % n for r in range(n)] + [(r - x) % n for r in range(n)]
+    rows += [np.full(n, c) for c in range(n)]
+    return SelfMapMonoid(np.unique(rows, axis=0))
+
+
+MULTI_LEVEL = [(16, 2), (20, 2), (40, 4)]       # (points, key levels) at 3n maps
+
+
+@pytest.mark.parametrize("n, levels", MULTI_LEVEL)
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_multi_level_composites_match_scalar_composition(monkeypatch, n, levels, chunk):
+    maps = _dihedral_and_constants(n)
+    assert len(maps) == 3 * n and len(maps._key_levels) == levels
+    if chunk is not None:
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)     # one row a block
+    index = {f: i for i, f in enumerate(maps.elements)}
+    expected = [[index[tuple(f[x] for x in g)] for g in maps.elements] for f in maps.elements]
+    assert maps.composites().tolist() == expected
+
+
+@pytest.mark.parametrize("n, levels", MULTI_LEVEL)
+def test_multi_level_lookup_misses_exactly_the_non_elements(n, levels):
+    maps = _dihedral_and_constants(n)
+    index = {f: i for i, f in enumerate(maps.elements)}
+    width = maps._key_levels[0][1]
+    # the first and the last point of every level, so a miss shows at each level
+    points = sorted({p for lo in range(0, n, width) for p in (lo, min(lo + width, n) - 1)})
+    rng = np.random.default_rng(n)
+    for f in maps.elements:
+        for x in points:
+            for v in (f[x], (f[x] + 1) % n, rng.integers(n)):
+                row = list(f)
+                row[x] = int(v)
+                if tuple(row) in index:
+                    assert maps.lookup(np.array(row)) == index[tuple(row)]
+                else:
+                    with pytest.raises(KeyError):
+                        maps.lookup(np.array(row))
+    # the constant 0 map sent to 1 from a level boundary on: its first
+    # level is an element's, so the miss shows at a later level
+    for lo in range(width, n, width):
+        row = [0] * lo + [1] * (n - lo)
+        with pytest.raises(KeyError):
+            maps.lookup(np.array([row]))
+
+
+def _theta6() -> SelfMapMonoid:
+    """The 960 1-Lipschitz self-maps of a 6-point tree ultrametric:
+    {0, 1} and {2, 3} at distance 1 within, 2 apart; {4, 5} at distance 1
+    within, 3 from the rest."""
+    tree = [[0, 1, 2, 2, 3, 3], [1, 0, 2, 2, 3, 3], [2, 2, 0, 1, 3, 3],
+            [2, 2, 1, 0, 3, 3], [3, 3, 3, 3, 0, 1], [3, 3, 3, 3, 1, 0]]
+    theta = enumerate_theta(UltraPseudometric.from_rows(tree))
+    assert len(theta) == 960
+    return theta
+
+
+def test_the_composition_table_holds_no_block_of_composite_maps():
+    # a (k, k, n) block of composite maps would be 5.3 MiB and 46.6 MiB here
+    for maps in (_theta6(), full_selfmap_monoid(5)):
+        tracemalloc.start()
+        try:
+            table = maps.composites()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (len(maps), len(maps))
+        assert peak - table.nbytes < 2 * 2**20
+
+
 def test_selfmap_values_and_index():
     maps = full_selfmap_monoid(3)
     assert maps.values.shape == (27, 3) and maps.values.dtype == np.uint8
