@@ -475,17 +475,12 @@ def test_non_closed_map_set_is_detected():
         maps.compose(1, 1)          # (1,2,0) twice is (2,0,1), not listed
     with pytest.raises(KeyError):
         maps.compose(np.arange(2)[:, None], np.arange(2))
+    # composing needs the whole set closed, even where the composite is listed
+    for i, j in ((0, 1), (np.array([0]), np.array([1]))):
+        with pytest.raises(KeyError):
+            maps.compose(i, j)      # the identity after (1,2,0)
     with pytest.raises(KeyError):
         maps.to_monoid()
-
-
-def test_array_compose_needs_a_closed_set():
-    # the identity after (1,2,0) is listed, but (1,2,0) twice is not
-    maps = SelfMapMonoid([(0, 1, 2), (1, 2, 0)])
-    with pytest.raises(KeyError):
-        maps.compose(np.array([0]), np.array([1]))
-    with pytest.raises(KeyError):
-        maps.compose(0, 1)
 
 
 @pytest.mark.parametrize("chunk", [None, 1])
