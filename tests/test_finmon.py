@@ -524,6 +524,7 @@ def test_multi_level_composites_match_scalar_composition(monkeypatch, n, levels,
 @pytest.mark.parametrize("n, levels", MULTI_LEVEL)
 def test_multi_level_lookup_misses_exactly_the_non_elements(n, levels):
     maps = _dihedral_and_constants(n)
+    assert len(maps._key_levels) == levels
     index = {f: i for i, f in enumerate(maps.elements)}
     width = maps._key_levels[0][1]
     # the first and the last point of every level, so a miss shows at each level
