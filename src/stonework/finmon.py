@@ -66,16 +66,29 @@ class FiniteMonoid:
 
 
 def _stored(values, rows: int) -> np.ndarray:
-    """A read-only C-ordered copy of values, refused unless it is a 2-D
+    """values as a read-only C-ordered array, refused unless it is a 2-D
     array of the given number of rows whose dtype is the smallest unsigned
-    one that holds every column index."""
+    one that holds every column index.  An array that is already C-ordered
+    and read-only, down its whole chain of bases, is kept as it is, since
+    nothing can write to it; any other is copied."""
     values = np.asarray(values)
     if (values.ndim != 2 or len(values) != rows
             or values.dtype != np.min_scalar_type(max(values.shape[1] - 1, 0))):
         raise ValueError(f"not a stored table of {rows} rows: {values.dtype} {values.shape}")
-    values = np.array(values, order="C")
-    values.flags.writeable = False
+    if not (values.flags.c_contiguous and _frozen(values)):
+        values = np.array(values, order="C")
+        values.flags.writeable = False
     return values
+
+
+def _frozen(values: np.ndarray) -> bool:
+    """True iff values and every array it views are read-only, and the
+    chain of bases ends in an array that owns its data."""
+    while isinstance(values, np.ndarray):
+        if values.flags.writeable:
+            return False
+        values = values.base
+    return values is None
 
 
 def _narrowed(rows, shape, shape_error: str, range_error: str) -> np.ndarray:
@@ -264,7 +277,9 @@ class SelfMapMonoid:
     through compose.  So every composition, of two ints or of index
     arrays, needs the whole set closed: if any composite is not an
     element, compose raises KeyError.  ``lookup`` finds the index of any
-    value row without the table.
+    value row without the table.  Both find a map by its lookup key: in a
+    direct-address table of every key where there are at most k * k
+    keys, n**n, else by binary search (see _key_levels).
     """
 
     def __init__(self, values):
@@ -312,10 +327,11 @@ class SelfMapMonoid:
 
         Exact for any carrier size: the key of a map is built block by
         block, each step packing the rank of the prefix so far with the
-        next block of base-n digits (see _key_levels).  A row with a value
-        outside the carrier raises KeyError before any key is built, since
-        such digits would alias the key of an element; a row of another
-        length raises ValueError.
+        next block of base-n digits (see _key_levels).  The indices are
+        intp.  A row with a value outside the carrier raises KeyError
+        before any key is built, since such digits would alias the key of
+        an element; a row of another length raises ValueError.  A missing
+        row raises KeyError naming the first one in C order.
         """
         maps, n = np.asarray(maps), self.carrier_size
         if maps.shape[-1:] != (n,):
@@ -326,7 +342,7 @@ class SelfMapMonoid:
             raise KeyError(tuple(flat[off.argmax()].tolist()))
         digits = (flat[:, lo:hi] @ powers for lo, hi, powers, _ in self._key_levels)
         rank = self._ranks(digits, lambda at: tuple(flat[at[0]].tolist()))
-        return rank.reshape(maps.shape[:-1])
+        return rank.astype(np.intp, copy=False).reshape(maps.shape[:-1])
 
     @cached_property
     def _key_levels(self) -> list:
@@ -338,7 +354,8 @@ class SelfMapMonoid:
         elements, where rank is an element's index among the keys of level
         b - 1, followed by the sentinel _KEY_BOUND; after the last level
         that index is the element's own index.  A single block (every
-        n <= 15) is the plain base-n key.
+        n <= 15) is the plain base-n key, below n**n; where n**n <= k * k,
+        _ranks reads it in _inverse instead of searching the level's keys.
         """
         k, n = self.values.shape
         width = 1
@@ -362,17 +379,36 @@ class SelfMapMonoid:
             levels.append((lo, hi, powers, np.concatenate((key, [_KEY_BOUND]))))
         return levels
 
+    @cached_property
+    def _inverse(self) -> np.ndarray | None:
+        """The direct-address table of the single-level keys, where there
+        are at most k * k of them: inverse[key] is the index of the element
+        with that base-n key, or k if there is none.  None where the keys
+        have several levels or n**n > k * k; those stay searched."""
+        k, n = self.values.shape
+        if n ** n > k * k or len(self._key_levels) > 1:
+            return None
+        inverse = np.full(n ** n, k, dtype=np.min_scalar_type(k))
+        inverse[self._key_levels[0][3][:-1]] = np.arange(k)
+        inverse.flags.writeable = False
+        return inverse
+
     def _ranks(self, digits, row):
         """Element indices of the maps whose digit keys digits yields, one
-        array per level of _key_levels, each searched among that level's
-        keys.  KeyError(row(at)) for the first position at, in C order,
-        whose key is missing, at the first level that misses one."""
-        n = self.carrier_size
+        array per level of _key_levels, each read in _inverse or searched
+        among that level's keys.  KeyError(row(at)) for the first position
+        at, in C order, whose key is missing, at the first level that
+        misses one."""
+        n, inverse = self.carrier_size, self._inverse
         for (lo, _, powers, keys), key in zip(self._key_levels, digits):
             if lo:
                 key += rank * (powers[0] * n)
-            rank = keys.searchsorted(key)
-            missing = keys[rank] != key
+            if inverse is None:
+                rank = keys.searchsorted(key)
+                missing = keys[rank] != key
+            else:
+                rank = inverse[key]
+                missing = rank == len(self.values)
             if missing.any():
                 raise KeyError(row(np.unravel_index(missing.argmax(), missing.shape)))
         return rank
@@ -387,10 +423,11 @@ class SelfMapMonoid:
         is values[f] @ W_b[:, g], where W_b[y, g] sums the digit weights
         powers[x - lo] of the level's points x with g(x) = y.  So a block
         of rows of the table is one (rows, n) @ (n, k) product per level,
-        ranked like lookup ranks value rows; with at most CHUNK_ENTRIES
-        keys a block, no (k, k, n) array of composite maps is built.  The
-        products stay exact: every term is non-negative and no key reaches
-        _KEY_BOUND.
+        ranked like lookup ranks value rows (see _ranks: a read of the
+        direct-address table where n**n <= k * k, else a binary search);
+        with at most CHUNK_ENTRIES keys a block, no (k, k, n) array of
+        composite maps is built.  The products stay exact: every term is
+        non-negative and no key reaches _KEY_BOUND.
         """
         k, n = self.values.shape
         if k * k <= SMALL_TABLE:

@@ -108,7 +108,9 @@ class PartitionLattice:
     partition; ``lookup`` finds the partitions of an array of class labels
     by their first-occurrence keys.  The (B, B) ``meet`` table is built on
     first use and ``pullback`` builds a (k, B) table per call, which
-    ``saturation`` closes a family under.  Every table is guarded by
+    ``saturation`` closes a family under.  A pullback of at least n**n / B
+    maps reads the n**n-entry table of the partition of every label row
+    in range(n)**n, also built on first use.  Every table is guarded by
     guard_enum, so the default bound stops at 7 points (Bell(7) = 877):
     the meet table on 8 points has 4140**2 entries.
     """
@@ -136,6 +138,8 @@ class PartitionLattice:
         # with the restricted-growth strings
         self._weights = np.array([math.factorial(n) // math.factorial(x + 1)
                                   for x in range(n)], dtype=np.int64)
+        # base-n digit weights of a label row in range(n)**n, first point most significant
+        self._powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self._keys = self._first_keys(rows)
         self._dtype = np.min_scalar_type(len(rows) - 1)
         self._meet = None
@@ -186,14 +190,49 @@ class PartitionLattice:
                 lambda a, b: rows[a:b, None, :] * n + rows[None, :, :], B)
         return self._meet
 
-    def pullback(self, maps: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def _by_digits(self) -> np.ndarray:
+        """by_digits[key] = index of the partition of the label row in
+        range(n)**n whose base-n digits, first point most significant, are
+        key.  Built in blocks of at most CHUNK_ENTRIES labels, so nothing
+        larger than its n**n entries is held."""
+        n, size = self.n, self.n ** self.n
+        out = np.empty(size, dtype=self._dtype)
+        step = max(1, CHUNK_ENTRIES // max(1, n))
+        for start in range(0, size, step):
+            digits = np.arange(start, min(start + step, size))[:, None] // self._powers
+            digits %= n
+            out[start:start + step] = self.lookup(digits)
+        out.flags.writeable = False
+        return out
+
+    def pullback(self, maps) -> np.ndarray:
         """pull[s, p] = index of the preimage of partition p under maps[s],
-        for a (k, n) integer array: x ~ y iff maps[s, x] ~ maps[s, y] in p."""
-        guard_enum(len(maps) * len(self),
-                   f"pullback table of {len(maps)} maps on {self.n} points")
-        # labels[s, p, x] = rows[p, maps[s, x]]
-        return self._table(lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2),
-                           len(maps))
+        for a (k, n) integer array: x ~ y iff maps[s, x] ~ maps[s, y] in p.
+
+        The preimage is the partition of the label row rows[p, maps[s]].
+        With n**n <= k * B, its base-n key is read in _by_digits; the key
+        is rows[p] @ w[s], where w[s, y] sums the digit weights of the
+        points x with maps[s, x] = y, so a row block of the table is one
+        (rows, n) @ (n, B) product.  Otherwise each label row is looked up
+        by its first-occurrence key.
+        """
+        maps = np.asarray(maps)
+        k, B, n = len(maps), len(self), self.n
+        guard_enum(k * B, f"pullback table of {k} maps on {n} points")
+        if n ** n > k * B:
+            # labels[s, p, x] = rows[p, maps[s, x]]
+            return self._table(lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2), k)
+        w, each = np.zeros((k, n), dtype=np.int64), np.arange(k)
+        for x in range(n):      # one entry per row, so no index repeats
+            w[each, maps[:, x]] += self._powers[x]
+        by_digits, labels = self._by_digits, self.rows.T
+        out = np.empty((k, B), dtype=self._dtype)
+        step = max(1, CHUNK_ENTRIES // B)
+        for start in range(0, k, step):
+            out[start:start + step] = by_digits[w[start:start + step] @ labels]
+        out.flags.writeable = False
+        return out
 
     def saturation(self, pull: np.ndarray, gamma) -> PartitionFamily:
         """Least family containing gamma closed under the pullbacks of a

@@ -242,6 +242,10 @@ def test_stored_tables_are_read_only_and_narrowed():
     kept = FiniteMonoid(own, 0)
     own[1, 1] = 0
     assert kept == m
+    # so is a read-only view of a writeable array, which its base could change
+    view = own.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(FiniteMonoid(view, 0).values, own)
     for bad in (SEMILATTICE, np.array(SEMILATTICE), np.zeros((300, 300), dtype=np.uint8),
                 np.zeros((2, 3), dtype=np.uint8), np.zeros(2, dtype=np.uint8)):
         with pytest.raises(ValueError):
@@ -570,6 +574,75 @@ def test_the_composition_table_holds_no_block_of_composite_maps():
             tracemalloc.stop()
         assert table.shape == (len(maps), len(maps))
         assert peak - table.nbytes < 2 * 2**20
+
+
+def test_to_monoid_shares_the_composition_table():
+    maps = _theta6()
+    table = maps.composites()
+    tracemalloc.start()
+    try:
+        m = maps.to_monoid()
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(m.values, table) and m.values.shape == table.shape
+    assert allocated < 64 * 2**10       # a copy of the 960-map table is 1.8 MiB
+
+
+def _scalar_composition(maps: SelfMapMonoid) -> dict:
+    """(i, j) -> the composite map i after j, in C order, as a tuple."""
+    el = maps.elements
+    return {(i, j): tuple(f[x] for x in g) for i, f in enumerate(el) for j, g in enumerate(el)}
+
+
+# on each side of n**n <= k * k: the keys read in a direct-address table
+# (27 and 256 maps), and searched (12 maps on 4 points, 144 < 4**4)
+ADDRESSING = [(lambda: full_selfmap_monoid(3), True), (lambda: full_selfmap_monoid(4), True),
+              (lambda: _dihedral_and_constants(4), False)]
+
+
+@pytest.mark.parametrize("make, direct", ADDRESSING)
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_composites_on_each_side_of_direct_addressing(monkeypatch, make, direct, chunk):
+    maps = make()
+    assert (maps._inverse is not None) == direct and len(maps._key_levels) == 1
+    if chunk is not None:
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)     # one row a block
+    index = {f: i for i, f in enumerate(maps.elements)}
+    table = maps.composites()
+    assert {at: maps.elements[table[at]] for at in np.ndindex(table.shape)} == \
+        _scalar_composition(maps)
+    assert all(index[h] == table[at] for at, h in _scalar_composition(maps).items())
+
+
+@pytest.mark.parametrize("make, direct", ADDRESSING)
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_lookup_and_composition_misses_on_each_side_of_direct_addressing(
+        monkeypatch, make, direct, chunk):
+    whole = make()
+    if chunk is not None:
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)     # one row a block
+    found = whole.lookup(whole.values)
+    assert found.dtype == np.intp and np.array_equal(found, np.arange(len(whole)))
+    assert whole.lookup(whole.values[3]).dtype == np.intp
+    # drop the last element that is no constant map: row 0, the constant 0
+    # map, composes to itself only, so the first miss is past the first row
+    gone = next(f for f in reversed(whole.elements) if len(set(f)) > 1)
+    maps = SelfMapMonoid([f for f in whole.elements if f != gone])
+    assert (maps._inverse is not None) == direct
+    assert maps.elements[0] == (0,) * maps.carrier_size
+    first = next(h for h in _scalar_composition(maps).values() if h not in set(maps.elements))
+    with pytest.raises(KeyError) as exc:
+        maps.compose(slice(None), slice(None))
+    assert exc.value.args == (first,)
+    assert maps.composites() is None
+    # lookup names the first missing row in C order, wherever it sits
+    rows = np.array([[maps.elements[1], gone], [gone[::-1], maps.elements[2]]])
+    with pytest.raises(KeyError) as exc:
+        maps.lookup(rows)
+    missing = [tuple(r) for r in rows.reshape(-1, maps.carrier_size).tolist()
+               if tuple(r) not in set(maps.elements)]
+    assert exc.value.args == (missing[0],)
 
 
 def test_selfmap_values_and_index():

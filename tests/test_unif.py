@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,56 @@ def test_pullback_is_the_preimage_on_every_self_map():
         for s, f in enumerate(maps):
             for i, p in enumerate(lattice.partitions):
                 assert lattice.partitions[pull[s, i]] == preimage_partition(f, p)
+
+
+def _first_occurrence_pullback(lattice, maps):
+    """The pullback table with every label row looked up by its
+    first-occurrence key, whatever the number of maps."""
+    return lattice._table(lambda a, b: lattice.rows[:, maps[a:b]].transpose(1, 0, 2),
+                          len(maps))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_direct_address_pullback_matches_the_first_occurrence_table(n):
+    lattice = unif.PartitionLattice(n)
+    rng = np.random.default_rng(n)
+    # at least n**n / B maps, so the keys are read in the n**n-entry table
+    k = -(-n ** n // len(lattice)) + 3
+    maps = rng.integers(0, max(n, 1), size=(k, n)).astype(np.uint8)
+    pull = lattice.pullback(maps)
+    assert "_by_digits" in lattice.__dict__
+    assert pull.dtype == lattice._dtype and not pull.flags.writeable
+    assert np.array_equal(pull, _first_occurrence_pullback(lattice, maps))
+    # the table is built once per lattice
+    table = lattice._by_digits
+    assert np.array_equal(lattice.pullback(maps[::-1]), pull[::-1])
+    assert lattice._by_digits is table
+
+
+def test_a_pullback_of_few_maps_keeps_the_first_occurrence_keys():
+    lattice = unif.PartitionLattice(4)
+    maps = np.array([(0, 1, 2, 3), (1, 1, 3, 0)])       # 4**4 > 2 * 15
+    pull = lattice.pullback(maps)
+    assert "_by_digits" not in lattice.__dict__
+    assert np.array_equal(pull, _first_occurrence_pullback(lattice, maps))
+    for s, f in enumerate(maps.tolist()):
+        for i, p in enumerate(lattice.partitions):
+            assert lattice.partitions[pull[s, i]] == preimage_partition(f, p)
+
+
+def test_the_direct_address_pullback_stays_small():
+    # the n**n-entry table, built in blocks, and one pullback of as many
+    # maps as saturate-6 has; an (n**n, B) uint8 table would be 9 MiB
+    lattice = unif.PartitionLattice(6)
+    maps = np.random.default_rng(6).integers(0, 6, size=(376, 6)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        pull = lattice.pullback(maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pull.shape == (376, 203) and "_by_digits" in lattice.__dict__
+    assert peak < 2**20
 
 
 def test_meet_table_is_the_partition_meet():
