@@ -278,8 +278,8 @@ class SelfMapMonoid:
     arrays, needs the whole set closed: if any composite is not an
     element, compose raises KeyError.  ``lookup`` finds the index of any
     value row without the table.  Both find a map by its lookup key: in a
-    direct-address table of every key where there are at most k * k
-    keys, n**n, else by binary search (see _key_levels).
+    direct-address table of all n**n keys where n**n <= k * k, else by
+    binary search among the elements' sorted keys (see _key_levels).
     """
 
     def __init__(self, values):

@@ -610,9 +610,9 @@ def test_composites_on_each_side_of_direct_addressing(monkeypatch, make, direct,
         monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)     # one row a block
     index = {f: i for i, f in enumerate(maps.elements)}
     table = maps.composites()
-    assert {at: maps.elements[table[at]] for at in np.ndindex(table.shape)} == \
-        _scalar_composition(maps)
-    assert all(index[h] == table[at] for at, h in _scalar_composition(maps).items())
+    assert table.shape == (len(maps), len(maps))
+    assert {at: int(table[at]) for at in np.ndindex(table.shape)} == \
+        {at: index[h] for at, h in _scalar_composition(maps).items()}
 
 
 @pytest.mark.parametrize("make, direct", ADDRESSING)
@@ -631,7 +631,8 @@ def test_lookup_and_composition_misses_on_each_side_of_direct_addressing(
     maps = SelfMapMonoid([f for f in whole.elements if f != gone])
     assert (maps._inverse is not None) == direct
     assert maps.elements[0] == (0,) * maps.carrier_size
-    first = next(h for h in _scalar_composition(maps).values() if h not in set(maps.elements))
+    elements = set(maps.elements)
+    first = next(h for h in _scalar_composition(maps).values() if h not in elements)
     with pytest.raises(KeyError) as exc:
         maps.compose(slice(None), slice(None))
     assert exc.value.args == (first,)
@@ -641,7 +642,7 @@ def test_lookup_and_composition_misses_on_each_side_of_direct_addressing(
     with pytest.raises(KeyError) as exc:
         maps.lookup(rows)
     missing = [tuple(r) for r in rows.reshape(-1, maps.carrier_size).tolist()
-               if tuple(r) not in set(maps.elements)]
+               if tuple(r) not in elements]
     assert exc.value.args == (missing[0],)
 
 
