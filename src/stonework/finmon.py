@@ -34,6 +34,14 @@ class FiniteMonoid:
             raise ValueError("multiplication table is not square")
         self.identity = int(identity)
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray, identity: int) -> FiniteMonoid:
+        """The monoid on a square stored table that this module built
+        read-only and hands to no caller writeable: kept, not copied."""
+        m = cls.__new__(cls)
+        m.values, m.identity = values, int(identity)
+        return m
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteMonoid) and self.identity == other.identity
                 and np.array_equal(self.values, other.values))
@@ -66,29 +74,17 @@ class FiniteMonoid:
 
 
 def _stored(values, rows: int) -> np.ndarray:
-    """values as a read-only C-ordered array, refused unless it is a 2-D
+    """A read-only C-ordered copy of values, refused unless it is a 2-D
     array of the given number of rows whose dtype is the smallest unsigned
-    one that holds every column index.  An array that is already C-ordered
-    and read-only, down its whole chain of bases, is kept as it is, since
-    nothing can write to it; any other is copied."""
+    one that holds every column index.  Even a read-only array is copied:
+    whoever owns its data can make it writeable again."""
     values = np.asarray(values)
     if (values.ndim != 2 or len(values) != rows
             or values.dtype != np.min_scalar_type(max(values.shape[1] - 1, 0))):
         raise ValueError(f"not a stored table of {rows} rows: {values.dtype} {values.shape}")
-    if not (values.flags.c_contiguous and _frozen(values)):
-        values = np.array(values, order="C")
-        values.flags.writeable = False
+    values = np.array(values, order="C")
+    values.flags.writeable = False
     return values
-
-
-def _frozen(values: np.ndarray) -> bool:
-    """True iff values and every array it views are read-only, and the
-    chain of bases ends in an array that owns its data."""
-    while isinstance(values, np.ndarray):
-        if values.flags.writeable:
-            return False
-        values = values.base
-    return values is None
 
 
 def _narrowed(rows, shape, shape_error: str, range_error: str) -> np.ndarray:
@@ -146,7 +142,7 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
     if bad is not None:
         raise AssociativityViolation(*bad)
 
-    return FiniteMonoid(arr, identity)
+    return FiniteMonoid._adopt(arr, identity)
 
 
 def opposite(m: FiniteMonoid) -> FiniteMonoid:
@@ -175,6 +171,14 @@ class MonoidAction:
         self.monoid = monoid
         self.values = _stored(values, monoid.size)
         self.carrier_size = self.values.shape[1]
+
+    @classmethod
+    def _adopt(cls, monoid: FiniteMonoid, values: np.ndarray) -> MonoidAction:
+        """The action on a stored table that this module built read-only
+        and hands to no caller writeable: kept, not copied."""
+        a = cls.__new__(cls)
+        a.monoid, a.values, a.carrier_size = monoid, values, values.shape[1]
+        return a
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MonoidAction) and self.monoid == other.monoid
@@ -214,7 +218,7 @@ def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
     bad = _action_defect(m.values, arr)
     if bad is not None:
         raise ValueError("action law fails at (s, t, x) = ({}, {}, {})".format(*bad))
-    return MonoidAction(m, arr)
+    return MonoidAction._adopt(m, arr)
 
 
 def _action_defect(table: np.ndarray, act: np.ndarray):
@@ -255,6 +259,23 @@ def first_true(shape, rows):
             at = np.unravel_index(block.argmax(), block.shape)
             return (start + int(at[0]), *map(int, at[1:]))
     return None
+
+
+def digit_weights(maps, n: int) -> np.ndarray:
+    """w[s, y] = the sum of n**(m - 1 - x) over the columns x with
+    maps[s, x] = y, for a (k, m) array of points of range(n).
+
+    Base-n keys are linear in the digits: the key, first column most
+    significant, of the composite labels[maps[s]] is w[s] @ labels for
+    any labels on range(n), so one integer product keys the composites
+    of many maps with many label rows.
+    """
+    m = maps.shape[1]
+    powers = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    w, each = np.zeros((len(maps), n), dtype=np.int64), np.arange(len(maps))
+    for x in range(m):      # one entry per row, so no index repeats
+        w[each, maps[:, x]] += powers[x]
+    return w
 
 
 # Lookup keys pack a prefix rank and a block of base-n digits into an int64;
@@ -421,12 +442,12 @@ class SelfMapMonoid:
         Up to SMALL_TABLE entries it is built in Python.  Beyond, from the
         linearity of the lookup key: on level b, the digit key of f after g
         is values[f] @ W_b[:, g], where W_b[y, g] sums the digit weights
-        powers[x - lo] of the level's points x with g(x) = y.  So a block
-        of rows of the table is one (rows, n) @ (n, k) product per level,
-        ranked like lookup ranks value rows (see _ranks: a read of the
-        direct-address table where n**n <= k * k, else a binary search);
-        with at most CHUNK_ENTRIES keys a block, no (k, k, n) array of
-        composite maps is built.  The products stay exact: every term is
+        powers[x - lo] of the level's points x with g(x) = y (see
+        digit_weights).  So a block of rows of the table is one
+        (rows, n) @ (n, k) product per level, ranked like lookup ranks
+        value rows (see _ranks: a read of the direct-address table where
+        n**n <= k * k, else a binary search); with at most CHUNK_ENTRIES
+        keys a block, no (k, k, n) array of composite maps is built.  The products stay exact: every term is
         non-negative and no key reaches _KEY_BOUND.
         """
         k, n = self.values.shape
@@ -437,13 +458,8 @@ class SelfMapMonoid:
                            dtype=np.min_scalar_type(k - 1))
         else:
             values = self.values.astype(np.int64)
-            columns = np.arange(k)
-            weights = []
-            for lo, hi, powers, _ in self._key_levels:
-                w = np.zeros((n, k), dtype=np.int64)
-                for x in range(lo, hi):     # one entry per column, so no index repeats
-                    w[values[:, x], columns] += powers[x - lo]
-                weights.append(w)
+            weights = [digit_weights(self.values[:, lo:hi], n).T
+                       for lo, hi, _, _ in self._key_levels]
             out = np.empty((k, k), dtype=np.min_scalar_type(k - 1))
             step = max(1, CHUNK_ENTRIES // k)
             for start in range(0, k, step):
@@ -466,8 +482,9 @@ class SelfMapMonoid:
         return self.composites() is not None
 
     def to_monoid(self) -> FiniteMonoid:
-        """Composition table under the canonical element order."""
-        return FiniteMonoid(self.compose(slice(None), slice(None)), self.identity_index)
+        """Composition table under the canonical element order, sharing
+        the read-only table compose reads."""
+        return FiniteMonoid._adopt(self.compose(slice(None), slice(None)), self.identity_index)
 
 
 def _strictly_ascending(rows: np.ndarray) -> bool:

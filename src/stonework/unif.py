@@ -9,6 +9,7 @@ bases are kept as-is.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import CarrierMismatch
-from .finmon import CHUNK_ENTRIES, MonoidAction
+from .finmon import CHUNK_ENTRIES, MonoidAction, digit_weights
 from .limits import guard_enum
 from .schema import expect_field, expect_int, expect_list, expect_object, expect_rows
 from .ultra import Partition, partition_from_json
@@ -138,8 +139,6 @@ class PartitionLattice:
         # with the restricted-growth strings
         self._weights = np.array([math.factorial(n) // math.factorial(x + 1)
                                   for x in range(n)], dtype=np.int64)
-        # base-n digit weights of a label row in range(n)**n, first point most significant
-        self._powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self._keys = self._first_keys(rows)
         self._dtype = np.min_scalar_type(len(rows) - 1)
         self._meet = None
@@ -192,17 +191,26 @@ class PartitionLattice:
 
     @functools.cached_property
     def _by_digits(self) -> np.ndarray:
-        """by_digits[key] = index of the partition of the label row in
-        range(n)**n whose base-n digits, first point most significant, are
-        key.  Built in blocks of at most CHUNK_ENTRIES labels, so nothing
-        larger than its n**n entries is held."""
-        n, size = self.n, self.n ** self.n
-        out = np.empty(size, dtype=self._dtype)
-        step = max(1, CHUNK_ENTRIES // max(1, n))
-        for start in range(0, size, step):
-            digits = np.arange(start, min(start + step, size))[:, None] // self._powers
-            digits %= n
-            out[start:start + step] = self.lookup(digits)
+        """by_digits[key] = index of the partition x ~ y iff L[x] == L[y]
+        of the label row L in range(n)**n with base-n key key, first point
+        most significant.
+
+        The label rows of partition p are its restricted-growth string r
+        relabelled injectively, sigma[r]; every relabelling is the start
+        of a permutation sigma of range(n), and the key of sigma[r] is
+        sigma @ w[p] (see digit_weights).  So the table is filled with one
+        (n!, rows) product per block of partitions, at most CHUNK_ENTRIES
+        keys a block, and nothing larger than its n**n entries is held.
+        """
+        n, B = self.n, len(self)
+        perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                            dtype=np.int64, count=n * math.factorial(n))
+        perms = perms.reshape(math.factorial(n), n)
+        w = digit_weights(self.rows, n)
+        out = np.empty(n ** n, dtype=self._dtype)
+        step = max(1, CHUNK_ENTRIES // len(perms))
+        for start in range(0, B, step):
+            out[perms @ w[start:start + step].T] = np.arange(start, min(start + step, B))
         out.flags.writeable = False
         return out
 
@@ -211,11 +219,12 @@ class PartitionLattice:
         for a (k, n) integer array: x ~ y iff maps[s, x] ~ maps[s, y] in p.
 
         The preimage is the partition of the label row rows[p, maps[s]].
-        With n**n <= k * B, its base-n key is read in _by_digits; the key
-        is rows[p] @ w[s], where w[s, y] sums the digit weights of the
-        points x with maps[s, x] = y, so a row block of the table is one
-        (rows, n) @ (n, B) product.  Otherwise each label row is looked up
-        by its first-occurrence key.
+        With n**n <= k * B, it is read in _by_digits by its base-n key
+        rows[p] @ w[s] (see digit_weights), so a row block of the table is
+        one (rows, n) @ (n, B) product of at most CHUNK_ENTRIES keys.
+        Fewer maps look each label row up by its first-occurrence key, as
+        _by_digits would have more entries than there are label rows (and
+        past 7 points more than the default enumeration bound).
         """
         maps = np.asarray(maps)
         k, B, n = len(maps), len(self), self.n
@@ -223,10 +232,7 @@ class PartitionLattice:
         if n ** n > k * B:
             # labels[s, p, x] = rows[p, maps[s, x]]
             return self._table(lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2), k)
-        w, each = np.zeros((k, n), dtype=np.int64), np.arange(k)
-        for x in range(n):      # one entry per row, so no index repeats
-            w[each, maps[:, x]] += self._powers[x]
-        by_digits, labels = self._by_digits, self.rows.T
+        w, by_digits, labels = digit_weights(maps, n), self._by_digits, self.rows.T
         out = np.empty((k, B), dtype=self._dtype)
         step = max(1, CHUNK_ENTRIES // B)
         for start in range(0, k, step):

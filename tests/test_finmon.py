@@ -12,6 +12,7 @@ from stonework.finmon import (
     MonoidAction,
     SelfMapMonoid,
     cayley_embed,
+    digit_weights,
     full_selfmap_monoid,
     generated_selfmap_monoid,
     is_submonoid,
@@ -246,6 +247,16 @@ def test_stored_tables_are_read_only_and_narrowed():
     view = own.view()
     view.flags.writeable = False
     assert not np.shares_memory(FiniteMonoid(view, 0).values, own)
+    # and a read-only array that owns its data, which its owner can make
+    # writeable again
+    own = np.array(SEMILATTICE, dtype=np.uint8)
+    own.flags.writeable = False
+    kept = FiniteMonoid(own, 0)
+    acting = MonoidAction(m, own)
+    own.flags.writeable = True
+    own[:] = 0
+    assert kept == m and hash(kept) == hash(m) and kept.table == m.table
+    assert acting.values.tolist() == SEMILATTICE
     for bad in (SEMILATTICE, np.array(SEMILATTICE), np.zeros((300, 300), dtype=np.uint8),
                 np.zeros((2, 3), dtype=np.uint8), np.zeros(2, dtype=np.uint8)):
         with pytest.raises(ValueError):
@@ -587,6 +598,18 @@ def test_to_monoid_shares_the_composition_table():
         tracemalloc.stop()
     assert np.shares_memory(m.values, table) and m.values.shape == table.shape
     assert allocated < 64 * 2**10       # a copy of the 960-map table is 1.8 MiB
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_digit_weights_key_every_composite(n):
+    # the base-n key of labels[maps[s]] is w[s] @ labels, whatever the labels
+    rng = np.random.default_rng(n)
+    maps = rng.integers(0, n, size=(40, 7)).astype(np.uint8)
+    labels = rng.integers(0, n, size=(n, 30))
+    powers = n ** np.arange(6, -1, -1, dtype=np.int64)
+    w = digit_weights(maps, n)
+    assert w.shape == (40, n) and w.dtype == np.int64
+    assert np.array_equal(w @ labels, np.einsum("skj,k->sj", labels[maps], powers))
 
 
 def _scalar_composition(maps: SelfMapMonoid) -> dict:

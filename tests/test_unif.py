@@ -219,8 +219,12 @@ def test_direct_address_pullback_matches_the_first_occurrence_table(n):
     assert "_by_digits" in lattice.__dict__
     assert pull.dtype == lattice._dtype and not pull.flags.writeable
     assert np.array_equal(pull, _first_occurrence_pullback(lattice, maps))
-    # the table is built once per lattice
+    # every label row in range(n)**n, in key order, against its lookup
     table = lattice._by_digits
+    every = np.indices((n,) * n).reshape(n, n ** n).T
+    assert table.shape == (n ** n,) and not table.flags.writeable
+    assert np.array_equal(table, lattice.lookup(every))
+    # the table is built once per lattice
     assert np.array_equal(lattice.pullback(maps[::-1]), pull[::-1])
     assert lattice._by_digits is table
 
@@ -249,6 +253,16 @@ def test_the_direct_address_pullback_stays_small():
         tracemalloc.stop()
     assert pull.shape == (376, 203) and "_by_digits" in lattice.__dict__
     assert peak < 2**20
+    # on 7 points the table itself is 1.6 MiB; its build holds little more
+    lattice = unif.PartitionLattice(7)
+    tracemalloc.start()
+    try:
+        table = lattice._by_digits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (7 ** 7,)
+    assert peak - table.nbytes < 2**20
 
 
 def test_meet_table_is_the_partition_meet():
