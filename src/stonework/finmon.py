@@ -447,8 +447,9 @@ class SelfMapMonoid:
         (rows, n) @ (n, k) product per level, ranked like lookup ranks
         value rows (see _ranks: a read of the direct-address table where
         n**n <= k * k, else a binary search); with at most CHUNK_ENTRIES
-        keys a block, no (k, k, n) array of composite maps is built.  The products stay exact: every term is
-        non-negative and no key reaches _KEY_BOUND.
+        keys a block, no (k, k, n) array of composite maps is built.  The
+        products stay exact: every term is non-negative and no key reaches
+        _KEY_BOUND.
         """
         k, n = self.values.shape
         if k * k <= SMALL_TABLE:
