@@ -121,6 +121,15 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
     offending element/triple in scan order, ascending (x, y, z).  The
     triples are compared in blocks of x (see first_true), which keeps
     that order, so no (n, n, n) array is built.
+
+    Large tables are first checked on a generating set G (Light's test,
+    see _generating_set): (x*g)*y = x*(g*y) for all x, y and every g in
+    G.  That suffices.  The set A of the a with (x*a)*y = x*(a*y) for all
+    x, y holds the identity and is closed under products, associative or
+    not: for a, b in A, (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) =
+    x*(a*(b*y)) = x*((a*b)*y).  So A holds every product of members of G,
+    which is every element.  Only if G is None or some g fails does the
+    scan of all triples run, and it names the first defect.
     """
     n = len(table)
     if n == 0:
@@ -128,21 +137,28 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
     arr = _narrowed(table, (n, n), "multiplication table is not square", "table entry out of range")
     if not (0 <= identity < n):
         raise ValueError(f"identity index {identity} out of range")
-
-    ident = np.arange(n)
-    left_bad = np.nonzero(arr[identity] != ident)[0]
-    if left_bad.size:
-        raise IdentityViolation(int(left_bad[0]))
-    right_bad = np.nonzero(arr[:, identity] != ident)[0]
-    if right_bad.size:
-        raise IdentityViolation(int(right_bad[0]))
+    bad = _identity_defect(arr, identity)
+    if bad is not None:
+        raise IdentityViolation(bad)
 
     # (x*y)*z versus x*(y*z): associativity is the action law of m on itself
-    bad = _action_defect(arr, arr)
-    if bad is not None:
-        raise AssociativityViolation(*bad)
+    gens = _generating_set(arr, identity, n)
+    if gens is None or not _holds_on(arr, arr, gens):
+        bad = _action_defect(arr, arr)
+        if bad is not None:
+            raise AssociativityViolation(*bad)
 
     return FiniteMonoid._adopt(arr, identity)
+
+
+def _identity_defect(table: np.ndarray, identity: int):
+    """The first x with identity*x != x, else the first with
+    x*identity != x, or None if identity is a two-sided identity."""
+    ident = np.arange(len(table))
+    for bad in (table[identity] != ident, table[:, identity] != ident):
+        if bad.any():
+            return int(bad.argmax())
+    return None
 
 
 def opposite(m: FiniteMonoid) -> FiniteMonoid:
@@ -210,14 +226,29 @@ def action_from_json(obj: dict) -> MonoidAction:
 
 
 def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
-    """Check act[e] = id and act[s*t] = act[s] after act[t]."""
+    """Check act[e] = id and act[s*t] = act[s] after act[t].
+
+    For a large monoid the law is first checked on a generating set G
+    (see _generating_set), after m's own identity and its associativity
+    on G (see validate_monoid), since m carries no proof of its laws.
+    That suffices: in an associative monoid the set of the t with
+    act[s*t] = act[s] after act[t] for every s holds the identity, and
+    with t and u it holds t*u, as act[s*(t*u)] = act[(s*t)*u] =
+    act[s*t] after act[u] = act[s] after act[t] after act[u] =
+    act[s] after act[t*u].  Only if G is None or some check on it fails
+    does the scan of all triples run, and it names the first defect.
+    """
     arr = _narrowed(act, (m.size, carrier_size),
                     "action table has wrong shape", "action entry out of range")
     if not np.array_equal(arr[m.identity], np.arange(carrier_size)):
         raise ValueError("identity does not act as the identity map")
-    bad = _action_defect(m.values, arr)
-    if bad is not None:
-        raise ValueError("action law fails at (s, t, x) = ({}, {}, {})".format(*bad))
+    table = m.values
+    gens = (None if _identity_defect(table, m.identity) is not None
+            else _generating_set(table, m.identity, carrier_size))
+    if gens is None or not (_holds_on(table, table, gens) and _holds_on(table, arr, gens)):
+        bad = _action_defect(table, arr)
+        if bad is not None:
+            raise ValueError("action law fails at (s, t, x) = ({}, {}, {})".format(*bad))
     return MonoidAction._adopt(m, arr)
 
 
@@ -227,6 +258,70 @@ def _action_defect(table: np.ndarray, act: np.ndarray):
     k, n = act.shape
     # act[s][act[t][x]]: one take from the block's rows, indexed by act itself
     return first_true((k, k, n), lambda a, b: act[table[a:b]] != act[a:b].take(act, axis=1))
+
+
+def _holds_on(table: np.ndarray, act: np.ndarray, gens: np.ndarray) -> bool:
+    """True iff act[s*g][x] = act[s][act[g][x]] for every s, x and every g
+    in gens: the (k, len(gens), n) slice of _action_defect's law array,
+    compared in row blocks through first_true."""
+    k, n = act.shape
+    right, images = table[:, gens], act[gens]
+    return first_true((k, len(gens), n),
+                      lambda a, b: act[right[a:b]] != act[a:b].take(images, axis=1)) is None
+
+
+def _generating_set(table: np.ndarray, identity: int, width: int) -> np.ndarray | None:
+    """Indices G of elements whose products ((identity*g1)*g2)*..., for
+    g1, g2, ... in G, reach all of range(k) in the (k, k) table, whose
+    identity must be two-sided; or None where a law with a last axis of
+    the given width (k for associativity, n for an action on n points) is
+    best compared on all (k, k, width) triples.
+
+    Greedy: the candidates go in order of decreasing count of distinct
+    products x*y in their row x, then by index.  A candidate already
+    reached is skipped; any other joins G, and the reached set is closed
+    under right multiplication by the members so far.
+
+    Cost, in compared law entries: the full scan compares k*k*width.
+    Where that is at most 16 blocks of CHUNK_ENTRIES, the table stays on
+    it, since the candidate order and the closure cost about as much.
+    Beyond, each member of G costs its k*k entries of associativity, but
+    at least about one block for the numpy calls that pick and close it;
+    G is given up, None, once that would pass half the full scan.
+    """
+    k = len(table)
+    if k * k * width <= 16 * CHUNK_ENTRIES:
+        return None
+    limit = k * k * width // (2 * max(k * k, CHUNK_ENTRIES))
+    distinct = np.empty(k, dtype=np.intp)
+    wide = np.promote_types(table.dtype, np.uint16)     # 8-bit sorts are an order slower
+    step = max(1, CHUNK_ENTRIES // k)
+    for start in range(0, k, step):
+        rows = np.sort(table[start:start + step].astype(wide), axis=1)
+        distinct[start:start + step] = (rows[:, 1:] != rows[:, :-1]).sum(axis=1) + 1
+    reached, hit = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+    reached[identity] = True
+    gens, right = [], np.empty((k, 8), dtype=table.dtype)      # right[x, i] = x * gens[i]
+    for g in np.argsort(-distinct, kind="stable").tolist():
+        if reached[g]:
+            continue
+        if len(gens) == limit:
+            return None
+        if len(gens) == right.shape[1]:
+            right = np.hstack((right, np.empty_like(right)))
+        right[:, len(gens)] = table[:, g]
+        gens.append(g)
+        hit[table[reached, g]] = True       # the identity's product reaches g itself
+        hit[reached] = False
+        while hit.any():                    # hit: the products new in this round
+            reached |= hit
+            products = right[hit, :len(gens)]
+            hit[:] = False
+            hit[products] = True
+            hit[reached] = False
+        if reached.all():
+            break
+    return np.array(gens, dtype=np.intp)
 
 
 # Entries of one block of a computation done in row blocks, such as the rows

@@ -391,7 +391,10 @@ def _spoiled_rows(bad: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("row, step", PLACEMENTS)
 def test_blocked_associativity_matches_the_whole_cube(monkeypatch, relabeling, row, step):
     rng = np.random.default_rng(row)
-    for m in (full_selfmap_monoid(3).to_monoid(), build_contrast(3).monoid):
+    # contrast k = 7 (135 elements) is checked on generators first, at the
+    # default CHUNK_ENTRIES and at these; full3 too in blocks of one row
+    for m in (full_selfmap_monoid(3).to_monoid(), build_contrast(3).monoid,
+              build_contrast(7).monoid):
         n, others = m.size, np.delete(np.arange(m.size), m.identity)
         while True:     # replace one product off the identity's row and column
             table = m.values.copy()
@@ -419,8 +422,10 @@ def test_blocked_associativity_matches_the_whole_cube(monkeypatch, relabeling, r
 @pytest.mark.parametrize("row, step", PLACEMENTS)
 def test_blocked_action_law_matches_the_whole_cube(monkeypatch, relabeling, row, step):
     rng = np.random.default_rng(row)
-    full, contrast = full_selfmap_monoid(3), build_contrast(3).monoid
-    for m, act in ((full.to_monoid(), full.values), (contrast, contrast.values)):
+    full, contrast, large = (full_selfmap_monoid(3), build_contrast(3).monoid,
+                             build_contrast(7).monoid)
+    for m, act in ((full.to_monoid(), full.values), (contrast, contrast.values),
+                   (large, large.values)):
         k, n = act.shape
         while True:     # replace one image off the identity's row
             values = act.copy()
@@ -443,6 +448,101 @@ def test_blocked_action_law_matches_the_whole_cube(monkeypatch, relabeling, row,
             assert expected is None
         except ValueError as exc:
             assert str(exc) == "action law fails at (s, t, x) = ({}, {}, {})".format(*expected)
+
+
+_FULL_SCAN = finmon._action_defect
+
+
+def _counted_full_scans(monkeypatch, fail: bool) -> list:
+    """Replace finmon._action_defect, the scan of all triples, by one that
+    records each call and then fails or scans."""
+    calls = []
+
+    def counted(table, act):
+        calls.append(act.shape)
+        assert not fail, "the scan of all triples ran"
+        return _FULL_SCAN(table, act)
+    monkeypatch.setattr(finmon, "_action_defect", counted)
+    return calls
+
+
+def test_large_laws_run_on_generators_and_scan_only_to_name_a_defect(monkeypatch):
+    m = full_selfmap_monoid(4).to_monoid()
+    assert len(finmon._generating_set(m.values, m.identity, m.size)) == 4
+    _counted_full_scans(monkeypatch, fail=True)
+    assert validate_monoid(m.values, m.identity) == m
+    assert validate_action(m, m.size, m.values).values.shape == (256, 256)
+
+    # the first defect, in scan order, of a spoiled table and of its self-action
+    spoiled = m.values.copy()
+    spoiled[200, 100] = (int(spoiled[200, 100]) + 1) % m.size
+    expected = _first_true_by_cube(spoiled[spoiled, :] != spoiled[:, spoiled])
+    calls = _counted_full_scans(monkeypatch, fail=False)
+    with pytest.raises(AssociativityViolation) as exc:
+        validate_monoid(spoiled, m.identity)
+    assert exc.value.triple == expected and len(calls) == 1
+    calls.clear()
+    with pytest.raises(ValueError, match=r"action law fails at \(s, t, x\) = \({}, {}, {}\)".format(
+            *expected)):
+        validate_action(FiniteMonoid(spoiled, m.identity), m.size, spoiled)
+    assert len(calls) == 1
+
+
+def test_the_action_law_of_a_table_that_is_no_monoid_is_scanned():
+    # the left translations of a monoid, as an action of its table spoiled
+    # on one product off the generators, or on the identity's square: the
+    # action law holds against every generator, so only the checks of the
+    # table's own laws keep the generator path from accepting it
+    full, contrast = full_selfmap_monoid(4).to_monoid(), build_contrast(7).monoid
+    for m, (x, y), value in ((full, (200, 100), 0), (contrast, (127, 127), 0)):
+        table = m.values.copy()
+        table[x, y] = value
+        expected = _first_true_by_cube(m.values[table, :] != m.values[:, m.values])
+        with pytest.raises(ValueError) as exc:
+            validate_action(FiniteMonoid(table, m.identity), m.size, m.values)
+        assert str(exc.value) == "action law fails at (s, t, x) = ({}, {}, {})".format(*expected)
+
+
+def test_laws_needing_every_element_as_a_generator_keep_their_verdicts(monkeypatch):
+    # the identity and an 80-element left-zero band (z*y = z): a product
+    # is its left factor, so the band is its own least generating set
+    k = 81
+    table = np.repeat(np.arange(k, dtype=np.uint8)[:, None], k, axis=1)
+    table[0] = np.arange(k)
+    # in blocks of k * k entries, 80 generators cost more than the full
+    # scan of associativity, but not than that of an action on 2k points,
+    # where the band acts by constant maps
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", k * k)
+    assert finmon._generating_set(table, 0, k) is None
+    assert len(finmon._generating_set(table, 0, 2 * k)) == k - 1
+    m = validate_monoid(table, 0)
+    act = np.repeat(np.arange(k, dtype=np.uint8)[:, None], 2 * k, axis=1)
+    act[0] = np.arange(2 * k)
+    assert validate_action(m, 2 * k, act).carrier_size == 2 * k
+
+    spoiled = table.copy()
+    spoiled[40, 30] = 50
+    expected = _first_true_by_cube(spoiled[spoiled, :] != spoiled[:, spoiled])
+    with pytest.raises(AssociativityViolation) as exc:
+        validate_monoid(spoiled, 0)
+    assert exc.value.triple == expected
+    act[40, 100] = 7                    # no longer constant, so no longer a left zero
+    expected = _first_true_by_cube(act[m.values, :] != act[:, act])
+    with pytest.raises(ValueError) as exc:
+        validate_action(m, 2 * k, act)
+    assert str(exc.value) == "action law fails at (s, t, x) = ({}, {}, {})".format(*expected)
+
+
+def test_validate_monoid_on_the_960_map_theta_stays_small(monkeypatch):
+    m = _theta6().to_monoid()
+    _counted_full_scans(monkeypatch, fail=True)     # seconds on all triples
+    tracemalloc.start()
+    try:
+        assert validate_monoid(m.values, m.identity) == m
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20       # of which 1.8 MiB is the checked copy of the table
 
 
 def test_blocked_action_law_on_no_points(monkeypatch):
