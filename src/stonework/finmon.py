@@ -374,8 +374,11 @@ def digit_weights(maps, n: int) -> np.ndarray:
 
 
 # Lookup keys pack a prefix rank and a block of base-n digits into an int64;
-# every key stays below this bound.
-_KEY_BOUND = 1 << 62
+# every key stays below this bound.  At 2**53 every key, and every partial sum
+# of its digit terms, is an integer that float64 holds exactly, so the key
+# products of _product can run as float64 matrix products, which numpy hands
+# to BLAS (it runs int64 products in its own loops, several times slower).
+_KEY_BOUND = 1 << 53
 
 
 class SelfMapMonoid:
@@ -409,6 +412,16 @@ class SelfMapMonoid:
         if not found.size:
             raise ValueError("identity map missing")
         self.identity_index = int(found[0])
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, identity_index: int) -> SelfMapMonoid:
+        """The monoid on value rows that this package built read-only and
+        C-ordered, of the smallest unsigned dtype for their columns, in
+        strictly ascending order and closed under composition, with the
+        identity map at row identity_index: kept, not copied, not checked."""
+        s = cls.__new__(cls)
+        s.values, s.carrier_size, s.identity_index = values, values.shape[1], int(identity_index)
+        return s
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SelfMapMonoid) and np.array_equal(self.values, other.values)
@@ -469,8 +482,9 @@ class SelfMapMonoid:
         holds the ascending distinct keys rank * n**w + digits_b of the
         elements, where rank is an element's index among the keys of level
         b - 1, followed by the sentinel _KEY_BOUND; after the last level
-        that index is the element's own index.  A single block (every
-        n <= 15) is the plain base-n key, below n**n; where n**n <= k * k,
+        that index is the element's own index.  A single block (wherever
+        k * n**n < _KEY_BOUND, so every n <= 8) is the plain base-n key,
+        below n**n; where n**n <= k * k,
         _ranks reads it in _inverse instead of searching the level's keys.
         """
         k, n = self.values.shape
@@ -543,8 +557,11 @@ class SelfMapMonoid:
         value rows (see _ranks: a read of the direct-address table where
         n**n <= k * k, else a binary search); with at most CHUNK_ENTRIES
         keys a block, no (k, k, n) array of composite maps is built.  The
-        products stay exact: every term is non-negative and no key reaches
-        _KEY_BOUND.
+        products run in float64, which numpy hands to BLAS, and each block's
+        keys are converted to int64 before they are ranked.  They stay
+        exact in any summation order: every term is a non-negative integer
+        and no key reaches _KEY_BOUND = 2**53, so every partial sum is an
+        integer that float64 holds exactly.
         """
         k, n = self.values.shape
         if k * k <= SMALL_TABLE:
@@ -553,15 +570,15 @@ class SelfMapMonoid:
             out = np.array([[index[tuple(f[x] for x in g)] for g in el] for f in el],
                            dtype=np.min_scalar_type(k - 1))
         else:
-            values = self.values.astype(np.int64)
-            weights = [digit_weights(self.values[:, lo:hi], n).T
+            values = self.values.astype(np.float64)
+            weights = [digit_weights(self.values[:, lo:hi], n).T.astype(np.float64)
                        for lo, hi, _, _ in self._key_levels]
             out = np.empty((k, k), dtype=np.min_scalar_type(k - 1))
             step = max(1, CHUNK_ENTRIES // k)
             for start in range(0, k, step):
                 f = values[start:start + step]
                 out[start:start + step] = self._ranks(
-                    (f @ w for w in weights),
+                    ((f @ w).astype(np.int64) for w in weights),
                     lambda at: tuple(self.values[start + at[0]][self.values[at[1]]].tolist()))
         out.flags.writeable = False
         return out
@@ -596,8 +613,12 @@ def full_selfmap_monoid(n: int) -> SelfMapMonoid:
     if n < 1:
         raise ValueError("carrier must be nonempty")
     guard_enum(n**n, f"full self-map monoid on {n} points")
-    # row r holds the n base-n digits of r, most significant first
-    return SelfMapMonoid(np.indices((n,) * n, dtype=np.min_scalar_type(n - 1)).reshape(n, -1).T)
+    # row r holds the n base-n digits of r, most significant first, so the
+    # rows ascend and the identity is row sum(x * n**(n - 1 - x))
+    values = np.ascontiguousarray(
+        np.indices((n,) * n, dtype=np.min_scalar_type(n - 1)).reshape(n, -1).T)
+    values.flags.writeable = False
+    return SelfMapMonoid._adopt(values, sum(x * n ** (n - 1 - x) for x in range(n)))
 
 
 def generated_selfmap_monoid(carrier_size: int, generators,

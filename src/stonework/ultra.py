@@ -487,7 +487,9 @@ def enumerate_theta(d: UltraPseudometric) -> SelfMapMonoid:
     keeps a prefix only while every pair it completes passes
     d(f(y), f(x)) <= d(y, x).  Prefixes stay in lexicographic order, and
     the maps are closed under composition and contain the identity, so
-    the result is a transformation monoid in canonical order.  The bound
+    the result is a transformation monoid in canonical order, adopted by
+    SelfMapMonoid._adopt without the constructor's checks.  The identity's
+    row is tracked as its prefix (0, ..., x - 1) is extended.  The bound
     applies to the candidates of each step, the live prefixes times the n
     values, so a metric with few such maps enumerates past 7 points.
     """
@@ -495,6 +497,7 @@ def enumerate_theta(d: UltraPseudometric) -> SelfMapMonoid:
     rank = d.rank_matrix()
     rank = rank.astype(np.min_scalar_type(rank.max()))
     prefixes = np.zeros((1, 0), dtype=np.min_scalar_type(n - 1))
+    identity = 0
     for x in range(n):
         guard_enum(len(prefixes) * n, f"1-Lipschitz maps on {n} points")
         # ok[p, v]: prefix p extended by f(x) = v keeps every pair (y, x)
@@ -502,8 +505,12 @@ def enumerate_theta(d: UltraPseudometric) -> SelfMapMonoid:
         for y in range(x):
             ok &= rank[prefixes[:, y]] <= rank[y, x]
         rows, vals = np.nonzero(ok)
+        # the identity's prefix extended by x comes after the extensions of
+        # the prefixes before it and its own extensions by values below x
+        identity = int(rows.searchsorted(identity)) + int(np.count_nonzero(ok[identity, :x]))
         prefixes = np.column_stack([prefixes[rows], vals.astype(prefixes.dtype)])
-    return SelfMapMonoid(prefixes)
+    prefixes.flags.writeable = False
+    return SelfMapMonoid._adopt(prefixes, identity)
 
 
 def epsilon_A_relates(theta: SelfMapMonoid, d: UltraPseudometric, points, eps, i, j):

@@ -18,7 +18,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import CarrierMismatch
-from .finmon import CHUNK_ENTRIES, MonoidAction, digit_weights
+from .finmon import CHUNK_ENTRIES, MonoidAction, _generating_set, _holds_on, digit_weights
 from .limits import guard_enum
 from .schema import expect_field, expect_int, expect_list, expect_object, expect_rows
 from .ultra import Partition, partition_from_json
@@ -221,10 +221,12 @@ class PartitionLattice:
         The preimage is the partition of the label row rows[p, maps[s]].
         With n**n <= k * B, it is read in _by_digits by its base-n key
         rows[p] @ w[s] (see digit_weights), so a row block of the table is
-        one (rows, n) @ (n, B) product of at most CHUNK_ENTRIES keys.
-        Fewer maps look each label row up by its first-occurrence key, as
-        _by_digits would have more entries than there are label rows (and
-        past 7 points more than the default enumeration bound).
+        one (rows, n) @ (n, B) product of at most CHUNK_ENTRIES keys, run
+        in float64 (BLAS) and converted to int64 per block: the keys are
+        below n**n <= k * B, so every partial sum is exact.  Fewer maps
+        look each label row up by its first-occurrence key, as _by_digits
+        would have more entries than there are label rows (and past 7
+        points more than the default enumeration bound).
         """
         maps = np.asarray(maps)
         k, B, n = len(maps), len(self), self.n
@@ -232,11 +234,12 @@ class PartitionLattice:
         if n ** n > k * B:
             # labels[s, p, x] = rows[p, maps[s, x]]
             return self._table(lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2), k)
-        w, by_digits, labels = digit_weights(maps, n), self._by_digits, self.rows.T
+        w = digit_weights(maps, n).astype(np.float64)
+        by_digits, labels = self._by_digits, self.rows.T.astype(np.float64)
         out = np.empty((k, B), dtype=self._dtype)
         step = max(1, CHUNK_ENTRIES // B)
         for start in range(0, k, step):
-            out[start:start + step] = by_digits[w[start:start + step] @ labels]
+            out[start:start + step] = by_digits[(w[start:start + step] @ labels).astype(np.intp)]
         out.flags.writeable = False
         return out
 
@@ -278,20 +281,53 @@ def _generators(action: MonoidAction, gamma) -> list[Partition]:
     return gamma
 
 
+def _generating_maps(action: MonoidAction) -> np.ndarray | None:
+    """Indices G of monoid elements such that a family of partitions is
+    closed under the pullbacks along every map act[s] as soon as it is
+    closed under those along the maps act[g], g in G; or None, and then
+    every map is pulled back along.
+
+    G is finmon._generating_set of the monoid's table, with the carrier
+    size as the law's width, so a small action gets None there at once.
+    It is used only if act[identity] is the identity map and the action
+    law act[x*g] = act[x] after act[g] holds for every x and every g in G
+    (finmon._holds_on).  Then every act[s] is a composite of generator
+    maps: s is in G, or it is a product ((identity*g1)*g2)*...*gm of
+    members of G, and by the law act[s] = act[g1] after ... after act[gm],
+    the empty composite being act[identity], the identity.  The pullback
+    of p along f after h is the pullback of the pullback of p along f
+    along h, so a family closed under the generators' pullbacks is closed
+    under all of them.  Nothing here needs associativity.
+    """
+    table, identity, act = action.monoid.values, action.monoid.identity, action.values
+    gens = _generating_set(table, identity, action.carrier_size)
+    if (gens is None or not np.array_equal(act[identity], np.arange(action.carrier_size))
+            or not _holds_on(table, act, gens)):
+        return None
+    return gens
+
+
 def saturate(action: MonoidAction, gamma, pull: np.ndarray | None = None) -> PartitionFamily:
     """Least family containing gamma closed under translation preimages
     and pairwise meets.
 
     PartitionLattice.saturation on the action's pullback table: pull, if
     the caller has built it with PartitionLattice.pullback, else a table
-    built here.  Raises ResourceLimit where the lattice tables exceed the
-    enumeration bound (by default past 7 points); saturate_worklist is the
+    built here.  Where the action has a checked generating set G (see
+    _generating_maps), only the rows of G are pulled back along: the
+    families closed under their pullbacks are those closed under every
+    map's, so the least one is the same.  Raises ResourceLimit where the
+    lattice tables exceed the enumeration bound (by default past 7
+    points); saturate_worklist, which pulls back along every map, is the
     oracle.
     """
     gamma = _generators(action, gamma)
     lattice = partition_lattice(action.carrier_size)
+    gens = _generating_maps(action)
     if pull is None:
-        pull = lattice.pullback(action.values)
+        pull = lattice.pullback(action.values if gens is None else action.values[gens])
+    elif gens is not None:
+        pull = pull[gens]
     return lattice.saturation(pull, gamma)
 
 
@@ -392,19 +428,23 @@ def is_saturated_under(family: PartitionFamily, action: MonoidAction) -> bool:
     """Every translation preimage of a member is a member.
 
     Member p pulls back along map s to the partition of the labels
-    class_id_p[s(x)].  Each distinct pullback is built once by
-    preimage_partition (see _every_member).  Reads no PartitionLattice
-    table, so it stays an oracle for saturate.  The empty family is
-    saturated under any action.
+    class_id_p[s(x)].  Where the action has a checked generating set G
+    (see _generating_maps), only the pairs (p, g), g in G, are keyed:
+    closure under their pullbacks is closure under every map's.  Each
+    distinct pullback is built once by preimage_partition (see
+    _every_member).  Reads no PartitionLattice table, so it stays an
+    oracle for saturate.  The empty family is saturated under any action.
     """
     if family.members and family.carrier_size != action.carrier_size:
         raise CarrierMismatch("family and action carriers differ")
-    members, ids, maps = family.members, _class_ids(family), action.values
+    gens = _generating_maps(action)
+    maps = action.values if gens is None else action.values[gens]
+    members, ids = family.members, _class_ids(family)
     k, n = len(maps), family.carrier_size
 
     def pullback(a: int, i: int) -> Partition:
         p, s = divmod(i, k)
-        return preimage_partition(action.act[s], members[a + p])
+        return preimage_partition(maps[s].tolist(), members[a + p])
     # take keeps the (rows, k, n) labels in C order, which keys them fastest
     return _every_member(family, (len(ids), k, n, n),
                          lambda a, b: ids[a:b].take(maps, axis=1), pullback)

@@ -621,7 +621,7 @@ def _dihedral_and_constants(n: int) -> SelfMapMonoid:
     return SelfMapMonoid(np.unique(rows, axis=0))
 
 
-MULTI_LEVEL = [(16, 2), (20, 2), (40, 4)]       # (points, key levels) at 3n maps
+MULTI_LEVEL = [(16, 2), (20, 2), (40, 5)]       # (points, key levels) at 3n maps
 
 
 @pytest.mark.parametrize("n, levels", MULTI_LEVEL)
@@ -661,6 +661,21 @@ def test_multi_level_lookup_misses_exactly_the_non_elements(n, levels):
         row = [0] * lo + [1] * (n - lo)
         with pytest.raises(KeyError):
             maps.lookup(np.array([row]))
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_keys_just_under_the_bound_compose_exactly(monkeypatch, chunk):
+    # 258 maps on 86 points, 13 levels of 7 digits: the last rows' keys
+    # rank * 86**7 + digits reach 258 * 86**7 - 1, 0.34% under 2**53
+    maps = _dihedral_and_constants(86)
+    top = max(int(keys[-2]) for _, _, _, keys in maps._key_levels)
+    assert len(maps._key_levels) == 13 and 0.99 * 2 ** 53 < top < finmon._KEY_BOUND == 2 ** 53
+    if chunk is not None:
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)     # one row a block
+    index = {f: i for i, f in enumerate(maps.elements)}
+    expected = [[index[h] for h in map(tuple, rows)]
+                for rows in maps.values[:, maps.values].tolist()]    # f[g] for every f, g
+    assert maps.composites().tolist() == expected
 
 
 def _theta6() -> SelfMapMonoid:
@@ -800,6 +815,24 @@ def test_the_tuple_view_is_built_only_on_demand():
     assert theta.elements == tuple(map(tuple, theta.values.tolist()))
     again = SelfMapMonoid(list(theta.elements))
     assert again == theta and hash(again) == hash(theta)
+
+
+def test_adopted_selfmap_monoids_equal_the_checked_constructor():
+    # enumerate_theta and full_selfmap_monoid skip the constructor's checks
+    rng = random.Random(19)
+    built = [enumerate_theta(random_ultrametric(rng, n)) for n in range(1, 8) for _ in range(4)]
+    built += [enumerate_theta(UltraPseudometric.discrete(n)) for n in (1, 2, 5)]
+    built += [full_selfmap_monoid(n) for n in range(1, 6)]
+    for maps in built:
+        checked = SelfMapMonoid(maps.values)
+        assert np.array_equal(maps.values, checked.values)
+        assert maps.values.dtype == checked.values.dtype and maps.values.flags.c_contiguous
+        assert maps.identity_index == checked.identity_index
+        assert maps.carrier_size == checked.carrier_size
+        assert maps == checked and hash(maps) == hash(checked)
+        assert not maps.values.flags.writeable
+        with pytest.raises(ValueError):
+            maps.values[0, 0] = 0
 
 
 def _closure_by_all_pairs(n, gens):

@@ -6,15 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stonework import unif
+from stonework import finmon, unif
 from stonework.errors import CarrierMismatch, ResourceLimit
 from stonework.finmon import (
+    FiniteMonoid,
+    MonoidAction,
     full_selfmap_monoid,
     generated_selfmap_monoid,
     validate_action,
     validate_monoid,
 )
-from stonework.generators import random_cover, random_partition
+from stonework.generators import (
+    enumerate_actions,
+    enumerate_small_monoids,
+    random_cover,
+    random_partition,
+)
 from stonework.ultra import Partition, meet_all
 from stonework.unif import (
     BoundednessReport,
@@ -413,19 +420,105 @@ def test_blocked_oracles_match_the_unblocked(monkeypatch):
                     for f in families] == expected
 
 
+# With one entry a block, finmon._generating_set leaves the full scan from
+# k * k * n > 16 entries, but gives up past n // 2 generators.  So the
+# actions of the one-generator monoids of 3 elements take the generator
+# path on 3 and on 4 points, and pull back along one of their two
+# non-identity maps: the case that tells the generator path from the full one.
+@pytest.mark.parametrize("n", [3, 4])
+def test_saturation_on_generators_matches_the_oracles(monkeypatch, n):
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 1)
+    lattice, taken, verdicts = partition_lattice(n), 0, set()
+    for m in enumerate_small_monoids(3):
+        if len(finmon._generating_set(m.values, m.identity, 4)) > 1:
+            continue
+        for action in enumerate_actions(m, n):
+            gens = unif._generating_maps(action)
+            if gens is None:
+                continue
+            assert len(gens) == 1
+            taken += 1
+            # a caller's pullback table, spoiled off the generator: rows of
+            # the one-class partition, index 0, that saturate must not read
+            pull = lattice.pullback(action.values).copy()
+            pull[np.arange(len(pull)) != gens[0]] = 0
+            for eps in lattice.partitions:
+                family = saturate(action, [eps])
+                assert family == saturate_worklist(action, [eps])
+                assert saturate(action, [eps], pull) == family
+                families = [drop(family, i) for i in (None, *range(len(family)))] if n == 3 \
+                    else [make_family(n, [eps])]
+                for fam in families:
+                    verdict = is_saturated_under(fam, action)
+                    assert verdict == literal_saturated(fam, action)
+                    verdicts.add(verdict)
+    assert taken == {3: 54, 4: 321}[n] and verdicts == {True, False}
+
+
+def _cyclic_action(table, act) -> MonoidAction:
+    """An action on 4 points of a 3-element table whose one generator is
+    element 1, through the unchecked constructors."""
+    m = FiniteMonoid(np.array(table, dtype=np.uint8), 0)
+    assert finmon._generating_set(m.values, 0, 4).tolist() == [1]
+    return MonoidAction(m, np.array(act, dtype=np.uint8))
+
+
+def test_saturation_falls_back_to_every_map_where_the_generators_fail(monkeypatch):
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 1)     # 3 * 3 * 4 entries take generators
+    cyclic = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
+    # the law fails on the generator: act[1 * 1] is not the swap twice;
+    # the identity acts as a projection, under which the law holds on G
+    spoiled_law = _cyclic_action(cyclic, [(0, 1, 2, 3), (1, 0, 2, 3), (0, 0, 2, 3)])
+    spoiled_identity = _cyclic_action(cyclic, [(0, 1, 2, 2), (0, 0, 0, 1), (0, 0, 0, 0)])
+    assert not finmon._holds_on(spoiled_law.monoid.values, spoiled_law.values, np.array([1]))
+    assert finmon._holds_on(spoiled_identity.monoid.values, spoiled_identity.values,
+                            np.array([1]))
+    eps = Partition.discrete(4)
+    lattice = partition_lattice(4)
+    for action in (spoiled_law, spoiled_identity):
+        assert unif._generating_maps(action) is None
+        family = saturate(action, [eps])
+        assert family == saturate_worklist(action, [eps])
+        assert family == saturate(action, [eps], lattice.pullback(action.values))
+        # closed under the generator's pullbacks alone, but not a saturation
+        on_generator = lattice.saturation(lattice.pullback(action.values[[1]]), [eps])
+        assert len(on_generator) < len(family)
+        assert not is_saturated_under(on_generator, action)
+        assert not literal_saturated(on_generator, action)
+        assert is_saturated_under(family, action)
+
+
+def test_saturation_on_generators_needs_no_associativity(monkeypatch):
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 1)
+    # (2*2)*1 = 1 but 2*(2*1) = 2, and the action law fails at (2, 2); it
+    # holds on the generator 1, whose map f, a 3-cycle, has act[2] = f**2
+    cycle = [(0, 1, 2, 3), (1, 2, 0, 3), (2, 0, 1, 3)]
+    action = _cyclic_action([[0, 1, 2], [1, 2, 0], [2, 0, 0]], cycle)
+    assert unif._generating_maps(action).tolist() == [1]
+    for eps in partition_lattice(4).partitions:
+        family = saturate(action, [eps])
+        assert family == saturate_worklist(action, [eps])
+        for fam in (family, make_family(4, [eps])):
+            assert is_saturated_under(fam, action) == literal_saturated(fam, action)
+
+
 def test_oracles_build_each_distinct_partition_once(monkeypatch):
     maps = generated_selfmap_monoid(6, [(3, 4, 5, 2, 0, 0), (2, 1, 1, 3, 0, 1)])
     action = validate_action(maps.to_monoid(), 6, maps.elements)
     family = saturate(action, [Partition.from_class_ids((0, 1, 1, 0, 1, 2))])
-    pullbacks = {preimage_partition(f, p) for p in family.members for f in action.act}
+    # is_saturated_under pulls back along the checked generators only
+    gens = unif._generating_maps(action)
+    assert gens is not None and len(gens) < len(maps)
+    pullbacks = {preimage_partition(action.act[g], p) for p in family.members for g in gens}
     meets = {p.meet(q) for p in family.members for q in family.members}
+    assert (len(pullbacks), len(meets)) == (47, 99)
     built = []
     literal_pullback, literal_meet = unif.preimage_partition, Partition.meet
     monkeypatch.setattr(unif, "preimage_partition",
                         lambda s, p: built.append("pullback") or literal_pullback(s, p))
     monkeypatch.setattr(Partition, "meet",
                         lambda p, q: built.append("meet") or literal_meet(p, q))
-    monkeypatch.setattr(unif, "CHUNK_ENTRIES", 4 * 36 * len(maps))     # blocks of 4 members
+    monkeypatch.setattr(unif, "CHUNK_ENTRIES", 4 * 36 * len(gens))     # blocks of 4 members
     assert is_saturated_under(family, action) and is_meet_closed(family)
     assert (built.count("pullback"), built.count("meet")) == (len(pullbacks), len(meets))
 
