@@ -189,12 +189,39 @@ class MonoidAction:
         self.carrier_size = self.values.shape[1]
 
     @classmethod
-    def _adopt(cls, monoid: FiniteMonoid, values: np.ndarray) -> MonoidAction:
+    def _adopt(cls, monoid: FiniteMonoid, values: np.ndarray,
+               generating_set: np.ndarray | None) -> MonoidAction:
         """The action on a stored table that this module built read-only
-        and hands to no caller writeable: kept, not copied."""
+        and hands to no caller writeable: kept, not copied, with its
+        checked generating set."""
         a = cls.__new__(cls)
         a.monoid, a.values, a.carrier_size = monoid, values, values.shape[1]
+        a.generating_set = generating_set
         return a
+
+    @cached_property
+    def generating_set(self) -> np.ndarray | None:
+        """Indices G of monoid elements whose maps give every map act[s]
+        as a composite, or None where no such set is known.
+
+        G is _generating_set of the monoid's table at the carrier's width,
+        so a small action gets None at once, kept only if act[identity] is
+        the identity map and act[x*g] = act[x] after act[g] for every x and
+        every g in G (_holds_on).  Then s is in G or a product
+        ((identity*g1)*g2)*...*gm of members of G, and by the law act[s] =
+        act[g1] after ... after act[gm], the empty composite being the
+        identity.  Neither associativity nor a left identity is needed.
+        So a family of partitions closed under the pullbacks along every
+        act[g] is closed under those along every map, as pulling back
+        along f after h is h's pullback of f's.  validate_action hands its
+        action the set it has checked.
+        """
+        table, identity, act = self.monoid.values, self.monoid.identity, self.values
+        gens = _generating_set(table, identity, self.carrier_size)
+        if (gens is None or not np.array_equal(act[identity], np.arange(self.carrier_size))
+                or not _holds_on(table, act, gens)):
+            return None
+        return gens
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MonoidAction) and self.monoid == other.monoid
@@ -237,6 +264,8 @@ def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
     act[s*t] after act[u] = act[s] after act[t] after act[u] =
     act[s] after act[t*u].  Only if G is None or some check on it fails
     does the scan of all triples run, and it names the first defect.
+
+    The action keeps G as its generating_set, or None where the scan ran.
     """
     arr = _narrowed(act, (m.size, carrier_size),
                     "action table has wrong shape", "action entry out of range")
@@ -246,10 +275,11 @@ def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
     gens = (None if _identity_defect(table, m.identity) is not None
             else _generating_set(table, m.identity, carrier_size))
     if gens is None or not (_holds_on(table, table, gens) and _holds_on(table, arr, gens)):
+        gens = None
         bad = _action_defect(table, arr)
         if bad is not None:
             raise ValueError("action law fails at (s, t, x) = ({}, {}, {})".format(*bad))
-    return MonoidAction._adopt(m, arr)
+    return MonoidAction._adopt(m, arr, gens)
 
 
 def _action_defect(table: np.ndarray, act: np.ndarray):
@@ -271,11 +301,12 @@ def _holds_on(table: np.ndarray, act: np.ndarray, gens: np.ndarray) -> bool:
 
 
 def _generating_set(table: np.ndarray, identity: int, width: int) -> np.ndarray | None:
-    """Indices G of elements whose products ((identity*g1)*g2)*..., for
-    g1, g2, ... in G, reach all of range(k) in the (k, k) table, whose
-    identity must be two-sided; or None where a law with a last axis of
-    the given width (k for associativity, n for an action on n points) is
-    best compared on all (k, k, width) triples.
+    """Indices G of elements such that every element of range(k) is in G
+    or a product ((identity*g1)*g2)*..., for g1, g2, ... in G, in the
+    (k, k) table (with a two-sided identity, every member of G is such a
+    product too); or None where a law with a last axis of the given width
+    (k for associativity, n for an action on n points) is best compared
+    on all (k, k, width) triples.
 
     Greedy: the candidates go in order of decreasing count of distinct
     products x*y in their row x, then by index.  A candidate already
@@ -321,7 +352,9 @@ def _generating_set(table: np.ndarray, identity: int, width: int) -> np.ndarray 
             hit[reached] = False
         if reached.all():
             break
-    return np.array(gens, dtype=np.intp)
+    gens = np.array(gens, dtype=np.intp)
+    gens.flags.writeable = False        # an action keeps it as its generating_set
+    return gens
 
 
 # Entries of one block of a computation done in row blocks, such as the rows
@@ -361,9 +394,9 @@ def digit_weights(maps, n: int) -> np.ndarray:
     maps[s, x] = y, for a (k, m) array of points of range(n).
 
     Base-n keys are linear in the digits: the key, first column most
-    significant, of the composite labels[maps[s]] is w[s] @ labels for
-    any labels on range(n), so one integer product keys the composites
-    of many maps with many label rows.
+    significant, of the composite f[maps[s]] is w[s] @ f for any f on
+    range(n), so SelfMapMonoid._product keys the composites of a block
+    of maps f with every map by one integer product.
     """
     m = maps.shape[1]
     powers = n ** np.arange(m - 1, -1, -1, dtype=np.int64)

@@ -9,7 +9,6 @@ bases are kept as-is.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import CarrierMismatch
-from .finmon import CHUNK_ENTRIES, MonoidAction, _generating_set, _holds_on, digit_weights
+from .finmon import CHUNK_ENTRIES, MonoidAction
 from .limits import guard_enum
 from .schema import expect_field, expect_int, expect_list, expect_object, expect_rows
 from .ultra import Partition, partition_from_json
@@ -107,13 +106,11 @@ class PartitionLattice:
     rows ascend lexicographically (Knuth, TAOCP 7.2.1.5), which is the
     order a PartitionFamily keeps its members in.  ``index_of`` finds one
     partition; ``lookup`` finds the partitions of an array of class labels
-    by their first-occurrence keys.  The (B, B) ``meet`` table is built on
-    first use and ``pullback`` builds a (k, B) table per call, which
-    ``saturation`` closes a family under.  A pullback of at least n**n / B
-    maps reads the n**n-entry table of the partition of every label row
-    in range(n)**n, also built on first use.  Every table is guarded by
-    guard_enum, so the default bound stops at 7 points (Bell(7) = 877):
-    the meet table on 8 points has 4140**2 entries.
+    by their first-occurrence keys, and both tables read it: the (B, B)
+    ``meet`` table, built on first use, and the (k, B) table ``pullback``
+    builds per call, which ``saturation`` closes a family under.  Every
+    table is guarded by guard_enum, so the default bound stops at 7 points
+    (Bell(7) = 877): the meet table on 8 points has 4140**2 entries.
     """
 
     def __init__(self, n: int):
@@ -189,59 +186,19 @@ class PartitionLattice:
                 lambda a, b: rows[a:b, None, :] * n + rows[None, :, :], B)
         return self._meet
 
-    @functools.cached_property
-    def _by_digits(self) -> np.ndarray:
-        """by_digits[key] = index of the partition x ~ y iff L[x] == L[y]
-        of the label row L in range(n)**n with base-n key key, first point
-        most significant.
-
-        The label rows of partition p are its restricted-growth string r
-        relabelled injectively, sigma[r]; every relabelling is the start
-        of a permutation sigma of range(n), and the key of sigma[r] is
-        sigma @ w[p] (see digit_weights).  So the table is filled with one
-        (n!, rows) product per block of partitions, at most CHUNK_ENTRIES
-        keys a block, and nothing larger than its n**n entries is held.
-        """
-        n, B = self.n, len(self)
-        perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
-                            dtype=np.int64, count=n * math.factorial(n))
-        perms = perms.reshape(math.factorial(n), n)
-        w = digit_weights(self.rows, n)
-        out = np.empty(n ** n, dtype=self._dtype)
-        step = max(1, CHUNK_ENTRIES // len(perms))
-        for start in range(0, B, step):
-            out[perms @ w[start:start + step].T] = np.arange(start, min(start + step, B))
-        out.flags.writeable = False
-        return out
-
     def pullback(self, maps) -> np.ndarray:
         """pull[s, p] = index of the preimage of partition p under maps[s],
         for a (k, n) integer array: x ~ y iff maps[s, x] ~ maps[s, y] in p.
 
-        The preimage is the partition of the label row rows[p, maps[s]].
-        With n**n <= k * B, it is read in _by_digits by its base-n key
-        rows[p] @ w[s] (see digit_weights), so a row block of the table is
-        one (rows, n) @ (n, B) product of at most CHUNK_ENTRIES keys, run
-        in float64 (BLAS) and converted to int64 per block: the keys are
-        below n**n <= k * B, so every partial sum is exact.  Fewer maps
-        look each label row up by its first-occurrence key, as _by_digits
-        would have more entries than there are label rows (and past 7
-        points more than the default enumeration bound).
+        The preimage is the partition of the label row rows[p, maps[s]],
+        looked up by its first-occurrence key in row blocks of maps, as
+        the meet table is (see _table).
         """
         maps = np.asarray(maps)
-        k, B, n = len(maps), len(self), self.n
-        guard_enum(k * B, f"pullback table of {k} maps on {n} points")
-        if n ** n > k * B:
-            # labels[s, p, x] = rows[p, maps[s, x]]
-            return self._table(lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2), k)
-        w = digit_weights(maps, n).astype(np.float64)
-        by_digits, labels = self._by_digits, self.rows.T.astype(np.float64)
-        out = np.empty((k, B), dtype=self._dtype)
-        step = max(1, CHUNK_ENTRIES // B)
-        for start in range(0, k, step):
-            out[start:start + step] = by_digits[(w[start:start + step] @ labels).astype(np.intp)]
-        out.flags.writeable = False
-        return out
+        k, n = len(maps), self.n
+        guard_enum(k * len(self), f"pullback table of {k} maps on {n} points")
+        # labels[s, p, x] = rows[p, maps[s, x]]
+        return self._table(lambda a, b: self.rows[:, maps[a:b]].transpose(1, 0, 2), k)
 
     def saturation(self, pull: np.ndarray, gamma) -> PartitionFamily:
         """Least family containing gamma closed under the pullbacks of a
@@ -281,49 +238,23 @@ def _generators(action: MonoidAction, gamma) -> list[Partition]:
     return gamma
 
 
-def _generating_maps(action: MonoidAction) -> np.ndarray | None:
-    """Indices G of monoid elements such that a family of partitions is
-    closed under the pullbacks along every map act[s] as soon as it is
-    closed under those along the maps act[g], g in G; or None, and then
-    every map is pulled back along.
-
-    G is finmon._generating_set of the monoid's table, with the carrier
-    size as the law's width, so a small action gets None there at once.
-    It is used only if act[identity] is the identity map and the action
-    law act[x*g] = act[x] after act[g] holds for every x and every g in G
-    (finmon._holds_on).  Then every act[s] is a composite of generator
-    maps: s is in G, or it is a product ((identity*g1)*g2)*...*gm of
-    members of G, and by the law act[s] = act[g1] after ... after act[gm],
-    the empty composite being act[identity], the identity.  The pullback
-    of p along f after h is the pullback of the pullback of p along f
-    along h, so a family closed under the generators' pullbacks is closed
-    under all of them.  Nothing here needs associativity.
-    """
-    table, identity, act = action.monoid.values, action.monoid.identity, action.values
-    gens = _generating_set(table, identity, action.carrier_size)
-    if (gens is None or not np.array_equal(act[identity], np.arange(action.carrier_size))
-            or not _holds_on(table, act, gens)):
-        return None
-    return gens
-
-
 def saturate(action: MonoidAction, gamma, pull: np.ndarray | None = None) -> PartitionFamily:
     """Least family containing gamma closed under translation preimages
     and pairwise meets.
 
     PartitionLattice.saturation on the action's pullback table: pull, if
     the caller has built it with PartitionLattice.pullback, else a table
-    built here.  Where the action has a checked generating set G (see
-    _generating_maps), only the rows of G are pulled back along: the
-    families closed under their pullbacks are those closed under every
-    map's, so the least one is the same.  Raises ResourceLimit where the
-    lattice tables exceed the enumeration bound (by default past 7
-    points); saturate_worklist, which pulls back along every map, is the
-    oracle.
+    built here.  Where the action has a generating set G
+    (MonoidAction.generating_set, found and checked once per action), only
+    the rows of G are pulled back along: the families closed under their
+    pullbacks are those closed under every map's, so the least one is the
+    same.  Raises ResourceLimit where the lattice tables exceed the
+    enumeration bound (by default past 7 points); saturate_worklist, which
+    pulls back along every map, is the oracle.
     """
     gamma = _generators(action, gamma)
     lattice = partition_lattice(action.carrier_size)
-    gens = _generating_maps(action)
+    gens = action.generating_set
     if pull is None:
         pull = lattice.pullback(action.values if gens is None else action.values[gens])
     elif gens is not None:
@@ -428,16 +359,16 @@ def is_saturated_under(family: PartitionFamily, action: MonoidAction) -> bool:
     """Every translation preimage of a member is a member.
 
     Member p pulls back along map s to the partition of the labels
-    class_id_p[s(x)].  Where the action has a checked generating set G
-    (see _generating_maps), only the pairs (p, g), g in G, are keyed:
-    closure under their pullbacks is closure under every map's.  Each
+    class_id_p[s(x)].  Where the action has a generating set G
+    (MonoidAction.generating_set), only the pairs (p, g), g in G, are
+    keyed: closure under their pullbacks is closure under every map's.  Each
     distinct pullback is built once by preimage_partition (see
     _every_member).  Reads no PartitionLattice table, so it stays an
     oracle for saturate.  The empty family is saturated under any action.
     """
     if family.members and family.carrier_size != action.carrier_size:
         raise CarrierMismatch("family and action carriers differ")
-    gens = _generating_maps(action)
+    gens = action.generating_set
     maps = action.values if gens is None else action.values[gens]
     members, ids = family.members, _class_ids(family)
     k, n = len(maps), family.carrier_size

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,73 +202,15 @@ def test_pullback_is_the_preimage_on_every_self_map():
         maps = full_selfmap_monoid(n).elements
         pull = lattice.pullback(maps)
         assert pull.shape == (len(maps), len(lattice))
+        assert pull.dtype == np.min_scalar_type(len(lattice) - 1) and not pull.flags.writeable
         for s, f in enumerate(maps):
             for i, p in enumerate(lattice.partitions):
                 assert lattice.partitions[pull[s, i]] == preimage_partition(f, p)
-
-
-def _first_occurrence_pullback(lattice, maps):
-    """The pullback table with every label row looked up by its
-    first-occurrence key, whatever the number of maps."""
-    return lattice._table(lambda a, b: lattice.rows[:, maps[a:b]].transpose(1, 0, 2),
-                          len(maps))
-
-
-@pytest.mark.parametrize("n", range(7))
-def test_direct_address_pullback_matches_the_first_occurrence_table(n):
-    lattice = unif.PartitionLattice(n)
-    rng = np.random.default_rng(n)
-    # at least n**n / B maps, so the keys are read in the n**n-entry table
-    k = -(-n ** n // len(lattice)) + 3
-    maps = rng.integers(0, max(n, 1), size=(k, n)).astype(np.uint8)
-    pull = lattice.pullback(maps)
-    assert "_by_digits" in lattice.__dict__
-    assert pull.dtype == lattice._dtype and not pull.flags.writeable
-    assert np.array_equal(pull, _first_occurrence_pullback(lattice, maps))
-    # every label row in range(n)**n, in key order, against its lookup
-    table = lattice._by_digits
-    every = np.indices((n,) * n).reshape(n, n ** n).T
-    assert table.shape == (n ** n,) and not table.flags.writeable
-    assert np.array_equal(table, lattice.lookup(every))
-    # the table is built once per lattice
-    assert np.array_equal(lattice.pullback(maps[::-1]), pull[::-1])
-    assert lattice._by_digits is table
-
-
-def test_a_pullback_of_few_maps_keeps_the_first_occurrence_keys():
-    lattice = unif.PartitionLattice(4)
-    maps = np.array([(0, 1, 2, 3), (1, 1, 3, 0)])       # 4**4 > 2 * 15
-    pull = lattice.pullback(maps)
-    assert "_by_digits" not in lattice.__dict__
-    assert np.array_equal(pull, _first_occurrence_pullback(lattice, maps))
-    for s, f in enumerate(maps.tolist()):
-        for i, p in enumerate(lattice.partitions):
-            assert lattice.partitions[pull[s, i]] == preimage_partition(f, p)
-
-
-def test_the_direct_address_pullback_stays_small():
-    # the n**n-entry table, built in blocks, and one pullback of as many
-    # maps as saturate-6 has; an (n**n, B) uint8 table would be 9 MiB
-    lattice = unif.PartitionLattice(6)
-    maps = np.random.default_rng(6).integers(0, 6, size=(376, 6)).astype(np.uint8)
-    tracemalloc.start()
-    try:
-        pull = lattice.pullback(maps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert pull.shape == (376, 203) and "_by_digits" in lattice.__dict__
-    assert peak < 2**20
-    # on 7 points the table itself is 1.6 MiB; its build holds little more
-    lattice = unif.PartitionLattice(7)
-    tracemalloc.start()
-    try:
-        table = lattice._by_digits
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.shape == (7 ** 7,)
-    assert peak - table.nbytes < 2**20
+        assert lattice.pullback(np.zeros((0, n), dtype=np.uint8)).shape == (0, len(lattice))
+    # the one map of no points pulls the one partition back to itself
+    pull = partition_lattice(0).pullback(np.zeros((3, 0), dtype=np.uint8))
+    assert pull.shape == (3, 1) and not pull.any()
+    assert partition_lattice(0).pullback(np.zeros((0, 0), dtype=np.uint8)).shape == (0, 1)
 
 
 def test_meet_table_is_the_partition_meet():
@@ -433,7 +374,7 @@ def test_saturation_on_generators_matches_the_oracles(monkeypatch, n):
         if len(finmon._generating_set(m.values, m.identity, 4)) > 1:
             continue
         for action in enumerate_actions(m, n):
-            gens = unif._generating_maps(action)
+            gens = action.generating_set
             if gens is None:
                 continue
             assert len(gens) == 1
@@ -476,7 +417,7 @@ def test_saturation_falls_back_to_every_map_where_the_generators_fail(monkeypatc
     eps = Partition.discrete(4)
     lattice = partition_lattice(4)
     for action in (spoiled_law, spoiled_identity):
-        assert unif._generating_maps(action) is None
+        assert action.generating_set is None
         family = saturate(action, [eps])
         assert family == saturate_worklist(action, [eps])
         assert family == saturate(action, [eps], lattice.pullback(action.values))
@@ -494,7 +435,7 @@ def test_saturation_on_generators_needs_no_associativity(monkeypatch):
     # holds on the generator 1, whose map f, a 3-cycle, has act[2] = f**2
     cycle = [(0, 1, 2, 3), (1, 2, 0, 3), (2, 0, 1, 3)]
     action = _cyclic_action([[0, 1, 2], [1, 2, 0], [2, 0, 0]], cycle)
-    assert unif._generating_maps(action).tolist() == [1]
+    assert action.generating_set.tolist() == [1]
     for eps in partition_lattice(4).partitions:
         family = saturate(action, [eps])
         assert family == saturate_worklist(action, [eps])
@@ -502,12 +443,47 @@ def test_saturation_on_generators_needs_no_associativity(monkeypatch):
             assert is_saturated_under(fam, action) == literal_saturated(fam, action)
 
 
+def test_saturation_on_generators_needs_no_left_identity(monkeypatch):
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 1)
+    # 0 is a right identity only (0*1 = 2), so the products
+    # ((0*g1)*g2)*... of the generator 1 reach 0 and 2 but not 1 itself
+    table = np.array([[0, 2, 0], [1, 0, 0], [2, 0, 2]], dtype=np.uint8)
+    assert (table[:, 0] == np.arange(3)).all() and not (table[0] == np.arange(3)).all()
+    swap = (2, 3, 0, 1)
+    action = MonoidAction(FiniteMonoid(table, 0), np.array([(0, 1, 2, 3), swap, swap],
+                                                          dtype=np.uint8))
+    assert action.generating_set.tolist() == [1]
+    for eps in partition_lattice(4).partitions:
+        assert saturate(action, [eps]) == saturate_worklist(action, [eps])
+
+
+def test_the_action_keeps_the_generating_set_validate_action_checked(monkeypatch):
+    maps = generated_selfmap_monoid(6, [(3, 4, 5, 2, 0, 0), (2, 1, 1, 3, 0, 1)])
+    m, calls = maps.to_monoid(), []
+    literal = finmon._generating_set
+    monkeypatch.setattr(finmon, "_generating_set",
+                        lambda *args: calls.append(args) or literal(*args))
+    checked = validate_action(m, 6, maps.elements)
+    assert len(calls) == 1
+    wrapped = MonoidAction(m, checked.values)
+    eps = [Partition.from_class_ids((0, 1, 1, 0, 1, 2))]
+    # the validated action reuses validate_action's set; the wrapped one
+    # looks for it once
+    for action, looked in ((checked, 0), (wrapped, 1)):
+        before = len(calls)
+        family = saturate(action, eps)
+        assert is_saturated_under(family, action)
+        assert len(calls) - before == looked
+    assert not checked.generating_set.flags.writeable
+    assert np.array_equal(wrapped.generating_set, checked.generating_set)
+
+
 def test_oracles_build_each_distinct_partition_once(monkeypatch):
     maps = generated_selfmap_monoid(6, [(3, 4, 5, 2, 0, 0), (2, 1, 1, 3, 0, 1)])
     action = validate_action(maps.to_monoid(), 6, maps.elements)
     family = saturate(action, [Partition.from_class_ids((0, 1, 1, 0, 1, 2))])
     # is_saturated_under pulls back along the checked generators only
-    gens = unif._generating_maps(action)
+    gens = action.generating_set
     assert gens is not None and len(gens) < len(maps)
     pullbacks = {preimage_partition(action.act[g], p) for p in family.members for g in gens}
     meets = {p.meet(q) for p in family.members for q in family.members}
