@@ -43,8 +43,11 @@ from .unif import (
 def _load_json(path: str | None):
     if path in (None, "-"):
         return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:      # missing, a directory, unreadable
+        raise StoneworkError(str(exc)) from None
 
 
 def _write(text: str) -> None:
@@ -300,9 +303,6 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StoneworkError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ views derived on first use.  Everything is immutable after construction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cached_property
 
 import numpy as np
@@ -660,11 +661,21 @@ def generated_selfmap_monoid(carrier_size: int, generators,
 
     Breadth-first over words in the generators: every element is the
     identity or f after g for an element f and a generator g, so each new
-    map is composed with the generators only.  Raises ValueError exactly
-    when the closure has more than max_size elements.
+    map is composed with the generators only.  Raises ValueError naming
+    the first generator that is not a self-map of the carrier; otherwise
+    exactly when the closure has more than max_size elements.  Words in
+    checked generators are self-maps, and they are closed under
+    composition, so the sorted rows are adopted without a second check.
     """
+    n = carrier_size
+    if n < 1:
+        raise ValueError("carrier must be nonempty")
     gens = [tuple(int(v) for v in g) for g in generators]
-    frontier = [tuple(range(carrier_size))]
+    for g in gens:
+        if len(g) != n or not all(0 <= v < n for v in g):
+            raise ValueError(f"generator {list(g)} is not a self-map of {n} points")
+    identity = tuple(range(n))
+    frontier = [identity]
     seen = set(frontier)
     while frontier:
         if max_size is not None and len(seen) > max_size:
@@ -672,12 +683,15 @@ def generated_selfmap_monoid(carrier_size: int, generators,
         nxt = []
         for f in frontier:
             for g in gens:
-                h = tuple(f[x] for x in g)
+                h = tuple(map(f.__getitem__, g))
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
-    return SelfMapMonoid(sorted(seen))
+    rows = sorted(seen)
+    values = np.array(rows, dtype=np.min_scalar_type(n - 1))
+    values.flags.writeable = False
+    return SelfMapMonoid._adopt(values, bisect_left(rows, identity))
 
 
 def cayley_embed(m: FiniteMonoid) -> tuple[SelfMapMonoid, tuple[int, ...]]:

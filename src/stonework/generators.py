@@ -59,13 +59,20 @@ def random_ultrametric(rng: random.Random, n: int) -> UltraPseudometric:
 
 
 def random_cover(rng: random.Random, n: int, max_blocks: int = 6) -> Cover:
-    blocks: set[frozenset[int]] = set()
+    """Up to max_blocks random blocks, as bitmasks, and the points they
+    miss as one more block."""
+    blocks: set[int] = set()
     for _ in range(rng.randint(1, max_blocks)):
         size = rng.randint(1, n)
-        blocks.add(frozenset(rng.sample(range(n), size)))
-    missing = set(range(n)) - set().union(*blocks)
+        mask = 0
+        for x in rng.sample(range(n), size):
+            mask |= 1 << x
+        blocks.add(mask)
+    missing = (1 << n) - 1
+    for mask in blocks:
+        missing &= ~mask
     if missing:
-        blocks.add(frozenset(missing))
+        blocks.add(missing)
     return Cover(carrier_size=n, blocks=frozenset(blocks))
 
 

@@ -80,12 +80,18 @@ class FreeVector:
         return not self.support
 
 
-def vector(space: UltraPseudometric, points) -> FreeVector:
-    """The sum of the given base points; a repeated point cancels in pairs."""
+def _support(points) -> frozenset[int]:
+    """The support of the sum of the given points; a repeated point cancels
+    in pairs."""
     support: set[int] = set()
     for x in points:
         support ^= {int(x)}
-    return FreeVector(space=space, support=frozenset(support))
+    return frozenset(support)
+
+
+def vector(space: UltraPseudometric, points) -> FreeVector:
+    """The sum of the given base points; a repeated point cancels in pairs."""
+    return FreeVector(space=space, support=_support(points))
 
 
 def _best_matching(space: UltraPseudometric, points: list[int], below=None):
@@ -202,4 +208,5 @@ def lipschitz_linear_extend(f, v: FreeVector) -> FreeVector:
         for y in range(x + 1, zero):
             if rank[f[x], f[y]] > rank[x, y]:
                 raise NotLipschitz(x, y)
-    return vector(v.space, (f[x] for x in v.support))
+    # f sends base points to base points of the space v has checked
+    return FreeVector._unchecked(v.space, _support(f[x] for x in v.support))

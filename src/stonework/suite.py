@@ -347,35 +347,39 @@ def check_chain_metrization(cfg: SuiteConfig):
         n = rng.randint(2, 6)
         chain = random_chain(rng, n)
         d = d_from_chain(chain)
-        witness_base = {"chain": chain.to_json()}
+        closed = d.dist
         for x in range(n):
             for y in range(x + 1, n):
                 instances += 1
-                closed = d.d(x, y)
                 literal = minimax_path_distance(chain, x, y)
-                if closed != literal:
+                if closed[x][y] != literal:
                     return params, instances, {
-                        **witness_base,
+                        "chain": chain.to_json(),
                         "pair": [x, y],
-                        "closed_form": str(closed),
+                        "closed_form": str(closed[x][y]),
                         "path_infimum": str(literal),
                     }
-        ids = np.array([chain.level(i).class_id for i in range(len(chain) + 1)])
-        related = ids[:, :, None] == ids[:, None, :]        # related[i]: level i
-        diagonal = np.eye(n, dtype=bool)
-        for level in range(len(chain) + 1):
-            inside = d.rank_matrix() < d.below(Fraction(1, 2**level))
-            finer = related[level + 1] if level < len(chain) else np.zeros_like(diagonal)
-            # per pair, in this order: finer escapes, diagonal outside, ball escapes coarser
-            bad = np.stack([finer & ~inside, diagonal & ~inside, inside & ~related[level]])
-            if bad.any():
-                x, y = np.argwhere(bad.any(axis=0))[0]
-                return params, instances, {
-                    **witness_base,
-                    "level": level,
-                    "pair": [int(x), int(y)],
-                    "failure": SANDWICH_FAILURES[int(bad[:, x, y].argmax())],
-                }
+        # the sandwich at every level at once: related[i] is level i, with
+        # the indiscrete level 0 first and an empty level after the last,
+        # and inside[i] is the open ball of radius 2**-i
+        ids = np.array([p.class_id for p in chain.chain], dtype=np.intp).reshape(len(chain), n)
+        related = np.concatenate((np.ones((1, n, n), dtype=bool),
+                                  ids[:, :, None] == ids[:, None, :],
+                                  np.zeros((1, n, n), dtype=bool)))
+        radii = [d.below(Fraction(1, 2**level)) for level in range(len(chain) + 1)]
+        inside = d.rank_matrix() < np.array(radii)[:, None, None]
+        # per level and pair, in this order: finer escapes, diagonal outside,
+        # ball escapes coarser
+        bad = np.stack([related[1:] & ~inside, np.eye(n, dtype=bool) & ~inside,
+                        inside & ~related[:-1]], axis=1)
+        if bad.any():
+            level, x, y = np.argwhere(bad.any(axis=1))[0]
+            return params, instances, {
+                "chain": chain.to_json(),
+                "level": int(level),
+                "pair": [int(x), int(y)],
+                "failure": SANDWICH_FAILURES[int(bad[level, :, x, y].argmax())],
+            }
     return params, instances, None
 
 
@@ -419,33 +423,37 @@ def check_theta_entourages(cfg: SuiteConfig):
     point_sets = [
         [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2],
     ]
+    where = np.zeros(1 << n, dtype=np.intp)     # where[mask]: the point set with that bitmask
+    for j, points in enumerate(point_sets):
+        where[sum(1 << a for a in points)] = j
     for d in metrics:
         theta = enumerate_theta(d)
+        k = len(theta)
         product = theta.to_monoid().values         # product[i, s0]: map i after map s0
+        # moved[j, s0]: the point set that s0 sends point set j onto
+        bits = 1 << theta.values.astype(np.intp)    # bits[s0, a]: the image of a, as a bit
+        moved = where[[np.bitwise_or.reduce(bits[:, points], axis=1) for points in point_sets]]
         for eps in [*d.levels[1:], d.levels[-1] + 1]:
-            ids = {
-                tuple(points): np.asarray(epsilon_A_relation(theta, d, points, eps).class_id)
-                for points in point_sets
-            }
-            # ids number classes by first occurrence: firsts[c] is class c's first element
-            firsts = {key: np.unique(v, return_index=True)[1] for key, v in ids.items()}
-            instances += len(ids) * len(theta)
-            for points in point_sets:
-                for s0 in range(len(theta)):
-                    s0_map = theta.values[s0].tolist()
-                    moved = tuple(sorted({s0_map[a] for a in points}))
-                    # the class of i*s0 at points is constant on each class at moved
-                    vals = ids[tuple(points)][product[:, s0]]
-                    bad = np.flatnonzero(vals != vals[firsts[moved]][ids[moved]])
-                    if bad.size:
-                        return params, instances + int(bad[0]) + 1, {
-                            "metric": d.to_json(),
-                            "points": points,
-                            "eps": str(eps),
-                            "s0": s0_map,
-                            "failure": "right translation does not respect the entourage",
-                        }
-                    instances += len(theta)
+            ids = np.array([epsilon_A_relation(theta, d, points, eps).class_id
+                            for points in point_sets])
+            # first[j, i]: the first map in the class of map i at point set j
+            first = (ids[:, :, None] == ids[:, None, :]).argmax(axis=2)
+            instances += len(point_sets) * k
+            # the class of i*s0 at point set j is constant on each class at
+            # moved[j, s0]: vals[j, i, s0] against its value at the first
+            # map of i's class there
+            vals = ids[:, product]
+            bad = vals != np.take_along_axis(vals, first[moved].transpose(0, 2, 1), axis=1)
+            if bad.any():
+                j, s0, i = np.argwhere(bad.transpose(0, 2, 1))[0]
+                return params, instances + int(j * k + s0) * k + int(i) + 1, {
+                    "metric": d.to_json(),
+                    "points": point_sets[j],
+                    "eps": str(eps),
+                    "s0": theta.values[s0].tolist(),
+                    "failure": "right translation does not respect the entourage",
+                }
+            instances += len(point_sets) * k * k
     return params, instances, None
 
 
@@ -628,13 +636,12 @@ def check_kantorovich_contraction(cfg: SuiteConfig):
                                                   for x in range(base)])
         theta = enumerate_theta(restricted)
         supports = _subsets(base)
-        norms = {
-            s: navector.kantorovich_norm(navector.vector(space, s)) for s in supports
-        }
+        vectors = {s: navector.vector(space, s) for s in supports}
+        norms = {s: navector.kantorovich_norm(v) for s, v in vectors.items()}
         # pushed[i][s]: the support that the extension of map i sends s to
         pushed = [
-            {s: tuple(sorted(navector.lipschitz_linear_extend(
-                f, navector.vector(space, s)).support)) for s in supports}
+            {s: tuple(sorted(navector.lipschitz_linear_extend(f, v).support))
+             for s, v in vectors.items()}
             for f in theta.elements
         ]
         for f, images in zip(theta.elements, pushed):

@@ -356,12 +356,17 @@ def d_from_chain(chain: MonotoneChain) -> UltraPseudometric:
     ids = np.array([p.class_id for p in chain.chain], dtype=np.intp).reshape(m, n)
     depth = (ids[:, :, None] == ids[:, None, :]).sum(axis=0)
     np.fill_diagonal(depth, m + 1)      # deeper than every level: distance 0
-    # the deepest pairs are the closest, so ranks ascend with -depth
-    used, rank = np.unique(-depth, return_inverse=True)
-    levels = [Fraction(0) if k > m else Fraction(1, 2**k) for k in (-used).tolist()]
+    # the deepest pairs are the closest, so ranks ascend down the depths
+    # present, m + 1 first: a presence table over 0..m + 1 ranks them
+    present = np.zeros(m + 2, dtype=bool)
+    present[depth] = True
+    used = np.flatnonzero(present[::-1])
+    rank_of = np.empty(m + 2, dtype=np.int64)
+    rank_of[m + 1 - used] = np.arange(len(used))
+    levels = [Fraction(0) if k > m else Fraction(1, 2**k) for k in (m + 1 - used).tolist()]
     # on n >= 1 points, nested levels make the depths an ultrametric, 0 is the
-    # first level (the diagonal), and np.unique uses each rank
-    return UltraPseudometric._unchecked(levels, rank.astype(np.int64, copy=False).reshape(n, n))
+    # first level (the diagonal), and every rank is used
+    return UltraPseudometric._unchecked(levels, rank_of[depth])
 
 
 def minimax_path_distance(chain: MonotoneChain, x: int, y: int) -> Fraction:

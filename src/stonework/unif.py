@@ -427,37 +427,53 @@ def boundedness_report(action: MonoidAction, family: PartitionFamily) -> Bounded
 # covers and the star/wedge/order calculus
 
 
+def _points(mask: int) -> list[int]:
+    """The points of a bitmask, ascending."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
 @dataclass(frozen=True)
 class Cover:
-    """A family of nonempty subsets whose union is the carrier."""
+    """A family of nonempty subsets whose union is the carrier.
+
+    Each block is an int bitmask: point x is in the block iff bit x is
+    set.  Python ints have no width limit, so any carrier size fits.
+    """
 
     carrier_size: int
-    blocks: frozenset[frozenset[int]]
+    blocks: frozenset[int]
 
     def __post_init__(self):
-        union: set[int] = set()
+        union = 0
         for block in self.blocks:
             if not block:
                 raise ValueError("empty block")
-            if any(not 0 <= x < self.carrier_size for x in block):
+            if block < 0 or block >> self.carrier_size:
                 raise ValueError("block point outside the carrier")
             union |= block
-        if union != set(range(self.carrier_size)):
+        # inside the carrier, the union covers it iff it is all ones up to
+        # bit carrier_size - 1
+        if union & (union + 1) or union.bit_length() != self.carrier_size:
             raise ValueError("blocks do not cover the carrier")
 
     @staticmethod
     def from_blocks(carrier_size: int, blocks) -> Cover:
-        return Cover(
-            carrier_size=carrier_size,
-            blocks=frozenset(frozenset(map(int, b)) for b in blocks),
-        )
+        masks = set()
+        for block in blocks:
+            mask = 0
+            for x in map(int, block):
+                if not 0 <= x < carrier_size:
+                    raise ValueError("block point outside the carrier")
+                mask |= 1 << x
+            masks.add(mask)
+        return Cover(carrier_size=carrier_size, blocks=frozenset(masks))
 
     @staticmethod
     def from_partition(p: Partition) -> Cover:
         return Cover.from_blocks(p.carrier_size, p.classes())
 
     def sorted_blocks(self) -> list[list[int]]:
-        return sorted(sorted(b) for b in self.blocks)
+        return sorted(map(_points, self.blocks))
 
     def to_json(self) -> dict:
         return {"blocks": self.sorted_blocks()}
@@ -476,25 +492,34 @@ def cover_wedge(p: Cover, q: Cover) -> Cover:
     """All nonempty pairwise intersections; refines both inputs."""
     if p.carrier_size != q.carrier_size:
         raise CarrierMismatch("covers on different carriers")
-    blocks = {a & b for a in p.blocks for b in q.blocks if a & b}
+    blocks = {a & b for a in p.blocks for b in q.blocks}
+    blocks.discard(0)
     return Cover(carrier_size=p.carrier_size, blocks=frozenset(blocks))
+
+
+def _star_mask(mask: int, p: Cover) -> int:
+    """Union of the blocks of p meeting the bitmask."""
+    out = 0
+    for block in p.blocks:
+        if block & mask:
+            out |= block
+    return out
 
 
 def star(points, p: Cover) -> frozenset[int]:
     """Union of the blocks meeting the given set."""
-    pts = frozenset(map(int, points))
-    out: set[int] = set()
-    for block in p.blocks:
-        if block & pts:
-            out |= block
-    return frozenset(out)
+    mask = 0
+    for x in map(int, points):
+        if 0 <= x < p.carrier_size:     # no block holds any other point
+            mask |= 1 << x
+    return frozenset(_points(_star_mask(mask, p)))
 
 
 def cover_star(p: Cover) -> Cover:
     """The cover of stars of blocks; every cover refines its own star."""
     return Cover(
         carrier_size=p.carrier_size,
-        blocks=frozenset(star(b, p) for b in p.blocks),
+        blocks=frozenset(_star_mask(b, p) for b in p.blocks),
     )
 
 
@@ -502,7 +527,7 @@ def refines(q: Cover, p: Cover) -> bool:
     """Every block of q lies inside some block of p."""
     if p.carrier_size != q.carrier_size:
         raise CarrierMismatch("covers on different carriers")
-    return all(any(a <= b for b in p.blocks) for a in q.blocks)
+    return all(any(not a & ~b for b in p.blocks) for a in q.blocks)
 
 
 def star_refines(p: Cover, q: Cover) -> bool:
@@ -511,9 +536,29 @@ def star_refines(p: Cover, q: Cover) -> bool:
 
 
 def ord_at(p: Cover, x: int) -> int:
-    return sum(1 for block in p.blocks if x in block)
+    """Number of blocks through the point x (0 off the carrier)."""
+    return sum(block >> x & 1 for block in p.blocks) if x >= 0 else 0
 
 
 def cover_order(p: Cover) -> int:
-    """Maximal number of blocks through one point (1 for partitions)."""
-    return max(ord_at(p, x) for x in range(p.carrier_size))
+    """Maximal number of blocks through one point (1 for partitions, 0 on
+    the empty carrier).
+
+    The counts of all points are kept bit-sliced: bit x of digits[i] is
+    bit i of the number of blocks through x.  Adding a block is one
+    ripple-carry addition of masks, and the largest count is read off
+    from the top digit down, keeping the points that reach each digit.
+    """
+    digits: list[int] = []
+    for block in p.blocks:
+        carry = block
+        for i, digit in enumerate(digits):
+            digits[i], carry = digit ^ carry, digit & carry
+        if carry:
+            digits.append(carry)
+    order, points = 0, -1            # -1: every point
+    for i in reversed(range(len(digits))):
+        if points & digits[i]:
+            points &= digits[i]
+            order |= 1 << i
+    return order

@@ -7,6 +7,16 @@ import sys
 from unittest import mock
 
 import pytest
+from test_unif import (
+    ref_blocks,
+    ref_cover_star,
+    ref_ord_at,
+    ref_order,
+    ref_sorted,
+    ref_star,
+    ref_wedge,
+    seeded_cover_pairs,
+)
 
 from stonework import cli
 from stonework.finmon import validate_monoid
@@ -214,6 +224,19 @@ def test_parse_error_exit_code_and_location():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["metrize", "--chain", "DIR"],
+    ["theta", "--metric", "DIR"],
+    ["saturate", "--action", "DIR", "--family", "DIR"],
+    ["cover-ops", "--op", "ord", "DIR"],
+    ["dualize", "--in", "DIR"],
+])
+def test_a_directory_as_input_is_an_input_error(tmp_path, args):
+    proc = run_cli([str(tmp_path) if a == "DIR" else a for a in args])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_usage_error_exit_code():
     proc = run_cli(["theta"])  # missing required --metric
     assert proc.returncode == 2
@@ -359,6 +382,30 @@ def test_theta_rejects_malformed_metrics(tmp_path, metric, problem):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert problem in proc.stderr
+
+
+def test_cover_ops_print_the_frozenset_reference_bytes(tmp_path):
+    # the output the frozenset covers printed, byte for byte
+    def emitted(obj):
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    for i, (n, p, q) in enumerate(seeded_cover_pairs(seed=5, count=40)):
+        rp, rq = ref_blocks(p), ref_blocks(q)
+        files = [tmp_path / f"{i}-{name}.json" for name in "pq"]
+        for path, blocks in zip(files, (rp, rq)):
+            path.write_text(json.dumps({"blocks": [sorted(b) for b in blocks]}))
+        points = sorted({(i * 7 + j) % n for j in range(i % 3 + 1)})
+        p_file, q_file = map(str, files)
+        for args, expected in [
+            (["wedge", p_file, q_file], {"blocks": ref_sorted(ref_wedge(rp, rq))}),
+            (["star", p_file], {"blocks": ref_sorted(ref_cover_star(rp))}),
+            (["star", p_file, "--set", ",".join(map(str, points))],
+             {"star": sorted(ref_star(points, rp))}),
+            (["ord", q_file], {"order": ref_order(rq, n),
+                               "pointwise": [ref_ord_at(rq, x) for x in range(n)]}),
+        ]:
+            proc = run_cli(["cover-ops", "--op", *args])
+            assert proc.returncode == 0 and proc.stdout == emitted(expected)
 
 
 @pytest.mark.parametrize("cover,problem", [

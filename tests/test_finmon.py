@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -861,3 +862,36 @@ def test_generated_monoid_matches_all_pairs_closure():
         assert len(generated_selfmap_monoid(n, gens, max_size=len(closure))) == len(closure)
         with pytest.raises(ValueError):
             generated_selfmap_monoid(n, gens, max_size=len(closure) - 1)
+
+
+def test_adopted_generated_monoids_equal_the_checked_constructor():
+    # generated_selfmap_monoid adopts its BFS rows without the constructor's checks
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        gens = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        try:
+            maps = generated_selfmap_monoid(n, gens, max_size=500)
+        except ValueError:
+            continue
+        checked = SelfMapMonoid(maps.values.tolist())
+        assert np.array_equal(maps.values, checked.values)
+        assert maps.values.dtype == checked.values.dtype and maps.values.flags.c_contiguous
+        assert maps.identity_index == checked.identity_index
+        assert maps.carrier_size == checked.carrier_size == n
+        assert maps == checked and hash(maps) == hash(checked)
+        assert not maps.values.flags.writeable
+        assert maps.verify_closure()
+
+
+@pytest.mark.parametrize("n,gens,bad", [
+    (3, [(-1, 0, 0)], [-1, 0, 0]),      # not read as point 2
+    (3, [(0, 5, 1)], [0, 5, 1]),
+    (3, [(0, 1, 2), (0, 1)], [0, 1]),
+    (2, [(0, 1, 1)], [0, 1, 1]),
+])
+def test_generated_monoid_checks_its_generators(n, gens, bad):
+    with pytest.raises(ValueError, match=re.escape(f"generator {bad} is not a self-map of {n} points")):
+        generated_selfmap_monoid(n, gens)
+    with pytest.raises(ValueError, match="carrier must be nonempty"):
+        generated_selfmap_monoid(0, [])

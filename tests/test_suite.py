@@ -292,6 +292,82 @@ def test_chain_metrization_sandwich_fails_one_level_too_shallow(monkeypatch):
     shallow = scaled_chain_metric(2)
     monkeypatch.setattr(suite, "d_from_chain", shallow)
     monkeypatch.setattr(suite, "minimax_path_distance", lambda chain, x, y: shallow(chain).d(x, y))
-    _, _, witness = suite.check_chain_metrization(SMALL)
-    assert witness["failure"] == "finer level escapes the open ball"
-    assert set(witness) == {"chain", "level", "pair", "failure"}
+    _, instances, witness = suite.check_chain_metrization(SMALL)
+    assert witness == {"chain": FIRST_SANDWICH_CHAIN, "level": 1, "pair": [0, 2],
+                       "failure": "finer level escapes the open ball"}
+    assert instances == 3
+
+
+# the first chain of the default seed whose sandwich a scaled metric breaks
+FIRST_SANDWICH_CHAIN = {"carrier_size": 3, "chain": [
+    {"classes": [[0, 2], [1]]}, {"classes": [[0, 2], [1]]}, {"classes": [[0], [1], [2]]}]}
+
+
+def test_chain_metrization_sandwich_fails_two_levels_too_deep(monkeypatch):
+    # a quarter of the chain metric puts the ball at level i at level i - 1,
+    # coarser than level i where the levels differ
+    deep = scaled_chain_metric(Fraction(1, 4))
+    monkeypatch.setattr(suite, "d_from_chain", deep)
+    monkeypatch.setattr(suite, "minimax_path_distance", lambda chain, x, y: deep(chain).d(x, y))
+    _, instances, witness = suite.check_chain_metrization(SMALL)
+    assert witness == {"chain": FIRST_SANDWICH_CHAIN, "level": 1, "pair": [0, 1],
+                       "failure": "open ball escapes the coarser level"}
+    assert instances == 3
+
+
+def test_theta_entourages_fail_at_the_first_pair_when_a_class_splits(monkeypatch):
+    # point 0's relation loses the last map of its class on the non-discrete
+    # metrics: the first right translation that moves 0 elsewhere and pulls
+    # that map apart from its old class fails, at the map i reached first
+    real = suite.epsilon_A_relation
+
+    def split(theta, d, points, eps):
+        p = real(theta, d, points, eps)
+        if list(points) != [0] or d == ultra.UltraPseudometric.discrete(3):
+            return p
+        ids = list(p.class_id)
+        ids[-1] = max(ids) + 1
+        return ultra.Partition.from_class_ids(ids)
+
+    monkeypatch.setattr(suite, "epsilon_A_relation", split)
+    _, instances, witness = suite.check_theta_entourages(SuiteConfig())
+    assert instances == 10824
+    assert witness == {
+        "metric": {"dist": [["0", "1/2", "1"], ["1/2", "0", "1"], ["1", "1", "0"]]},
+        "points": [0], "eps": "1/2", "s0": [1, 0, 2],
+        "failure": "right translation does not respect the entourage",
+    }
+
+
+def test_covering_combinators_fail_when_the_star_is_too_fine(monkeypatch):
+    # the all-singletons "star" of every cover with six blocks
+    real = suite.cover_star
+
+    def singletons(p):
+        if len(p.sorted_blocks()) < 6:
+            return real(p)
+        return unif.Cover.from_blocks(p.carrier_size, [[x] for x in range(p.carrier_size)])
+
+    monkeypatch.setattr(suite, "cover_star", singletons)
+    _, instances, witness = suite.check_covering_combinators(SuiteConfig())
+    assert instances == 27
+    assert witness == {
+        "cover": {"blocks": [[0, 1, 2, 3], [0, 1, 2, 3, 4], [0, 2, 3, 4], [1, 2], [2, 3, 4], [3]]},
+        "failure": "P does not refine P*",
+    }
+
+
+def test_covering_combinators_fail_when_the_wedge_is_every_subset(monkeypatch):
+    def every_subset(p, q):
+        n = p.carrier_size
+        return unif.Cover.from_blocks(n, [[x for x in range(n) if m >> x & 1]
+                                          for m in range(1, 1 << n)])
+
+    monkeypatch.setattr(suite, "cover_wedge", every_subset)
+    _, instances, witness = suite.check_covering_combinators(SuiteConfig())
+    assert instances == 2
+    assert witness == {
+        "p": {"blocks": [[0, 1, 2], [0, 1, 2, 3, 4, 5]]},
+        "q": {"blocks": [[0], [0, 1, 2, 3, 4, 5], [0, 1, 3], [0, 1, 3, 4, 5], [2, 4]]},
+        "failure": "wedge order exceeds the product bound",
+    }

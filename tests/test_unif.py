@@ -595,3 +595,106 @@ def test_cover_json_round_trip():
     p = Cover.from_blocks(4, [[0, 1], [1, 2], [2, 3]])
     assert cover_from_json(4, p.to_json()) == p
     assert p.to_json()["blocks"] == [[0, 1], [1, 2], [2, 3]]
+
+
+# --- the frozenset reference for the bitmask covers -------------------------
+# Covers as sets of frozensets of points, with the calculus written on them
+# directly: the form the bitmask Cover replaced, kept as its oracle.
+
+
+def ref_blocks(p: Cover) -> frozenset[frozenset[int]]:
+    return frozenset(frozenset(b) for b in p.sorted_blocks())
+
+
+def ref_random_cover(rng, n, max_blocks=6):
+    blocks = set()
+    for _ in range(rng.randint(1, max_blocks)):
+        size = rng.randint(1, n)
+        blocks.add(frozenset(rng.sample(range(n), size)))
+    missing = set(range(n)) - set().union(*blocks)
+    if missing:
+        blocks.add(frozenset(missing))
+    return frozenset(blocks)
+
+
+def ref_wedge(p, q):
+    return frozenset(a & b for a in p for b in q if a & b)
+
+
+def ref_star(points, p):
+    pts = frozenset(points)
+    return frozenset().union(*(block for block in p if block & pts))
+
+
+def ref_cover_star(p):
+    return frozenset(ref_star(b, p) for b in p)
+
+
+def ref_refines(q, p):
+    return all(any(a <= b for b in p) for a in q)
+
+
+def ref_ord_at(p, x):
+    return sum(1 for block in p if x in block)
+
+
+def ref_order(p, n):
+    return max(ref_ord_at(p, x) for x in range(n))
+
+
+def ref_sorted(p):
+    return sorted(sorted(b) for b in p)
+
+
+def seeded_cover_pairs(seed=31, count=300):
+    """(n, p, q) for seeded random covers p, q of 1-6 points."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        yield n, random_cover(rng, n), random_cover(rng, n)
+
+
+def test_random_covers_draw_the_reference_blocks():
+    for seed in range(200):
+        n = seed % 6 + 1
+        assert ref_blocks(random_cover(random.Random(seed), n)) == \
+            ref_random_cover(random.Random(seed), n)
+
+
+def test_bitmask_covers_match_the_frozenset_reference():
+    for n, p, q in seeded_cover_pairs():
+        rp, rq = ref_blocks(p), ref_blocks(q)
+        assert p.sorted_blocks() == ref_sorted(rp) and p.carrier_size == n
+        assert ref_blocks(cover_wedge(p, q)) == ref_wedge(rp, rq)
+        assert ref_blocks(cover_star(p)) == ref_cover_star(rp)
+        for a, b, ra, rb in [(p, q, rp, rq), (q, p, rq, rp),
+                             (p, cover_star(p), rp, ref_cover_star(rp)),
+                             (cover_wedge(p, q), q, ref_wedge(rp, rq), rq)]:
+            assert refines(a, b) == ref_refines(ra, rb)
+        assert star_refines(p, q) == ref_refines(ref_cover_star(rp), rq)
+        for mask in range(1 << n):
+            points = [x for x in range(n) if mask >> x & 1]
+            assert star(points, p) == ref_star(points, rp)
+        assert star([n, -1], p) == frozenset()      # points off the carrier meet no block
+        assert [ord_at(p, x) for x in range(-1, n + 1)] == \
+            [ref_ord_at(rp, x) for x in range(-1, n + 1)]
+        assert cover_order(p) == ref_order(rp, n)
+        assert cover_order(cover_wedge(p, q)) == ref_order(ref_wedge(rp, rq), n)
+        part = random_partition(random.Random(n * 1000 + len(rp)), n)
+        assert ref_blocks(Cover.from_partition(part)) == frozenset(map(frozenset, part.classes()))
+
+
+def test_bitmask_covers_reject_what_the_frozenset_covers_rejected():
+    # a width past 64 bits, and each of the three defects with its message
+    assert Cover.from_blocks(70, [range(70), [69]]).sorted_blocks() == [list(range(70)), [69]]
+    for n, blocks, message in [(2, [[0, 1], []], "empty block"),
+                               (2, [[0, 1, 5]], "block point outside the carrier"),
+                               (2, [[0], [-1, 1]], "block point outside the carrier"),
+                               (3, [[0, 1]], "blocks do not cover the carrier")]:
+        with pytest.raises(ValueError, match=message):
+            Cover.from_blocks(n, blocks)
+    for masks, message in [({0b11, 0}, "empty block"), ({0b111}, "block point outside the carrier"),
+                           ({-1}, "block point outside the carrier"),
+                           ({0b01}, "blocks do not cover the carrier")]:
+        with pytest.raises(ValueError, match=message):
+            Cover(carrier_size=2, blocks=frozenset(masks))
