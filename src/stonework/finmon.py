@@ -662,7 +662,9 @@ def generated_selfmap_monoid(carrier_size: int, generators,
     Breadth-first over words in the generators: every element is the
     identity or f after g for an element f and a generator g, so each new
     map is composed with the generators only.  Raises ValueError naming
-    the first generator that is not a self-map of the carrier; otherwise
+    the first generator that is not a self-map of the carrier, which
+    takes entries that are Python or numpy integers, as SelfMapMonoid
+    does: no bool and no float is read as a point.  Otherwise raises
     exactly when the closure has more than max_size elements.  Words in
     checked generators are self-maps, and they are closed under
     composition, so the sorted rows are adopted without a second check.
@@ -670,10 +672,12 @@ def generated_selfmap_monoid(carrier_size: int, generators,
     n = carrier_size
     if n < 1:
         raise ValueError("carrier must be nonempty")
-    gens = [tuple(int(v) for v in g) for g in generators]
+    gens = [tuple(g) for g in generators]
     for g in gens:
-        if len(g) != n or not all(0 <= v < n for v in g):
-            raise ValueError(f"generator {list(g)} is not a self-map of {n} points")
+        if len(g) != n or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                                  and 0 <= v < n for v in g):
+            raise ValueError(f"generator [{', '.join(map(str, g))}] "
+                             f"is not a self-map of {n} points")
     identity = tuple(range(n))
     frontier = [identity]
     seen = set(frontier)

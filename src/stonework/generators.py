@@ -13,14 +13,12 @@ from itertools import product
 
 import numpy as np
 
-from .errors import AssociativityViolation, IdentityViolation
 from .finmon import (
     CHUNK_ENTRIES,
     FiniteMonoid,
     MonoidAction,
     SelfMapMonoid,
     generated_selfmap_monoid,
-    validate_monoid,
 )
 from .ultra import MonotoneChain, Partition, UltraPseudometric, d_from_chain
 from .unif import Cover
@@ -135,20 +133,32 @@ def random_one_sided_metric(rng: random.Random, m: FiniteMonoid,
 
 
 def enumerate_small_monoids(size: int) -> list[FiniteMonoid]:
-    """Every multiplication table of the given size with identity element 0."""
-    free = [(x, y) for x in range(1, size) for y in range(1, size)]
+    """Every multiplication table of the given size with identity element 0.
+
+    The candidates set row and column 0 to the identity law and fill the
+    other (size - 1)**2 entries in every way, in lexicographic order of
+    the entries row by row; associativity is tested on all of them at
+    once, in chunks of at most CHUNK_ENTRIES law entries.
+    """
+    if size < 1:
+        raise ValueError("empty multiplication table")
+    k, free = size, (size - 1) ** 2
+    powers = k ** np.arange(free - 1, -1, -1, dtype=np.int64)   # the last entry is the fastest digit
+    count, ks = k ** free, np.arange(k)
     out = []
-    for values in product(range(size), repeat=len(free)):
-        table = [[0] * size for _ in range(size)]
-        for x in range(size):
-            table[0][x] = x
-            table[x][0] = x
-        for (x, y), v in zip(free, values):
-            table[x][y] = v
-        try:
-            out.append(validate_monoid(table, 0))
-        except (AssociativityViolation, IdentityViolation):
-            continue
+    step = max(1, CHUNK_ENTRIES // k ** 3)
+    for start in range(0, count, step):
+        cand = np.arange(start, min(start + step, count), dtype=np.int64)
+        tables = np.empty((len(cand), k, k), dtype=np.min_scalar_type(k - 1))
+        tables[:, 0], tables[:, :, 0] = ks, ks
+        tables[:, 1:, 1:] = (cand[:, None] // powers % k).reshape(len(cand), k - 1, k - 1)
+        # (x*y)*z == x*(y*z) for every x, y, z
+        c = np.arange(len(cand))[:, None, None, None]
+        left = tables[c, tables[..., None], ks]
+        right = tables[c, ks[:, None, None], tables[:, None]]
+        kept = tables[(left == right).reshape(len(cand), -1).all(axis=1)]
+        kept.flags.writeable = False
+        out.extend(FiniteMonoid._adopt(values, 0) for values in kept)
     return out
 
 
@@ -163,6 +173,10 @@ def enumerate_actions(m: FiniteMonoid, carrier: int) -> list[MonoidAction]:
                     dtype=np.min_scalar_type(max(carrier - 1, 0)))
     non_identity = [s for s in range(m.size) if s != m.identity]
     k, count = m.size, len(maps) ** len(non_identity)
+    # in a candidate's table flattened to k * carrier entries, act[s][y] is
+    # entry s * carrier + y, so act[s*t][x] has the same entry in every one
+    starts = np.arange(k) * carrier
+    direct = (m.values.astype(np.intp)[:, :, None] * carrier + np.arange(carrier)).ravel()
     out = []
     step = max(1, CHUNK_ENTRIES // max(1, k * k * carrier))
     for start in range(0, count, step):
@@ -172,8 +186,10 @@ def enumerate_actions(m: FiniteMonoid, carrier: int) -> list[MonoidAction]:
         for s in reversed(non_identity):        # the last element is the fastest digit
             cand, digit = np.divmod(cand, len(maps))
             act[:, s] = maps[digit]
+        flat = act.reshape(len(act), k * carrier)
         # act[s][act[t][x]] == act[s*t][x] for every s, t, x
-        nested = np.take_along_axis(act[:, :, None, :], act[:, None, :, :], axis=3)
-        ok = (nested == act[:, m.values]).reshape(len(act), -1).all(axis=1)
+        nested = flat.ravel().take(np.arange(len(act))[:, None, None, None] * (k * carrier)
+                                   + starts[:, None, None] + act[:, None])
+        ok = (nested.reshape(len(act), -1) == flat[:, direct]).all(axis=1)
         out.extend(MonoidAction(m, rows) for rows in act[ok])
     return out

@@ -497,36 +497,44 @@ def check_ball_left_congruences(cfg: SuiteConfig):
 
 def check_saturation(cfg: SuiteConfig):
     params = {"monoid_size": 3, "carrier": 3}
-    instances = 0
-    lattice = partition_lattice(3)
+    instances, n = 0, 3
+    lattice = partition_lattice(n)
+    B = len(lattice)
     meet = lattice.meet.tolist()
     meet_closed = {}        # is_meet_closed reads no action: once per distinct family
     # the saturations and their oracles read only the action table, so a
     # table that has passed passes again under any other monoid
     passed = set()
     for m in enumerate_small_monoids(3):
-        for action in enumerate_actions(m, 3):
-            pull = lattice.pullback(action.values)
-            # nested[e, s, t] = pull[t, pull[s, e]] against direct pull[s*t, e],
-            # flattened in the (eps, s, t) scan order
-            nested = pull[np.arange(m.size), pull.T[:, :, None]]
-            direct = pull[m.values].transpose(2, 0, 1)
-            bad = np.flatnonzero(nested != direct)
-            if bad.size:
-                e, s, t = np.unravel_index(bad[0], nested.shape)
-                return params, instances + int(bad[0]) + 1, {
+        actions = enumerate_actions(m, n)
+        k, count = m.size, len(actions)
+        # one pullback table for all of the monoid's actions: pull[a] is action a's
+        pull = lattice.pullback(np.stack([a.values for a in actions]).reshape(-1, n))
+        pull = pull.reshape(count, k, B)
+        # nested[a, e, s, t] = pull[a, t, pull[a, s, e]] against direct
+        # pull[a, s*t, e], flattened per action in the (eps, s, t) scan order
+        nested = pull[np.arange(count)[:, None, None, None], np.arange(k),
+                      pull.transpose(0, 2, 1)[..., None]]
+        direct = pull[:, m.values].transpose(0, 3, 1, 2)
+        bad = (nested != direct).reshape(count, -1)
+        lawful = ~bad.any(axis=1)
+        for a, action in enumerate(actions):
+            if not lawful[a]:
+                i = int(bad[a].argmax())
+                e, s, t = np.unravel_index(i, (B, k, k))
+                return params, instances + i + 1, {
                     "monoid": m.to_json(), "action": action.values.tolist(),
                     "partition": lattice.partitions[e].to_json(),
                     "pair": [int(s), int(t)],
                 }
-            instances += nested.size
+            instances += B * k * k
             table = (action.values.shape, action.values.tobytes())
             if table in passed:
-                instances += len(lattice)
+                instances += B
                 continue
-            pulls = pull.T.tolist()
+            pulls = pull[a].T.tolist()
             for eps in lattice.partitions:
-                family = saturate(action, [eps], pull)
+                family = saturate(action, [eps], pull[a])
                 instances += 1
                 ids = {lattice.index_of(p) for p in family.members}
                 closed = all(ids.issuperset(pulls[p]) and ids.issuperset(meet[p][q] for q in ids)

@@ -20,7 +20,7 @@ from .errors import CarrierMismatch
 from .finmon import CHUNK_ENTRIES, MonoidAction
 from .limits import guard_enum
 from .schema import expect_field, expect_int, expect_list, expect_object, expect_rows
-from .ultra import Partition, partition_from_json
+from .ultra import Partition, _normalize, partition_from_json
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +263,34 @@ def saturate(action: MonoidAction, gamma, pull: np.ndarray | None = None) -> Par
 
 
 def saturate_worklist(action: MonoidAction, gamma) -> PartitionFamily:
-    """The saturation as a worklist over Partition objects: the oracle
-    for saturate.
+    """The saturation as a worklist over class_id tuples: the oracle for
+    saturate.
 
-    Monotone worklist iteration over a finite lattice, so the fixed point
-    is reached after finitely many rounds.  The generators stay in the
-    family because the identity translation pulls back to the identity.
+    Members are first-occurrence class_id tuples.  Member p pulls back
+    along map s to the labels p[s(x)], and meets member r in the label
+    pairs (p[x], r[x]); either is renumbered by first occurrence, as
+    Partition.from_class_ids does.  Each member leaves the worklist once,
+    pulled back along every map and met with every member that left it
+    before, so every pair of members meets once, and the family reached
+    is closed: the least one, on a finite lattice.  Reads no
+    PartitionLattice table.
     """
     gamma = _generators(action, gamma)
-    n = action.carrier_size
-    members: set[Partition] = set(gamma)
-    frontier = list(members)
-    while frontier:
-        fresh: list[Partition] = []
-
-        def add(p: Partition) -> None:
-            if p not in members:
-                members.add(p)
-                fresh.append(p)
-
-        for p in frontier:
-            for s in range(action.monoid.size):
-                add(preimage_partition(action.act[s], p))
-            for q in list(members):
-                add(p.meet(q))
-        frontier = fresh
-    return make_family(n, members, meet_closed=True, saturated=True)
+    maps = action.act
+    members = {p.class_id for p in gamma}
+    todo, done = list(members), []
+    while todo:
+        p = todo.pop()
+        pulled = [_normalize(map(p.__getitem__, s)) for s in maps]
+        met = [_normalize(zip(p, r)) for r in done]
+        for q in pulled + met:
+            if q not in members:
+                members.add(q)
+                todo.append(q)
+        done.append(p)
+    return PartitionFamily(carrier_size=action.carrier_size,
+                           members=tuple(map(Partition._unchecked, sorted(members))),
+                           meet_closed=True, saturated=True)
 
 
 def _relation_keys(labels: np.ndarray) -> np.ndarray:

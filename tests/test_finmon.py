@@ -889,9 +889,36 @@ def test_adopted_generated_monoids_equal_the_checked_constructor():
     (3, [(0, 5, 1)], [0, 5, 1]),
     (3, [(0, 1, 2), (0, 1)], [0, 1]),
     (2, [(0, 1, 1)], [0, 1, 1]),
+    # no silent coercion: a float is not truncated, a bool is no point
+    (2, [[1.5, 0.9]], [1.5, 0.9]),
+    (2, [[True, False]], [True, False]),
+    (2, [np.array([1.0, 0.0])], [1.0, 0.0]),
 ])
 def test_generated_monoid_checks_its_generators(n, gens, bad):
     with pytest.raises(ValueError, match=re.escape(f"generator {bad} is not a self-map of {n} points")):
         generated_selfmap_monoid(n, gens)
     with pytest.raises(ValueError, match="carrier must be nonempty"):
         generated_selfmap_monoid(0, [])
+
+
+@pytest.mark.parametrize("row,accepted", [
+    ([1, 0], True),
+    ([np.int64(1), np.uint8(0)], True),
+    (np.array([1, 0], dtype=np.uint8), True),
+    ([1.5, 0.9], False),
+    ([1.0, 0.0], False),
+    ([True, False], False),
+    (np.array([1.0, 0.0]), False),
+])
+def test_generated_monoid_takes_the_entries_the_constructor_takes(row, accepted):
+    # the swap next to the identity, in the entries' own dtype
+    rows = np.array([[0, 1], row], dtype=np.asarray(row).dtype)
+    if accepted:
+        swap = SelfMapMonoid(rows)
+        assert generated_selfmap_monoid(2, [row]) == swap
+        assert generated_selfmap_monoid(2, [row]).elements == ((0, 1), (1, 0))
+    else:
+        with pytest.raises(ValueError):
+            SelfMapMonoid(rows)
+        with pytest.raises(ValueError, match="is not a self-map of 2 points"):
+            generated_selfmap_monoid(2, [row])

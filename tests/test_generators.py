@@ -1,7 +1,10 @@
 import random
 from itertools import product
 
-from stonework.finmon import validate_action
+import pytest
+
+from stonework.errors import AssociativityViolation, IdentityViolation
+from stonework.finmon import validate_action, validate_monoid
 from stonework.generators import (
     congruence_closure,
     enumerate_actions,
@@ -93,6 +96,42 @@ def test_enumerate_small_monoids_and_actions():
                     assert action.act[st][x] == action.act[s][action.act[t][x]]
 
 
+def monoids_by_filter(size):
+    """Every table of the given size with identity 0, one candidate at a time."""
+    free = [(x, y) for x in range(1, size) for y in range(1, size)]
+    out = []
+    for values in product(range(size), repeat=len(free)):
+        table = [[0] * size for _ in range(size)]
+        for x in range(size):
+            table[0][x] = x
+            table[x][0] = x
+        for (x, y), v in zip(free, values):
+            table[x][y] = v
+        try:
+            out.append(validate_monoid(table, 0))
+        except (AssociativityViolation, IdentityViolation):
+            continue
+    return out
+
+
+def test_enumerate_small_monoids_matches_the_per_table_filter():
+    for size in (1, 2, 3):
+        got, expected = enumerate_small_monoids(size), monoids_by_filter(size)
+        assert [m.values.tolist() for m in got] == [m.values.tolist() for m in expected]
+        for m, ref in zip(got, expected):
+            assert m == ref and m.identity == ref.identity == 0
+            assert m.values.dtype == ref.values.dtype and m.values.flags.c_contiguous
+            assert not m.values.flags.writeable
+    # 156 labeled monoids of order 4 with identity 0, in ascending order
+    fours = enumerate_small_monoids(4)
+    assert len(fours) == 156
+    assert [validate_monoid(m.values, 0) for m in fours] == fours
+    tables = [m.values.ravel().tolist() for m in fours]
+    assert tables == sorted(tables)
+    with pytest.raises(ValueError, match="empty multiplication table"):
+        enumerate_small_monoids(0)
+
+
 def actions_by_loop(m, carrier):
     """Every action of m on the carrier, one candidate at a time."""
     ident = tuple(range(carrier))
@@ -112,7 +151,7 @@ def actions_by_loop(m, carrier):
 def test_enumerate_actions_matches_the_candidate_loop():
     for size in (1, 2, 3):
         for m in enumerate_small_monoids(size):
-            for carrier in (1, 2, 3):
+            for carrier in (0, 1, 2, 3):
                 assert enumerate_actions(m, carrier) == actions_by_loop(m, carrier)
     # 199 actions of the 11 three-element monoids on 3 points
     assert sum(len(enumerate_actions(m, 3)) for m in enumerate_small_monoids(3)) == 199

@@ -10,7 +10,7 @@ from test_duality import oracle_transport, phi_at
 from stonework import duality, navector, suite, ultra, unif
 from stonework.boolring import BoolRing
 from stonework.duality import phi_array, preimage_mask
-from stonework.finmon import full_selfmap_monoid
+from stonework.finmon import MonoidAction, full_selfmap_monoid
 from stonework.generators import enumerate_actions, enumerate_small_monoids
 from stonework.suite import SuiteConfig, check_delta, check_phi, run_suite
 
@@ -201,6 +201,13 @@ def test_saturation_fails_when_both_drop_the_generator(monkeypatch):
     assert instances == 3 * 3 * 5 + 1
 
 
+def dropping_first_member_on(values):
+    """unif.saturate, wrong only on the action table values."""
+    dropped = dropping_first_member(unif.saturate)
+    return lambda action, *args: (dropped if np.array_equal(action.values, values)
+                                  else unif.saturate)(action, *args)
+
+
 def actions_in_scan_order():
     return [action for m in enumerate_small_monoids(3) for action in enumerate_actions(m, 3)]
 
@@ -213,24 +220,56 @@ def test_saturation_checks_the_last_distinct_action_table(monkeypatch):
     for at, action in enumerate(scan):
         firsts.setdefault(action.values.tobytes(), at)
     last = max(firsts.values())
-    current = []
-
-    def recording(m, carrier):
-        for action in enumerate_actions(m, carrier):
-            current[:] = [action]
-            yield action
-
-    saturation = unif.PartitionLattice.saturation
-    dropped = dropping_first_member(saturation)
-    monkeypatch.setattr(suite, "enumerate_actions", recording)
-    monkeypatch.setattr(unif.PartitionLattice, "saturation", lambda *args: (
-        dropped if np.array_equal(current[0].values, scan[last].values) else saturation)(*args))
+    monkeypatch.setattr(suite, "saturate", dropping_first_member_on(scan[last].values))
     _, instances, witness = suite.check_saturation(SMALL)
     assert witness["failure"] == "saturation disagrees with the worklist oracle"
     assert witness["action"] == scan[last].values.tolist()
     assert witness["monoid"] == scan[last].monoid.to_json()
     # every action before it: its composite law and its five generators
     assert instances == last * (3 * 3 * 5 + 5) + 3 * 3 * 5 + 1
+
+
+def with_broken_action(monkeypatch):
+    """Scan the 3-point actions with one table that breaks the action law
+    inserted in the middle of the actions of the monoid with zero 1 and
+    idempotent 2; returns the scan and the inserted table's position."""
+    monoids = enumerate_small_monoids(3)
+    target = next(m for m in monoids if m.values.tolist() == [[0, 1, 2], [1, 1, 1], [2, 1, 2]])
+    # 2 * 2 = 2, but the swap act[2] after itself is the identity
+    broken = MonoidAction(target, np.array([[0, 1, 2], [0, 0, 0], [1, 0, 2]], dtype=np.uint8))
+
+    def actions(m, carrier):
+        out = enumerate_actions(m, carrier)
+        return out[:15] + [broken] + out[15:] if m == target else out
+    monkeypatch.setattr(suite, "enumerate_actions", actions)
+    scan = [action for m in monoids for action in actions(m, 3)]
+    return scan, next(at for at, action in enumerate(scan) if action is broken)
+
+
+def test_saturation_law_fails_in_the_middle_of_a_monoids_actions(monkeypatch):
+    scan, at = with_broken_action(monkeypatch)
+    _, instances, witness = suite.check_saturation(SMALL)
+    # the first (eps, s, t) in scan order: the indiscrete partition and
+    # {0, 1} {2} pull back alike along act[2] and the identity
+    assert witness == {"monoid": scan[at].monoid.to_json(), "action": scan[at].values.tolist(),
+                       "partition": {"classes": [[0, 2], [1]]}, "pair": [2, 2]}
+    # every action before it: its composite law and its five generators
+    assert instances == at * (3 * 3 * 5 + 5) + 2 * 3 * 3 + 2 * 3 + 2 + 1
+
+
+def test_saturation_fails_before_a_later_law_defect_of_the_same_monoid(monkeypatch):
+    scan, at = with_broken_action(monkeypatch)
+    # an earlier action of the same monoid whose table first occurs there
+    earlier = at - 10
+    assert scan[earlier].monoid == scan[at].monoid
+    assert all(not np.array_equal(a.values, scan[earlier].values) for a in scan[:earlier])
+    monkeypatch.setattr(suite, "saturate", dropping_first_member_on(scan[earlier].values))
+    _, instances, witness = suite.check_saturation(SMALL)
+    assert witness == {"monoid": scan[earlier].monoid.to_json(),
+                       "action": scan[earlier].values.tolist(),
+                       "generator": {"classes": [[0, 1, 2]]},
+                       "failure": "saturation disagrees with the worklist oracle"}
+    assert instances == earlier * (3 * 3 * 5 + 5) + 3 * 3 * 5 + 1
 
 
 def test_equal_action_tables_saturate_alike():
@@ -251,7 +290,7 @@ def test_equal_action_tables_saturate_alike():
                         unif.is_saturated_under(family, action)) == expected
 
 
-def test_saturation_pulls_back_once_per_action_and_saturates_each_table_once(monkeypatch):
+def test_saturation_pulls_back_once_per_monoid_and_saturates_each_table_once(monkeypatch):
     calls = Counter()
 
     def counting(name, real):
@@ -267,8 +306,9 @@ def test_saturation_pulls_back_once_per_action_and_saturates_each_table_once(mon
                         counting("saturate_worklist", unif.saturate_worklist))
     assert suite.check_saturation(SMALL)[2] is None
     # 199 actions of the eleven 3-element monoids, 108 distinct tables, 5
-    # generators: every saturate call reads the check's own pullback table
-    assert calls == {"pullback": 199, "saturate": 108 * 5, "saturate_worklist": 108 * 5}
+    # generators: one pullback table per monoid holds all of its actions',
+    # and every saturate call reads the check's own
+    assert calls == {"pullback": 11, "saturate": 108 * 5, "saturate_worklist": 108 * 5}
 
 
 def scaled_chain_metric(factor):

@@ -20,6 +20,7 @@ from stonework.generators import (
     enumerate_small_monoids,
     random_cover,
     random_partition,
+    random_transformation_monoid,
 )
 from stonework.ultra import Partition, meet_all
 from stonework.unif import (
@@ -254,6 +255,51 @@ def test_saturate_agrees_with_the_worklist(case):
     family = saturate(action, gamma)
     assert family == saturate_worklist(action, gamma)
     assert family.meet_closed and family.saturated
+
+
+def ref_saturate_worklist(action, gamma):
+    """The saturation as a worklist over Partition objects: the reference
+    of saturate_worklist's class_id tuples."""
+    members = set(gamma)
+    frontier = list(members)
+    while frontier:
+        fresh = []
+
+        def add(p):
+            if p not in members:
+                members.add(p)
+                fresh.append(p)
+
+        for p in frontier:
+            for s in range(action.monoid.size):
+                add(preimage_partition(action.act[s], p))
+            for q in list(members):
+                add(p.meet(q))
+        frontier = fresh
+    return make_family(action.carrier_size, members)
+
+
+def test_worklist_matches_the_partition_object_reference():
+    # every distinct 3-point action table of the 3-element monoids, with
+    # each generator, then seeded 4-point actions with 0-2 generators
+    tables = {}
+    for m in enumerate_small_monoids(3):
+        for action in enumerate_actions(m, 3):
+            tables.setdefault(action.values.tobytes(), action)
+    assert len(tables) == 108
+    cases = [(action, [eps]) for action in tables.values()
+             for eps in partition_lattice(3).partitions]
+    rng = random.Random(22)
+    for _ in range(60):
+        m, maps = random_transformation_monoid(rng, 4, max_size=16)
+        cases.append((validate_action(m, 4, maps.elements),
+                      [random_partition(rng, 4) for _ in range(rng.randint(0, 2))]))
+    assert len(cases) == 540 + 60
+    for action, gamma in cases:
+        family = saturate_worklist(action, gamma)
+        assert family == ref_saturate_worklist(action, gamma)
+        assert family.meet_closed and family.saturated
+        assert all(p == Partition.from_class_ids(p.class_id) for p in family.members)
 
 
 # --- the saturation oracles against their literal forms ----------------------
