@@ -24,7 +24,7 @@ import numpy as np
 
 from .boolring import BoolRing, GroupEndo, RingEndo, pontryagin_dual
 from .errors import DimensionMismatch
-from .finmon import CHUNK_ENTRIES, SelfMapMonoid
+from .finmon import CHUNK_ENTRIES, SelfMapMonoid, is_self_map
 from .ultra import Partition
 
 ON_MAPS = "on_maps"
@@ -40,14 +40,19 @@ def preimage_mask(s, chi: int) -> int:
 
 
 def phi(s, ring: BoolRing | None = None) -> RingEndo:
-    """Ring endomorphism indicator(A) -> indicator(preimage of A)."""
-    s = tuple(int(v) for v in s)
+    """Ring endomorphism indicator(A) -> indicator(preimage of A).
+
+    s takes entries as is_self_map does: no bool and no float is a point.
+    """
+    s = tuple(s)
     if ring is None:
         ring = BoolRing(len(s))
     if ring.atom_count != len(s):
         raise DimensionMismatch(
             f"self-map on {len(s)} points against a {ring.atom_count}-atom ring"
         )
+    if not is_self_map(s, len(s)):
+        raise ValueError(f"[{', '.join(map(str, s))}] is not a self-map of {len(s)} points")
     images = tuple(preimage_mask(s, 1 << a) for a in range(ring.atom_count))
     return RingEndo(ring=ring, atom_images=images)
 

@@ -655,6 +655,14 @@ def full_selfmap_monoid(n: int) -> SelfMapMonoid:
     return SelfMapMonoid._adopt(values, sum(x * n ** (n - 1 - x) for x in range(n)))
 
 
+def is_self_map(g, n: int) -> bool:
+    """True iff the sequence g is a self-map of n points: n entries, each
+    a Python or numpy integer in range(n), as SelfMapMonoid takes them.
+    No bool and no float is read as a point."""
+    return len(g) == n and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                               and 0 <= v < n for v in g)
+
+
 def generated_selfmap_monoid(carrier_size: int, generators,
                              max_size: int | None = None) -> SelfMapMonoid:
     """Closure of the given maps (plus the identity) under composition.
@@ -662,9 +670,8 @@ def generated_selfmap_monoid(carrier_size: int, generators,
     Breadth-first over words in the generators: every element is the
     identity or f after g for an element f and a generator g, so each new
     map is composed with the generators only.  Raises ValueError naming
-    the first generator that is not a self-map of the carrier, which
-    takes entries that are Python or numpy integers, as SelfMapMonoid
-    does: no bool and no float is read as a point.  Otherwise raises
+    the first generator that is not a self-map of the carrier (see
+    is_self_map: no bool and no float is read as a point).  Otherwise raises
     exactly when the closure has more than max_size elements.  Words in
     checked generators are self-maps, and they are closed under
     composition, so the sorted rows are adopted without a second check.
@@ -674,8 +681,7 @@ def generated_selfmap_monoid(carrier_size: int, generators,
         raise ValueError("carrier must be nonempty")
     gens = [tuple(g) for g in generators]
     for g in gens:
-        if len(g) != n or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                                  and 0 <= v < n for v in g):
+        if not is_self_map(g, n):
             raise ValueError(f"generator [{', '.join(map(str, g))}] "
                              f"is not a self-map of {n} points")
     identity = tuple(range(n))

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotLipschitz, ResourceLimit
+from .finmon import is_self_map
 from .ultra import UltraPseudometric
 
 MAX_SUPPORT = 8
@@ -194,14 +195,15 @@ def lipschitz_linear_extend(f, v: FreeVector) -> FreeVector:
     """Push a vector forward along a 1-Lipschitz base self-map.
 
     f acts on the base points (the zero point stays fixed); colliding
-    images cancel in the two-element field.  Raises NotLipschitz with a
-    witness pair if f increases some base distance.
+    images cancel in the two-element field.  f takes entries as
+    is_self_map does: no bool and no float is a point.  Raises
+    NotLipschitz with a witness pair if f increases some base distance.
     """
-    f = tuple(int(x) for x in f)
+    f = tuple(f)
     zero = v.zero_point
     if len(f) != zero:
         raise ValueError("map must be defined on exactly the base points")
-    if any(not 0 <= x < zero for x in f):
+    if not is_self_map(f, zero):
         raise ValueError("map must send base points to base points")
     rank = v.space.rank_matrix()
     for x in range(zero):

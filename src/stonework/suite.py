@@ -22,10 +22,9 @@ from .boolring import (
     BoolRing,
     additive_monoid,
     additive_values,
-    atom_composites,
-    atom_index,
     enumerate_group_endos,
     enumerate_ring_endos,
+    identity_ring_endo,
     ring_homs_to_Z2,
     transpose_masks,
 )
@@ -154,32 +153,43 @@ def _adjoint_pointwise_ok(values: np.ndarray, adjoint: np.ndarray) -> bool:
     return bool(np.array_equal(lhs, rhs))
 
 
-def _delta_law(source: SelfMapMonoid, target: SelfMapMonoid, order: np.ndarray):
-    """Check that the transpose is an anti-isomorphism from source onto target.
+def _anti_law(source: SelfMapMonoid, target: SelfMapMonoid, image, order: np.ndarray):
+    """Check that f, i -> image[i], is an anti-isomorphism from source onto target.
 
-    source and target hold additive maps as self-maps of the ring
-    elements; order lists source indices in the caller's scan order.
-    Returns None, a failure message, or the first pair (a, b), as
-    positions in order, with delta(a after b) != delta(b) after delta(a).
+    source and target hold maps as self-maps of one carrier; image[i] is
+    the index of f(i) in target, or image is None where some f(i) is not
+    in target; order lists source indices in the caller's scan order.
+    Returns None, a closure or bijection failure (worded for the
+    transpose), or the first pair (a, b), as positions in order, with
+    f(a after b) != f(b) after f(a).
     """
-    n = source.carrier_size.bit_length() - 1
     table, target_table = source.composites(), target.composites()
     if table is None or target_table is None:
         return "composition left the matrix set"
+    if image is None:
+        return "transpose left the matrix set"
+    if not np.array_equal(np.sort(image), np.arange(len(target))):
+        return "transpose is not a bijection"
+    bad = image[table] != target_table[np.ix_(image, image)].T
+    if bad.any():
+        return tuple(map(int, np.argwhere(bad[np.ix_(order, order)])[0]))
+    return None
+
+
+def _delta_law(source: SelfMapMonoid, target: SelfMapMonoid, order: np.ndarray):
+    """_anti_law for the transpose of additive maps, as self-maps of the
+    ring elements, from source onto target; then the transposes must
+    realize character precomposition."""
+    n = source.carrier_size.bit_length() - 1
     columns = source.values[:, 1 << np.arange(n)]
     try:
         delta = target.lookup(additive_values(transpose_masks(columns, n), n))
     except KeyError:
-        return "transpose left the matrix set"
-    if not np.array_equal(np.sort(delta), np.arange(len(target))):
-        return "transpose is not a bijection"
-    # delta(a after b) against delta(b) after delta(a)
-    bad = delta[table] != target_table[np.ix_(delta, delta)].T
-    if bad.any():
-        return tuple(map(int, np.argwhere(bad[np.ix_(order, order)])[0]))
-    if not _adjoint_pointwise_ok(source.values, target.values[delta]):
+        delta = None
+    failure = _anti_law(source, target, delta, order)
+    if failure is None and not _adjoint_pointwise_ok(source.values, target.values[delta]):
         return "transpose does not realize the adjoint"
-    return None
+    return failure
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +218,35 @@ def check_phi(cfg: SuiteConfig):
     instances = 0
     for n in range(1, cfg.bound_points + 1):
         maps = full_selfmap_monoid(n)
-        map_table = maps.composites()
-        endos = enumerate_ring_endos(BoolRing(n))
-        keys, endo_table = atom_composites([e.atom_images for e in endos], n)
-        if endo_table is None:
+        ring = BoolRing(n)
+        endos = enumerate_ring_endos(ring)
+        columns = [e.atom_images for e in endos]
+        try:
+            ring_maps, _ = additive_monoid(columns, n)
+        except ValueError:
+            # the identity is missing: the set is closed iff it is closed with
+            # the identity added and no composite of two members is the identity
+            ring_maps = None
+            padded, where = additive_monoid([identity_ring_endo(ring).atom_images, *columns], n)
+            table = padded.composites()
+            closed = table is not None and (table[np.ix_(where[1:], where[1:])] != where[0]).all()
+        else:
+            closed = ring_maps.composites() is not None
+        if not closed:
             return params, instances, {
                 "n": n, "failure": "ring-endomorphism composition left the enumerated set"}
         instances += len(maps) ** 2
-        phi_idx = atom_index(keys, phi_array(maps.values), n)
-        bijective = (
-            phi_idx is not None
-            and len(keys) == len(endos) == len(maps)
-            and np.array_equal(np.sort(phi_idx), np.arange(len(endos)))
-        )
-        if not bijective:
+        failure = "phi is not a bijection"
+        if ring_maps is not None and len(ring_maps) == len(endos):
+            try:
+                phi_idx = ring_maps.lookup(additive_values(phi_array(maps.values), n))
+            except KeyError:
+                phi_idx = None
+            failure = _anti_law(maps, ring_maps, phi_idx, np.arange(len(maps)))
+        if isinstance(failure, str):
             return params, instances, {"n": n, "failure": "phi is not a bijection"}
-        lhs = phi_idx[map_table]
-        rhs = endo_table[np.ix_(phi_idx, phi_idx)].T
-        if not np.array_equal(lhs, rhs):
-            s, t = map(int, np.argwhere(lhs != rhs)[0])
+        if failure is not None:
+            s, t = failure
             return params, instances, {
                 "n": n,
                 "s": maps.values[s].tolist(),

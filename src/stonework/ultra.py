@@ -12,6 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 
 import numpy as np
 
@@ -162,12 +163,18 @@ class UltraPseudometric:
     Stored once, as levels (the sorted distinct distances, 0 first, each
     one used) and the read-only integer rank_matrix(), with d(x, y) ==
     levels[rank[x, y]]; equal metrics have equal levels and ranks.  The
-    constructor validates the ranks of levels given in that form, and
+    constructor validates levels and ranks given in that form (levels
+    exact rationals, ints or Fractions, ascending strictly from 0), and
     from_rows reads any rational matrix.  dist, the Fraction rows, is
     derived on first use.
     """
 
     def __init__(self, levels, rank):
+        levels = tuple(levels)
+        if not (levels and all(isinstance(v, Rational) and not isinstance(v, bool) for v in levels)
+                and levels[0] == 0 and all(a < b for a, b in zip(levels, levels[1:]))):
+            raise ValueError(f"levels {list(map(str, levels))} are not exact rationals "
+                             "ascending strictly from 0")
         rank = np.array(rank, dtype=np.int64)
         if rank.ndim != 2 or rank.shape[0] != rank.shape[1]:
             raise ValueError("distance matrix has wrong shape")

@@ -73,6 +73,18 @@ def test_phi_dimension_mismatch():
         phi((0, 1), BoolRing(3))
 
 
+@pytest.mark.parametrize("embed", [phi, hom_embed])
+@pytest.mark.parametrize("s", [[1.9, 0.2], [True, False], [0, 2], [-1, 0]])
+def test_phi_takes_only_integer_points_of_the_carrier(embed, s):
+    # int() would read [1.9, 0.2] as the swap and [True, False] as (1, 0)
+    with pytest.raises(ValueError, match=r"is not a self-map of 2 points"):
+        embed(s)
+
+
+def test_phi_takes_numpy_integer_points():
+    assert phi(np.array([1, 0])) == phi((np.uint8(1), np.int64(0))) == phi((1, 0))
+
+
 def test_delta_identity_and_swap():
     ring = BoolRing(2)
     ident = GroupEndo(ring=ring, rows=(1, 2))

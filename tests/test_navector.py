@@ -108,6 +108,14 @@ def test_extension_identity_constant_and_guards():
         lipschitz_linear_extend((0, 1, 3), v)
 
 
+@pytest.mark.parametrize("f", [(0.7, 1.2, 2), (True, False, 2), (0.0, 1, 2)])
+def test_extension_takes_only_integer_base_points(f):
+    # int() would read (0.7, 1.2, 2) as (0, 1, 2) and extend v along it
+    v = vector(free_space(TWO_LEVEL), [0, 1])
+    with pytest.raises(ValueError, match="map must send base points to base points"):
+        lipschitz_linear_extend(f, v)
+
+
 def test_extension_rejects_expanding_maps():
     space = free_space(TWO_LEVEL)
     v = vector(space, [0])

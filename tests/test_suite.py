@@ -75,6 +75,20 @@ def test_phi_fails_when_an_endomorphism_is_missing(monkeypatch):
     assert instances == 1
 
 
+@pytest.mark.parametrize("keep,instances,failure", [
+    # the swap (2, 1) after itself is the missing identity (1, 2)
+    pytest.param(lambda e: e.atom_images != (1, 2), 1,
+                 "ring-endomorphism composition left the enumerated set", id="identity-dropped"),
+    # the maps with an empty atom image are closed without the identity
+    pytest.param(lambda e: 0 in e.atom_images, 17, "phi is not a bijection", id="closed-without-it"),
+])
+def test_phi_fails_when_the_identity_endomorphism_is_missing(monkeypatch, keep, instances, failure):
+    real = suite.enumerate_ring_endos
+    monkeypatch.setattr(suite, "enumerate_ring_endos", lambda ring: real(ring) if ring.atom_count != 2
+                        else [e for e in real(ring) if keep(e)])
+    assert check_phi(SMALL)[1:] == (instances, {"n": 2, "failure": failure})
+
+
 def old_transport_scan(bound, memberships):
     """The check as a per-pair scan over (chi, s1, s2), one membership triple at a time."""
     instances = 0

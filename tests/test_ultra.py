@@ -118,6 +118,26 @@ def test_metric_validation_catches_asymmetry_and_triangle():
         UltraPseudometric.from_rows([[0, -1], [-1, 0]])
 
 
+@pytest.mark.parametrize("levels", [
+    [0, 1, HALF],       # ball(0, 3/4) would miss the point at distance 1/2
+    [1, 2, 3],          # d(0, 0) would be 1
+    [0, 1, 1, 2],
+    [0, 0.5, 1],
+    [0, True, 2],
+    [],
+])
+def test_metric_refuses_levels_not_ascending_strictly_from_zero(levels):
+    rank = [[0, 1, 2], [1, 0, 1], [2, 1, 0]][:len(levels)]
+    with pytest.raises(ValueError, match="not exact rationals ascending strictly from 0"):
+        UltraPseudometric(levels, [row[:len(levels)] for row in rank])
+
+
+def test_metric_takes_int_and_fraction_levels():
+    d = UltraPseudometric([0, HALF, np.int64(1)], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+    assert d == UltraPseudometric.from_rows([[0, HALF, 1], [HALF, 0, 1], [1, 1, 0]])
+    assert d.ball(0, Fraction(3, 4)) == [0, 1]
+
+
 def test_metric_needs_a_point():
     with pytest.raises(ValueError, match="at least one point"):
         UltraPseudometric.discrete(0)
