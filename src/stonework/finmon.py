@@ -191,13 +191,15 @@ class MonoidAction:
 
     @classmethod
     def _adopt(cls, monoid: FiniteMonoid, values: np.ndarray,
-               generating_set: np.ndarray | None) -> MonoidAction:
-        """The action on a stored table that this module built read-only
-        and hands to no caller writeable: kept, not copied, with its
-        checked generating set."""
+               generating_set: np.ndarray | None = None) -> MonoidAction:
+        """The action on a stored table that this package built read-only
+        and hands to no caller writeable: kept, not copied.  A checked
+        generating set is kept too; without one, generating_set is found
+        on first use."""
         a = cls.__new__(cls)
         a.monoid, a.values, a.carrier_size = monoid, values, values.shape[1]
-        a.generating_set = generating_set
+        if generating_set is not None:
+            a.generating_set = generating_set
         return a
 
     @cached_property
@@ -266,7 +268,8 @@ def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
     act[s] after act[t*u].  Only if G is None or some check on it fails
     does the scan of all triples run, and it names the first defect.
 
-    The action keeps G as its generating_set, or None where the scan ran.
+    The action keeps G as its generating_set; where the scan ran instead,
+    the action looks for one on first use.
     """
     arr = _narrowed(act, (m.size, carrier_size),
                     "action table has wrong shape", "action entry out of range")
@@ -407,8 +410,9 @@ def digit_weights(maps, n: int) -> np.ndarray:
     return w
 
 
-# Lookup keys pack a prefix rank and a block of base-n digits into an int64;
-# every key stays below this bound.  At 2**53 every key, and every partial sum
+# Every lookup key stays below this bound: an addressed level's key indexes its
+# table, and a checked level takes as many base-n digits as keep n**w within
+# it (see SelfMapMonoid._key_levels).  At 2**53 every key, and every partial sum
 # of its digit terms, is an integer that float64 holds exactly, so the key
 # products of _product can run as float64 matrix products, which numpy hands
 # to BLAS (it runs int64 products in its own loops, several times slower).
@@ -430,9 +434,10 @@ class SelfMapMonoid:
     through compose.  So every composition, of two ints or of index
     arrays, needs the whole set closed: if any composite is not an
     element, compose raises KeyError.  ``lookup`` finds the index of any
-    value row without the table.  Both find a map by its lookup key: in a
-    direct-address table of all n**n keys where n**n <= k * k, else by
-    binary search among the elements' sorted keys (see _key_levels).
+    value row without the table.  Both find a map from its digits, a block
+    of coordinates at a time (see _key_levels): direct-address tables tell
+    the prefixes apart until each belongs to one element, then that
+    element's own remaining digits are compared.
     """
 
     def __init__(self, values):
@@ -488,13 +493,13 @@ class SelfMapMonoid:
     def lookup(self, maps) -> np.ndarray:
         """Indices of the value rows maps[..., :]; KeyError for a non-element.
 
-        Exact for any carrier size: the key of a map is built block by
-        block, each step packing the rank of the prefix so far with the
-        next block of base-n digits (see _key_levels).  The indices are
-        intp.  A row with a value outside the carrier raises KeyError
-        before any key is built, since such digits would alias the key of
-        an element; a row of another length raises ValueError.  A missing
-        row raises KeyError naming the first one in C order.
+        Exact for any carrier size: each level of _key_levels reads one
+        block of base-n digits, and _ranks follows them to the element.
+        The indices are intp.  A row with a value outside the carrier
+        raises KeyError before any key is built, since such digits would
+        alias the key of an element; a row of another length raises
+        ValueError.  A missing row raises KeyError naming the first one in
+        C order.
         """
         maps, n = np.asarray(maps), self.carrier_size
         if maps.shape[-1:] != (n,):
@@ -503,78 +508,88 @@ class SelfMapMonoid:
         if flat.size and (flat.max() >= n or flat.dtype.kind != "u" and flat.min() < 0):
             off = ((flat < 0) | (flat >= n)).any(axis=1)
             raise KeyError(tuple(flat[off.argmax()].tolist()))
-        digits = (flat[:, lo:hi] @ powers for lo, hi, powers, _ in self._key_levels)
+        addressed, checked = self._key_levels
+        digits = (flat[:, lo:hi] @ powers for lo, hi, powers, _ in addressed + checked)
         rank = self._ranks(digits, lambda at: tuple(flat[at[0]].tolist()))
         return rank.astype(np.intp, copy=False).reshape(maps.shape[:-1])
 
     @cached_property
-    def _key_levels(self) -> list:
-        """Lookup keys per block of coordinates.
+    def _key_levels(self) -> tuple[list, list]:
+        """The levels (lo, hi, powers, table) that lookup and _product read,
+        each a block lo:hi of coordinates, whose base-n digit key is the
+        block's digits @ powers: first the addressed levels, then the
+        checked ones.
 
-        The n coordinates are cut into blocks of w base-n digits, with w
-        as large as keeps rank * n**w + digits below _KEY_BOUND.  Level b
-        holds the ascending distinct keys rank * n**w + digits_b of the
-        elements, where rank is an element's index among the keys of level
-        b - 1, followed by the sentinel _KEY_BOUND; after the last level
-        that index is the element's own index.  A single block (wherever
-        k * n**n < _KEY_BOUND, so every n <= 8) is the plain base-n key,
-        below n**n; where n**n <= k * k,
-        _ranks reads it in _inverse instead of searching the level's keys.
+        A level is addressed while two elements share the prefix of
+        coordinates before it.  Its table maps rank * n**w + key, for the
+        rank of a prefix among the count distinct prefixes so far and the
+        key of a block of w digits, to the rank of the longer prefix, or to
+        k where no element has it.  The block is the widest with count *
+        n**w <= max(CHUNK_ENTRIES, count * n), except that where all n**n
+        keys fit in k * k entries, the first level takes every coordinate.
+        The first level is addressed even for one element.  The elements
+        ascend, so the ranks of their prefixes ascend too, and once every
+        element has a prefix of its own, its rank is the element's index.
+        Each remaining block is checked: its table holds every element's own
+        key, compared with the key read, and it is the widest block whose
+        keys stay below _KEY_BOUND.
         """
         k, n = self.values.shape
-        width = 1
-        while width < n and k * n ** (width + 1) < _KEY_BOUND:
-            width += 1
-        levels = []
-        rank = np.zeros(k, dtype=np.intp)
-        for lo in range(0, n, width):
-            hi = min(lo + width, n)
-            powers = n ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
-            key = self.values[:, lo:hi] @ powers
+        addressed, lo, count = [], 0, 1
+        while lo < n and (count < k or not lo):
+            width = n if not lo and n ** n <= k * k else 1
+            limit = max(CHUNK_ENTRIES, count * n)
+            while width < n - lo and count * n ** (width + 1) <= limit:
+                width += 1
+            powers = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+            key = self.values[:, lo:lo + width] @ powers
             if lo:
                 key += rank * (powers[0] * n)
-            if hi < n:
-                # the elements ascend, so equal keys are adjacent and ascend;
-                # at the last level the keys of distinct elements are distinct
-                new = np.ones(k, dtype=bool)
-                np.not_equal(key[1:], key[:-1], out=new[1:])
-                rank = new.cumsum() - 1
-                key = key[new]
-            levels.append((lo, hi, powers, np.concatenate((key, [_KEY_BOUND]))))
-        return levels
-
-    @cached_property
-    def _inverse(self) -> np.ndarray | None:
-        """The direct-address table of the single-level keys, where there
-        are at most k * k of them: inverse[key] is the index of the element
-        with that base-n key, or k if there is none.  None where the keys
-        have several levels or n**n > k * k; those stay searched."""
-        k, n = self.values.shape
-        if n ** n > k * k or len(self._key_levels) > 1:
-            return None
-        inverse = np.full(n ** n, k, dtype=np.min_scalar_type(k))
-        inverse[self._key_levels[0][3][:-1]] = np.arange(k)
-        inverse.flags.writeable = False
-        return inverse
+            # the elements ascend, so equal keys are adjacent and ascend
+            new = np.ones(k, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            rank = new.cumsum() - 1
+            table = np.full(count * n ** width, k, dtype=np.min_scalar_type(k))
+            table[key] = rank
+            table.flags.writeable = False
+            addressed.append((lo, lo + width, powers, table))
+            lo, count = lo + width, int(rank[-1]) + 1
+        width = 1
+        while width < n - lo and n ** (width + 1) <= _KEY_BOUND:
+            width += 1
+        checked = []
+        for lo in range(lo, n, width):
+            hi = min(lo + width, n)
+            powers = n ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
+            own = self.values[:, lo:hi] @ powers
+            own.flags.writeable = False
+            checked.append((lo, hi, powers, own))
+        return addressed, checked
 
     def _ranks(self, digits, row):
         """Element indices of the maps whose digit keys digits yields, one
-        array per level of _key_levels, each read in _inverse or searched
-        among that level's keys.  KeyError(row(at)) for the first position
-        at, in C order, whose key is missing, at the first level that
-        misses one."""
-        n, inverse = self.carrier_size, self._inverse
-        for (lo, _, powers, keys), key in zip(self._key_levels, digits):
+        int64 array per level of _key_levels, addressed levels first; the
+        arrays are spent.  KeyError(row(at)) for the first position at, in
+        C order, that misses at any level.  A miss at an addressed level
+        goes on from rank 0, so the later levels still read in range."""
+        k, n = self.values.shape
+        addressed, checked = self._key_levels
+        missing = None
+        for lo, hi, powers, table in addressed:
+            key = next(digits)
             if lo:
                 key += rank * (powers[0] * n)
-            if inverse is None:
-                rank = keys.searchsorted(key)
-                missing = keys[rank] != key
-            else:
-                rank = inverse[key]
-                missing = rank == len(self.values)
-            if missing.any():
-                raise KeyError(row(np.unravel_index(missing.argmax(), missing.shape)))
+            rank = table.take(key)
+            miss = rank == k
+            if miss.any():
+                rank[miss] = 0
+                missing = miss if missing is None else missing | miss
+        for _, _, _, own in checked:
+            miss = own.take(rank) != next(digits)
+            if miss.any():
+                missing = miss if missing is None else missing | miss
+        if missing is not None:
+            raise KeyError(row(np.unravel_index(missing.argmax(), missing.shape)))
         return rank
 
     @cached_property
@@ -583,19 +598,18 @@ class SelfMapMonoid:
         is not an element.
 
         Up to SMALL_TABLE entries it is built in Python.  Beyond, from the
-        linearity of the lookup key: on level b, the digit key of f after g
-        is values[f] @ W_b[:, g], where W_b[y, g] sums the digit weights
-        powers[x - lo] of the level's points x with g(x) = y (see
-        digit_weights).  So a block of rows of the table is one
+        linearity of the lookup key: on the level of points lo:hi, the digit
+        key of f after g is values[f] @ W[:, g], where W[y, g] sums the
+        digit weights powers[x - lo] of the level's points x with g(x) = y
+        (see digit_weights).  So a block of rows of the table is one
         (rows, n) @ (n, k) product per level, ranked like lookup ranks
-        value rows (see _ranks: a read of the direct-address table where
-        n**n <= k * k, else a binary search); with at most CHUNK_ENTRIES
-        keys a block, no (k, k, n) array of composite maps is built.  The
-        products run in float64, which numpy hands to BLAS, and each block's
-        keys are converted to int64 before they are ranked.  They stay
-        exact in any summation order: every term is a non-negative integer
-        and no key reaches _KEY_BOUND = 2**53, so every partial sum is an
-        integer that float64 holds exactly.
+        value rows (see _ranks); with at most CHUNK_ENTRIES keys a block,
+        no (k, k, n) array of composite maps is built.  The products run in
+        float64, which numpy hands to BLAS, into one buffer, and each
+        level's keys are cast into one int64 buffer before they are ranked.
+        They stay exact in any summation order: every term is a
+        non-negative integer and no key reaches _KEY_BOUND = 2**53, so
+        every partial sum is an integer that float64 holds exactly.
         """
         k, n = self.values.shape
         if k * k <= SMALL_TABLE:
@@ -605,14 +619,23 @@ class SelfMapMonoid:
                            dtype=np.min_scalar_type(k - 1))
         else:
             values = self.values.astype(np.float64)
+            addressed, checked = self._key_levels
             weights = [digit_weights(self.values[:, lo:hi], n).T.astype(np.float64)
-                       for lo, hi, _, _ in self._key_levels]
+                       for lo, hi, _, _ in addressed + checked]
             out = np.empty((k, k), dtype=np.min_scalar_type(k - 1))
             step = max(1, CHUNK_ENTRIES // k)
+            products = np.empty((min(step, k), k))
+            keys = np.empty(products.shape, dtype=np.int64)
+
+            def digits(f):
+                for w in weights:
+                    np.matmul(f, w, out=products[:len(f)])
+                    keys[:len(f)] = products[:len(f)]
+                    yield keys[:len(f)]
+
             for start in range(0, k, step):
-                f = values[start:start + step]
                 out[start:start + step] = self._ranks(
-                    ((f @ w).astype(np.int64) for w in weights),
+                    digits(values[start:start + step]),
                     lambda at: tuple(self.values[start + at[0]][self.values[at[1]]].tolist()))
         out.flags.writeable = False
         return out
@@ -711,5 +734,5 @@ def cayley_embed(m: FiniteMonoid) -> tuple[SelfMapMonoid, tuple[int, ...]]:
     the element-to-map index table.  The representation is injective
     (evaluate at the identity) and multiplication-preserving.
     """
-    values, to_map = np.unique(m.values, axis=0, return_inverse=True)
-    return SelfMapMonoid(values), tuple(to_map.reshape(-1).tolist())
+    maps = SelfMapMonoid(np.unique(m.values, axis=0))
+    return maps, tuple(maps.lookup(m.values).tolist())

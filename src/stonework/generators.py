@@ -99,23 +99,33 @@ def random_transformation_monoid(rng: random.Random, carrier: int,
 
 
 def congruence_closure(m: FiniteMonoid, p: Partition, side: str) -> Partition:
-    """Smallest coarsening of p preserved by all one-sided translations."""
+    """Smallest coarsening of p preserved by all one-sided translations.
+
+    A union-find over the translation rows moved[x] = (x*s or s*x for
+    every s): it starts from the pairs that p relates, and each pair that
+    joins two classes adds the pairs (moved[x][s], moved[y][s]).  The
+    joining pairs span every class, so the classes reached are preserved;
+    each pair added is forced, so they are the smallest that are.
+    """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    # moved[x, s] is x*s or s*x: x ~ y must give moved[x, s] ~ moved[y, s]
-    moved = m.values if side == "right" else m.values.T
-    ids = np.asarray(p.class_id)
-    rel = ids[:, None] == ids
-    while True:
-        # add the translated pairs, then every two-step chain of them
-        xs, ys = np.nonzero(rel)
-        grown = rel.copy()
-        grown[moved[xs], moved[ys]] = True
-        grown = grown @ grown
-        if np.array_equal(grown, rel):
-            # the first related point keys each class
-            return Partition.from_class_ids(rel.argmax(axis=1).tolist())
-        rel = grown
+    moved = (m.values if side == "right" else m.values.T).tolist()
+    parent = list(range(len(moved)))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    first: dict[int, int] = {}
+    pairs = [(x, first.setdefault(c, x)) for x, c in enumerate(p.class_id)]
+    while pairs:
+        x, y = pairs.pop()
+        rx, ry = root(x), root(y)
+        if rx != ry:
+            parent[rx] = ry
+            pairs.extend(zip(moved[x], moved[y]))
+    return Partition.from_class_ids(map(root, range(len(parent))))
 
 
 def random_one_sided_metric(rng: random.Random, m: FiniteMonoid,
@@ -191,5 +201,7 @@ def enumerate_actions(m: FiniteMonoid, carrier: int) -> list[MonoidAction]:
         nested = flat.ravel().take(np.arange(len(act))[:, None, None, None] * (k * carrier)
                                    + starts[:, None, None] + act[:, None])
         ok = (nested.reshape(len(act), -1) == flat[:, direct]).all(axis=1)
-        out.extend(MonoidAction(m, rows) for rows in act[ok])
+        kept = act[ok]
+        kept.flags.writeable = False
+        out.extend(MonoidAction._adopt(m, rows) for rows in kept)
     return out

@@ -8,6 +8,7 @@ never raise; order and content are deterministic for a fixed config.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -598,20 +599,26 @@ def check_covering_combinators(cfg: SuiteConfig):
     return params, instances, None
 
 
-def _kantorovich_spaces(cfg: SuiteConfig, max_points: int):
-    rng = _rng(cfg, "kantorovich-spaces")
+@functools.lru_cache(maxsize=1)
+def _kantorovich_spaces(seed: int) -> tuple[UltraPseudometric, ...]:
+    """The free spaces over the discrete metric and three random
+    ultrametrics on each of 1 to 4 points, drawn from the stream that
+    _rng names "kantorovich-spaces".  The four Kantorovich checks of one
+    seed read this one tuple, drawn once; the 3-point check skips the
+    spaces on other carriers."""
+    rng = random.Random(f"{seed}:kantorovich-spaces")
     spaces = []
-    for n in range(1, max_points + 1):
+    for n in range(1, 5):
         spaces.append(UltraPseudometric.discrete(n))
         for _ in range(3):
             spaces.append(random_ultrametric(rng, n))
-    return [navector.free_space(d) for d in spaces]
+    return tuple(map(navector.free_space, spaces))
 
 
 def check_kantorovich_extension(cfg: SuiteConfig):
     params = {"max_points": 4}
     instances = 0
-    for space in _kantorovich_spaces(cfg, 4):
+    for space in _kantorovich_spaces(cfg.seed):
         base = space.carrier_size - 1
         zero_norm = navector.kantorovich_norm(navector.vector(space, []))
         if zero_norm != 0:
@@ -636,7 +643,7 @@ def check_kantorovich_extension(cfg: SuiteConfig):
 def check_kantorovich_ultranorm(cfg: SuiteConfig):
     params = {"max_points": 4}
     instances = 0
-    for space in _kantorovich_spaces(cfg, 4):
+    for space in _kantorovich_spaces(cfg.seed):
         base = space.carrier_size - 1
         vectors = {s: navector.vector(space, s) for s in _subsets(base)}
         norms = {v.support: navector.kantorovich_norm(v) for v in vectors.values()}
@@ -656,7 +663,7 @@ def check_kantorovich_ultranorm(cfg: SuiteConfig):
 def check_kantorovich_contraction(cfg: SuiteConfig):
     params = {"points": 3}
     instances = 0
-    for space in _kantorovich_spaces(cfg, 3):
+    for space in _kantorovich_spaces(cfg.seed):
         base = space.carrier_size - 1
         if base != 3:
             continue
@@ -701,7 +708,7 @@ def check_kantorovich_contraction(cfg: SuiteConfig):
 def check_kantorovich_oracle(cfg: SuiteConfig):
     params = {"max_points": 4}
     instances = 0
-    for space in _kantorovich_spaces(cfg, 4):
+    for space in _kantorovich_spaces(cfg.seed):
         base = space.carrier_size - 1
         for s in _subsets(base):
             instances += 1

@@ -8,10 +8,11 @@ derived for JSON, witnesses and the literal oracles.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from numbers import Rational
 
 import numpy as np
@@ -249,9 +250,26 @@ class UltraPseudometric:
         """The level of every pair: exact, ordered like the distances."""
         return self._rank
 
+    @cached_property
+    def _numerators(self) -> tuple[int, list[int]]:
+        """The levels as integer numerators over their common denominator."""
+        den = math.lcm(*(int(v.denominator) for v in self.levels))
+        return den, [int(v.numerator) * (den // int(v.denominator)) for v in self.levels]
+
     def below(self, radius) -> int:
-        """Number of levels under radius: d(x, y) < radius iff rank < below(radius)."""
-        return bisect_left(self.levels, radius)
+        """Number of levels under radius: d(x, y) < radius iff rank < below(radius).
+
+        One bisect over the integer numerators of the levels: with radius
+        p/q, q > 0, and the levels over the denominator den, a level v/den
+        is under radius iff v * q < p * den, iff v < ceil(p * den / q).
+        A radius that is no int or Fraction (a float, a numpy integer) is
+        read exactly through Fraction first.
+        """
+        den, numerators = self._numerators
+        if type(radius) is int:
+            return bisect_left(numerators, radius * den)
+        p, q = (radius if isinstance(radius, Fraction) else Fraction(radius)).as_integer_ratio()
+        return bisect_left(numerators, -(-int(p) * den // int(q)))
 
     def ball(self, center: int, radius: Fraction) -> list[int]:
         """Open ball, strict inequality."""
@@ -324,9 +342,15 @@ class MonotoneChain:
 
     @cached_property
     def depths(self) -> tuple[tuple[int, ...], ...]:
-        """depth(x, y) for every pair, built once per chain for the path oracle."""
+        """depth(x, y) for every pair, built once per chain for the path oracle:
+        one call per unordered pair, as depth is symmetric, and len(chain)
+        on the diagonal, where every level relates x to itself."""
         n = self.carrier_size
-        return tuple(tuple(self.depth(x, y) for y in range(n)) for x in range(n))
+        rows = [[len(self.chain)] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(x):
+                rows[x][y] = rows[y][x] = self.depth(x, y)
+        return tuple(map(tuple, rows))
 
     @cached_property
     def path_depths(self) -> tuple[tuple[int, ...], ...]:
@@ -370,10 +394,16 @@ def d_from_chain(chain: MonotoneChain) -> UltraPseudometric:
     used = np.flatnonzero(present[::-1])
     rank_of = np.empty(m + 2, dtype=np.int64)
     rank_of[m + 1 - used] = np.arange(len(used))
-    levels = [Fraction(0) if k > m else Fraction(1, 2**k) for k in (m + 1 - used).tolist()]
     # on n >= 1 points, nested levels make the depths an ultrametric, 0 is the
-    # first level (the diagonal), and every rank is used
+    # first level (the diagonal, depth m + 1), and every rank is used
+    levels = [Fraction(0), *map(_dyadic, (m + 1 - used[1:]).tolist())]
     return UltraPseudometric._unchecked(levels, rank_of[depth])
+
+
+@cache
+def _dyadic(k: int) -> Fraction:
+    """2**-k: one shared Fraction per depth k, as Fractions are immutable."""
+    return Fraction(1, 2**k)
 
 
 def minimax_path_distance(chain: MonotoneChain, x: int, y: int) -> Fraction:

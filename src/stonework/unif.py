@@ -48,6 +48,18 @@ class PartitionFamily:
         if len(set(ids)) != len(ids) or ids != sorted(ids):
             raise ValueError("members must be distinct and canonically ordered")
 
+    @classmethod
+    def _unchecked(cls, carrier_size: int, members: tuple[Partition, ...],
+                   meet_closed: bool | None = None,
+                   saturated: bool | None = None) -> PartitionFamily:
+        """A family of members on the carrier that their producer has made
+        distinct and canonically ordered; skips __post_init__ (and the
+        frozen __setattr__)."""
+        f = object.__new__(cls)
+        f.__dict__.update(carrier_size=carrier_size, members=members,
+                          meet_closed=meet_closed, saturated=saturated)
+        return f
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -219,9 +231,9 @@ class PartitionLattice:
                 row = meet[p].tolist()
                 reached.update(row[q] for q in members)
             fresh = reached - members
-        return PartitionFamily(carrier_size=self.n,
-                               members=tuple(self.partitions[i] for i in sorted(members)),
-                               meet_closed=True, saturated=True)
+        # the partitions ascend, so sorted indices keep the canonical order
+        family = tuple(self.partitions[i] for i in sorted(members))
+        return PartitionFamily._unchecked(self.n, family, meet_closed=True, saturated=True)
 
 
 @functools.cache
@@ -272,11 +284,14 @@ def saturate_worklist(action: MonoidAction, gamma) -> PartitionFamily:
     Partition.from_class_ids does.  Each member leaves the worklist once,
     pulled back along every map and met with every member that left it
     before, so every pair of members meets once, and the family reached
-    is closed: the least one, on a finite lattice.  Reads no
+    is closed: the least one, on a finite lattice.  Equal maps pull back
+    alike and the identity map pulls p back to p, so each distinct
+    non-identity map is pulled back along once.  Reads no
     PartitionLattice table.
     """
     gamma = _generators(action, gamma)
-    maps = action.act
+    identity = tuple(range(action.carrier_size))
+    maps = [s for s in dict.fromkeys(action.act) if s != identity]
     members = {p.class_id for p in gamma}
     todo, done = list(members), []
     while todo:
@@ -288,9 +303,9 @@ def saturate_worklist(action: MonoidAction, gamma) -> PartitionFamily:
                 members.add(q)
                 todo.append(q)
         done.append(p)
-    return PartitionFamily(carrier_size=action.carrier_size,
-                           members=tuple(map(Partition._unchecked, sorted(members))),
-                           meet_closed=True, saturated=True)
+    return PartitionFamily._unchecked(action.carrier_size,
+                                      tuple(map(Partition._unchecked, sorted(members))),
+                                      meet_closed=True, saturated=True)
 
 
 def _relation_keys(labels: np.ndarray) -> np.ndarray:
@@ -472,7 +487,11 @@ class Cover:
 
     @staticmethod
     def from_partition(p: Partition) -> Cover:
-        return Cover.from_blocks(p.carrier_size, p.classes())
+        """The classes of p as blocks, each mask built from class_id."""
+        masks = [0] * p.num_classes()
+        for x, k in enumerate(p.class_id):
+            masks[k] |= 1 << x
+        return Cover(carrier_size=p.carrier_size, blocks=frozenset(masks))
 
     def sorted_blocks(self) -> list[list[int]]:
         return sorted(map(_points, self.blocks))

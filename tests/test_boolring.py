@@ -234,7 +234,7 @@ def _compose_against_reference(endos, columns, n):
         assert row == [e.apply(x) for x in range(1 << n)]
 
 
-# n = 4 keys its 16-point maps in two levels (see SelfMapMonoid._key_levels)
+# n = 4 keys its 16-point maps in addressed, then checked levels (see SelfMapMonoid._key_levels)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_additive_monoid_composes_like_ring_endos(n):
     endos = enumerate_ring_endos(BoolRing(n))

@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 from stonework import finmon
+from stonework.boolring import (
+    BoolRing,
+    additive_monoid,
+    enumerate_group_endos,
+    enumerate_ring_endos,
+)
 from stonework.contrast import build_contrast, rna_certificate
 from stonework.errors import AssociativityViolation, IdentityViolation, ResourceLimit
 from stonework.finmon import (
@@ -622,61 +628,153 @@ def _dihedral_and_constants(n: int) -> SelfMapMonoid:
     return SelfMapMonoid(np.unique(rows, axis=0))
 
 
-MULTI_LEVEL = [(16, 2), (20, 2), (40, 5)]       # (points, key levels) at 3n maps
+def _additive_8() -> SelfMapMonoid:
+    """The 512 additive maps of the 8-point group (Z/2)**3."""
+    endos = enumerate_group_endos(BoolRing(3))
+    return additive_monoid([e.rows for e in endos], 3)[0]
+
+
+def _ring_endos_16() -> SelfMapMonoid:
+    """The 256 ring endomorphisms of the 16-element Boolean ring, as maps."""
+    endos = enumerate_ring_endos(BoolRing(4))
+    return additive_monoid([e.atom_images for e in endos], 4)[0]
+
+
+# the level shapes of the lookup (see SelfMapMonoid._key_levels): builder and
+# (addressed, checked) levels at the default CHUNK_ENTRIES
+LEVEL_SHAPES = {
+    # one table of all n**n keys
+    "full-3": (lambda: full_selfmap_monoid(3), (1, 0)),
+    "full-4": (lambda: full_selfmap_monoid(4), (1, 0)),
+    # addressed levels, then checked ones
+    "additive-8": (_additive_8, (1, 1)),
+    "ring-endos-16": (_ring_endos_16, (2, 1)),
+    "dihedral-16": (lambda: _dihedral_and_constants(16), (1, 1)),
+    # many checked levels
+    "dihedral-86": (lambda: _dihedral_and_constants(86), (1, 11)),
+}
+
+
+def _assert_composes_like_scalar_composition(maps: SelfMapMonoid, table: np.ndarray):
+    """table[i, j] indexes map i after map j, checked one row of f at a time."""
+    values = maps.values
+    assert table.shape == (len(maps), len(maps))
+    for f in range(len(maps)):
+        assert np.array_equal(values[table[f]], values[f][values])
+
+
+@pytest.mark.parametrize("shape", LEVEL_SHAPES)
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_composites_match_scalar_composition_on_each_level_shape(monkeypatch, shape, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)     # one row a block
+    maps = LEVEL_SHAPES[shape][0]()
+    _assert_composes_like_scalar_composition(maps, maps.composites())
+
+
+@pytest.mark.parametrize("shape", LEVEL_SHAPES)
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_addressed_tables_stay_within_their_bound(monkeypatch, shape, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)
+    make, levels = LEVEL_SHAPES[shape]
+    maps = make()
+    k, n = len(maps), maps.carrier_size
+    addressed, checked = maps._key_levels
+    if chunk is None:
+        assert (len(addressed), len(checked)) == levels
+    if n ** n <= k * k:
+        assert len(addressed) == 1 and not checked and len(addressed[0][3]) == n ** n
+    else:
+        for lo, hi, _, table in addressed:
+            count = len(table) // n ** (hi - lo)
+            assert count * n ** (hi - lo) == len(table) <= max(finmon.CHUNK_ENTRIES, count * n)
+    # the levels read every point once, in order
+    assert [x for lo, hi, _, _ in addressed + checked for x in range(lo, hi)] == list(range(n))
+
+
+def _assert_lookup_misses_exactly_the_non_elements(maps: SelfMapMonoid):
+    k, n = len(maps), maps.carrier_size
+    index = {f: i for i, f in enumerate(maps.elements)}
+    # every element with one point moved, so a miss shows at every level
+    rng = np.random.default_rng(n)
+    rows = {f[:x] + (int(v),) + f[x + 1:]
+            for f in maps.elements for x in range(n) for v in ((f[x] + 1) % n, rng.integers(n))}
+    hits = [r for r in rows if r in index]
+    assert np.array_equal(maps.lookup(np.array(hits).reshape(-1, n)), [index[r] for r in hits])
+    for row in rows - set(hits):
+        with pytest.raises(KeyError) as exc:
+            maps.lookup(np.array(row))
+        assert exc.value.args == (row,)
+    assert np.array_equal(maps.lookup(maps.values), np.arange(k))
+
+
+@pytest.mark.parametrize("shape", ["additive-8", "ring-endos-16"])
+def test_lookup_misses_exactly_the_non_elements(shape):
+    _assert_lookup_misses_exactly_the_non_elements(LEVEL_SHAPES[shape][0]())
+
+
+# (points, checked levels) of the 3n dihedral maps and constants where each
+# addressed level reads one digit: two of them tell the maps apart
+MULTI_LEVEL = [(16, 2), (20, 2), (40, 5)]
 
 
 @pytest.mark.parametrize("n, levels", MULTI_LEVEL)
 @pytest.mark.parametrize("chunk", [None, 1])
 def test_multi_level_composites_match_scalar_composition(monkeypatch, n, levels, chunk):
-    maps = _dihedral_and_constants(n)
-    assert len(maps) == 3 * n and len(maps._key_levels) == levels
     if chunk is not None:
         monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)     # one row a block
-    index = {f: i for i, f in enumerate(maps.elements)}
-    expected = [[index[tuple(f[x] for x in g)] for g in maps.elements] for f in maps.elements]
-    assert maps.composites().tolist() == expected
+    maps = _dihedral_and_constants(n)
+    if chunk == 1:
+        assert [hi - lo for lo, hi, _, _ in maps._key_levels[0]] == [1, 1]
+        assert len(maps._key_levels[1]) == levels
+    _assert_composes_like_scalar_composition(maps, maps.composites())
 
 
 @pytest.mark.parametrize("n, levels", MULTI_LEVEL)
-def test_multi_level_lookup_misses_exactly_the_non_elements(n, levels):
+def test_multi_level_lookup_misses_exactly_the_non_elements(monkeypatch, n, levels):
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 1)     # one digit an addressed level
     maps = _dihedral_and_constants(n)
-    assert len(maps._key_levels) == levels
-    index = {f: i for i, f in enumerate(maps.elements)}
-    width = maps._key_levels[0][1]
-    # the first and the last point of every level, so a miss shows at each level
-    points = sorted({p for lo in range(0, n, width) for p in (lo, min(lo + width, n) - 1)})
-    rng = np.random.default_rng(n)
-    for f in maps.elements:
-        for x in points:
-            for v in (f[x], (f[x] + 1) % n, rng.integers(n)):
-                row = list(f)
-                row[x] = int(v)
-                if tuple(row) in index:
-                    assert maps.lookup(np.array(row)) == index[tuple(row)]
-                else:
-                    with pytest.raises(KeyError):
-                        maps.lookup(np.array(row))
-    # the constant 0 map sent to 1 from a level boundary on: its first
-    # level is an element's, so the miss shows at a later level
-    for lo in range(width, n, width):
-        row = [0] * lo + [1] * (n - lo)
-        with pytest.raises(KeyError):
-            maps.lookup(np.array([row]))
+    assert len(maps._key_levels[1]) == levels
+    _assert_lookup_misses_exactly_the_non_elements(maps)
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_the_first_missing_position_in_c_order_is_named(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)     # one row a block
+    # the 48 dihedral maps on 16 points and the identity with 1 sent to 0,
+    # which the first three points tell from the constant 0 map
+    sent = (0, 0) + tuple(range(2, 16))
+    maps = SelfMapMonoid(sorted({*_dihedral_and_constants(16).elements, sent}))
+    first_checked = maps._key_levels[1][0][0]
+    prefixes = {f[:first_checked] for f in maps.elements}
+    elements = set(maps.elements)
+    missing = [h for h in _scalar_composition(maps).values() if h not in elements]
+    # the first missing composite has an element's addressed prefix, so it
+    # misses only at a checked level; a later one misses at an addressed level
+    assert missing[0][:first_checked] in prefixes
+    late = next(h for h in missing if h[:first_checked] not in prefixes)
+    with pytest.raises(KeyError) as exc:
+        maps.compose(slice(None), slice(None))
+    assert exc.value.args == (missing[0],)
+    for rows, first in (([maps.elements[3], missing[0], late], missing[0]),
+                        ([late, missing[0]], late)):
+        with pytest.raises(KeyError) as exc:
+            maps.lookup(np.array(rows))
+        assert exc.value.args == (first,)
 
 
 @pytest.mark.parametrize("chunk", [None, 1])
 def test_keys_just_under_the_bound_compose_exactly(monkeypatch, chunk):
-    # 258 maps on 86 points, 13 levels of 7 digits: the last rows' keys
-    # rank * 86**7 + digits reach 258 * 86**7 - 1, 0.34% under 2**53
-    maps = _dihedral_and_constants(86)
-    top = max(int(keys[-2]) for _, _, _, keys in maps._key_levels)
-    assert len(maps._key_levels) == 13 and 0.99 * 2 ** 53 < top < finmon._KEY_BOUND == 2 ** 53
+    # 294 maps on 98 points, checked in levels of 8 digits: the constant
+    # maps' keys reach 98**8 - 1, 5.5% under 2**53
     if chunk is not None:
         monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)     # one row a block
-    index = {f: i for i, f in enumerate(maps.elements)}
-    expected = [[index[h] for h in map(tuple, rows)]
-                for rows in maps.values[:, maps.values].tolist()]    # f[g] for every f, g
-    assert maps.composites().tolist() == expected
+    maps = _dihedral_and_constants(98)
+    top = max(int(own.max()) for _, _, _, own in maps._key_levels[1])
+    assert top == 98 ** 8 - 1 and 0.9 * 2 ** 53 < top < finmon._KEY_BOUND == 2 ** 53
+    _assert_composes_like_scalar_composition(maps, maps.composites())
 
 
 def _theta6() -> SelfMapMonoid:
@@ -734,8 +832,8 @@ def _scalar_composition(maps: SelfMapMonoid) -> dict:
     return {(i, j): tuple(f[x] for x in g) for i, f in enumerate(el) for j, g in enumerate(el)}
 
 
-# on each side of n**n <= k * k: the keys read in a direct-address table
-# (27 and 256 maps), and searched (12 maps on 4 points, 144 < 4**4)
+# on each side of n**n <= k * k: the keys read in one direct-address table of
+# every key (27 and 256 maps), and level by level (12 maps on 4 points, 144 < 4**4)
 ADDRESSING = [(lambda: full_selfmap_monoid(3), True), (lambda: full_selfmap_monoid(4), True),
               (lambda: _dihedral_and_constants(4), False)]
 
@@ -744,7 +842,7 @@ ADDRESSING = [(lambda: full_selfmap_monoid(3), True), (lambda: full_selfmap_mono
 @pytest.mark.parametrize("chunk", [None, 1])
 def test_composites_on_each_side_of_direct_addressing(monkeypatch, make, direct, chunk):
     maps = make()
-    assert (maps._inverse is not None) == direct and len(maps._key_levels) == 1
+    assert (maps.carrier_size ** maps.carrier_size <= len(maps) ** 2) == direct
     if chunk is not None:
         monkeypatch.setattr(finmon, "CHUNK_ENTRIES", chunk)     # one row a block
     index = {f: i for i, f in enumerate(maps.elements)}
@@ -768,7 +866,7 @@ def test_lookup_and_composition_misses_on_each_side_of_direct_addressing(
     # map, composes to itself only, so the first miss is past the first row
     gone = next(f for f in reversed(whole.elements) if len(set(f)) > 1)
     maps = SelfMapMonoid([f for f in whole.elements if f != gone])
-    assert (maps._inverse is not None) == direct
+    assert (maps.carrier_size ** maps.carrier_size <= len(maps) ** 2) == direct
     assert maps.elements[0] == (0,) * maps.carrier_size
     elements = set(maps.elements)
     first = next(h for h in _scalar_composition(maps).values() if h not in elements)

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from stonework.errors import AssociativityViolation, IdentityViolation
@@ -17,10 +18,12 @@ from stonework.generators import (
     random_ultrametric,
 )
 from stonework.ultra import (
+    Partition,
     UltraPseudometric,
     check_left_congruence,
     check_nonexpansive,
 )
+from stonework.unif import partition_lattice
 
 
 def test_generators_are_deterministic_for_a_seed():
@@ -60,6 +63,50 @@ def test_congruence_closure_is_a_congruence():
                 if right.relates(x, y):
                     for s in range(m.size):
                         assert right.relates(m.mul(x, s), m.mul(y, s))
+
+
+def congruence_closure_by_relation_matrix(m, p: Partition, side: str) -> Partition:
+    """The reference: the relation matrix of p, grown by the translated
+    pairs and every two-step chain of them until it is a fixed point."""
+    moved = m.values if side == "right" else m.values.T
+    ids = np.asarray(p.class_id)
+    rel = ids[:, None] == ids
+    while True:
+        xs, ys = np.nonzero(rel)
+        grown = rel.copy()
+        grown[moved[xs], moved[ys]] = True
+        grown = grown @ grown
+        if np.array_equal(grown, rel):
+            return Partition.from_class_ids(rel.argmax(axis=1).tolist())
+        rel = grown
+
+
+def test_congruence_closure_matches_the_relation_matrix_on_every_small_monoid():
+    for size in (1, 2, 3):
+        for m in enumerate_small_monoids(size):
+            for p in partition_lattice(size).partitions:
+                for side in ("left", "right"):
+                    assert congruence_closure(m, p, side) == \
+                        congruence_closure_by_relation_matrix(m, p, side)
+
+
+def test_congruence_closure_matches_the_relation_matrix_on_random_monoids():
+    rng = random.Random(24)
+    sizes = set()
+    for _ in range(200):
+        m, _ = random_transformation_monoid(rng, rng.randint(2, 4), max_size=6)
+        sizes.add(m.size)
+        p = random_partition(rng, m.size)
+        for side in ("left", "right"):
+            assert congruence_closure(m, p, side) == \
+                congruence_closure_by_relation_matrix(m, p, side)
+    assert max(sizes) == 6
+
+
+def test_congruence_closure_names_a_bad_side():
+    m = enumerate_small_monoids(2)[0]
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        congruence_closure(m, Partition.discrete(2), "both")
 
 
 def test_one_sided_metrics_are_one_sided():
@@ -146,6 +193,16 @@ def actions_by_loop(m, carrier):
                for s in range(m.size) for t in range(m.size) for x in range(carrier)):
             out.append(validate_action(m, carrier, act))
     return out
+
+
+def test_enumerated_actions_keep_their_block_and_find_generators_on_use():
+    m = enumerate_small_monoids(3)[-1]
+    actions = enumerate_actions(m, 3)
+    assert len(actions) > 1
+    # each action adopts its rows of one read-only block, not a copy
+    assert all(not a.values.flags.writeable for a in actions)
+    assert np.shares_memory(actions[0].values.base, actions[-1].values)
+    assert not any("generating_set" in a.__dict__ for a in actions)
 
 
 def test_enumerate_actions_matches_the_candidate_loop():

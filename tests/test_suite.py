@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ from stonework import duality, navector, suite, ultra, unif
 from stonework.boolring import BoolRing
 from stonework.duality import phi_array, preimage_mask
 from stonework.finmon import MonoidAction, full_selfmap_monoid
-from stonework.generators import enumerate_actions, enumerate_small_monoids
+from stonework.generators import enumerate_actions, enumerate_small_monoids, random_ultrametric
 from stonework.suite import SuiteConfig, check_delta, check_phi, run_suite
 
 SMALL = SuiteConfig(bound_points=3, bound_atoms=3)
@@ -23,11 +24,30 @@ DATA = Path(__file__).parent / "data"
     # the largest accepted bounds: the n=4 self-map and ring-endomorphism tables
     pytest.param("verify-seed0-max", SuiteConfig(bound_points=4, bound_atoms=3, bound_k=7, seed=0),
                  id="verify-seed0-max"),
+    # other draws of the random sweeps
+    pytest.param("verify-seed7", SuiteConfig(seed=7), id="verify-seed7"),
+    pytest.param("verify-seed1001", SuiteConfig(seed=1001), id="verify-seed1001"),
 ])
-def test_verdicts_match_the_recorded_seed0_reports(recorded, cfg):
+def test_verdicts_match_the_recorded_reports(recorded, cfg):
     reports = run_suite(cfg, suite.CHECKS + [suite.CONTROL])
     got = [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports]
     assert json.loads(json.dumps(got)) == json.loads((DATA / f"{recorded}.json").read_text())
+
+
+def fresh_kantorovich_spaces(seed):
+    rng = random.Random(f"{seed}:kantorovich-spaces")
+    return [navector.free_space(d) for n in range(1, 5)
+            for d in [ultra.UltraPseudometric.discrete(n)]
+            + [random_ultrametric(rng, n) for _ in range(3)]]
+
+
+def test_the_kantorovich_checks_share_one_draw_per_seed():
+    spaces = suite._kantorovich_spaces(7)
+    assert list(spaces) == fresh_kantorovich_spaces(7) and len(spaces) == 16
+    assert suite._kantorovich_spaces(7) is spaces
+    other = suite._kantorovich_spaces(8)
+    assert list(other) == fresh_kantorovich_spaces(8) and other != spaces
+    assert suite._kantorovich_spaces(7) == spaces
 
 
 def test_run_suite_runs_only_the_given_checks():

@@ -1,5 +1,6 @@
 import random
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import permutations
 
@@ -301,6 +302,36 @@ def test_path_search_agrees_with_brute_force_on_any_table(depth):
         for y in range(n):
             if x != y:
                 assert closure[x][y] == widest_path_brute_force(depth, x, y)
+
+
+@pytest.mark.parametrize("levels", [
+    (0, Fraction(1, 3), Fraction(2, 7) * 2, 1),
+    (Fraction(0), Fraction(2, 7), Fraction(1, 3), Fraction(5, 2), 7),
+    (0,),
+])
+def test_below_counts_the_levels_under_any_radius(levels):
+    n = len(levels)
+    # a chain of points, point x at level x from every point before it
+    rank = np.array([[0 if x == y else max(x, y) for y in range(n)] for x in range(n)])
+    d = UltraPseudometric(levels, rank)
+    between = [(a + b) / 2 for a, b in zip(d.levels, d.levels[1:])]
+    radii = [*d.levels, *between, *(v + Fraction(1, 1000) for v in d.levels),
+             0, -1, Fraction(-1, 3), d.levels[-1] + 1,
+             *map(float, d.levels), 0.3, 1 / 3, -0.5,
+             *map(np.int64, (0, 1, 7, -2)), np.uint8(1), True]
+    # Fraction compares with a float exactly, so the bisect is exact too
+    for r in radii:
+        assert d.below(r) == bisect_left(d.levels, r), r
+
+
+def test_chain_metrics_share_their_level_fractions():
+    chain = random_chain(random.Random(4), 5, depth=3)
+    a, b = d_from_chain(chain), d_from_chain(chain)
+    assert a == b and all(x is y for x, y in zip(a.levels[1:], b.levels[1:]))
+    # the path oracle builds its own
+    x, y = next((x, y) for x in range(5) for y in range(x) if a.d(x, y))
+    assert minimax_path_distance(chain, x, y) == a.d(x, y)
+    assert minimax_path_distance(chain, x, y) is not a.d(x, y)
 
 
 def test_depth_table_is_the_literal_depth():
