@@ -171,6 +171,9 @@ def _anti_law(source: SelfMapMonoid, target: SelfMapMonoid, image, order: np.nda
         return "transpose left the matrix set"
     if not np.array_equal(np.sort(image), np.arange(len(target))):
         return "transpose is not a bijection"
+    # in the tables' dtype, image[table] is no wider than the tables (intp
+    # would make it the largest array of a verify pass)
+    image = image.astype(target_table.dtype)
     bad = image[table] != target_table[np.ix_(image, image)].T
     if bad.any():
         return tuple(map(int, np.argwhere(bad[np.ix_(order, order)])[0]))
