@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from test_duality import oracle_transport, phi_at
 
 from stonework import duality, navector, suite, ultra, unif
-from stonework.boolring import BoolRing
+from stonework.boolring import BoolRing, additive_monoid, enumerate_group_endos, transpose_masks
 from stonework.duality import phi_array, preimage_mask
 from stonework.finmon import MonoidAction, full_selfmap_monoid
 from stonework.generators import enumerate_actions, enumerate_small_monoids, random_ultrametric
@@ -66,6 +67,21 @@ def test_delta_fails_when_transpose_is_the_identity(monkeypatch, atoms, failure,
     _, _, witness = check_delta(SuiteConfig(bound_points=3, bound_atoms=atoms))
     assert witness["failure"] == failure
     assert witness["n"] == 2 and set(pair) < set(witness)
+
+
+def test_the_delta_law_holds_no_intp_copy_of_the_table():
+    endos = enumerate_group_endos(BoolRing(3))
+    matrices, order = additive_monoid(transpose_masks([e.rows for e in endos], 3), 3)
+    table = matrices.composites()           # 512 x 512 uint16
+    matrices.lookup(matrices.values[:1])
+    tracemalloc.start()
+    try:
+        assert suite._delta_law(matrices, matrices, order) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the composite indices image[table] as intp would alone be four tables
+    assert peak < 4 * table.nbytes
 
 
 def test_phi_fails_when_the_array_form_is_wrong(monkeypatch):
