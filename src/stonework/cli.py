@@ -40,12 +40,19 @@ from .unif import (
 )
 
 
+def _parse_json(fh):
+    try:
+        return json.load(fh)
+    except RecursionError:      # the decoder recurses once per nested list or object
+        raise StoneworkError("parse error: JSON nested too deeply") from None
+
+
 def _load_json(path: str | None):
     if path in (None, "-"):
-        return json.load(sys.stdin)
+        return _parse_json(sys.stdin)
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _parse_json(fh)
     except OSError as exc:      # missing, a directory, unreadable
         raise StoneworkError(str(exc)) from None
 

@@ -11,6 +11,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+# the largest exponent a rational string may carry: CPython's default
+# limit on the digits of an int string, which bounds "1" + "0" * 5000 alike
+_MAX_EXPONENT = 4300
+
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
                int: "an integer", float: "a number", type(None): "null"}
 
@@ -49,13 +53,29 @@ def expect_int(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def _exponent(text: str) -> int:
+    """The exponent of a decimal string such as "1e3", 0 if there is none
+    or it does not read as an integer (Fraction then refuses the string)."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        return int(exponent) if e else 0
+    except ValueError:
+        return 0
+
+
 def expect_rational(value, what: str) -> Fraction:
-    """An integer, or a string that parses as a rational such as "1/2"."""
+    """An integer, or a string that parses as a rational such as "1/2".
+
+    Fraction would expand an exponent such as "1e999999999" into all of
+    its digits, so an exponent above _MAX_EXPONENT in magnitude is refused.
+    """
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            if abs(_exponent(value)) <= _MAX_EXPONENT:
+                return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{what} is {json.dumps(value)}, not a rational") from None
+            pass
+        raise ValueError(f"{what} is {json.dumps(value)}, not a rational")
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} is {_shown(value)}, not a rational")
     return Fraction(value)

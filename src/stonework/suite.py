@@ -136,6 +136,34 @@ def _rng(cfg: SuiteConfig, name: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{name}")
 
 
+class _Sweep:
+    """The instance count of one check call's sweep, and its instances
+    that have passed, by a key of everything their laws read; a sweep
+    lives for one check call."""
+
+    def __init__(self):
+        self.instances = 0
+        self._passed = {}       # key -> the instance count its laws recorded
+
+    def check(self, key, laws):
+        """Count one instance and return its witness, or None.  laws() ->
+        (instances, witness) runs on the first occurrence of key only; a
+        key that has passed adds the count it recorded again.  Failures
+        are not kept, so a failure is reported at its first occurrence."""
+        count, witness = self._passed.get(key), None
+        if count is None:
+            count, witness = laws()
+            if witness is None:
+                self._passed[key] = count
+        self.instances += count
+        return witness
+
+
+def _metric_key(d: UltraPseudometric):
+    """Equal for equal metrics: the levels and the (int64, n x n) rank bytes."""
+    return d.levels, d.rank_matrix().tobytes()
+
+
 # ---------------------------------------------------------------------------
 # additive maps as self-maps of the ring elements
 
@@ -363,48 +391,59 @@ def check_entourage_transport(cfg: SuiteConfig):
     return params, instances, None
 
 
+def _chain_laws(chain):
+    """The closed form against the path oracle on every pair, then the
+    sandwich at every level: (instances, witness)."""
+    n = chain.carrier_size
+    d = d_from_chain(chain)
+    closed = d.dist
+    count = 0
+    for x in range(n):
+        for y in range(x + 1, n):
+            count += 1
+            literal = minimax_path_distance(chain, x, y)
+            if closed[x][y] != literal:
+                return count, {
+                    "chain": chain.to_json(),
+                    "pair": [x, y],
+                    "closed_form": str(closed[x][y]),
+                    "path_infimum": str(literal),
+                }
+    # the sandwich at every level at once: related[i] is level i, with
+    # the indiscrete level 0 first and an empty level after the last,
+    # and inside[i] is the open ball of radius 2**-i
+    ids = np.array([p.class_id for p in chain.chain], dtype=np.intp).reshape(len(chain), n)
+    related = np.concatenate((np.ones((1, n, n), dtype=bool),
+                              ids[:, :, None] == ids[:, None, :],
+                              np.zeros((1, n, n), dtype=bool)))
+    radii = [d.below(Fraction(1, 2**level)) for level in range(len(chain) + 1)]
+    inside = d.rank_matrix() < np.array(radii)[:, None, None]
+    # per level and pair, in this order: finer escapes, diagonal outside,
+    # ball escapes coarser
+    bad = np.stack([related[1:] & ~inside, np.eye(n, dtype=bool) & ~inside,
+                    inside & ~related[:-1]], axis=1)
+    if bad.any():
+        level, x, y = np.argwhere(bad.any(axis=1))[0]
+        return count, {
+            "chain": chain.to_json(),
+            "level": int(level),
+            "pair": [int(x), int(y)],
+            "failure": SANDWICH_FAILURES[int(bad[level, :, x, y].argmax())],
+        }
+    return count, None
+
+
 def check_chain_metrization(cfg: SuiteConfig):
     rng = _rng(cfg, "chain-metrization")
     params = {"chains": CHAIN_COUNT, "max_points": 6}
-    instances = 0
+    sweep = _Sweep()
     for _ in range(CHAIN_COUNT):
-        n = rng.randint(2, 6)
-        chain = random_chain(rng, n)
-        d = d_from_chain(chain)
-        closed = d.dist
-        for x in range(n):
-            for y in range(x + 1, n):
-                instances += 1
-                literal = minimax_path_distance(chain, x, y)
-                if closed[x][y] != literal:
-                    return params, instances, {
-                        "chain": chain.to_json(),
-                        "pair": [x, y],
-                        "closed_form": str(closed[x][y]),
-                        "path_infimum": str(literal),
-                    }
-        # the sandwich at every level at once: related[i] is level i, with
-        # the indiscrete level 0 first and an empty level after the last,
-        # and inside[i] is the open ball of radius 2**-i
-        ids = np.array([p.class_id for p in chain.chain], dtype=np.intp).reshape(len(chain), n)
-        related = np.concatenate((np.ones((1, n, n), dtype=bool),
-                                  ids[:, :, None] == ids[:, None, :],
-                                  np.zeros((1, n, n), dtype=bool)))
-        radii = [d.below(Fraction(1, 2**level)) for level in range(len(chain) + 1)]
-        inside = d.rank_matrix() < np.array(radii)[:, None, None]
-        # per level and pair, in this order: finer escapes, diagonal outside,
-        # ball escapes coarser
-        bad = np.stack([related[1:] & ~inside, np.eye(n, dtype=bool) & ~inside,
-                        inside & ~related[:-1]], axis=1)
-        if bad.any():
-            level, x, y = np.argwhere(bad.any(axis=1))[0]
-            return params, instances, {
-                "chain": chain.to_json(),
-                "level": int(level),
-                "pair": [int(x), int(y)],
-                "failure": SANDWICH_FAILURES[int(bad[level, :, x, y].argmax())],
-            }
-    return params, instances, None
+        chain = random_chain(rng, rng.randint(2, 6))
+        # the laws read the chain through its carrier and class ids only
+        key = (chain.carrier_size, tuple(p.class_id for p in chain.chain))
+        if (witness := sweep.check(key, lambda: _chain_laws(chain))) is not None:
+            return params, sweep.instances, witness
+    return params, sweep.instances, None
 
 
 def check_theta_discrete(cfg: SuiteConfig):
@@ -423,15 +462,18 @@ def check_theta_discrete(cfg: SuiteConfig):
 def check_theta_closure(cfg: SuiteConfig):
     rng = _rng(cfg, "theta-closure")
     params = {"metrics": THETA_METRIC_COUNT, "max_points": 4}
-    instances = 0
-    for _ in range(THETA_METRIC_COUNT):
-        n = rng.randint(2, 4)
-        d = random_ultrametric(rng, n)
+
+    def laws(d):
         theta = enumerate_theta(d)
-        instances += len(theta) ** 2
-        if not theta.verify_closure():
-            return params, instances, {"metric": d.to_json(), "failure": "not closed"}
-    return params, instances, None
+        closed = theta.verify_closure()
+        return len(theta) ** 2, None if closed else {"metric": d.to_json(), "failure": "not closed"}
+
+    sweep = _Sweep()
+    for _ in range(THETA_METRIC_COUNT):
+        d = random_ultrametric(rng, rng.randint(2, 4))
+        if (witness := sweep.check(_metric_key(d), lambda: laws(d))) is not None:
+            return params, sweep.instances, witness
+    return params, sweep.instances, None
 
 
 def check_theta_entourages(cfg: SuiteConfig):
@@ -443,16 +485,16 @@ def check_theta_entourages(cfg: SuiteConfig):
     metrics.append(two_level)
     while len(metrics) < 5:
         metrics.append(random_ultrametric(rng, n))
-    instances = 0
     point_sets = [
         [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2],
     ]
     where = np.zeros(1 << n, dtype=np.intp)     # where[mask]: the point set with that bitmask
     for j, points in enumerate(point_sets):
         where[sum(1 << a for a in points)] = j
-    for d in metrics:
+
+    def laws(d):
         theta = enumerate_theta(d)
-        k = len(theta)
+        k, count = len(theta), 0
         product = theta.to_monoid().values         # product[i, s0]: map i after map s0
         # moved[j, s0]: the point set that s0 sends point set j onto
         bits = 1 << theta.values.astype(np.intp)    # bits[s0, a]: the image of a, as a bit
@@ -462,7 +504,7 @@ def check_theta_entourages(cfg: SuiteConfig):
                             for points in point_sets])
             # first[j, i]: the first map in the class of map i at point set j
             first = (ids[:, :, None] == ids[:, None, :]).argmax(axis=2)
-            instances += len(point_sets) * k
+            count += len(point_sets) * k
             # the class of i*s0 at point set j is constant on each class at
             # moved[j, s0]: vals[j, i, s0] against its value at the first
             # map of i's class there
@@ -470,43 +512,55 @@ def check_theta_entourages(cfg: SuiteConfig):
             bad = vals != np.take_along_axis(vals, first[moved].transpose(0, 2, 1), axis=1)
             if bad.any():
                 j, s0, i = np.argwhere(bad.transpose(0, 2, 1))[0]
-                return params, instances + int(j * k + s0) * k + int(i) + 1, {
+                return count + int(j * k + s0) * k + int(i) + 1, {
                     "metric": d.to_json(),
                     "points": point_sets[j],
                     "eps": str(eps),
                     "s0": theta.values[s0].tolist(),
                     "failure": "right translation does not respect the entourage",
                 }
-            instances += len(point_sets) * k * k
-    return params, instances, None
+            count += len(point_sets) * k * k
+        return count, None
+
+    sweep = _Sweep()
+    for d in metrics:
+        if (witness := sweep.check(_metric_key(d), lambda: laws(d))) is not None:
+            return params, sweep.instances, witness
+    return params, sweep.instances, None
 
 
 def _ball_check(cfg: SuiteConfig, name: str, side: str, law):
     """law(m, d, r) on every radius r of random side-nonexpansive metrics d."""
     rng = _rng(cfg, name)
     params = {"instances": BALL_INSTANCE_COUNT, "max_monoid": 6}
-    instances = 0
-    for _ in range(BALL_INSTANCE_COUNT):
-        carrier = rng.randint(2, 4)
-        m, _ = random_transformation_monoid(rng, carrier, max_size=6)
-        d = random_one_sided_metric(rng, m, side)
+
+    def laws(m, d):
         if nonexpansive_counterexample(m, d, side) is not None:
-            return params, instances, {
+            return 0, {
                 "monoid": m.to_json(),
                 "metric": d.to_json(),
                 "failure": f"generator produced a non-{side}-nonexpansive metric",
             }
         positive = d.levels[1:]
         radii = [positive[0] / 2, *positive, positive[-1] * 2] if positive else [Fraction(1)]
-        for r in radii:
-            instances += 1
+        for count, r in enumerate(radii, 1):
             if not law(m, d, r):
-                return params, instances, {
+                return count, {
                     "monoid": m.to_json(),
                     "metric": d.to_json(),
                     "radius": str(r),
                 }
-    return params, instances, None
+        return len(radii), None
+
+    sweep = _Sweep()
+    for _ in range(BALL_INSTANCE_COUNT):
+        m, _ = random_transformation_monoid(rng, rng.randint(2, 4), max_size=6)
+        d = random_one_sided_metric(rng, m, side)
+        # the laws read the monoid through its table and identity only
+        key = (m.values.tobytes(), m.identity, _metric_key(d))
+        if (witness := sweep.check(key, lambda: laws(m, d))) is not None:
+            return params, sweep.instances, witness
+    return params, sweep.instances, None
 
 
 def check_ball_submonoids(cfg: SuiteConfig):
@@ -521,14 +575,36 @@ def check_ball_left_congruences(cfg: SuiteConfig):
 
 def check_saturation(cfg: SuiteConfig):
     params = {"monoid_size": 3, "carrier": 3}
-    instances, n = 0, 3
+    n = 3
     lattice = partition_lattice(n)
     B = len(lattice)
     meet = lattice.meet.tolist()
     meet_closed = {}        # is_meet_closed reads no action: once per distinct family
+
+    def laws(m, action, pull):
+        pulls = pull.T.tolist()
+        for count, eps in enumerate(lattice.partitions, 1):
+            family = saturate(action, [eps], pull)
+            ids = {lattice.index_of(p) for p in family.members}
+            closed = all(ids.issuperset(pulls[p]) and ids.issuperset(meet[p][q] for q in ids)
+                         for p in ids)
+            if family not in meet_closed:
+                meet_closed[family] = is_meet_closed(family)
+            failure = None
+            if family != saturate_worklist(action, [eps]):
+                failure = "saturation disagrees with the worklist oracle"
+            elif not (eps in family and closed and meet_closed[family]
+                      and is_saturated_under(family, action)):
+                failure = "saturation fixed point violated"
+            if failure:
+                return count, {
+                    "monoid": m.to_json(), "action": action.values.tolist(),
+                    "generator": eps.to_json(), "failure": failure}
+        return B, None
+
     # the saturations and their oracles read only the action table, so a
     # table that has passed passes again under any other monoid
-    passed = set()
+    sweep = _Sweep()
     for m in enumerate_small_monoids(3):
         actions = enumerate_actions(m, n)
         k, count = m.size, len(actions)
@@ -546,37 +622,16 @@ def check_saturation(cfg: SuiteConfig):
             if not lawful[a]:
                 i = int(bad[a].argmax())
                 e, s, t = np.unravel_index(i, (B, k, k))
-                return params, instances + i + 1, {
+                return params, sweep.instances + i + 1, {
                     "monoid": m.to_json(), "action": action.values.tolist(),
                     "partition": lattice.partitions[e].to_json(),
                     "pair": [int(s), int(t)],
                 }
-            instances += B * k * k
+            sweep.instances += B * k * k
             table = (action.values.shape, action.values.tobytes())
-            if table in passed:
-                instances += B
-                continue
-            pulls = pull[a].T.tolist()
-            for eps in lattice.partitions:
-                family = saturate(action, [eps], pull[a])
-                instances += 1
-                ids = {lattice.index_of(p) for p in family.members}
-                closed = all(ids.issuperset(pulls[p]) and ids.issuperset(meet[p][q] for q in ids)
-                             for p in ids)
-                if family not in meet_closed:
-                    meet_closed[family] = is_meet_closed(family)
-                failure = None
-                if family != saturate_worklist(action, [eps]):
-                    failure = "saturation disagrees with the worklist oracle"
-                elif not (eps in family and closed and meet_closed[family]
-                          and is_saturated_under(family, action)):
-                    failure = "saturation fixed point violated"
-                if failure:
-                    return params, instances, {
-                        "monoid": m.to_json(), "action": action.values.tolist(),
-                        "generator": eps.to_json(), "failure": failure}
-            passed.add(table)
-    return params, instances, None
+            if (witness := sweep.check(table, lambda: laws(m, action, pull[a]))) is not None:
+                return params, sweep.instances, witness
+    return params, sweep.instances, None
 
 
 def check_covering_combinators(cfg: SuiteConfig):

@@ -228,6 +228,7 @@ class UltraPseudometric:
 
     @staticmethod
     def discrete(n: int) -> UltraPseudometric:
+        guard_enum(n * n, f"the {n}x{n} distance matrix")
         return UltraPseudometric.from_rows(
             [[int(x != y) for y in range(n)] for x in range(n)])
 

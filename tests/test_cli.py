@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -20,6 +21,7 @@ from test_unif import (
 
 from stonework import cli
 from stonework.finmon import validate_monoid
+from stonework.schema import expect_rational
 
 RUN = [sys.executable, "-m", "stonework"]
 
@@ -224,6 +226,19 @@ def test_parse_error_exit_code_and_location():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, source):
+    deep = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    if source == "file":
+        proc = run_cli(["metrize", "--chain", str(path)])
+    else:
+        proc = run_cli(["dualize"], stdin=deep)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: parse error: JSON nested too deeply\n"
+
+
 @pytest.mark.parametrize("args", [
     ["metrize", "--chain", "DIR"],
     ["theta", "--metric", "DIR"],
@@ -382,6 +397,32 @@ def test_theta_rejects_malformed_metrics(tmp_path, metric, problem):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert problem in proc.stderr
+
+
+@pytest.mark.parametrize("exponent", ["999999999", "-999999999", "4301", "-4301"])
+def test_theta_refuses_a_rational_with_a_huge_exponent(tmp_path, exponent):
+    # Fraction would build all 10**999999999 of it
+    value = f"1e{exponent}"
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"dist": [["0", value], [value, "0"]]}))
+    proc = run_cli(["theta", "--metric", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr == f'error: metric dist[0][1] is "{value}", not a rational\n'
+
+
+@pytest.mark.parametrize("text,value", [pytest.param(text, value, id=text) for text, value in [
+    ("1/2", Fraction(1, 2)), ("0.5", Fraction(1, 2)), ("1e3", 1000), ("1e-3", Fraction(1, 1000)),
+    ("1e4300", 10**4300), ("1e-4300", Fraction(1, 10**4300)),
+]])
+def test_rationals_up_to_the_exponent_bound_still_read(text, value):
+    assert expect_rational(text, "x") == value
+
+
+def test_a_discrete_metric_past_the_enumeration_bound_exits_2():
+    proc = run_cli(["theta", "--metric", "discrete:100000"])
+    assert proc.returncode == 2 and proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(
+        "error: the 100000x100000 distance matrix needs 10000000000 items, above the bound")
 
 
 def test_cover_ops_print_the_frozenset_reference_bytes(tmp_path):

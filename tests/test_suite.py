@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_cli import run_cli
 from test_duality import oracle_transport, phi_at
 
 from stonework import duality, navector, suite, ultra, unif
 from stonework.boolring import BoolRing, additive_monoid, enumerate_group_endos, transpose_masks
 from stonework.duality import phi_array, preimage_mask
-from stonework.finmon import MonoidAction, full_selfmap_monoid
+from stonework.finmon import MonoidAction, SelfMapMonoid, full_selfmap_monoid
 from stonework.generators import enumerate_actions, enumerate_small_monoids, random_ultrametric
 from stonework.suite import SuiteConfig, check_delta, check_phi, run_suite
 
@@ -20,19 +21,28 @@ SMALL = SuiteConfig(bound_points=3, bound_atoms=3)
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("recorded,cfg", [
-    pytest.param("verify-seed0", SuiteConfig(seed=0), id="verify-seed0"),
+BOUNDS_MAX = ["--bound-points", "4", "--bound-atoms", "3", "--bound-k", "7"]
+
+
+@pytest.mark.parametrize("recorded,argv", [
+    pytest.param("verify-seed0", ["--seed", "0"], id="verify-seed0"),
     # the largest accepted bounds: the n=4 self-map and ring-endomorphism tables
-    pytest.param("verify-seed0-max", SuiteConfig(bound_points=4, bound_atoms=3, bound_k=7, seed=0),
-                 id="verify-seed0-max"),
+    pytest.param("verify-seed0-max", [*BOUNDS_MAX, "--seed", "0"], id="verify-seed0-max"),
+    pytest.param("verify-seed3-max", [*BOUNDS_MAX, "--seed", "3"], id="verify-seed3-max"),
     # other draws of the random sweeps
-    pytest.param("verify-seed7", SuiteConfig(seed=7), id="verify-seed7"),
-    pytest.param("verify-seed1001", SuiteConfig(seed=1001), id="verify-seed1001"),
+    pytest.param("verify-seed7", ["--seed", "7"], id="verify-seed7"),
+    pytest.param("verify-seed1001", ["--seed", "1001"], id="verify-seed1001"),
+    pytest.param("verify-seed2003", ["--seed", "2003"], id="verify-seed2003"),
+    # every option at its default: seed 0 at the default bounds
+    pytest.param("verify-seed0", [], id="verify-self-test"),
 ])
-def test_verdicts_match_the_recorded_reports(recorded, cfg):
-    reports = run_suite(cfg, suite.CHECKS + [suite.CONTROL])
-    got = [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports]
-    assert json.loads(json.dumps(got)) == json.loads((DATA / f"{recorded}.json").read_text())
+def test_verdicts_match_the_recorded_reports(recorded, argv):
+    # each record is a `verify --all --self-test --out json` report, without
+    # elapsed_ms; the negative control fails, so the command exits 1
+    proc = run_cli(["verify", "--all", "--self-test", "--out", "json", *argv])
+    assert proc.returncode == 1 and proc.stderr == ""
+    got = [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in json.loads(proc.stdout)]
+    assert got == json.loads((DATA / f"{recorded}.json").read_text())
 
 
 def fresh_kantorovich_spaces(seed):
@@ -171,7 +181,7 @@ def test_entourage_transport_fails_like_the_old_loop_on_a_short_preimage(monkeyp
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_ball_checks_test_the_precondition_once_per_instance(monkeypatch, side):
+def test_ball_checks_test_the_precondition_once_per_distinct_instance(monkeypatch, side):
     calls = []
     real = suite.nonexpansive_counterexample
 
@@ -181,10 +191,110 @@ def test_ball_checks_test_the_precondition_once_per_instance(monkeypatch, side):
 
     monkeypatch.setattr(suite, "nonexpansive_counterexample", counting)
     monkeypatch.setattr(suite, "BALL_INSTANCE_COUNT", 20)
-    check = suite.check_ball_submonoids if side == "right" else suite.check_ball_left_congruences
-    _, instances, witness = check(SuiteConfig())
+    name = "ball-submonoids" if side == "right" else "ball-left-congruences"
+    drawn = recording_draws(monkeypatch, name)
+    _, instances, witness = dict(suite.CHECKS)[name](SuiteConfig())
     assert witness is None and instances > 20
-    assert calls == [side] * 20
+    assert len(drawn()) == 20 and calls == [side] * len(set(drawn()))
+
+
+TWO_LEVEL = ultra.UltraPseudometric.from_rows([[0, "1/2", 1], ["1/2", 0, 1], [1, 1, 0]])
+
+# the sweeps that check each distinct instance once: the suite's names
+# that draw its parts, and the call each distinct instance makes once
+SWEEPS = {
+    "chain-metrization": (["random_chain"], "d_from_chain"),
+    "theta-closure": (["random_ultrametric"], "enumerate_theta"),
+    "theta-pointwise-entourages": (["random_ultrametric"], "enumerate_theta"),
+    "ball-submonoids": (["random_transformation_monoid", "random_one_sided_metric"],
+                        "nonexpansive_counterexample"),
+    "ball-left-congruences": (["random_transformation_monoid", "random_one_sided_metric"],
+                              "nonexpansive_counterexample"),
+}
+
+
+def recording_draws(monkeypatch, name):
+    """Record what the sweep draws; returns a function that gives its
+    instances so far, in draw order, as values equal where the laws read
+    equal data."""
+    out = []
+    for attr in SWEEPS[name][0]:
+        real = getattr(suite, attr)
+        monkeypatch.setattr(suite, attr, lambda *a, real=real, **k: out.append(real(*a, **k)) or out[-1])
+
+    def instances():
+        if name.startswith("ball-"):     # the monoid of its (table, maps) and the metric
+            return [(m, d) for (m, _), d in zip(out[::2], out[1::2])]
+        if name == "theta-pointwise-entourages":
+            return [ultra.UltraPseudometric.discrete(3), TWO_LEVEL, *out]
+        return list(out)
+    return instances
+
+
+def recorded_instances(seed):
+    return {r["check"]: r["instances"]
+            for r in json.loads((DATA / f"verify-seed{seed}.json").read_text())}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_sweeps_run_their_laws_once_per_distinct_instance(monkeypatch, name, seed):
+    calls = []
+    law = SWEEPS[name][1]
+    real = getattr(suite, law)
+    monkeypatch.setattr(suite, law, lambda first, *rest: calls.append(
+        (first, rest[0]) if rest else first) or real(first, *rest))
+    drawn = recording_draws(monkeypatch, name)
+    _, instances, witness = dict(suite.CHECKS)[name](SuiteConfig(seed=seed))
+    assert witness is None and instances == recorded_instances(seed)[name]
+    # first occurrences in draw order, and at this seed some instance repeats
+    assert calls == list(dict.fromkeys(drawn())) and len(calls) < len(drawn())
+
+
+def latest_repeated_instance(name, seed):
+    """Of the instances the sweep draws more than once, the one drawn
+    first last: every earlier repeat is counted before it fails."""
+    with pytest.MonkeyPatch.context() as patch:
+        drawn = recording_draws(patch, name)
+        dict(suite.CHECKS)[name](SuiteConfig(seed=seed))
+        instances = drawn()
+    repeated = [x for i, x in enumerate(instances) if x in instances[i + 1:]]
+    return max(repeated, key=instances.index)
+
+
+def fault_on(monkeypatch, name, target):
+    """Break the laws of one check on the instance target only."""
+    if name == "chain-metrization":
+        real = suite.minimax_path_distance
+        monkeypatch.setattr(suite, "minimax_path_distance",
+                            lambda chain, x, y: real(chain, x, y) + (chain == target))
+    elif name == "theta-closure":
+        closure, bad = SelfMapMonoid.verify_closure, ultra.enumerate_theta(target)
+        monkeypatch.setattr(SelfMapMonoid, "verify_closure", lambda self: closure(self) and self != bad)
+    elif name == "theta-pointwise-entourages":
+        real = suite.epsilon_A_relation
+
+        def split(theta, d, points, eps):       # as in the class-split test above
+            p = real(theta, d, points, eps)
+            if list(points) != [0] or d != target:
+                return p
+            ids = list(p.class_id)
+            ids[-1] = max(ids) + 1
+            return ultra.Partition.from_class_ids(ids)
+        monkeypatch.setattr(suite, "epsilon_A_relation", split)
+    else:
+        real = suite.nonexpansive_counterexample
+        monkeypatch.setattr(suite, "nonexpansive_counterexample", lambda m, d, side: (
+            (0, 0, 0) if (m, d) == target else real(m, d, side)))
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_a_fault_on_a_repeated_instance_fails_at_its_first_occurrence(monkeypatch, name):
+    # the witness and instance count that checking every draw gives
+    expected = json.loads((DATA / "repeated-instance-faults.json").read_text())[name]
+    fault_on(monkeypatch, name, latest_repeated_instance(name, seed=0))
+    _, instances, witness = dict(suite.CHECKS)[name](SuiteConfig(seed=0))
+    assert {"instances": instances, "witness": witness} == expected
 
 
 def test_contraction_fails_when_the_extension_is_applied_twice(monkeypatch):
