@@ -13,7 +13,6 @@ rows of one array, to a SelfMapMonoid, which keys and composes them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 
@@ -22,7 +21,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .finmon import SelfMapMonoid
 from .limits import guard_enum
-from .schema import expect_field, expect_int, expect_list, expect_object
 
 
 def parity(x: int) -> int:
@@ -41,16 +39,6 @@ def xor_over_bits(masks, x: int) -> int:
         if x >> a & 1:
             out ^= mask
     return out
-
-
-def bits_to_mask(bits: str) -> int:
-    mask = 0
-    for i, ch in enumerate(bits):
-        if ch == "1":
-            mask |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"bad bitstring character {ch!r}")
-    return mask
 
 
 @dataclass(frozen=True)
@@ -87,25 +75,6 @@ class BoolRing:
 
     def to_json(self) -> dict:
         return {"atoms": self.atom_count}
-
-
-def ring_from_json(obj: dict) -> BoolRing:
-    obj = expect_object(obj, "ring")
-    return BoolRing(expect_int(expect_field(obj, "atoms", "ring"), "ring atoms", 1))
-
-
-def _masks_from_json(ring: BoolRing, obj, key: str, what: str) -> tuple[int, ...]:
-    """The field key of obj, one n-bit string per atom, read as masks."""
-    n = ring.atom_count
-    obj = expect_object(obj, what)
-    entries = expect_list(expect_field(obj, key, what), f"{what} {key}")
-    if len(entries) != n:
-        raise ValueError(f"{what} {key} has {len(entries)} entries, not {n}")
-    for i, bits in enumerate(entries):
-        if not (isinstance(bits, str) and len(bits) == n and set(bits) <= {"0", "1"}):
-            raise ValueError(
-                f"{what} {key}[{i}] is {json.dumps(bits)}, not a bit string of length {n}")
-    return tuple(bits_to_mask(bits) for bits in entries)
 
 
 @dataclass(frozen=True)
@@ -149,11 +118,6 @@ class RingEndo:
     def to_json(self) -> dict:
         n = self.ring.atom_count
         return {"atom_images": [mask_to_bits(img, n) for img in self.atom_images]}
-
-
-def ring_endo_from_json(ring: BoolRing, obj: dict) -> RingEndo:
-    images = _masks_from_json(ring, obj, "atom_images", "ring endomorphism")
-    return RingEndo(ring=ring, atom_images=images)
 
 
 def identity_ring_endo(ring: BoolRing) -> RingEndo:
@@ -225,10 +189,6 @@ class GroupEndo:
     def to_json(self) -> dict:
         n = self.ring.atom_count
         return {"matrix": [mask_to_bits(r, n) for r in self.rows]}
-
-
-def group_endo_from_json(ring: BoolRing, obj: dict) -> GroupEndo:
-    return GroupEndo(ring=ring, rows=_masks_from_json(ring, obj, "matrix", "group endomorphism"))
 
 
 def enumerate_group_endos(ring: BoolRing) -> list[GroupEndo]:

@@ -77,9 +77,6 @@ class FreeVector:
         # symmetric difference does too
         return FreeVector._unchecked(self.space, self.support ^ other.support)
 
-    def is_zero(self) -> bool:
-        return not self.support
-
 
 def _support(points) -> frozenset[int]:
     """The support of the sum of the given points; a repeated point cancels

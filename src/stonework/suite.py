@@ -2,8 +2,11 @@
 
 Each check exhaustively (or with seeded random sweeps) exercises one of
 the dualities, metrization constructions, or combinators, at sizes set
-by a SuiteConfig.  Checks report pass/fail with a replayable witness and
-never raise; order and content are deterministic for a fixed config.
+by a SuiteConfig.  A check is a generator: it yields its params dict
+once, then one (count, witness) per step, where witness is None or a
+replayable witness of a failure.  run_check sums the counts up to and
+including the first step with a witness and never resumes the check
+after it.  Order and content are deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -136,27 +139,22 @@ def _rng(cfg: SuiteConfig, name: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{name}")
 
 
-class _Sweep:
-    """The instance count of one check call's sweep, and its instances
-    that have passed, by a key of everything their laws read; a sweep
-    lives for one check call."""
+def _sweep():
+    """The memo of one check call's sweep: check(key, laws) -> (count,
+    witness), for a key of everything the laws read.  laws() -> (count,
+    witness) runs on the first occurrence of key only; a key that has
+    passed gives the count it recorded again.  Failures are not kept, so
+    a failure is reported at its first occurrence."""
+    passed = {}     # key -> the count its laws recorded
 
-    def __init__(self):
-        self.instances = 0
-        self._passed = {}       # key -> the instance count its laws recorded
-
-    def check(self, key, laws):
-        """Count one instance and return its witness, or None.  laws() ->
-        (instances, witness) runs on the first occurrence of key only; a
-        key that has passed adds the count it recorded again.  Failures
-        are not kept, so a failure is reported at its first occurrence."""
-        count, witness = self._passed.get(key), None
-        if count is None:
-            count, witness = laws()
-            if witness is None:
-                self._passed[key] = count
-        self.instances += count
-        return witness
+    def check(key, laws):
+        if key in passed:
+            return passed[key], None
+        count, witness = laws()
+        if witness is None:
+            passed[key] = count
+        return count, witness
+    return check
 
 
 def _metric_key(d: UltraPseudometric):
@@ -229,25 +227,22 @@ def _delta_law(source: SelfMapMonoid, target: SelfMapMonoid, order: np.ndarray):
 
 
 def check_duality_counts(cfg: SuiteConfig):
-    params = {"points": list(range(1, cfg.bound_points + 1))}
-    instances = 0
+    yield {"points": list(range(1, cfg.bound_points + 1))}
     for n in range(1, cfg.bound_points + 1):
         maps = full_selfmap_monoid(n)
         endos = enumerate_ring_endos(BoolRing(n))
-        instances += len(maps) + len(endos)
+        yield len(maps) + len(endos), None
         if not (len(maps) == len(endos) == n**n):
-            return params, instances, {
+            yield 0, {
                 "n": n,
                 "selfmaps": len(maps),
                 "ring_endos": len(endos),
                 "expected": n**n,
             }
-    return params, instances, None
 
 
 def check_phi(cfg: SuiteConfig):
-    params = {"points": list(range(1, cfg.bound_points + 1))}
-    instances = 0
+    yield {"points": list(range(1, cfg.bound_points + 1))}
     for n in range(1, cfg.bound_points + 1):
         maps = full_selfmap_monoid(n)
         ring = BoolRing(n)
@@ -265,9 +260,9 @@ def check_phi(cfg: SuiteConfig):
         else:
             closed = ring_maps.composites() is not None
         if not closed:
-            return params, instances, {
+            yield 0, {
                 "n": n, "failure": "ring-endomorphism composition left the enumerated set"}
-        instances += len(maps) ** 2
+        yield len(maps) ** 2, None
         failure = "phi is not a bijection"
         if ring_maps is not None and len(ring_maps) == len(endos):
             try:
@@ -276,16 +271,15 @@ def check_phi(cfg: SuiteConfig):
                 phi_idx = None
             failure = _anti_law(maps, ring_maps, phi_idx, np.arange(len(maps)))
         if isinstance(failure, str):
-            return params, instances, {"n": n, "failure": "phi is not a bijection"}
-        if failure is not None:
+            yield 0, {"n": n, "failure": "phi is not a bijection"}
+        elif failure is not None:
             s, t = failure
-            return params, instances, {
+            yield 0, {
                 "n": n,
                 "s": maps.values[s].tolist(),
                 "t": maps.values[t].tolist(),
                 "failure": "phi(s.t) != phi(t).phi(s)",
             }
-    return params, instances, None
 
 
 # how check_delta words two of _delta_law's failures on the phi image
@@ -296,20 +290,19 @@ _ON_PHI_IMAGE = {
 
 
 def check_delta(cfg: SuiteConfig):
-    params = {"atoms": list(range(1, cfg.bound_atoms + 1)),
-              "points": list(range(1, cfg.bound_points + 1))}
-    instances = 0
+    yield {"atoms": list(range(1, cfg.bound_atoms + 1)),
+           "points": list(range(1, cfg.bound_points + 1))}
 
     # full additive endomorphism monoid
     for n in range(1, cfg.bound_atoms + 1):
         endos = enumerate_group_endos(BoolRing(n))
         matrices, order = additive_monoid(transpose_masks([e.rows for e in endos], n), n)
-        instances += len(endos) ** 2
+        yield len(endos) ** 2, None
         failure = _delta_law(matrices, matrices, order)
         if isinstance(failure, str):
-            return params, instances, {"n": n, "failure": failure}
-        if failure is not None:
-            return params, instances, {
+            yield 0, {"n": n, "failure": failure}
+        elif failure is not None:
+            yield 0, {
                 "n": n,
                 "sigma": endos[failure[0]].to_json(),
                 "tau": endos[failure[1]].to_json(),
@@ -322,30 +315,28 @@ def check_delta(cfg: SuiteConfig):
         images = phi_array(maps.values)
         image, order = additive_monoid(images, n)
         transposes, _ = additive_monoid(transpose_masks(images, n), n)
-        instances += len(maps) ** 2
+        yield len(maps) ** 2, None
         failure = _delta_law(image, transposes, order)
         if isinstance(failure, str):
-            return params, instances, {"n": n, "failure": _ON_PHI_IMAGE.get(failure, failure)}
-        if failure is not None:
-            return params, instances, {
+            yield 0, {"n": n, "failure": _ON_PHI_IMAGE.get(failure, failure)}
+        elif failure is not None:
+            yield 0, {
                 "n": n,
                 "s": maps.values[failure[0]].tolist(),
                 "t": maps.values[failure[1]].tolist(),
                 "failure": "anti-law fails on the phi image",
             }
-    return params, instances, None
 
 
 def check_evaluation(cfg: SuiteConfig):
-    params = {"points": list(range(1, cfg.bound_points + 1))}
-    instances = 0
+    yield {"points": list(range(1, cfg.bound_points + 1))}
     for n in range(1, cfg.bound_points + 1):
         ring = BoolRing(n)
         homs = set(ring_homs_to_Z2(ring))
         image = {1 << y for y in range(n)}
-        instances += len(homs)
+        yield len(homs), None
         if homs != image or len(image) != n:
-            return params, instances, {
+            yield 0, {
                 "n": n,
                 "ring_homs": sorted(homs),
                 "evaluation_image": sorted(image),
@@ -354,21 +345,19 @@ def check_evaluation(cfg: SuiteConfig):
         for s in maps.elements:
             endo = hom_embed(s, ring)
             for y in range(n):
-                instances += 1
+                yield 1, None
                 if endo.apply(1 << y) != 1 << s[y]:
-                    return params, instances, {
+                    yield 0, {
                         "n": n,
                         "s": list(s),
                         "y": y,
                         "failure": "evaluation is not equivariant",
                     }
-    return params, instances, None
 
 
 def check_entourage_transport(cfg: SuiteConfig):
     bound = min(cfg.bound_points, 3)
-    params = {"points": list(range(1, bound + 1))}
-    instances = 0
+    yield {"points": list(range(1, bound + 1))}
     for n in range(1, bound + 1):
         ring = BoolRing(n)
         maps = full_selfmap_monoid(n)
@@ -380,20 +369,19 @@ def check_entourage_transport(cfg: SuiteConfig):
             split = np.flatnonzero((memberships != memberships[0]).any(axis=0))
             if split.size:
                 p = int(split[0])
-                return params, instances + p + 1, {
+                yield p + 1, {
                     "n": n,
                     "chi": chi,
                     "s1": maps.values[p // k].tolist(),
                     "s2": maps.values[p % k].tolist(),
                     "memberships": memberships[:, p].tolist(),
                 }
-            instances += k * k
-    return params, instances, None
+            yield k * k, None
 
 
 def _chain_laws(chain):
     """The closed form against the path oracle on every pair, then the
-    sandwich at every level: (instances, witness)."""
+    sandwich at every level: (count, witness)."""
     n = chain.carrier_size
     d = d_from_chain(chain)
     closed = d.dist
@@ -435,50 +423,44 @@ def _chain_laws(chain):
 
 def check_chain_metrization(cfg: SuiteConfig):
     rng = _rng(cfg, "chain-metrization")
-    params = {"chains": CHAIN_COUNT, "max_points": 6}
-    sweep = _Sweep()
+    yield {"chains": CHAIN_COUNT, "max_points": 6}
+    check = _sweep()
     for _ in range(CHAIN_COUNT):
         chain = random_chain(rng, rng.randint(2, 6))
         # the laws read the chain through its carrier and class ids only
         key = (chain.carrier_size, tuple(p.class_id for p in chain.chain))
-        if (witness := sweep.check(key, lambda: _chain_laws(chain))) is not None:
-            return params, sweep.instances, witness
-    return params, sweep.instances, None
+        yield check(key, lambda: _chain_laws(chain))
 
 
 def check_theta_discrete(cfg: SuiteConfig):
     bound = min(cfg.bound_points, 3)
-    params = {"points": list(range(1, bound + 1))}
-    instances = 0
+    yield {"points": list(range(1, bound + 1))}
     for n in range(1, bound + 1):
         theta = enumerate_theta(UltraPseudometric.discrete(n))
         everything = full_selfmap_monoid(n)
-        instances += len(everything)
+        yield len(everything), None
         if not np.array_equal(theta.values, everything.values):
-            return params, instances, {"n": n, "theta": len(theta), "maps": len(everything)}
-    return params, instances, None
+            yield 0, {"n": n, "theta": len(theta), "maps": len(everything)}
 
 
 def check_theta_closure(cfg: SuiteConfig):
     rng = _rng(cfg, "theta-closure")
-    params = {"metrics": THETA_METRIC_COUNT, "max_points": 4}
+    yield {"metrics": THETA_METRIC_COUNT, "max_points": 4}
 
     def laws(d):
         theta = enumerate_theta(d)
         closed = theta.verify_closure()
         return len(theta) ** 2, None if closed else {"metric": d.to_json(), "failure": "not closed"}
 
-    sweep = _Sweep()
+    check = _sweep()
     for _ in range(THETA_METRIC_COUNT):
         d = random_ultrametric(rng, rng.randint(2, 4))
-        if (witness := sweep.check(_metric_key(d), lambda: laws(d))) is not None:
-            return params, sweep.instances, witness
-    return params, sweep.instances, None
+        yield check(_metric_key(d), lambda: laws(d))
 
 
 def check_theta_entourages(cfg: SuiteConfig):
     rng = _rng(cfg, "theta-entourages")
-    params = {"points": 3, "metrics": 5}
+    yield {"points": 3, "metrics": 5}
     n = 3
     metrics = [UltraPseudometric.discrete(n)]
     two_level = UltraPseudometric.from_rows([[0, "1/2", 1], ["1/2", 0, 1], [1, 1, 0]])
@@ -522,17 +504,15 @@ def check_theta_entourages(cfg: SuiteConfig):
             count += len(point_sets) * k * k
         return count, None
 
-    sweep = _Sweep()
+    check = _sweep()
     for d in metrics:
-        if (witness := sweep.check(_metric_key(d), lambda: laws(d))) is not None:
-            return params, sweep.instances, witness
-    return params, sweep.instances, None
+        yield check(_metric_key(d), lambda: laws(d))
 
 
 def _ball_check(cfg: SuiteConfig, name: str, side: str, law):
     """law(m, d, r) on every radius r of random side-nonexpansive metrics d."""
     rng = _rng(cfg, name)
-    params = {"instances": BALL_INSTANCE_COUNT, "max_monoid": 6}
+    yield {"instances": BALL_INSTANCE_COUNT, "max_monoid": 6}
 
     def laws(m, d):
         if nonexpansive_counterexample(m, d, side) is not None:
@@ -552,29 +532,27 @@ def _ball_check(cfg: SuiteConfig, name: str, side: str, law):
                 }
         return len(radii), None
 
-    sweep = _Sweep()
+    check = _sweep()
     for _ in range(BALL_INSTANCE_COUNT):
         m, _ = random_transformation_monoid(rng, rng.randint(2, 4), max_size=6)
         d = random_one_sided_metric(rng, m, side)
         # the laws read the monoid through its table and identity only
         key = (m.values.tobytes(), m.identity, _metric_key(d))
-        if (witness := sweep.check(key, lambda: laws(m, d))) is not None:
-            return params, sweep.instances, witness
-    return params, sweep.instances, None
+        yield check(key, lambda: laws(m, d))
 
 
 def check_ball_submonoids(cfg: SuiteConfig):
-    return _ball_check(cfg, "ball-submonoids", "right",
-                       lambda m, d, r: is_submonoid(m, d.ball(m.identity, r)))
+    yield from _ball_check(cfg, "ball-submonoids", "right",
+                           lambda m, d, r: is_submonoid(m, d.ball(m.identity, r)))
 
 
 def check_ball_left_congruences(cfg: SuiteConfig):
-    return _ball_check(cfg, "ball-left-congruences", "left",
-                       lambda m, d, r: check_left_congruence(m, d.ball_partition(r)))
+    yield from _ball_check(cfg, "ball-left-congruences", "left",
+                           lambda m, d, r: check_left_congruence(m, d.ball_partition(r)))
 
 
 def check_saturation(cfg: SuiteConfig):
-    params = {"monoid_size": 3, "carrier": 3}
+    yield {"monoid_size": 3, "carrier": 3}
     n = 3
     lattice = partition_lattice(n)
     B = len(lattice)
@@ -604,7 +582,7 @@ def check_saturation(cfg: SuiteConfig):
 
     # the saturations and their oracles read only the action table, so a
     # table that has passed passes again under any other monoid
-    sweep = _Sweep()
+    check = _sweep()
     for m in enumerate_small_monoids(3):
         actions = enumerate_actions(m, n)
         k, count = m.size, len(actions)
@@ -622,39 +600,35 @@ def check_saturation(cfg: SuiteConfig):
             if not lawful[a]:
                 i = int(bad[a].argmax())
                 e, s, t = np.unravel_index(i, (B, k, k))
-                return params, sweep.instances + i + 1, {
+                yield i + 1, {
                     "monoid": m.to_json(), "action": action.values.tolist(),
                     "partition": lattice.partitions[e].to_json(),
                     "pair": [int(s), int(t)],
                 }
-            sweep.instances += B * k * k
+            yield B * k * k, None
             table = (action.values.shape, action.values.tobytes())
-            if (witness := sweep.check(table, lambda: laws(m, action, pull[a]))) is not None:
-                return params, sweep.instances, witness
-    return params, sweep.instances, None
+            yield check(table, lambda: laws(m, action, pull[a]))
 
 
 def check_covering_combinators(cfg: SuiteConfig):
     rng = _rng(cfg, "covering-combinators")
-    params = {"pairs": COVER_PAIR_COUNT, "max_points": 6}
-    instances = 0
+    yield {"pairs": COVER_PAIR_COUNT, "max_points": 6}
     for _ in range(COVER_PAIR_COUNT):
         n = rng.randint(2, 6)
         p = random_cover(rng, n)
         q = random_cover(rng, n)
-        instances += 1
+        yield 1, None
         if not refines(p, cover_star(p)):
-            return params, instances, {"cover": p.to_json(), "failure": "P does not refine P*"}
+            yield 0, {"cover": p.to_json(), "failure": "P does not refine P*"}
         if cover_order(cover_wedge(p, q)) > cover_order(p) * cover_order(q):
-            return params, instances, {
+            yield 0, {
                 "p": p.to_json(),
                 "q": q.to_json(),
                 "failure": "wedge order exceeds the product bound",
             }
         part = Cover.from_partition(random_partition(rng, n))
         if cover_order(part) != 1:
-            return params, instances, {"cover": part.to_json(), "failure": "partition order"}
-    return params, instances, None
+            yield 0, {"cover": part.to_json(), "failure": "partition order"}
 
 
 @functools.lru_cache(maxsize=1)
@@ -674,53 +648,48 @@ def _kantorovich_spaces(seed: int) -> tuple[UltraPseudometric, ...]:
 
 
 def check_kantorovich_extension(cfg: SuiteConfig):
-    params = {"max_points": 4}
-    instances = 0
+    yield {"max_points": 4}
     for space in _kantorovich_spaces(cfg.seed):
         base = space.carrier_size - 1
         zero_norm = navector.kantorovich_norm(navector.vector(space, []))
         if zero_norm != 0:
-            return params, instances, {"space": space.to_json(), "failure": "zero vector"}
+            yield 0, {"space": space.to_json(), "failure": "zero vector"}
         for x in range(base):
-            instances += 1
+            yield 1, None
             if navector.kantorovich_norm(navector.vector(space, [x])) != 1:
-                return params, instances, {"space": space.to_json(), "point": x}
+                yield 0, {"space": space.to_json(), "point": x}
             for y in range(x + 1, base):
-                instances += 1
+                yield 1, None
                 norm = navector.kantorovich_norm(navector.vector(space, [x, y]))
                 if norm != space.d(x, y):
-                    return params, instances, {
+                    yield 0, {
                         "space": space.to_json(),
                         "pair": [x, y],
                         "norm": str(norm),
                         "distance": str(space.d(x, y)),
                     }
-    return params, instances, None
 
 
 def check_kantorovich_ultranorm(cfg: SuiteConfig):
-    params = {"max_points": 4}
-    instances = 0
+    yield {"max_points": 4}
     for space in _kantorovich_spaces(cfg.seed):
         base = space.carrier_size - 1
         vectors = {s: navector.vector(space, s) for s in _subsets(base)}
         norms = {v.support: navector.kantorovich_norm(v) for v in vectors.values()}
         for s1, v1 in vectors.items():
-            for s2, v2 in vectors.items():
-                instances += 1
+            for count, (s2, v2) in enumerate(vectors.items(), 1):
                 if norms[v1.add(v2).support] > max(norms[v1.support], norms[v2.support]):
-                    return params, instances, {
+                    yield count, {
                         "space": space.to_json(),
                         "u": list(s1),
                         "v": list(s2),
                         "failure": "ultra-norm max law",
                     }
-    return params, instances, None
+            yield len(vectors), None
 
 
 def check_kantorovich_contraction(cfg: SuiteConfig):
-    params = {"points": 3}
-    instances = 0
+    yield {"points": 3}
     for space in _kantorovich_spaces(cfg.seed):
         base = space.carrier_size - 1
         if base != 3:
@@ -738,49 +707,46 @@ def check_kantorovich_contraction(cfg: SuiteConfig):
             for f in theta.elements
         ]
         for f, images in zip(theta.elements, pushed):
-            for s in supports:
-                instances += 1
+            for count, s in enumerate(supports, 1):
                 if norms[images[s]] > norms[s]:
-                    return params, instances, {
+                    yield count, {
                         "space": space.to_json(),
                         "map": list(f),
                         "support": list(s),
                         "failure": "extension increased the norm",
                     }
+            yield len(supports), None
         for i, f in enumerate(theta.elements):
             for j, g in enumerate(theta.elements):
                 direct = pushed[theta.compose(i, j)]
-                for s in supports:
-                    instances += 1
+                for count, s in enumerate(supports, 1):
                     if direct[s] != pushed[i][pushed[j][s]]:
-                        return params, instances, {
+                        yield count, {
                             "space": space.to_json(),
                             "f": list(f),
                             "g": list(g),
                             "support": list(s),
                             "failure": "extension is not multiplicative",
                         }
-    return params, instances, None
+                yield len(supports), None
 
 
 def check_kantorovich_oracle(cfg: SuiteConfig):
-    params = {"max_points": 4}
-    instances = 0
+    yield {"max_points": 4}
     for space in _kantorovich_spaces(cfg.seed):
         base = space.carrier_size - 1
         for s in _subsets(base):
-            instances += 1
+            yield 1, None
             v = navector.vector(space, s)
             plain = navector.kantorovich_norm(v)
             relaxed = navector.kantorovich_norm_with_auxiliary(v)
             if plain != relaxed:
-                return params, instances, {
+                yield 0, {
                     "space": space.to_json(),
                     "support": list(s),
                     "pairing_norm": str(plain),
                     "auxiliary_norm": str(relaxed),
                 }
-    return params, instances, None
 
 
 def _subsets(n: int):
@@ -791,55 +757,48 @@ def _subsets(n: int):
 
 
 def check_contrast(cfg: SuiteConfig):
-    params = {"levels": list(range(1, cfg.bound_k + 1))}
-    instances = 0
-    right_witness_seen = None
+    yield {"levels": list(range(1, cfg.bound_k + 1))}
     for k in range(1, cfg.bound_k + 1):
         instance = contrast_mod.build_contrast(k)
         cert = contrast_mod.rna_certificate(instance)
-        instances += instance.carrier_size ** 3
+        yield instance.carrier_size ** 3, None
         if not cert.ok:
-            return params, instances, {"k": k, "certificate": cert.to_json()}
-        if cert.right_witness is not None:
-            right_witness_seen = {"k": k, "triple": list(cert.right_witness)}
+            yield 0, {"k": k, "certificate": cert.to_json()}
         if k >= 2 and cert.right_witness is None:
-            return params, instances, {
+            yield 0, {
                 "k": k,
                 "failure": "expected right-nonexpansiveness counterexample is missing",
             }
         for j in range(k):
-            instances += 1
+            yield 1, None
             try:
                 u, nat = contrast_mod.obstruction_witness(instance, j)
             except NoWitness:
-                return params, instances, {"k": k, "j": j, "failure": "missing witness"}
+                yield 0, {"k": k, "j": j, "failure": "missing witness"}
             if instance.monoid.mul(u, nat) != instance.sink:
-                return params, instances, {"k": k, "j": j, "u": u, "n": nat}
+                yield 0, {"k": k, "j": j, "u": u, "n": nat}
         try:
             contrast_mod.obstruction_witness(instance, k)
-            return params, instances, {"k": k, "failure": "witness beyond the truncation"}
+            yield 0, {"k": k, "failure": "witness beyond the truncation"}
         except NoWitness:
-            instances += 1
-    if cfg.bound_k >= 2 and right_witness_seen is None:
-        return params, instances, {"failure": "no right counterexample recorded"}
-    return params, instances, None
+            yield 1, None
 
 
 def check_corrupted_table_control(cfg: SuiteConfig):
     """Negative control: a broken table must be caught with a replayable triple."""
     table = [[0, 1, 2], [1, 2, 1], [2, 2, 2]]
-    params = {"size": 3}
+    yield {"size": 3}
     try:
         validate_monoid(table, 0)
     except AssociativityViolation as exc:
         x, y, z = exc.triple
-        return params, 1, {
+        yield 1, {
             "table": table,
             "identity": 0,
             "violating_triple": [x, y, z],
         }
-    return params, 1, {"table": table, "identity": 0,
-                       "failure": "corruption was not detected"}
+    yield 1, {"table": table, "identity": 0,
+              "failure": "corruption was not detected"}
 
 
 CHECKS: list[tuple[str, object]] = [
@@ -867,16 +826,30 @@ CHECKS: list[tuple[str, object]] = [
 CONTROL = ("corrupted-table-control", check_corrupted_table_control)
 
 
+def run_check(check, cfg: SuiteConfig):
+    """Run one check: (params, instances, witness), where instances sums
+    the counts of its steps up to and including the first step with a
+    witness.  The check is not resumed after that step."""
+    steps = check(cfg)
+    params, instances = next(steps), 0
+    for count, witness in steps:
+        instances += count
+        if witness is not None:
+            return params, instances, witness
+    return params, instances, None
+
+
 def run_suite(cfg: SuiteConfig | None = None,
               checks: list[tuple[str, object]] | None = None) -> list[VerificationReport]:
-    """Run the given (name, check) pairs in order, by default CHECKS."""
+    """Run the given (name, check) pairs in order, by default CHECKS; a
+    check that raises fails with an {"error": ...} witness."""
     cfg = cfg or SuiteConfig()
     cfg.validate()
     reports = []
     for name, fn in CHECKS if checks is None else checks:
         start = time.perf_counter()
         try:
-            params, instances, witness = fn(cfg)
+            params, instances, witness = run_check(fn, cfg)
         except StoneworkError as exc:
             params, instances, witness = {}, 0, {"error": str(exc)}
         except Exception as exc:  # a crashed check is a failed check

@@ -505,10 +505,6 @@ def cover_blocks_from_json(obj) -> list[list[int]]:
     return expect_rows(expect_field(obj, "blocks", "cover"), "cover blocks")
 
 
-def cover_from_json(carrier_size: int, obj: dict) -> Cover:
-    return Cover.from_blocks(carrier_size, cover_blocks_from_json(obj))
-
-
 def cover_wedge(p: Cover, q: Cover) -> Cover:
     """All nonempty pairwise intersections; refines both inputs."""
     if p.carrier_size != q.carrier_size:

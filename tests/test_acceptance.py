@@ -34,6 +34,7 @@ from stonework.suite import (
     check_theta_closure,
     check_theta_discrete,
     check_theta_entourages,
+    run_check,
 )
 
 FULL = SuiteConfig(bound_points=4, bound_atoms=3, bound_k=6)
@@ -44,7 +45,7 @@ def run_criterion(number, label, budget_s, *checks, cfg=FULL):
     total = 0
     witness = None
     for check in checks:
-        _, instances, failure = check(cfg)
+        _, instances, failure = run_check(check, cfg)
         total += instances
         if failure is not None:
             witness = failure

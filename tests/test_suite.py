@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import tracemalloc
@@ -13,9 +14,10 @@ from test_duality import oracle_transport, phi_at
 from stonework import duality, navector, suite, ultra, unif
 from stonework.boolring import BoolRing, additive_monoid, enumerate_group_endos, transpose_masks
 from stonework.duality import phi_array, preimage_mask
+from stonework.errors import NoWitness
 from stonework.finmon import MonoidAction, SelfMapMonoid, full_selfmap_monoid
 from stonework.generators import enumerate_actions, enumerate_small_monoids, random_ultrametric
-from stonework.suite import SuiteConfig, check_delta, check_phi, run_suite
+from stonework.suite import SuiteConfig, check_delta, check_phi, run_check, run_suite
 
 SMALL = SuiteConfig(bound_points=3, bound_atoms=3)
 DATA = Path(__file__).parent / "data"
@@ -68,13 +70,46 @@ def test_run_suite_runs_only_the_given_checks():
     assert reports[0].passed
 
 
+@pytest.mark.parametrize("error,witness", [
+    (ValueError("bad table"), {"error": "ValueError: bad table"}),
+    (NoWitness("no witness"), {"error": "no witness"}),
+])
+def test_a_check_that_raises_after_its_params_reports_nothing_else(error, witness):
+    def crashing(cfg):
+        yield {"points": [1]}
+        yield 5, None
+        raise error
+
+    [report] = run_suite(SMALL, [("crashing", crashing)])
+    assert (report.params, report.instances, report.outcome) == ({}, 0, "fail")
+    assert report.witness == witness
+
+
+def test_run_check_is_not_resumed_after_the_first_witness():
+    def failing(cfg):
+        yield {"points": [1]}
+        yield 2, None
+        yield 3, {"failure": "first"}
+        raise AssertionError("resumed after its first witness")
+
+    assert run_check(failing, SMALL) == ({"points": [1]}, 5, {"failure": "first"})
+    [report] = run_suite(SMALL, [("failing", failing)])
+    assert (report.params, report.instances, report.witness) == (
+        {"points": [1]}, 5, {"failure": "first"})
+
+
+def test_every_check_is_a_generator():
+    for _, fn in [*suite.CHECKS, suite.CONTROL]:
+        assert inspect.isgeneratorfunction(fn), fn.__name__
+
+
 @pytest.mark.parametrize("atoms,failure,pair", [
     (3, "delta(sigma.tau) != delta(tau).delta(sigma)", ("sigma", "tau")),
     (1, "anti-law fails on the phi image", ("s", "t")),    # 1x1 matrices pass
 ])
 def test_delta_fails_when_transpose_is_the_identity(monkeypatch, atoms, failure, pair):
     monkeypatch.setattr(suite, "transpose_masks", lambda masks, n: masks)
-    _, _, witness = check_delta(SuiteConfig(bound_points=3, bound_atoms=atoms))
+    _, _, witness = run_check(check_delta, SuiteConfig(bound_points=3, bound_atoms=atoms))
     assert witness["failure"] == failure
     assert witness["n"] == 2 and set(pair) < set(witness)
 
@@ -97,7 +132,7 @@ def test_the_delta_law_holds_no_intp_copy_of_the_table():
 def test_phi_fails_when_the_array_form_is_wrong(monkeypatch):
     # a bijection onto the ring endomorphisms that is not phi
     monkeypatch.setattr(suite, "phi_array", lambda values: phi_array(values[::-1]))
-    _, _, witness = check_phi(SMALL)
+    _, _, witness = run_check(check_phi, SMALL)
     assert witness["failure"] == "phi(s.t) != phi(t).phi(s)"
     assert witness["n"] == 2
 
@@ -107,7 +142,7 @@ def test_phi_fails_when_the_array_form_is_not_onto(monkeypatch):
         return phi_array(values[:1].repeat(len(values), axis=0))
 
     monkeypatch.setattr(suite, "phi_array", constant)
-    _, _, witness = check_phi(SMALL)
+    _, _, witness = run_check(check_phi, SMALL)
     assert witness == {"n": 2, "failure": "phi is not a bijection"}
 
 
@@ -116,7 +151,7 @@ def test_phi_fails_when_an_endomorphism_is_missing(monkeypatch):
     # has atom images (3, 0), the composite (0, 3) after (2, 1)
     real = suite.enumerate_ring_endos
     monkeypatch.setattr(suite, "enumerate_ring_endos", lambda ring: real(ring)[:-1] or real(ring))
-    _, instances, witness = check_phi(SMALL)
+    _, instances, witness = run_check(check_phi, SMALL)
     assert witness == {"n": 2, "failure": "ring-endomorphism composition left the enumerated set"}
     assert instances == 1
 
@@ -132,7 +167,7 @@ def test_phi_fails_when_the_identity_endomorphism_is_missing(monkeypatch, keep, 
     real = suite.enumerate_ring_endos
     monkeypatch.setattr(suite, "enumerate_ring_endos", lambda ring: real(ring) if ring.atom_count != 2
                         else [e for e in real(ring) if keep(e)])
-    assert check_phi(SMALL)[1:] == (instances, {"n": 2, "failure": failure})
+    assert run_check(check_phi, SMALL)[1:] == (instances, {"n": 2, "failure": failure})
 
 
 def old_transport_scan(bound, memberships):
@@ -160,7 +195,7 @@ def shifted(s):
 def test_entourage_transport_fails_like_the_old_loop_on_a_wrong_phi(monkeypatch):
     # phi of the shifted map: a bijection onto the ring endomorphisms that is not phi
     monkeypatch.setattr(duality, "phi_array", lambda values: phi_array((values + 1) % values.shape[1]))
-    _, instances, witness = suite.check_entourage_transport(SMALL)
+    _, instances, witness = run_check(suite.check_entourage_transport, SMALL)
     assert witness is not None and len(set(witness["memberships"])) == 2
     assert (instances, witness) == old_transport_scan(3, lambda chi, s1, s2, ring: oracle_transport(
         chi, s1, s2, ring, image=lambda s, ring, chi: phi_at(shifted(s), ring, chi)))
@@ -174,7 +209,7 @@ def test_entourage_transport_fails_like_the_old_loop_on_a_short_preimage(monkeyp
     real = duality.preimage_masks
     monkeypatch.setattr(duality, "preimage_masks", lambda values, chi: without_last_point(
         real(values, chi), values.shape[-1]))
-    _, instances, witness = suite.check_entourage_transport(SMALL)
+    _, instances, witness = run_check(suite.check_entourage_transport, SMALL)
     assert witness is not None and len(set(witness["memberships"])) == 2
     assert (instances, witness) == old_transport_scan(3, lambda chi, s1, s2, ring: oracle_transport(
         chi, s1, s2, ring, preimage=lambda s, chi: without_last_point(preimage_mask(s, chi), len(s))))
@@ -193,7 +228,7 @@ def test_ball_checks_test_the_precondition_once_per_distinct_instance(monkeypatc
     monkeypatch.setattr(suite, "BALL_INSTANCE_COUNT", 20)
     name = "ball-submonoids" if side == "right" else "ball-left-congruences"
     drawn = recording_draws(monkeypatch, name)
-    _, instances, witness = dict(suite.CHECKS)[name](SuiteConfig())
+    _, instances, witness = run_check(dict(suite.CHECKS)[name], SuiteConfig())
     assert witness is None and instances > 20
     assert len(drawn()) == 20 and calls == [side] * len(set(drawn()))
 
@@ -245,7 +280,7 @@ def test_sweeps_run_their_laws_once_per_distinct_instance(monkeypatch, name, see
     monkeypatch.setattr(suite, law, lambda first, *rest: calls.append(
         (first, rest[0]) if rest else first) or real(first, *rest))
     drawn = recording_draws(monkeypatch, name)
-    _, instances, witness = dict(suite.CHECKS)[name](SuiteConfig(seed=seed))
+    _, instances, witness = run_check(dict(suite.CHECKS)[name], SuiteConfig(seed=seed))
     assert witness is None and instances == recorded_instances(seed)[name]
     # first occurrences in draw order, and at this seed some instance repeats
     assert calls == list(dict.fromkeys(drawn())) and len(calls) < len(drawn())
@@ -256,7 +291,7 @@ def latest_repeated_instance(name, seed):
     first last: every earlier repeat is counted before it fails."""
     with pytest.MonkeyPatch.context() as patch:
         drawn = recording_draws(patch, name)
-        dict(suite.CHECKS)[name](SuiteConfig(seed=seed))
+        run_check(dict(suite.CHECKS)[name], SuiteConfig(seed=seed))
         instances = drawn()
     repeated = [x for i, x in enumerate(instances) if x in instances[i + 1:]]
     return max(repeated, key=instances.index)
@@ -293,14 +328,14 @@ def test_a_fault_on_a_repeated_instance_fails_at_its_first_occurrence(monkeypatc
     # the witness and instance count that checking every draw gives
     expected = json.loads((DATA / "repeated-instance-faults.json").read_text())[name]
     fault_on(monkeypatch, name, latest_repeated_instance(name, seed=0))
-    _, instances, witness = dict(suite.CHECKS)[name](SuiteConfig(seed=0))
+    _, instances, witness = run_check(dict(suite.CHECKS)[name], SuiteConfig(seed=0))
     assert {"instances": instances, "witness": witness} == expected
 
 
 def test_contraction_fails_when_the_extension_is_applied_twice(monkeypatch):
     real = navector.lipschitz_linear_extend
     monkeypatch.setattr(navector, "lipschitz_linear_extend", lambda f, v: real(f, real(f, v)))
-    _, _, witness = suite.check_kantorovich_contraction(SMALL)
+    _, _, witness = run_check(suite.check_kantorovich_contraction, SMALL)
     assert witness["failure"] == "extension is not multiplicative"
     assert {"space", "f", "g", "support"} < set(witness)
 
@@ -310,7 +345,7 @@ def test_contraction_fails_when_the_extension_raises_the_norm(monkeypatch):
         return navector.vector(v.space, range(v.zero_point))
 
     monkeypatch.setattr(navector, "lipschitz_linear_extend", full_support)
-    _, instances, witness = suite.check_kantorovich_contraction(SMALL)
+    _, instances, witness = run_check(suite.check_kantorovich_contraction, SMALL)
     assert witness["failure"] == "extension increased the norm"
     assert witness["map"] == [0, 0, 0] and witness["support"] == [] and instances == 1
 
@@ -318,7 +353,7 @@ def test_contraction_fails_when_the_extension_raises_the_norm(monkeypatch):
 def test_oracle_agreement_fails_when_the_norm_is_off(monkeypatch):
     real = navector.kantorovich_norm
     monkeypatch.setattr(navector, "kantorovich_norm", lambda v: real(v) + 1)
-    _, instances, witness = suite.check_kantorovich_oracle(SMALL)
+    _, instances, witness = run_check(suite.check_kantorovich_oracle, SMALL)
     assert instances == 1
     assert witness["pairing_norm"] == "1" and witness["auxiliary_norm"] == "0"
 
@@ -329,7 +364,7 @@ def test_saturation_fails_on_a_wrong_pullback(monkeypatch):
     pullback = unif.PartitionLattice.pullback
     monkeypatch.setattr(unif.PartitionLattice, "pullback",
                         lambda self, act: pullback(self, act[::-1]))
-    _, instances, witness = suite.check_saturation(SMALL)
+    _, instances, witness = run_check(suite.check_saturation, SMALL)
     assert set(witness) == {"monoid", "action", "partition", "pair"}
     assert 0 < instances < 9950
 
@@ -344,7 +379,7 @@ def dropping_first_member(saturation):
 def test_saturation_fails_when_a_member_is_dropped(monkeypatch):
     monkeypatch.setattr(unif.PartitionLattice, "saturation",
                         dropping_first_member(unif.PartitionLattice.saturation))
-    _, _, witness = suite.check_saturation(SMALL)
+    _, _, witness = run_check(suite.check_saturation, SMALL)
     assert witness["failure"] == "saturation disagrees with the worklist oracle"
     assert set(witness) == {"monoid", "action", "generator", "failure"}
 
@@ -355,7 +390,7 @@ def test_saturation_fails_when_both_drop_the_generator(monkeypatch):
                         dropping_first_member(unif.PartitionLattice.saturation))
     monkeypatch.setattr(suite, "saturate_worklist",
                         dropping_first_member(unif.saturate_worklist))
-    _, instances, witness = suite.check_saturation(SMALL)
+    _, instances, witness = run_check(suite.check_saturation, SMALL)
     assert witness["failure"] == "saturation fixed point violated"
     assert witness["generator"] == {"classes": [[0, 1, 2]]}
     assert instances == 3 * 3 * 5 + 1
@@ -381,7 +416,7 @@ def test_saturation_checks_the_last_distinct_action_table(monkeypatch):
         firsts.setdefault(action.values.tobytes(), at)
     last = max(firsts.values())
     monkeypatch.setattr(suite, "saturate", dropping_first_member_on(scan[last].values))
-    _, instances, witness = suite.check_saturation(SMALL)
+    _, instances, witness = run_check(suite.check_saturation, SMALL)
     assert witness["failure"] == "saturation disagrees with the worklist oracle"
     assert witness["action"] == scan[last].values.tolist()
     assert witness["monoid"] == scan[last].monoid.to_json()
@@ -408,7 +443,7 @@ def with_broken_action(monkeypatch):
 
 def test_saturation_law_fails_in_the_middle_of_a_monoids_actions(monkeypatch):
     scan, at = with_broken_action(monkeypatch)
-    _, instances, witness = suite.check_saturation(SMALL)
+    _, instances, witness = run_check(suite.check_saturation, SMALL)
     # the first (eps, s, t) in scan order: the indiscrete partition and
     # {0, 1} {2} pull back alike along act[2] and the identity
     assert witness == {"monoid": scan[at].monoid.to_json(), "action": scan[at].values.tolist(),
@@ -424,7 +459,7 @@ def test_saturation_fails_before_a_later_law_defect_of_the_same_monoid(monkeypat
     assert scan[earlier].monoid == scan[at].monoid
     assert all(not np.array_equal(a.values, scan[earlier].values) for a in scan[:earlier])
     monkeypatch.setattr(suite, "saturate", dropping_first_member_on(scan[earlier].values))
-    _, instances, witness = suite.check_saturation(SMALL)
+    _, instances, witness = run_check(suite.check_saturation, SMALL)
     assert witness == {"monoid": scan[earlier].monoid.to_json(),
                        "action": scan[earlier].values.tolist(),
                        "generator": {"classes": [[0, 1, 2]]},
@@ -464,7 +499,7 @@ def test_saturation_pulls_back_once_per_monoid_and_saturates_each_table_once(mon
     monkeypatch.setattr(suite, "saturate", counting("saturate", unif.saturate))
     monkeypatch.setattr(suite, "saturate_worklist",
                         counting("saturate_worklist", unif.saturate_worklist))
-    assert suite.check_saturation(SMALL)[2] is None
+    assert run_check(suite.check_saturation, SMALL)[2] is None
     # 199 actions of the eleven 3-element monoids, 108 distinct tables, 5
     # generators: one pullback table per monoid holds all of its actions',
     # and every saturate call reads the check's own
@@ -481,7 +516,7 @@ def scaled_chain_metric(factor):
 
 def test_chain_metrization_fails_one_level_too_deep(monkeypatch):
     monkeypatch.setattr(suite, "d_from_chain", scaled_chain_metric(Fraction(1, 2)))
-    _, instances, witness = suite.check_chain_metrization(SMALL)
+    _, instances, witness = run_check(suite.check_chain_metrization, SMALL)
     assert set(witness) == {"chain", "pair", "closed_form", "path_infimum"}
     assert 2 * Fraction(witness["closed_form"]) == Fraction(witness["path_infimum"])
     assert instances == 1
@@ -492,7 +527,7 @@ def test_chain_metrization_sandwich_fails_one_level_too_shallow(monkeypatch):
     shallow = scaled_chain_metric(2)
     monkeypatch.setattr(suite, "d_from_chain", shallow)
     monkeypatch.setattr(suite, "minimax_path_distance", lambda chain, x, y: shallow(chain).d(x, y))
-    _, instances, witness = suite.check_chain_metrization(SMALL)
+    _, instances, witness = run_check(suite.check_chain_metrization, SMALL)
     assert witness == {"chain": FIRST_SANDWICH_CHAIN, "level": 1, "pair": [0, 2],
                        "failure": "finer level escapes the open ball"}
     assert instances == 3
@@ -509,7 +544,7 @@ def test_chain_metrization_sandwich_fails_two_levels_too_deep(monkeypatch):
     deep = scaled_chain_metric(Fraction(1, 4))
     monkeypatch.setattr(suite, "d_from_chain", deep)
     monkeypatch.setattr(suite, "minimax_path_distance", lambda chain, x, y: deep(chain).d(x, y))
-    _, instances, witness = suite.check_chain_metrization(SMALL)
+    _, instances, witness = run_check(suite.check_chain_metrization, SMALL)
     assert witness == {"chain": FIRST_SANDWICH_CHAIN, "level": 1, "pair": [0, 1],
                        "failure": "open ball escapes the coarser level"}
     assert instances == 3
@@ -530,7 +565,7 @@ def test_theta_entourages_fail_at_the_first_pair_when_a_class_splits(monkeypatch
         return ultra.Partition.from_class_ids(ids)
 
     monkeypatch.setattr(suite, "epsilon_A_relation", split)
-    _, instances, witness = suite.check_theta_entourages(SuiteConfig())
+    _, instances, witness = run_check(suite.check_theta_entourages, SuiteConfig())
     assert instances == 10824
     assert witness == {
         "metric": {"dist": [["0", "1/2", "1"], ["1/2", "0", "1"], ["1", "1", "0"]]},
@@ -549,7 +584,7 @@ def test_covering_combinators_fail_when_the_star_is_too_fine(monkeypatch):
         return unif.Cover.from_blocks(p.carrier_size, [[x] for x in range(p.carrier_size)])
 
     monkeypatch.setattr(suite, "cover_star", singletons)
-    _, instances, witness = suite.check_covering_combinators(SuiteConfig())
+    _, instances, witness = run_check(suite.check_covering_combinators, SuiteConfig())
     assert instances == 27
     assert witness == {
         "cover": {"blocks": [[0, 1, 2, 3], [0, 1, 2, 3, 4], [0, 2, 3, 4], [1, 2], [2, 3, 4], [3]]},
@@ -564,7 +599,7 @@ def test_covering_combinators_fail_when_the_wedge_is_every_subset(monkeypatch):
                                           for m in range(1, 1 << n)])
 
     monkeypatch.setattr(suite, "cover_wedge", every_subset)
-    _, instances, witness = suite.check_covering_combinators(SuiteConfig())
+    _, instances, witness = run_check(suite.check_covering_combinators, SuiteConfig())
     assert instances == 2
     assert witness == {
         "p": {"blocks": [[0, 1, 2], [0, 1, 2, 3, 4, 5]]},

@@ -28,7 +28,7 @@ from stonework.unif import (
     Cover,
     PartitionFamily,
     boundedness_report,
-    cover_from_json,
+    cover_blocks_from_json,
     cover_order,
     cover_star,
     cover_wedge,
@@ -639,7 +639,7 @@ def test_wedge_order_bound_random():
 
 def test_cover_json_round_trip():
     p = Cover.from_blocks(4, [[0, 1], [1, 2], [2, 3]])
-    assert cover_from_json(4, p.to_json()) == p
+    assert Cover.from_blocks(4, cover_blocks_from_json(p.to_json())) == p
     assert p.to_json()["blocks"] == [[0, 1], [1, 2], [2, 3]]
 
 
