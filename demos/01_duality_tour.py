@@ -32,7 +32,7 @@ assert len(maps) == len(endos) == n**n
 
 # one concrete translation: the map collapsing everything onto point 0
 s = (0, 0, 0)
-mu = phi(s, ring)
+mu = phi(s)
 print(f"\nthe constant map {s} becomes the ring endomorphism with atom images")
 for a, img in enumerate(mu.atom_images):
     print(f"  atom {a} -> {mask_to_bits(img, n)}   (preimage of {{{a}}})")
@@ -40,7 +40,7 @@ for a, img in enumerate(mu.atom_images):
 # composition order reverses: phi(s.t) = phi(t).phi(s)
 t = (1, 2, 0)
 st = tuple(s[t[x]] for x in range(n))
-assert phi(st, ring).atom_images == phi(t, ring).compose(phi(s, ring)).atom_images
+assert phi(st).atom_images == phi(t).compose(phi(s)).atom_images
 print(f"\nphi reverses composition: phi({s} after {t}) = phi({t}) after phi({s})")
 
 # the adjoint on characters is the matrix transpose, and reverses order again,
@@ -49,8 +49,8 @@ sigma = mu.to_group_endo()
 print("\nadditive matrix of phi(s):     rows", [mask_to_bits(r, n) for r in sigma.rows])
 print("transpose (the adjoint):       rows",
       [mask_to_bits(r, n) for r in delta_adjoint(sigma).rows])
-h_st = hom_embed(st, ring)
-h_s, h_t = hom_embed(s, ring), hom_embed(t, ring)
+h_st = hom_embed(st)
+h_s, h_t = hom_embed(s), hom_embed(t)
 assert h_st.rows == h_s.compose(h_t).rows
 print("the composite embedding is covariant on the same pair")
 
@@ -60,6 +60,6 @@ print("ring homomorphisms:   ", ring_homs_to_Z2(ring))
 
 # a basic entourage looks the same in all three representations
 chi = 0b011
-memberships = entourage_transport(chi, (0, 1, 2), (1, 0, 2), ring)
+memberships = entourage_transport(chi, (0, 1, 2), (1, 0, 2))
 print(f"\nentourage membership of (identity-swap pair) at chi={chi:03b}: {memberships}")
 assert len(set(memberships)) == 1

@@ -22,6 +22,7 @@ from stonework import (
     validate_monoid,
 )
 from stonework.ultra import meet_all
+from stonework.unif import is_meet_closed, is_saturated_under
 
 # three maps on three points: identity, clamp-up, constant-top
 table = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
@@ -33,8 +34,8 @@ family = saturate(action, gamma)
 print("saturating {{0,1},{2}} under the clamp action:")
 for p in family.members:
     print("  ", p.classes())
-print("flags:", "meet-closed" if family.meet_closed else "",
-      "saturated" if family.saturated else "")
+print("closed:", "meet-closed" if is_meet_closed(family) else "",
+      "saturated" if is_saturated_under(family, action) else "")
 
 report = boundedness_report(action, family)
 print(f"\nboundedness on a finite discrete monoid: {report.bounded}")
@@ -48,8 +49,8 @@ print(f"\nmeet of the four singleton-indicator kernels on 4 points: "
       f"{met.num_classes()} classes (discrete = separating)")
 
 # cover combinators
-p = Cover.from_blocks(4, [[0, 1], [1, 2], [2, 3]])
-q = Cover.from_blocks(4, [[0, 1, 2], [3]])
+p = Cover.from_blocks([[0, 1], [1, 2], [2, 3]])
+q = Cover.from_blocks([[0, 1, 2], [3]])
 print("\ncover P:", p.sorted_blocks())
 print("cover Q:", q.sorted_blocks())
 print("P wedge Q:", cover_wedge(p, q).sorted_blocks())

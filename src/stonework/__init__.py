@@ -19,7 +19,6 @@ from .contrast import (
     rna_certificate,
 )
 from .duality import (
-    EntourageChi,
     delta_adjoint,
     delta_eval,
     entourage_transport,
@@ -47,7 +46,6 @@ from .finmon import (
     cayley_embed,
     full_selfmap_monoid,
     is_submonoid,
-    opposite,
     validate_action,
     validate_monoid,
 )
@@ -67,7 +65,6 @@ from .ultra import (
     UltraPseudometric,
     ball_submonoid_check,
     check_left_congruence,
-    check_nonexpansive,
     d_from_chain,
     enumerate_theta,
     epsilon_A_relation,

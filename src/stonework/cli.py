@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from .boolring import BoolRing
 from .duality import delta_adjoint, phi
 from .errors import StoneworkError
 from .finmon import action_from_json, monoid_from_json
@@ -103,8 +102,7 @@ def _selfmap_from_json(data) -> tuple[int, ...]:
 
 def cmd_dualize(args) -> int:
     s = _selfmap_from_json(_load_json(args.input))
-    ring = BoolRing(len(s))
-    endo = phi(s, ring)
+    endo = phi(s)
     dual = delta_adjoint(endo.to_group_endo())
     _emit({"ring_endo": endo.to_json(), "dual_group_endo": dual.to_json()})
     return 0
@@ -146,16 +144,11 @@ def cmd_saturate(args) -> int:
 
 
 def cmd_cover_ops(args) -> int:
-    covers = [cover_blocks_from_json(_load_json(path)) for path in args.covers]
-    if not covers:
+    parsed = [Cover.from_blocks(cover_blocks_from_json(_load_json(path))) for path in args.covers]
+    if not parsed:
         raise StoneworkError("at least one cover file is required")
-    if args.carrier_size is not None:
-        size = expect_int(args.carrier_size, "--carrier-size", 1)
-    else:
-        size = 1 + max((x for blocks in covers for block in blocks for x in block), default=-1)
-        if size < 1:
-            raise StoneworkError("the covers hold no points; a cover needs at least one")
-    parsed = [Cover.from_blocks(size, blocks) for blocks in covers]
+    if not all(p.carrier_size for p in parsed):
+        raise StoneworkError("the covers hold no points; a cover needs at least one")
     if args.op == "wedge":
         if len(parsed) != 2:
             raise StoneworkError("wedge needs exactly two covers")
@@ -165,8 +158,9 @@ def cmd_cover_ops(args) -> int:
         if args.set:
             points = [_parse_int(v, "--set") for v in args.set.split(",")]
             for x in points:
-                if not 0 <= x < size:
-                    raise StoneworkError(f"--set point {x} is outside the {size}-point carrier")
+                if not 0 <= x < p.carrier_size:
+                    raise StoneworkError(
+                        f"--set point {x} is outside the {p.carrier_size}-point carrier")
             _emit({"star": sorted(star(points, p))})
         else:
             _emit(cover_star(p).to_json())
@@ -269,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover-ops", help="wedge, star, and order of covers")
     p.add_argument("--op", required=True, choices=["wedge", "star", "ord"])
     p.add_argument("--set", default=None, help="comma-separated points for star")
-    p.add_argument("--carrier-size", type=int, default=None)
     p.add_argument("covers", nargs="*", help="cover JSON files")
     p.set_defaults(func=cmd_cover_ops)
 

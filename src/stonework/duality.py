@@ -18,11 +18,9 @@ makes evaluation equivariant: hom_embed(s) maps eval(y) to eval(s(y)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .boolring import BoolRing, GroupEndo, RingEndo, pontryagin_dual
+from .boolring import BoolRing, GroupEndo, RingEndo
 from .errors import DimensionMismatch
 from .finmon import CHUNK_ENTRIES, SelfMapMonoid, is_self_map
 from .ultra import Partition
@@ -39,18 +37,13 @@ def preimage_mask(s, chi: int) -> int:
     return sum(1 << y for y, sy in enumerate(s) if chi >> sy & 1)
 
 
-def phi(s, ring: BoolRing | None = None) -> RingEndo:
+def phi(s) -> RingEndo:
     """Ring endomorphism indicator(A) -> indicator(preimage of A).
 
     s takes entries as is_self_map does: no bool and no float is a point.
     """
     s = tuple(s)
-    if ring is None:
-        ring = BoolRing(len(s))
-    if ring.atom_count != len(s):
-        raise DimensionMismatch(
-            f"self-map on {len(s)} points against a {ring.atom_count}-atom ring"
-        )
+    ring = BoolRing(len(s))
     if not is_self_map(s, len(s)):
         raise ValueError(f"[{', '.join(map(str, s))}] is not a self-map of {len(s)} points")
     images = tuple(preimage_mask(s, 1 << a) for a in range(ring.atom_count))
@@ -92,9 +85,9 @@ def delta_eval(y: int, ring: BoolRing) -> int:
     return 1 << y
 
 
-def hom_embed(s, ring: BoolRing | None = None) -> GroupEndo:
+def hom_embed(s) -> GroupEndo:
     """The composite embedding into dual-group endomorphisms."""
-    return delta_adjoint(phi(s, ring).to_group_endo())
+    return delta_adjoint(phi(s).to_group_endo())
 
 
 def preimage_masks(values, chi: int) -> np.ndarray:
@@ -103,7 +96,7 @@ def preimage_masks(values, chi: int) -> np.ndarray:
     return (chi >> values & 1) @ (1 << np.arange(values.shape[-1], dtype=np.int64))
 
 
-def entourage_keys(values, chi: int, ring: BoolRing | None = None):
+def entourage_keys(values, chi: int):
     """Keys of the chi-entourage for each row of a (k, n) array of self-maps.
 
     Returns one key array per tag, in TAGS order: the preimage masks of
@@ -115,51 +108,19 @@ def entourage_keys(values, chi: int, ring: BoolRing | None = None):
     """
     values = np.asarray(values, dtype=np.int64)
     n = values.shape[-1]
-    if ring is None:
-        ring = BoolRing(n)
-    if ring.atom_count != n:
-        raise DimensionMismatch(f"self-maps on {n} points against a {ring.atom_count}-atom ring")
-    if not 0 <= chi < ring.size:
+    if n < 1:
+        raise ValueError("ring needs at least one atom")
+    if not 0 <= chi < 1 << n:
         raise ValueError("chi out of range")
     if values.size and not (values.min() >= 0 and values.max() < n):
         raise ValueError("map value outside the carrier")
     bits = [a for a in range(n) if chi >> a & 1]
     images = np.bitwise_xor.reduce(phi_array(values)[:, bits], axis=1)
-    chars = np.fromiter(pontryagin_dual(ring).elements(), dtype=np.int64)
-    parities = np.bitwise_count(images[:, None] & chars) & 1
+    parities = np.bitwise_count(images[:, None] & np.arange(1 << n)) & 1
     return preimage_masks(values, chi), images, parities
 
 
-@dataclass(frozen=True)
-class EntourageChi:
-    """The basic entourage indexed by a ring element, in one representation.
-
-    Each tag yields a relation on self-maps of the carrier: equality of
-    preimages of the set coded by chi, equality of the phi-images at chi,
-    or equality of the transported action at chi under every character.
-    All three relations agree pointwise.
-
-    On a finite discrete carrier the pointwise and uniform-convergence
-    comparisons coincide, so an entourage is represented only through its
-    defining relation, never as an abstract filter member.
-    """
-
-    ring: BoolRing
-    chi: int
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown representation tag {self.tag!r}")
-        if not 0 <= self.chi < self.ring.size:
-            raise ValueError("chi out of range")
-
-    def relates(self, s1, s2):
-        """Membership of (s1, s2): a bool for two maps, else an (m,) array."""
-        return entourage_transport(self.chi, s1, s2, self.ring)[TAGS.index(self.tag)]
-
-
-def entourage_transport(chi: int, s1, s2, ring: BoolRing | None = None):
+def entourage_transport(chi: int, s1, s2):
     """Membership of map pairs in the three representations of the chi-entourage.
 
     s1 and s2 are (m, n) arrays of self-maps that broadcast against each
@@ -173,13 +134,12 @@ def entourage_transport(chi: int, s1, s2, ring: BoolRing | None = None):
     if s1.shape[-1:] != s2.shape[-1:]:
         raise DimensionMismatch("self-maps on different carriers")
     (pre1, img1, par1), (pre2, img2, par2) = (
-        entourage_keys(np.atleast_2d(s), chi, ring) for s in (s1, s2))
+        entourage_keys(np.atleast_2d(s), chi) for s in (s1, s2))
     memberships = np.stack([pre1 == pre2, img1 == img2, (par1 == par2).all(axis=1)])
     return tuple(memberships[:, 0].tolist()) if s1.ndim == s2.ndim == 1 else memberships
 
 
-def entourage_partition(maps: SelfMapMonoid, chi: int, tag: str,
-                        ring: BoolRing | None = None) -> Partition:
+def entourage_partition(maps: SelfMapMonoid, chi: int, tag: str) -> Partition:
     """The chi-entourage as a partition of a transformation monoid.
 
     Keys by the preimage/image value the relation compares, so the result
@@ -188,10 +148,9 @@ def entourage_partition(maps: SelfMapMonoid, chi: int, tag: str,
     vector over every character, and the pairs it relates must be exactly
     the pairs sharing a class.
     """
-    if ring is None:
-        ring = BoolRing(maps.carrier_size)
-    EntourageChi(ring=ring, chi=chi, tag=tag)      # validates chi and tag
-    preimages, images, parities = entourage_keys(maps.values, chi, ring)
+    if tag not in TAGS:
+        raise ValueError(f"unknown representation tag {tag!r}")
+    preimages, images, parities = entourage_keys(maps.values, chi)
     part = Partition.from_class_ids((preimages if tag == ON_MAPS else images).tolist())
     if tag == ON_DUAL_ENDOS:
         ids = np.asarray(part.class_id)

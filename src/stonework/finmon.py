@@ -109,8 +109,11 @@ def _narrowed(rows, shape, shape_error: str, range_error: str) -> np.ndarray:
 
 def monoid_from_json(obj: dict) -> FiniteMonoid:
     obj = expect_object(obj, "monoid")
+    table = expect_rows(expect_field(obj, "table", "monoid"), "monoid table")
+    if "size" in obj and expect_int(obj["size"], "monoid size") != len(table):
+        raise ValueError(f"monoid size is {obj['size']}, not the table's row count {len(table)}")
     return validate_monoid(
-        expect_rows(expect_field(obj, "table", "monoid"), "monoid table"),
+        table,
         expect_int(expect_field(obj, "identity", "monoid"), "monoid identity"),
     )
 
@@ -160,11 +163,6 @@ def _identity_defect(table: np.ndarray, identity: int):
         if bad.any():
             return int(bad.argmax())
     return None
-
-
-def opposite(m: FiniteMonoid) -> FiniteMonoid:
-    """Reverse the multiplication order: the transposed table."""
-    return FiniteMonoid(m.values.T, m.identity)
 
 
 def is_submonoid(m: FiniteMonoid, subset) -> bool:

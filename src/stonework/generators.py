@@ -71,7 +71,7 @@ def random_cover(rng: random.Random, n: int, max_blocks: int = 6) -> Cover:
         missing &= ~mask
     if missing:
         blocks.add(missing)
-    return Cover(carrier_size=n, blocks=frozenset(blocks))
+    return Cover(frozenset(blocks))
 
 
 def random_transformation_monoid(rng: random.Random, carrier: int,

@@ -385,6 +385,7 @@ def d_from_chain(chain: MonotoneChain) -> UltraPseudometric:
     n, m = chain.carrier_size, len(chain)
     if n < 1:
         raise ValueError("ultra-pseudometric needs at least one point")
+    guard_enum(max(m, 1) * n * n, f"the {n}x{n} distance matrix of a {m}-level chain")
     ids = np.array([p.class_id for p in chain.chain], dtype=np.intp).reshape(m, n)
     depth = (ids[:, :, None] == ids[:, None, :]).sum(axis=0)
     np.fill_diagonal(depth, m + 1)      # deeper than every level: distance 0
@@ -477,10 +478,6 @@ def nonexpansive_counterexample(m: FiniteMonoid, d: UltraPseudometric, side: str
     # rank of (moved[x, s], moved[y, s]) against rank of (x, y), on (x, y, s)
     return first_true((n, n, n), lambda a, b: flat.take(
         scaled[a:b, None, :] + moved) > rank[a:b, :, None])
-
-
-def check_nonexpansive(m: FiniteMonoid, d: UltraPseudometric, side: str) -> bool:
-    return nonexpansive_counterexample(m, d, side) is None
 
 
 def ball_submonoid_check(m: FiniteMonoid, d: UltraPseudometric, r,

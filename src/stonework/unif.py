@@ -29,16 +29,10 @@ from .ultra import Partition, _normalize, partition_from_json
 
 @dataclass(frozen=True)
 class PartitionFamily:
-    """A finite set of partitions of one carrier, canonically ordered.
-
-    The closure flags record what is known about the family; saturate
-    sets both, a raw constructor leaves them undetermined.
-    """
+    """A finite set of partitions of one carrier, canonically ordered."""
 
     carrier_size: int
     members: tuple[Partition, ...]
-    meet_closed: bool | None = field(default=None, compare=False)
-    saturated: bool | None = field(default=None, compare=False)
 
     def __post_init__(self):
         for p in self.members:
@@ -49,15 +43,12 @@ class PartitionFamily:
             raise ValueError("members must be distinct and canonically ordered")
 
     @classmethod
-    def _unchecked(cls, carrier_size: int, members: tuple[Partition, ...],
-                   meet_closed: bool | None = None,
-                   saturated: bool | None = None) -> PartitionFamily:
+    def _unchecked(cls, carrier_size: int, members: tuple[Partition, ...]) -> PartitionFamily:
         """A family of members on the carrier that their producer has made
         distinct and canonically ordered; skips __post_init__ (and the
         frozen __setattr__)."""
         f = object.__new__(cls)
-        f.__dict__.update(carrier_size=carrier_size, members=members,
-                          meet_closed=meet_closed, saturated=saturated)
+        f.__dict__.update(carrier_size=carrier_size, members=members)
         return f
 
     def __len__(self) -> int:
@@ -85,9 +76,9 @@ def family_from_json(obj: dict) -> PartitionFamily:
     return make_family(n, (partition_from_json(n, p) for p in members))
 
 
-def make_family(carrier_size: int, parts, **flags) -> PartitionFamily:
+def make_family(carrier_size: int, parts) -> PartitionFamily:
     members = tuple(sorted(set(parts), key=lambda p: p.class_id))
-    return PartitionFamily(carrier_size=carrier_size, members=members, **flags)
+    return PartitionFamily(carrier_size=carrier_size, members=members)
 
 
 def preimage_partition(s, p: Partition) -> Partition:
@@ -233,7 +224,7 @@ class PartitionLattice:
             fresh = reached - members
         # the partitions ascend, so sorted indices keep the canonical order
         family = tuple(self.partitions[i] for i in sorted(members))
-        return PartitionFamily._unchecked(self.n, family, meet_closed=True, saturated=True)
+        return PartitionFamily._unchecked(self.n, family)
 
 
 @functools.cache
@@ -304,8 +295,7 @@ def saturate_worklist(action: MonoidAction, gamma) -> PartitionFamily:
                 todo.append(q)
         done.append(p)
     return PartitionFamily._unchecked(action.carrier_size,
-                                      tuple(map(Partition._unchecked, sorted(members))),
-                                      meet_closed=True, saturated=True)
+                                      tuple(map(Partition._unchecked, sorted(members))))
 
 
 def _relation_keys(labels: np.ndarray) -> np.ndarray:
@@ -454,36 +444,43 @@ class Cover:
     """A family of nonempty subsets whose union is the carrier.
 
     Each block is an int bitmask: point x is in the block iff bit x is
-    set.  Python ints have no width limit, so any carrier size fits.
+    set.  Python ints have no width limit, so any carrier size fits.  The
+    carrier, points 0 to n - 1 for n the union's bit length, is derived.
     """
 
-    carrier_size: int
     blocks: frozenset[int]
+    carrier_size: int = field(init=False)
 
     def __post_init__(self):
         union = 0
         for block in self.blocks:
             if not block:
                 raise ValueError("empty block")
-            if block < 0 or block >> self.carrier_size:
+            if block < 0:
                 raise ValueError("block point outside the carrier")
             union |= block
-        # inside the carrier, the union covers it iff it is all ones up to
-        # bit carrier_size - 1
-        if union & (union + 1) or union.bit_length() != self.carrier_size:
+        # the union covers the points below its bit length iff it is all ones
+        if union & (union + 1):
             raise ValueError("blocks do not cover the carrier")
+        object.__setattr__(self, "carrier_size", union.bit_length())
 
     @staticmethod
-    def from_blocks(carrier_size: int, blocks) -> Cover:
+    def from_blocks(blocks) -> Cover:
+        blocks = [list(map(int, block)) for block in blocks]
+        # the union holds every point below its largest, so a point at or past
+        # the number of points listed leaves a gap: refuse it before its bit
+        listed = sum(map(len, blocks))
         masks = set()
         for block in blocks:
             mask = 0
-            for x in map(int, block):
-                if not 0 <= x < carrier_size:
+            for x in block:
+                if x < 0:
                     raise ValueError("block point outside the carrier")
+                if x >= listed:
+                    raise ValueError("blocks do not cover the carrier")
                 mask |= 1 << x
             masks.add(mask)
-        return Cover(carrier_size=carrier_size, blocks=frozenset(masks))
+        return Cover(frozenset(masks))
 
     @staticmethod
     def from_partition(p: Partition) -> Cover:
@@ -491,7 +488,7 @@ class Cover:
         masks = [0] * p.num_classes()
         for x, k in enumerate(p.class_id):
             masks[k] |= 1 << x
-        return Cover(carrier_size=p.carrier_size, blocks=frozenset(masks))
+        return Cover(frozenset(masks))
 
     def sorted_blocks(self) -> list[list[int]]:
         return sorted(map(_points, self.blocks))
@@ -511,7 +508,7 @@ def cover_wedge(p: Cover, q: Cover) -> Cover:
         raise CarrierMismatch("covers on different carriers")
     blocks = {a & b for a in p.blocks for b in q.blocks}
     blocks.discard(0)
-    return Cover(carrier_size=p.carrier_size, blocks=frozenset(blocks))
+    return Cover(frozenset(blocks))
 
 
 def _star_mask(mask: int, p: Cover) -> int:
@@ -534,10 +531,7 @@ def star(points, p: Cover) -> frozenset[int]:
 
 def cover_star(p: Cover) -> Cover:
     """The cover of stars of blocks; every cover refines its own star."""
-    return Cover(
-        carrier_size=p.carrier_size,
-        blocks=frozenset(_star_mask(b, p) for b in p.blocks),
-    )
+    return Cover(frozenset(_star_mask(b, p) for b in p.blocks))
 
 
 def refines(q: Cover, p: Cover) -> bool:

@@ -94,7 +94,7 @@ def test_ring_endos_closed_and_anti_isomorphic_to_selfmaps(n):
     index = {e.atom_images: i for i, e in enumerate(endos)}
     maps = full_selfmap_monoid(n)
     table = maps.to_monoid()
-    to_endo = [index[phi(f, ring).atom_images] for f in maps.elements]
+    to_endo = [index[phi(f).atom_images] for f in maps.elements]
     assert sorted(to_endo) == list(range(len(endos)))
     for s in range(len(maps)):
         for t in range(len(maps)):

@@ -1,13 +1,19 @@
+import argparse
 import contextlib
+import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_unif import (
     ref_blocks,
     ref_cover_star,
@@ -273,6 +279,21 @@ def test_enumeration_cap_env_var():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("size,problem", [
+    (5, "monoid size is 5, not the table's row count 1"),
+    ("x", "monoid size is a string, not an integer"),
+    (1.0, "monoid size is 1.0, not an integer"),
+    (True, "monoid size is true, not an integer"),
+])
+def test_check_refuses_a_monoid_size_other_than_the_table_size(tmp_path, size, problem):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"size": size, "identity": 0, "table": [[0]]}))
+    proc = run_cli(["check", "--nonexpansive", "left", "--monoid", str(path),
+                    "--metric", "discrete:1"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {problem}\n"
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 @pytest.mark.parametrize("command", ["theta", "check", "kantorovich"])
 def test_discrete_metric_needs_a_point(tmp_path, command, size):
@@ -362,6 +383,10 @@ SATURATE_FAMILY = {"carrier_size": 3, "members": [{"classes": [[0, 1], [2]]}]}
      "family carrier_size is 3.7, not an integer"),
     (SATURATE_ACTION, {"carrier_size": 3, "members": [{"classes": [[0, True], [2]]}]},
      "partition classes[0][1] is true, not an integer"),
+    ({**SATURATE_ACTION, "monoid": {**SATURATE_ACTION["monoid"], "size": 5}}, SATURATE_FAMILY,
+     "monoid size is 5, not the table's row count 1"),
+    ({**SATURATE_ACTION, "monoid": {**SATURATE_ACTION["monoid"], "size": "x"}}, SATURATE_FAMILY,
+     'monoid size is a string, not an integer'),
 ])
 def test_saturate_rejects_malformed_inputs(tmp_path, action, family, problem):
     apath, fpath = tmp_path / "a.json", tmp_path / "f.json"
@@ -466,8 +491,11 @@ def test_cover_ops_rejects_malformed_covers(tmp_path, cover, problem):
     ("star", {"blocks": []}, [], "the covers hold no points"),
     ("wedge", {"blocks": []}, [], "the covers hold no points"),
     ("ord", {"blocks": []}, [], "the covers hold no points"),
-    ("ord", {"blocks": [[0, 1]]}, ["--carrier-size", "-2"], "--carrier-size is -2, below 1"),
+    ("ord", {"blocks": [[0], [2]]}, [], "blocks do not cover the carrier"),
     ("star", {"blocks": [[0]]}, ["--set", "5"], "--set point 5 is outside the 1-point carrier"),
+    # refused before the bit of the far point is built
+    ("star", {"blocks": [[0], [1, 2**70]]}, [], "blocks do not cover the carrier"),
+    ("ord", {"blocks": [[0, 10**9]]}, [], "blocks do not cover the carrier"),
 ])
 def test_cover_ops_rejects_empty_covers_and_outside_points(tmp_path, op, cover, extra, problem):
     path = tmp_path / "cover.json"
@@ -477,6 +505,22 @@ def test_cover_ops_rejects_empty_covers_and_outside_points(tmp_path, op, cover, 
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert problem in proc.stderr
+
+
+@pytest.mark.parametrize("p,q,problem", [
+    ([[0, 1], [2]], [[0], [1]], "covers on different carriers"),
+    ([[0, 1], [2]], [[0, 1], [2], [-1]], "block point outside the carrier"),
+])
+def test_cover_ops_derive_each_carrier_from_its_blocks(tmp_path, p, q, problem):
+    p_file, q_file = tmp_path / "p.json", tmp_path / "q.json"
+    p_file.write_text(json.dumps({"blocks": p}))
+    q_file.write_text(json.dumps({"blocks": q}))
+    proc = run_cli(["cover-ops", "--op", "wedge", str(p_file), str(q_file)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {problem}\n"
+    # the carrier is no option: it is read off the blocks
+    proc = run_cli(["cover-ops", "--op", "ord", "--carrier-size", "3", str(p_file)])
+    assert proc.returncode == 2 and "unrecognized arguments: --carrier-size" in proc.stderr
 
 
 @pytest.mark.parametrize("args,problem", [
@@ -491,3 +535,176 @@ def test_integer_options_name_the_bad_entry(tmp_path, args, problem):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert problem in proc.stderr
+
+
+# --- boundary fuzz of the JSON readers ----------------------------------------
+# Every subcommand that reads JSON, on well-shaped objects with random entries,
+# on those objects with one part replaced or dropped, and on arbitrary nested
+# JSON, run in process.  Whatever the input, the exit code is 0, 1 or 2, no
+# exception escapes cli.main, and exit 2 prints exactly one error: line.
+
+FUZZ_SCALARS = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+                | st.sampled_from([-1, 10**9, 2**70, "1/2"]))
+FUZZ_JSON = st.recursive(FUZZ_SCALARS | st.integers(-2, 5), lambda inner: (
+    st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12)
+FUZZ_LEVELS = st.sampled_from(["0", "1", "1/2", "1/4"])
+FUZZ_MONOIDS = [  # the trivial monoid, Z2, a semilattice and the clamp monoid
+    [[0]], [[0, 1], [1, 0]], [[0, 1], [1, 1]], [[0, 1, 2], [1, 2, 2], [2, 2, 2]]]
+
+
+def fuzz_points(n, min_size=0, max_size=4):
+    return st.lists(st.integers(0, n - 1), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def fuzz_partition(draw, n):
+    ids = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return {"classes": [[x for x in range(n) if ids[x] == c] for c in sorted(set(ids))]}
+
+
+@st.composite
+def fuzz_monoid(draw):
+    if draw(st.booleans()):
+        table = draw(st.sampled_from(FUZZ_MONOIDS))
+    else:
+        k = draw(st.integers(1, 3))
+        table = draw(st.lists(fuzz_points(k, k, k), min_size=k, max_size=k))
+    return {"size": len(table), "identity": 0, "table": table}
+
+
+@st.composite
+def fuzz_metric(draw):
+    """d(x, y) = the larger of the levels of x and y: an ultra-pseudometric."""
+    levels = draw(st.lists(FUZZ_LEVELS, min_size=1, max_size=4))
+    return {"dist": [["0" if x == y else max(a, b, key=Fraction) for y, b in enumerate(levels)]
+                     for x, a in enumerate(levels)]}
+
+
+@st.composite
+def fuzz_action(draw):
+    """Random images, or a monoid's left regular action: s acts by x -> s * x."""
+    monoid = draw(fuzz_monoid())
+    if draw(st.booleans()):
+        return {"monoid": monoid, "carrier_size": monoid["size"], "act": monoid["table"]}
+    n = draw(st.integers(1, 3))
+    act = [draw(fuzz_points(n, n, n)) for _ in monoid["table"]]
+    return {"monoid": monoid, "carrier_size": n, "act": act}
+
+
+@st.composite
+def fuzz_with_carrier(draw, key, member):
+    n = draw(st.integers(1, 4))
+    return {"carrier_size": n, key: draw(st.lists(member(n), max_size=3))}
+
+
+FUZZ_SHAPES = {
+    "--in": st.integers(1, 4).flatmap(
+        lambda n: st.fixed_dictionaries({"map": fuzz_points(n, n, n)})),
+    "--chain": fuzz_with_carrier("chain", fuzz_partition),
+    "--metric": fuzz_metric(),
+    "--monoid": fuzz_monoid(),
+    "--action": fuzz_action(),
+    "--family": fuzz_with_carrier("members", fuzz_partition),
+    "covers": st.integers(1, 4).flatmap(lambda n: st.tuples(
+        fuzz_partition(n), st.lists(fuzz_points(n, 1), max_size=2)).map(
+        lambda parts: {"blocks": parts[0]["classes"] + parts[1]})),
+}
+
+
+@st.composite
+def fuzz_input(draw, option):
+    """A well-shaped input, that input with one part replaced by any JSON
+    or dropped, or any JSON at all."""
+    how = draw(st.sampled_from(["shaped", "shaped", "mutated", "any"]))
+    if how == "any":
+        return draw(FUZZ_JSON)
+    obj = copy.deepcopy(draw(FUZZ_SHAPES[option]))     # shapes may share lists
+    if how == "mutated":
+        holder, key, node = None, None, obj
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            holder, key = node, draw(st.sampled_from(keys))
+            node = holder[key]
+        if holder is None:
+            return draw(FUZZ_JSON)
+        if isinstance(holder, dict) and draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = draw(FUZZ_JSON)
+    return obj
+
+
+FUZZ_INPUTS = {
+    "dualize": ["--in"],
+    "metrize": ["--chain"],
+    "theta": ["--metric"],
+    "kantorovich": ["--metric"],
+    "check": ["--monoid", "--metric"],
+    "saturate": ["--action", "--family"],
+    "cover-ops": ["covers"],
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), command=st.sampled_from(sorted(FUZZ_INPUTS)))
+def test_json_readers_exit_0_1_or_2_on_any_input(tmp_path_factory, data, command):
+    where, args = tmp_path_factory.getbasetemp(), [command]
+    op = data.draw(st.sampled_from(["wedge", "star", "ord"]))
+    for option in FUZZ_INPUTS[command]:
+        count = 1 + (op == "wedge") if option == "covers" else 1
+        paths = []
+        for i in range(count):
+            path = where / f"fuzz-{option.strip('-')}-{i}.json"
+            path.write_text(json.dumps(data.draw(fuzz_input(option), label=option)))
+            paths.append(str(path))
+        args += paths if option == "covers" else [option, *paths]
+    points = st.text("0123-x,", min_size=1, max_size=5)
+    if command == "check":
+        args += ["--nonexpansive", data.draw(st.sampled_from(["left", "right"]))]
+    elif command == "kantorovich":
+        args.append(f"--vector={data.draw(points)}")
+    elif command == "cover-ops":
+        args += ["--op", op]
+        if op == "star" and data.draw(st.booleans()):
+            args.append(f"--set={data.draw(points)}")
+    proc = run_cli(args)
+    assert proc.returncode in (0, 1, 2), (args, proc)
+    if proc.returncode == 2:
+        assert proc.stdout == "" and proc.stderr.startswith("error:"), (args, proc)
+        assert len(proc.stderr.splitlines()) == 1, (args, proc)
+
+
+def parser_options() -> dict[str, set[str]]:
+    """The --options of each subcommand of the parser, --help aside."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return {name: {opt for action in sub._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, sub in commands.items()}
+
+
+def readme_command_line() -> tuple[dict[str, set[str]], set[str]]:
+    """The --options README.md's "Command line" section names: per subcommand
+    in its synopsis (a line `stonework NAME ...` and the indented lines
+    under it), and anywhere in the prose around the synopsis."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    before, synopsis, after = section.split("```")
+    named: dict[str, set[str]] = {}
+    for line in synopsis.splitlines():
+        if line.startswith("stonework "):
+            command = line.split()[1]
+        elif not line.startswith(" "):
+            continue
+        named.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    return named, set(re.findall(r"--[a-z][a-z-]*", before + after))
+
+
+def test_readme_command_line_matches_the_parser():
+    options = parser_options()
+    named, mentioned = readme_command_line()
+    assert set(named) == set(options)
+    for command, opts in options.items():
+        assert named[command] == opts, command
+    assert mentioned <= set().union(*options.values())

@@ -19,7 +19,6 @@ from stonework.duality import (
     ON_MAPS,
     ON_RING_ENDOS,
     TAGS,
-    EntourageChi,
     delta_adjoint,
     delta_eval,
     entourage_partition,
@@ -31,34 +30,32 @@ from stonework.duality import (
     preimage_mask,
 )
 from stonework.errors import DimensionMismatch
-from stonework.finmon import full_selfmap_monoid
+from stonework.finmon import SelfMapMonoid, full_selfmap_monoid
 
 
 def test_phi_identity_and_constant():
-    ring = BoolRing(2)
-    assert phi((0, 1), ring).atom_images == (1, 2)
+    assert phi((0, 1)).atom_images == (1, 2)
     # constant-0 map: the set {0} pulls back to everything, {1} to nothing
-    assert phi((0, 0), ring).atom_images == (3, 0)
+    assert phi((0, 0)).atom_images == (3, 0)
+    assert phi((0, 0)).ring == BoolRing(2)
 
 
 def test_phi_anti_multiplicative_exhaustive_three_points():
-    ring = BoolRing(3)
     maps = full_selfmap_monoid(3)
     for s in maps.elements:
         for t in maps.elements:
             st = tuple(s[t[x]] for x in range(3))
-            assert phi(st, ring).atom_images == \
-                phi(t, ring).compose(phi(s, ring)).atom_images
+            assert phi(st).atom_images == phi(t).compose(phi(s)).atom_images
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_phi_bijective_with_inverse(n):
     ring = BoolRing(n)
     endos = enumerate_ring_endos(ring)
-    images = {phi(f, ring).atom_images for f in full_selfmap_monoid(n).elements}
+    images = {phi(f).atom_images for f in full_selfmap_monoid(n).elements}
     assert images == {e.atom_images for e in endos}
     for e in endos:
-        assert phi(phi_inverse(e), ring) == e
+        assert phi(phi_inverse(e)) == e
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -66,11 +63,6 @@ def test_phi_array_matches_phi(n):
     maps = full_selfmap_monoid(n)
     images = phi_array(maps.values).tolist()
     assert [tuple(row) for row in images] == [phi(f).atom_images for f in maps.elements]
-
-
-def test_phi_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        phi((0, 1), BoolRing(3))
 
 
 @pytest.mark.parametrize("embed", [phi, hom_embed])
@@ -140,33 +132,32 @@ def test_delta_eval_tiny_and_image():
 def test_evaluation_equivariance_exhaustive():
     ring = BoolRing(3)
     for s in full_selfmap_monoid(3).elements:
-        endo = hom_embed(s, ring)
+        endo = hom_embed(s)
         for y in range(3):
             assert endo.apply(delta_eval(y, ring)) == delta_eval(s[y], ring)
 
 
 def test_hom_embed_is_a_homomorphism():
-    ring = BoolRing(2)
     maps = full_selfmap_monoid(2)
     for s in maps.elements:
         for t in maps.elements:
             st = tuple(s[t[x]] for x in range(2))
-            assert hom_embed(st, ring).rows == \
-                hom_embed(s, ring).compose(hom_embed(t, ring)).rows
+            assert hom_embed(st).rows == hom_embed(s).compose(hom_embed(t)).rows
 
 
-def phi_at(s, ring, chi):
-    return phi(s, ring).apply(chi)
+def phi_at(s, chi):
+    return phi(s).apply(chi)
 
 
-def oracle_transport(chi, s1, s2, ring, preimage=preimage_mask, image=phi_at):
+def oracle_transport(chi, s1, s2, preimage=preimage_mask, image=phi_at):
     """Memberships of one pair, computed per pair: preimage masks, phi(...).apply,
     and a literal loop over every character of the ring."""
-    a, b = image(s1, ring, chi), image(s2, ring, chi)
+    a, b = image(s1, chi), image(s2, chi)
     return (
         preimage(s1, chi) == preimage(s2, chi),
         a == b,
-        all(parity(psi & a) == parity(psi & b) for psi in pontryagin_dual(ring).elements()),
+        all(parity(psi & a) == parity(psi & b)
+            for psi in pontryagin_dual(BoolRing(len(s1))).elements()),
     )
 
 
@@ -177,24 +168,23 @@ def test_batched_entourages_match_the_oracle(n):
     k = len(maps)
     s1, s2 = np.repeat(maps.values, k, axis=0), np.tile(maps.values, (k, 1))
     for chi in ring.elements():
-        memberships = entourage_transport(chi, s1, s2, ring)
+        memberships = entourage_transport(chi, s1, s2)
         assert memberships.shape == (3, k * k) and memberships.dtype == bool
-        parts = [entourage_partition(maps, chi, tag, ring) for tag in TAGS]
-        ents = [EntourageChi(ring=ring, chi=chi, tag=tag) for tag in TAGS]
+        parts = [entourage_partition(maps, chi, tag) for tag in TAGS]
         for p, (i, j) in enumerate(product(range(k), repeat=2)):
             f, g = maps.elements[i], maps.elements[j]
-            expected = oracle_transport(chi, f, g, ring)
+            expected = oracle_transport(chi, f, g)
             assert tuple(memberships[:, p]) == expected
             assert tuple(part.relates(i, j) for part in parts) == expected
-            assert tuple(ent.relates(f, g) for ent in ents) == expected
+            assert entourage_transport(chi, f, g) == expected
 
 
 def test_scalar_transport_returns_a_tuple_of_bools():
     for result in (entourage_transport(1, (0, 1), (1, 0)),
-                   entourage_transport(3, range(3), [2, 1, 0], BoolRing(3))):
+                   entourage_transport(3, range(3), [2, 1, 0]),
+                   entourage_transport(1, (0, 1), (0, 0))):
         assert type(result) is tuple and len(result) == 3
         assert all(type(x) is bool for x in result)
-    assert type(EntourageChi(ring=BoolRing(2), chi=1, tag=ON_MAPS).relates((0, 1), (0, 0))) is bool
 
 
 def test_transport_broadcasts_one_map_against_many():
@@ -214,11 +204,25 @@ def test_transport_rejects_bad_maps(s1, s2, error):
         entourage_transport(1, s1, s2)
 
 
-def test_transport_rejects_chi_and_ring_mismatch():
+def test_transport_rejects_chi_out_of_range():
+    for chi in (4, -1):
+        with pytest.raises(ValueError, match="chi out of range"):
+            entourage_transport(chi, (0, 1), (1, 0))
+
+
+def test_zero_point_maps_are_refused():
+    # the powerset ring of no points has no atoms
+    with pytest.raises(ValueError, match="ring needs at least one atom"):
+        entourage_transport(0, (), ())
+    with pytest.raises(ValueError, match="ring needs at least one atom"):
+        entourage_transport(0, np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=int))
+    # no public constructor builds a monoid on no points; adopt its one map
+    maps = SelfMapMonoid._adopt(np.zeros((1, 0), dtype=np.uint8), 0)
+    for tag in TAGS:
+        with pytest.raises(ValueError, match="ring needs at least one atom"):
+            entourage_partition(maps, 0, tag)
     with pytest.raises(ValueError):
-        entourage_transport(4, (0, 1), (1, 0))
-    with pytest.raises(DimensionMismatch):
-        entourage_transport(1, (0, 1), (1, 0), BoolRing(3))
+        phi(())
 
 
 @st.composite
@@ -233,10 +237,9 @@ def transport_cases(draw):
 @given(transport_cases())
 def test_batched_transport_matches_the_oracle_past_the_suite_cap(case):
     n, chi, pairs = case
-    ring = BoolRing(n)
-    memberships = entourage_transport(chi, [f for f, _ in pairs], [g for _, g in pairs], ring)
+    memberships = entourage_transport(chi, [f for f, _ in pairs], [g for _, g in pairs])
     assert [tuple(col) for col in memberships.T.tolist()] == \
-        [oracle_transport(chi, f, g, ring) for f, g in pairs]
+        [oracle_transport(chi, f, g) for f, g in pairs]
 
 
 def test_entourage_transport_examples():
@@ -251,7 +254,7 @@ def test_entourage_transport_triple_constant_exhaustive():
     for chi in ring.elements():
         for s1 in maps:
             for s2 in maps:
-                triple = entourage_transport(chi, s1, s2, ring)
+                triple = entourage_transport(chi, s1, s2)
                 assert len(set(triple)) == 1
 
 
@@ -259,13 +262,12 @@ def test_entourage_relations_are_equivalences():
     ring = BoolRing(2)
     maps = full_selfmap_monoid(2)
     for chi in ring.elements():
-        for tag in (ON_MAPS, ON_RING_ENDOS, ON_DUAL_ENDOS):
-            ent = EntourageChi(ring=ring, chi=chi, tag=tag)
+        for t, tag in enumerate((ON_MAPS, ON_RING_ENDOS, ON_DUAL_ENDOS)):
             rel = {
-                (i, j): ent.relates(maps.elements[i], maps.elements[j])
+                (i, j): entourage_transport(chi, maps.elements[i], maps.elements[j])[t]
                 for i, j in product(range(len(maps)), repeat=2)
             }
-            part = entourage_partition(maps, chi, tag, ring)
+            part = entourage_partition(maps, chi, tag)
             for i, j in product(range(len(maps)), repeat=2):
                 assert rel[(i, j)] == rel[(j, i)]
                 assert rel[(i, i)]
@@ -276,19 +278,20 @@ def test_entourage_relations_are_equivalences():
 
 
 def test_entourage_chi_validation():
-    ring = BoolRing(2)
-    with pytest.raises(ValueError):
-        EntourageChi(ring=ring, chi=1, tag="elsewhere")
-    with pytest.raises(ValueError):
-        EntourageChi(ring=ring, chi=9, tag=ON_MAPS)
+    maps = full_selfmap_monoid(2)
+    with pytest.raises(ValueError, match="unknown representation tag 'elsewhere'"):
+        entourage_partition(maps, 1, "elsewhere")
+    with pytest.raises(ValueError, match="chi out of range"):
+        entourage_partition(maps, 9, ON_MAPS)
+    with pytest.raises(ValueError, match="chi out of range"):
+        entourage_transport(9, (0, 1), (0, 0))
 
 
 def test_dual_endo_tag_quantifies_over_characters():
     # the third representation must agree with the shortcut on a case
     # where the compared images differ in exactly one coordinate
-    ring = BoolRing(2)
-    ent = EntourageChi(ring=ring, chi=1, tag=ON_DUAL_ENDOS)
-    assert ent.relates((0, 0), (0, 1)) == (
-        phi((0, 0), ring).apply(1) == phi((0, 1), ring).apply(1)
+    dual = TAGS.index(ON_DUAL_ENDOS)
+    assert entourage_transport(1, (0, 0), (0, 1))[dual] == (
+        phi((0, 0)).apply(1) == phi((0, 1)).apply(1)
     )
     assert parity(1 & 1) != parity(1 & 2)  # some character separates masks 1 and 2

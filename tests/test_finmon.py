@@ -24,7 +24,6 @@ from stonework.finmon import (
     generated_selfmap_monoid,
     is_submonoid,
     monoid_from_json,
-    opposite,
     validate_action,
     validate_monoid,
 )
@@ -71,31 +70,6 @@ def test_table_shape_and_range_errors():
         validate_monoid([[0, 2], [2, 0]], 0)
     with pytest.raises(ValueError):
         validate_monoid(Z2, 5)
-
-
-def test_opposite_commutative_fixed_point():
-    m = validate_monoid(Z2, 0)
-    assert opposite(m) == m
-
-
-def test_opposite_full_selfmaps_elementwise():
-    # reversal of composition order, checked against a transposition oracle
-    maps = full_selfmap_monoid(2)
-    m = maps.to_monoid()
-    op = opposite(m)
-    for i in range(m.size):
-        for j in range(m.size):
-            assert op.table[i][j] == m.table[j][i]
-
-
-def test_opposite_is_involution():
-    rng = random.Random(7)
-    for _ in range(5):
-        maps = generated_selfmap_monoid(
-            3, [tuple(rng.randrange(3) for _ in range(3))]
-        )
-        m = maps.to_monoid()
-        assert opposite(opposite(m)) == m
 
 
 def test_full_selfmap_counts():
@@ -240,11 +214,11 @@ def test_stored_tables_are_read_only_and_narrowed():
     m = validate_monoid(SEMILATTICE, 0)
     action = validate_action(validate_monoid([[0]], 0), 300, [list(range(300))])
     for values, dtype in ((m.values, np.uint8), (full_selfmap_monoid(4).to_monoid().values, np.uint8),
-                          (opposite(m).values, np.uint8), (action.values, np.uint16)):
+                          (FiniteMonoid(m.values.T, m.identity).values, np.uint8),
+                          (action.values, np.uint16)):
         assert values.dtype == dtype and values.flags.c_contiguous
         with pytest.raises(ValueError):
             values[0, 0] = 1
-    assert np.array_equal(opposite(m).values, m.values.T)
     # the constructors check shape and dtype only, and keep a copy
     own = np.array(SEMILATTICE, dtype=np.uint8)
     kept = FiniteMonoid(own, 0)
@@ -301,7 +275,7 @@ def test_equality_and_hashing_go_by_value():
 def test_the_table_views_are_built_only_on_demand():
     m = full_selfmap_monoid(3).to_monoid()
     d = UltraPseudometric.discrete(m.size)
-    assert is_submonoid(m, range(m.size)) and opposite(opposite(m)) == m
+    assert is_submonoid(m, range(m.size)) and FiniteMonoid(m.values.T, m.identity) != m
     assert nonexpansive_counterexample(m, d, "left") is None
     maps, to_map = cayley_embed(m)
     assert len(maps) == m.size and len(set(to_map)) == m.size

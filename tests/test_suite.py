@@ -174,13 +174,12 @@ def old_transport_scan(bound, memberships):
     """The check as a per-pair scan over (chi, s1, s2), one membership triple at a time."""
     instances = 0
     for n in range(1, bound + 1):
-        ring = BoolRing(n)
         maps = full_selfmap_monoid(n).elements
-        for chi in ring.elements():
+        for chi in range(1 << n):
             for s1 in maps:
                 for s2 in maps:
                     instances += 1
-                    triple = memberships(chi, s1, s2, ring)
+                    triple = memberships(chi, s1, s2)
                     if len(set(triple)) != 1:
                         return instances, {"n": n, "chi": chi, "s1": list(s1), "s2": list(s2),
                                            "memberships": list(triple)}
@@ -197,8 +196,8 @@ def test_entourage_transport_fails_like_the_old_loop_on_a_wrong_phi(monkeypatch)
     monkeypatch.setattr(duality, "phi_array", lambda values: phi_array((values + 1) % values.shape[1]))
     _, instances, witness = run_check(suite.check_entourage_transport, SMALL)
     assert witness is not None and len(set(witness["memberships"])) == 2
-    assert (instances, witness) == old_transport_scan(3, lambda chi, s1, s2, ring: oracle_transport(
-        chi, s1, s2, ring, image=lambda s, ring, chi: phi_at(shifted(s), ring, chi)))
+    assert (instances, witness) == old_transport_scan(3, lambda chi, s1, s2: oracle_transport(
+        chi, s1, s2, image=lambda s, chi: phi_at(shifted(s), chi)))
 
 
 def without_last_point(mask, n):
@@ -211,8 +210,8 @@ def test_entourage_transport_fails_like_the_old_loop_on_a_short_preimage(monkeyp
         real(values, chi), values.shape[-1]))
     _, instances, witness = run_check(suite.check_entourage_transport, SMALL)
     assert witness is not None and len(set(witness["memberships"])) == 2
-    assert (instances, witness) == old_transport_scan(3, lambda chi, s1, s2, ring: oracle_transport(
-        chi, s1, s2, ring, preimage=lambda s, chi: without_last_point(preimage_mask(s, chi), len(s))))
+    assert (instances, witness) == old_transport_scan(3, lambda chi, s1, s2: oracle_transport(
+        chi, s1, s2, preimage=lambda s, chi: without_last_point(preimage_mask(s, chi), len(s))))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -581,7 +580,7 @@ def test_covering_combinators_fail_when_the_star_is_too_fine(monkeypatch):
     def singletons(p):
         if len(p.sorted_blocks()) < 6:
             return real(p)
-        return unif.Cover.from_blocks(p.carrier_size, [[x] for x in range(p.carrier_size)])
+        return unif.Cover.from_blocks([[x] for x in range(p.carrier_size)])
 
     monkeypatch.setattr(suite, "cover_star", singletons)
     _, instances, witness = run_check(suite.check_covering_combinators, SuiteConfig())
@@ -595,8 +594,8 @@ def test_covering_combinators_fail_when_the_star_is_too_fine(monkeypatch):
 def test_covering_combinators_fail_when_the_wedge_is_every_subset(monkeypatch):
     def every_subset(p, q):
         n = p.carrier_size
-        return unif.Cover.from_blocks(n, [[x for x in range(n) if m >> x & 1]
-                                          for m in range(1, 1 << n)])
+        return unif.Cover.from_blocks([[x for x in range(n) if m >> x & 1]
+                                       for m in range(1, 1 << n)])
 
     monkeypatch.setattr(suite, "cover_wedge", every_subset)
     _, instances, witness = run_check(suite.check_covering_combinators, SuiteConfig())

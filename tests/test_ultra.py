@@ -32,7 +32,6 @@ from stonework.ultra import (
     _widest_path_depths,
     ball_submonoid_check,
     check_left_congruence,
-    check_nonexpansive,
     d_from_chain,
     enumerate_theta,
     epsilon_A_relation,
@@ -381,8 +380,8 @@ def test_sup_combine_strong_triangle_random():
 
 def test_discrete_metric_left_nonexpansive_on_group():
     z3 = validate_monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
-    assert check_nonexpansive(z3, UltraPseudometric.discrete(3), "left")
-    assert check_nonexpansive(z3, UltraPseudometric.discrete(3), "right")
+    assert nonexpansive_counterexample(z3, UltraPseudometric.discrete(3), "left") is None
+    assert nonexpansive_counterexample(z3, UltraPseudometric.discrete(3), "right") is None
 
 
 def test_right_nonexpansive_with_constant_translation():
@@ -390,7 +389,6 @@ def test_right_nonexpansive_with_constant_translation():
     table = [[0, 1, 2], [1, 1, 2], [2, 1, 2]]  # x*y = y for x,y nonidentity
     m = validate_monoid(table, 0)
     d = UltraPseudometric.from_rows([[0, 1, 1], [1, 0, HALF], [1, HALF, 0]])
-    assert check_nonexpansive(m, d, "right")
     assert nonexpansive_counterexample(m, d, "right") is None
 
 
@@ -513,9 +511,9 @@ def test_nonexpansive_counterexample_is_canonical_and_real():
 def test_side_argument_checked():
     m = validate_monoid([[0]], 0)
     with pytest.raises(ValueError):
-        check_nonexpansive(m, UltraPseudometric.discrete(1), "sideways")
+        nonexpansive_counterexample(m, UltraPseudometric.discrete(1), "sideways")
     with pytest.raises(CarrierMismatch):
-        check_nonexpansive(m, UltraPseudometric.discrete(2), "left")
+        nonexpansive_counterexample(m, UltraPseudometric.discrete(2), "left")
 
 
 def test_ball_submonoid_trivial_radii():

@@ -116,7 +116,7 @@ def test_saturate_trivial_action_is_meet_closure():
     q = Partition.from_classes(3, [[0], [1, 2]])
     fam = saturate(action, [p, q])
     assert set(fam.members) == {p, q, p.meet(q)}
-    assert fam.meet_closed and fam.saturated
+    assert is_meet_closed(fam) and is_saturated_under(fam, action)
 
 
 def test_saturate_clamp_map_example():
@@ -254,7 +254,6 @@ def test_saturate_agrees_with_the_worklist(case):
     action, gamma = case
     family = saturate(action, gamma)
     assert family == saturate_worklist(action, gamma)
-    assert family.meet_closed and family.saturated
 
 
 def ref_saturate_worklist(action, gamma):
@@ -298,7 +297,6 @@ def test_worklist_matches_the_partition_object_reference():
     for action, gamma in cases:
         family = saturate_worklist(action, gamma)
         assert family == ref_saturate_worklist(action, gamma)
-        assert family.meet_closed and family.saturated
         assert all(p == Partition.from_class_ids(p.class_id) for p in family.members)
 
 
@@ -575,55 +573,66 @@ def test_boundedness_report_states_vacuity():
 
 def test_cover_validation():
     with pytest.raises(ValueError):
-        Cover.from_blocks(3, [[0, 1]])  # does not cover
+        Cover.from_blocks([[0], [2]])  # does not cover point 1
     with pytest.raises(ValueError):
-        Cover.from_blocks(2, [[0, 1], []])
+        Cover.from_blocks([[0, 1], []])
     with pytest.raises(ValueError):
-        Cover.from_blocks(2, [[0, 1, 5]])
+        Cover.from_blocks([[0, 1, 5]])
+    with pytest.raises(ValueError):
+        Cover.from_blocks([[0], [-1, 1]])
+
+
+def test_the_carrier_of_a_cover_is_the_extent_of_its_blocks():
+    assert Cover.from_blocks([[0, 1], [2]]).carrier_size == 3
+    assert Cover(frozenset({0b1, 0b1110})).carrier_size == 4
+    assert Cover(frozenset()).carrier_size == 0
+    assert Cover.from_blocks([[1, 0]]) == Cover(frozenset({0b11}))
+    with pytest.raises(TypeError):
+        Cover(frozenset({0b11}), carrier_size=2)
 
 
 def test_wedge_identities_and_explicit_three_block_case():
-    q = Cover.from_blocks(4, [[0, 1, 2], [3]])
+    q = Cover.from_blocks([[0, 1, 2], [3]])
     assert cover_wedge(q, q) == q
-    whole = Cover.from_blocks(4, [[0, 1, 2, 3]])
+    whole = Cover.from_blocks([[0, 1, 2, 3]])
     assert cover_wedge(whole, q) == q
-    p = Cover.from_blocks(4, [[0, 1], [2, 3]])
+    p = Cover.from_blocks([[0, 1], [2, 3]])
     wedged = cover_wedge(p, q)
-    assert wedged == Cover.from_blocks(4, [[0, 1], [2], [3]])
+    assert wedged == Cover.from_blocks([[0, 1], [2], [3]])
     assert refines(wedged, p) and refines(wedged, q)
     with pytest.raises(CarrierMismatch):
-        cover_wedge(p, Cover.from_blocks(2, [[0, 1]]))
+        cover_wedge(p, Cover.from_blocks([[0, 1]]))
 
 
 def test_star_whole_cover_and_partition():
-    whole = Cover.from_blocks(3, [[0, 1, 2]])
+    whole = Cover.from_blocks([[0, 1, 2]])
     assert star([1], whole) == frozenset({0, 1, 2})
-    parts = Cover.from_blocks(4, [[0, 1], [2, 3]])
+    parts = Cover.from_blocks([[0, 1], [2, 3]])
     assert star([0], parts) == frozenset({0, 1})
     assert cover_star(parts) == parts  # disjoint blocks meet only themselves
 
 
 def test_star_of_overlapping_cover():
-    p = Cover.from_blocks(4, [[0, 1], [1, 2], [2, 3]])
+    p = Cover.from_blocks([[0, 1], [1, 2], [2, 3]])
     starred = cover_star(p)
-    assert starred == Cover.from_blocks(4, [[0, 1, 2], [0, 1, 2, 3], [1, 2, 3]])
+    assert starred == Cover.from_blocks([[0, 1, 2], [0, 1, 2, 3], [1, 2, 3]])
     assert refines(p, starred)  # P always refines its own star
 
 
 def test_refines_and_star_refines():
-    whole = Cover.from_blocks(3, [[0, 1, 2]])
-    singletons = Cover.from_blocks(3, [[0], [1], [2]])
+    whole = Cover.from_blocks([[0, 1, 2]])
+    singletons = Cover.from_blocks([[0], [1], [2]])
     assert refines(singletons, whole)
     assert star_refines(singletons, singletons)  # stars of singletons stay singletons
     # mutual refinement between distinct covers: refinement is not antisymmetric
-    p = Cover.from_blocks(3, [[0, 1], [2]])
-    q = Cover.from_blocks(3, [[0, 1], [2], [0]])
+    p = Cover.from_blocks([[0, 1], [2]])
+    q = Cover.from_blocks([[0, 1], [2], [0]])
     assert p != q and refines(p, q) and refines(q, p)
 
 
 def test_cover_order():
-    assert cover_order(Cover.from_blocks(3, [[0], [1], [2]])) == 1
-    lopsided = Cover.from_blocks(3, [[0, 1, 2], [1]])
+    assert cover_order(Cover.from_blocks([[0], [1], [2]])) == 1
+    lopsided = Cover.from_blocks([[0, 1, 2], [1]])
     assert cover_order(lopsided) == 2
     assert ord_at(lopsided, 1) == 2 and ord_at(lopsided, 0) == 1
 
@@ -638,8 +647,8 @@ def test_wedge_order_bound_random():
 
 
 def test_cover_json_round_trip():
-    p = Cover.from_blocks(4, [[0, 1], [1, 2], [2, 3]])
-    assert Cover.from_blocks(4, cover_blocks_from_json(p.to_json())) == p
+    p = Cover.from_blocks([[0, 1], [1, 2], [2, 3]])
+    assert Cover.from_blocks(cover_blocks_from_json(p.to_json())) == p
     assert p.to_json()["blocks"] == [[0, 1], [1, 2], [2, 3]]
 
 
@@ -732,15 +741,13 @@ def test_bitmask_covers_match_the_frozenset_reference():
 
 def test_bitmask_covers_reject_what_the_frozenset_covers_rejected():
     # a width past 64 bits, and each of the three defects with its message
-    assert Cover.from_blocks(70, [range(70), [69]]).sorted_blocks() == [list(range(70)), [69]]
-    for n, blocks, message in [(2, [[0, 1], []], "empty block"),
-                               (2, [[0, 1, 5]], "block point outside the carrier"),
-                               (2, [[0], [-1, 1]], "block point outside the carrier"),
-                               (3, [[0, 1]], "blocks do not cover the carrier")]:
+    assert Cover.from_blocks([range(70), [69]]).sorted_blocks() == [list(range(70)), [69]]
+    for blocks, message in [([[0, 1], []], "empty block"),
+                            ([[0], [-1, 1]], "block point outside the carrier"),
+                            ([[0, 2]], "blocks do not cover the carrier")]:
         with pytest.raises(ValueError, match=message):
-            Cover.from_blocks(n, blocks)
-    for masks, message in [({0b11, 0}, "empty block"), ({0b111}, "block point outside the carrier"),
-                           ({-1}, "block point outside the carrier"),
-                           ({0b01}, "blocks do not cover the carrier")]:
+            Cover.from_blocks(blocks)
+    for masks, message in [({0b11, 0}, "empty block"), ({-1}, "block point outside the carrier"),
+                           ({0b01, 0b100}, "blocks do not cover the carrier")]:
         with pytest.raises(ValueError, match=message):
-            Cover(carrier_size=2, blocks=frozenset(masks))
+            Cover(frozenset(masks))
