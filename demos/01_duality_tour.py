@@ -8,7 +8,6 @@ bijections, so all three monoids have the same size n**n.
 """
 
 from stonework import (
-    BoolRing,
     delta_adjoint,
     delta_eval,
     entourage_transport,
@@ -21,9 +20,8 @@ from stonework import (
 from stonework.boolring import mask_to_bits
 
 n = 3
-ring = BoolRing(n)
 maps = full_selfmap_monoid(n)
-endos = enumerate_ring_endos(ring)
+endos = enumerate_ring_endos(n)
 
 print(f"carrier of {n} points")
 print(f"  self-maps:          {len(maps)}")
@@ -55,8 +53,8 @@ assert h_st.rows == h_s.compose(h_t).rows
 print("the composite embedding is covariant on the same pair")
 
 # points of Y sit inside the character group as the ring homomorphisms
-print("\nevaluation characters:", [delta_eval(y, ring) for y in range(n)])
-print("ring homomorphisms:   ", ring_homs_to_Z2(ring))
+print("\nevaluation characters:", [delta_eval(y, n) for y in range(n)])
+print("ring homomorphisms:   ", ring_homs_to_Z2(n))
 
 # a basic entourage looks the same in all three representations
 chi = 0b011

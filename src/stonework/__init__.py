@@ -2,13 +2,10 @@
 non-archimedean pre-uniformities, with exhaustive verification."""
 
 from .boolring import (
-    BoolRing,
-    DualGroup,
     GroupEndo,
     RingEndo,
     enumerate_group_endos,
     enumerate_ring_endos,
-    pontryagin_dual,
     ring_homs_to_Z2,
 )
 from .contrast import (

@@ -2,9 +2,12 @@
 
 A ring with n atoms is the powerset of the atom set: elements are n-bit
 masks (bit a = atom a), addition is XOR (symmetric difference) and
-multiplication is AND (intersection).  Ring endomorphisms are stored by
-their atom images, additive (group) endomorphisms as bit matrices, and
-characters of the additive group as masks pairing by overlap parity.
+multiplication is AND (intersection).  So the ring is its atom count n,
+and no object stands for it: an endomorphism reads n off the length of
+its masks.  Ring endomorphisms are stored by their atom images, additive
+(group) endomorphisms as bit matrices, and characters of the additive
+group as masks f with f(x) = parity(f & x); their pointwise sum is the
+XOR of masks, so the dual is again a Boolean group of the same size.
 
 Sets of additive maps are also held as self-maps of the 2**n ring
 elements: ``additive_monoid`` passes their distinct value tables, as the
@@ -41,40 +44,16 @@ def xor_over_bits(masks, x: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class BoolRing:
-    atom_count: int
+def require_atoms(n: int) -> int:
+    """n, refused with a ValueError unless the ring has at least one atom."""
+    if n < 1:
+        raise ValueError("ring needs at least one atom")
+    return n
 
-    def __post_init__(self):
-        if self.atom_count < 1:
-            raise ValueError("ring needs at least one atom")
 
-    @property
-    def size(self) -> int:
-        return 1 << self.atom_count
-
-    @property
-    def one(self) -> int:
-        return self.size - 1
-
-    zero = 0
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def add(self, x: int, y: int) -> int:
-        return x ^ y
-
-    def mul(self, x: int, y: int) -> int:
-        return x & y
-
-    def atom(self, a: int) -> int:
-        if not 0 <= a < self.atom_count:
-            raise ValueError(f"no atom {a}")
-        return 1 << a
-
-    def to_json(self) -> dict:
-        return {"atoms": self.atom_count}
+def _same_atoms(x, y) -> None:
+    if len(x) != len(y):
+        raise DimensionMismatch("endomorphisms of rings with different atom counts")
 
 
 @dataclass(frozen=True)
@@ -86,21 +65,18 @@ class RingEndo:
     extends by XOR, so the two stored conditions pin the whole law set.
     """
 
-    ring: BoolRing
     atom_images: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.ring.atom_count
-        if len(self.atom_images) != n:
-            raise DimensionMismatch("one image per atom required")
+        n = require_atoms(len(self.atom_images))
         union = 0
         for a, img in enumerate(self.atom_images):
-            if not 0 <= img < self.ring.size:
+            if not 0 <= img < 1 << n:
                 raise ValueError(f"atom image {a} out of range")
             if union & img:
                 raise ValueError("atom images are not pairwise disjoint")
             union |= img
-        if union != self.ring.one:
+        if union != (1 << n) - 1:
             raise ValueError("atom images do not cover the unit")
 
     def apply(self, x: int) -> int:
@@ -108,40 +84,42 @@ class RingEndo:
 
     def compose(self, other: RingEndo) -> RingEndo:
         """self after other."""
+        _same_atoms(self.atom_images, other.atom_images)
         images = tuple(self.apply(img) for img in other.atom_images)
-        return RingEndo(ring=self.ring, atom_images=images)
+        return RingEndo(images)
 
     def to_group_endo(self) -> GroupEndo:
         # the atom images are the matrix's columns
-        return GroupEndo(ring=self.ring, rows=self.atom_images).transpose()
+        return GroupEndo(self.atom_images).transpose()
 
     def to_json(self) -> dict:
-        n = self.ring.atom_count
+        n = len(self.atom_images)
         return {"atom_images": [mask_to_bits(img, n) for img in self.atom_images]}
 
 
-def identity_ring_endo(ring: BoolRing) -> RingEndo:
-    return RingEndo(ring=ring, atom_images=tuple(1 << a for a in range(ring.atom_count)))
+def identity_ring_endo(n: int) -> RingEndo:
+    return RingEndo(tuple(1 << a for a in range(n)))
 
 
-def enumerate_ring_endos(ring: BoolRing) -> list[RingEndo]:
+def enumerate_ring_endos(n: int) -> list[RingEndo]:
     """All ring endomorphisms, by brute force over atom-image assignments.
 
     Depth-first over atoms with disjointness pruning; results come out in
     ascending lexicographic order of the atom-image tuples.
     """
-    n = ring.atom_count
+    require_atoms(n)
     guard_enum(n**n, f"ring endomorphisms of a {n}-atom ring")
+    one = (1 << n) - 1
     out: list[RingEndo] = []
     images: list[int] = []
 
     def descend(used: int) -> None:
         depth = len(images)
         if depth == n:
-            if used == ring.one:
-                out.append(RingEndo(ring=ring, atom_images=tuple(images)))
+            if used == one:
+                out.append(RingEndo(tuple(images)))
             return
-        for img in ring.elements():
+        for img in range(one + 1):
             if img & used:
                 continue
             images.append(img)
@@ -160,42 +138,40 @@ class GroupEndo:
     so the action on a mask x is y with y_i = parity(rows[i] & x).
     """
 
-    ring: BoolRing
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.ring.atom_count
-        if len(self.rows) != n:
-            raise DimensionMismatch("matrix must be square of atom size")
-        if any(not 0 <= r < self.ring.size for r in self.rows):
+        n = require_atoms(len(self.rows))
+        if any(not 0 <= r < 1 << n for r in self.rows):
             raise ValueError("matrix row out of range")
 
     def apply(self, x: int) -> int:
         return sum(parity(row & x) << i for i, row in enumerate(self.rows))
 
     def compose(self, other: GroupEndo) -> GroupEndo:
+        _same_atoms(self.rows, other.rows)
         # row_i of (self after other) collects other's rows selected by self's row_i
         rows = tuple(xor_over_bits(other.rows, r) for r in self.rows)
-        return GroupEndo(ring=self.ring, rows=rows)
+        return GroupEndo(rows)
 
     def transpose(self) -> GroupEndo:
-        n = self.ring.atom_count
+        n = len(self.rows)
         rows = tuple(
             sum(((self.rows[j] >> i) & 1) << j for j in range(n))
             for i in range(n)
         )
-        return GroupEndo(ring=self.ring, rows=rows)
+        return GroupEndo(rows)
 
     def to_json(self) -> dict:
-        n = self.ring.atom_count
+        n = len(self.rows)
         return {"matrix": [mask_to_bits(r, n) for r in self.rows]}
 
 
-def enumerate_group_endos(ring: BoolRing) -> list[GroupEndo]:
+def enumerate_group_endos(n: int) -> list[GroupEndo]:
     """All additive endomorphisms: every n-by-n bit matrix, in row-lex order."""
-    n = ring.atom_count
+    require_atoms(n)
     guard_enum(1 << (n * n), f"group endomorphisms of a {n}-atom ring")
-    return [GroupEndo(ring=ring, rows=rows) for rows in product(ring.elements(), repeat=n)]
+    return [GroupEndo(rows) for rows in product(range(1 << n), repeat=n)]
 
 
 def transpose_masks(masks, n: int) -> np.ndarray:
@@ -228,38 +204,17 @@ def additive_monoid(columns, n: int) -> tuple[SelfMapMonoid, np.ndarray]:
     return SelfMapMonoid(values), where.reshape(-1)
 
 
-@dataclass(frozen=True)
-class DualGroup:
-    """Characters of the additive group: masks f with f(x) = parity(f & x).
-
-    Pointwise character addition is XOR of masks, so the dual is again a
-    Boolean group of the same size.
-    """
-
-    ring: BoolRing
-
-    def elements(self) -> range:
-        return range(self.ring.size)
-
-    def pairing(self, chi: int, f: int) -> int:
-        return parity(chi & f)
-
-    def is_ring_hom(self, f: int) -> bool:
-        if self.pairing(self.ring.one, f) != 1:
-            return False
-        for chi in self.ring.elements():
-            for psi in self.ring.elements():
-                lhs = self.pairing(chi & psi, f)
-                if lhs != self.pairing(chi, f) & self.pairing(psi, f):
-                    return False
-        return True
+def _is_ring_hom(f: int, one: int) -> bool:
+    if parity(one & f) != 1:
+        return False
+    for chi in range(one + 1):
+        for psi in range(one + 1):
+            if parity(chi & psi & f) != parity(chi & f) & parity(psi & f):
+                return False
+    return True
 
 
-def pontryagin_dual(ring: BoolRing) -> DualGroup:
-    return DualGroup(ring=ring)
-
-
-def ring_homs_to_Z2(ring: BoolRing) -> list[int]:
+def ring_homs_to_Z2(n: int) -> list[int]:
     """Characters that are also multiplicative and unital (brute filter)."""
-    dual = pontryagin_dual(ring)
-    return [f for f in dual.elements() if dual.is_ring_hom(f)]
+    one = (1 << require_atoms(n)) - 1
+    return [f for f in range(one + 1) if _is_ring_hom(f, one)]

@@ -144,17 +144,16 @@ def cmd_saturate(args) -> int:
 
 
 def cmd_cover_ops(args) -> int:
+    needed, word = (2, "two covers") if args.op == "wedge" else (1, "one cover")
+    if len(args.covers) != needed:
+        raise StoneworkError(f"{args.op} needs exactly {word}")
     parsed = [Cover.from_blocks(cover_blocks_from_json(_load_json(path))) for path in args.covers]
-    if not parsed:
-        raise StoneworkError("at least one cover file is required")
     if not all(p.carrier_size for p in parsed):
         raise StoneworkError("the covers hold no points; a cover needs at least one")
+    p = parsed[0]
     if args.op == "wedge":
-        if len(parsed) != 2:
-            raise StoneworkError("wedge needs exactly two covers")
         _emit(cover_wedge(*parsed).to_json())
     elif args.op == "star":
-        p = parsed[0]
         if args.set:
             points = [_parse_int(v, "--set") for v in args.set.split(",")]
             for x in points:
@@ -165,7 +164,6 @@ def cmd_cover_ops(args) -> int:
         else:
             _emit(cover_star(p).to_json())
     else:
-        p = parsed[0]
         _emit({"order": cover_order(p),
                "pointwise": [ord_at(p, x) for x in range(p.carrier_size)]})
     return 0
@@ -274,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="built-in example instances")
     p.add_argument("which", choices=["contrast"])
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--report", choices=["json"], default="json")
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("verify", help="run the verification suite")

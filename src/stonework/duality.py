@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boolring import BoolRing, GroupEndo, RingEndo
+from .boolring import GroupEndo, RingEndo, require_atoms
 from .errors import DimensionMismatch
 from .finmon import CHUNK_ENTRIES, SelfMapMonoid, is_self_map
 from .ultra import Partition
@@ -43,11 +43,10 @@ def phi(s) -> RingEndo:
     s takes entries as is_self_map does: no bool and no float is a point.
     """
     s = tuple(s)
-    ring = BoolRing(len(s))
     if not is_self_map(s, len(s)):
         raise ValueError(f"[{', '.join(map(str, s))}] is not a self-map of {len(s)} points")
-    images = tuple(preimage_mask(s, 1 << a) for a in range(ring.atom_count))
-    return RingEndo(ring=ring, atom_images=images)
+    images = tuple(preimage_mask(s, 1 << a) for a in range(len(s)))
+    return RingEndo(images)
 
 
 def phi_array(values) -> np.ndarray:
@@ -64,7 +63,7 @@ def phi_inverse(mu: RingEndo) -> tuple[int, ...]:
     The atom images partition the carrier, so each point sits in exactly
     one image; the owning atom is its value under s.
     """
-    n = mu.ring.atom_count
+    n = len(mu.atom_images)
     out = [-1] * n
     for a, img in enumerate(mu.atom_images):
         for y in range(n):
@@ -78,10 +77,10 @@ def delta_adjoint(sigma: GroupEndo) -> GroupEndo:
     return sigma.transpose()
 
 
-def delta_eval(y: int, ring: BoolRing) -> int:
+def delta_eval(y: int, n: int) -> int:
     """Evaluation character of the point y, as a dual-group mask."""
-    if not 0 <= y < ring.atom_count:
-        raise ValueError(f"point {y} outside the {ring.atom_count}-point carrier")
+    if not 0 <= y < require_atoms(n):
+        raise ValueError(f"point {y} outside the {n}-point carrier")
     return 1 << y
 
 
@@ -107,9 +106,7 @@ def entourage_keys(values, chi: int):
     equal.
     """
     values = np.asarray(values, dtype=np.int64)
-    n = values.shape[-1]
-    if n < 1:
-        raise ValueError("ring needs at least one atom")
+    n = require_atoms(values.shape[-1])
     if not 0 <= chi < 1 << n:
         raise ValueError("chi out of range")
     if values.size and not (values.min() >= 0 and values.max() < n):

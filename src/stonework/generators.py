@@ -24,17 +24,17 @@ from .ultra import MonotoneChain, Partition, UltraPseudometric, d_from_chain
 from .unif import Cover
 
 
-def random_partition(rng: random.Random, n: int, max_classes: int | None = None) -> Partition:
-    k = rng.randint(1, max_classes or n)
+def random_partition(rng: random.Random, n: int) -> Partition:
+    k = rng.randint(1, n)
     return Partition.from_class_ids([rng.randrange(k) for _ in range(n)])
 
 
-def random_refinement(rng: random.Random, p: Partition, split_chance: float = 0.5) -> Partition:
+def random_refinement(rng: random.Random, p: Partition) -> Partition:
     """Split some classes of p at random; the result refines p."""
     ids = list(p.class_id)
     next_id = max(ids) + 1
     for cls in p.classes():
-        if len(cls) > 1 and rng.random() < split_chance:
+        if len(cls) > 1 and rng.random() < 0.5:
             for x in cls:
                 if rng.random() < 0.5:
                     ids[x] = next_id
@@ -56,11 +56,11 @@ def random_ultrametric(rng: random.Random, n: int) -> UltraPseudometric:
     return d_from_chain(random_chain(rng, n, depth=rng.randint(1, max(2, n))))
 
 
-def random_cover(rng: random.Random, n: int, max_blocks: int = 6) -> Cover:
-    """Up to max_blocks random blocks, as bitmasks, and the points they
-    miss as one more block."""
+def random_cover(rng: random.Random, n: int) -> Cover:
+    """Up to six random blocks, as bitmasks, and the points they miss as
+    one more block."""
     blocks: set[int] = set()
-    for _ in range(rng.randint(1, max_blocks)):
+    for _ in range(rng.randint(1, 6)):
         size = rng.randint(1, n)
         mask = 0
         for x in rng.sample(range(n), size):

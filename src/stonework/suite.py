@@ -23,7 +23,6 @@ import numpy as np
 from . import contrast as contrast_mod
 from . import navector
 from .boolring import (
-    BoolRing,
     additive_monoid,
     additive_values,
     enumerate_group_endos,
@@ -32,7 +31,7 @@ from .boolring import (
     ring_homs_to_Z2,
     transpose_masks,
 )
-from .duality import entourage_transport, hom_embed, phi_array
+from .duality import delta_eval, entourage_transport, hom_embed, phi_array
 from .errors import AssociativityViolation, NoWitness, StoneworkError
 from .finmon import SelfMapMonoid, full_selfmap_monoid, is_submonoid, validate_monoid
 from .generators import (
@@ -230,7 +229,7 @@ def check_duality_counts(cfg: SuiteConfig):
     yield {"points": list(range(1, cfg.bound_points + 1))}
     for n in range(1, cfg.bound_points + 1):
         maps = full_selfmap_monoid(n)
-        endos = enumerate_ring_endos(BoolRing(n))
+        endos = enumerate_ring_endos(n)
         yield len(maps) + len(endos), None
         if not (len(maps) == len(endos) == n**n):
             yield 0, {
@@ -245,8 +244,7 @@ def check_phi(cfg: SuiteConfig):
     yield {"points": list(range(1, cfg.bound_points + 1))}
     for n in range(1, cfg.bound_points + 1):
         maps = full_selfmap_monoid(n)
-        ring = BoolRing(n)
-        endos = enumerate_ring_endos(ring)
+        endos = enumerate_ring_endos(n)
         columns = [e.atom_images for e in endos]
         try:
             ring_maps, _ = additive_monoid(columns, n)
@@ -254,7 +252,7 @@ def check_phi(cfg: SuiteConfig):
             # the identity is missing: the set is closed iff it is closed with
             # the identity added and no composite of two members is the identity
             ring_maps = None
-            padded, where = additive_monoid([identity_ring_endo(ring).atom_images, *columns], n)
+            padded, where = additive_monoid([identity_ring_endo(n).atom_images, *columns], n)
             table = padded.composites()
             closed = table is not None and (table[np.ix_(where[1:], where[1:])] != where[0]).all()
         else:
@@ -295,7 +293,7 @@ def check_delta(cfg: SuiteConfig):
 
     # full additive endomorphism monoid
     for n in range(1, cfg.bound_atoms + 1):
-        endos = enumerate_group_endos(BoolRing(n))
+        endos = enumerate_group_endos(n)
         matrices, order = additive_monoid(transpose_masks([e.rows for e in endos], n), n)
         yield len(endos) ** 2, None
         failure = _delta_law(matrices, matrices, order)
@@ -331,9 +329,9 @@ def check_delta(cfg: SuiteConfig):
 def check_evaluation(cfg: SuiteConfig):
     yield {"points": list(range(1, cfg.bound_points + 1))}
     for n in range(1, cfg.bound_points + 1):
-        ring = BoolRing(n)
-        homs = set(ring_homs_to_Z2(ring))
-        image = {1 << y for y in range(n)}
+        homs = set(ring_homs_to_Z2(n))
+        evals = [delta_eval(y, n) for y in range(n)]
+        image = set(evals)
         yield len(homs), None
         if homs != image or len(image) != n:
             yield 0, {
@@ -346,7 +344,7 @@ def check_evaluation(cfg: SuiteConfig):
             endo = hom_embed(s)
             for y in range(n):
                 yield 1, None
-                if endo.apply(1 << y) != 1 << s[y]:
+                if endo.apply(evals[y]) != evals[s[y]]:
                     yield 0, {
                         "n": n,
                         "s": list(s),

@@ -1,7 +1,8 @@
 """Point the CLI subprocesses that tests start at this checkout's sources,
 so a plain `python -m pytest` needs no PYTHONPATH (pyproject's pytest
-`pythonpath` covers the in-process imports), and give the law tests the
-relabeling fixture that places a first defect on a chosen row."""
+`pythonpath` covers the in-process imports), hand them the warning policy
+that pyproject's `filterwarnings` applies in process, and give the law
+tests the relabeling fixture that places a first defect on a chosen row."""
 
 import os
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+os.environ["PYTHONWARNINGS"] = "error::DeprecationWarning,error::FutureWarning,error::RuntimeWarning"
 
 
 @pytest.fixture

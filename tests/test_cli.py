@@ -507,6 +507,23 @@ def test_cover_ops_rejects_empty_covers_and_outside_points(tmp_path, op, cover, 
     assert problem in proc.stderr
 
 
+@pytest.mark.parametrize("op,count,problem", [
+    ("star", 2, "star needs exactly one cover"),
+    ("ord", 2, "ord needs exactly one cover"),
+    ("ord", 0, "ord needs exactly one cover"),
+    ("wedge", 1, "wedge needs exactly two covers"),
+])
+def test_cover_ops_refuse_any_other_count_of_covers(tmp_path, op, count, problem):
+    # the second cover lies on another carrier, so ignoring it would hide a mismatch
+    files = []
+    for name, blocks in [("a", [[0, 1]]), ("b", [[0], [1], [2]])][:count]:
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps({"blocks": blocks}))
+    proc = run_cli(["cover-ops", "--op", op, *map(str, files)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {problem}\n"
+
+
 @pytest.mark.parametrize("p,q,problem", [
     ([[0, 1], [2]], [[0], [1]], "covers on different carriers"),
     ([[0, 1], [2]], [[0, 1], [2], [-1]], "block point outside the carrier"),

@@ -20,3 +20,10 @@ def test_demo_exits_zero(script):
         [sys.executable, str(script)], capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_subprocesses_raise_on_deprecation_warnings():
+    # conftest hands every subprocess pyproject's warning policy
+    warn = "import warnings; warnings.warn('old', DeprecationWarning)"
+    proc = subprocess.run([sys.executable, "-c", warn], capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0 and "DeprecationWarning: old" in proc.stderr

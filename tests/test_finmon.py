@@ -7,7 +7,6 @@ import pytest
 
 from stonework import finmon
 from stonework.boolring import (
-    BoolRing,
     additive_monoid,
     enumerate_group_endos,
     enumerate_ring_endos,
@@ -604,13 +603,13 @@ def _dihedral_and_constants(n: int) -> SelfMapMonoid:
 
 def _additive_8() -> SelfMapMonoid:
     """The 512 additive maps of the 8-point group (Z/2)**3."""
-    endos = enumerate_group_endos(BoolRing(3))
+    endos = enumerate_group_endos(3)
     return additive_monoid([e.rows for e in endos], 3)[0]
 
 
 def _ring_endos_16() -> SelfMapMonoid:
     """The 256 ring endomorphisms of the 16-element Boolean ring, as maps."""
-    endos = enumerate_ring_endos(BoolRing(4))
+    endos = enumerate_ring_endos(4)
     return additive_monoid([e.atom_images for e in endos], 4)[0]
 
 

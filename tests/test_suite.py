@@ -12,7 +12,7 @@ from test_cli import run_cli
 from test_duality import oracle_transport, phi_at
 
 from stonework import duality, navector, suite, ultra, unif
-from stonework.boolring import BoolRing, additive_monoid, enumerate_group_endos, transpose_masks
+from stonework.boolring import additive_monoid, enumerate_group_endos, transpose_masks
 from stonework.duality import phi_array, preimage_mask
 from stonework.errors import NoWitness
 from stonework.finmon import MonoidAction, SelfMapMonoid, full_selfmap_monoid
@@ -115,7 +115,7 @@ def test_delta_fails_when_transpose_is_the_identity(monkeypatch, atoms, failure,
 
 
 def test_the_delta_law_holds_no_intp_copy_of_the_table():
-    endos = enumerate_group_endos(BoolRing(3))
+    endos = enumerate_group_endos(3)
     matrices, order = additive_monoid(transpose_masks([e.rows for e in endos], 3), 3)
     table = matrices.composites()           # 512 x 512 uint16
     matrices.lookup(matrices.values[:1])
@@ -150,7 +150,7 @@ def test_phi_fails_when_an_endomorphism_is_missing(monkeypatch):
     # drop the last endomorphism where there are two or more: at 2 atoms it
     # has atom images (3, 0), the composite (0, 3) after (2, 1)
     real = suite.enumerate_ring_endos
-    monkeypatch.setattr(suite, "enumerate_ring_endos", lambda ring: real(ring)[:-1] or real(ring))
+    monkeypatch.setattr(suite, "enumerate_ring_endos", lambda n: real(n)[:-1] or real(n))
     _, instances, witness = run_check(check_phi, SMALL)
     assert witness == {"n": 2, "failure": "ring-endomorphism composition left the enumerated set"}
     assert instances == 1
@@ -165,8 +165,8 @@ def test_phi_fails_when_an_endomorphism_is_missing(monkeypatch):
 ])
 def test_phi_fails_when_the_identity_endomorphism_is_missing(monkeypatch, keep, instances, failure):
     real = suite.enumerate_ring_endos
-    monkeypatch.setattr(suite, "enumerate_ring_endos", lambda ring: real(ring) if ring.atom_count != 2
-                        else [e for e in real(ring) if keep(e)])
+    monkeypatch.setattr(suite, "enumerate_ring_endos", lambda n: real(n) if n != 2
+                        else [e for e in real(n) if keep(e)])
     assert run_check(check_phi, SMALL)[1:] == (instances, {"n": 2, "failure": failure})
 
 
