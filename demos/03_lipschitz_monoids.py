@@ -12,11 +12,12 @@ from fractions import Fraction
 
 from stonework import (
     UltraPseudometric,
-    ball_submonoid_check,
     check_left_congruence,
     enumerate_theta,
     epsilon_A_relation,
     full_selfmap_monoid,
+    is_submonoid,
+    nonexpansive_counterexample,
 )
 from stonework.generators import random_one_sided_metric, random_transformation_monoid
 import random
@@ -49,8 +50,9 @@ m, _ = random_transformation_monoid(rng, 3, max_size=6)
 d = random_one_sided_metric(rng, m, "right")
 print(f"\na random {m.size}-element transformation monoid with a "
       f"right-nonexpansive metric:")
+assert nonexpansive_counterexample(m, d, "right") is None
 for r in d.levels[1:] or [Fraction(1)]:
-    ok = ball_submonoid_check(m, d, r, side="right")
+    ok = is_submonoid(m, d.ball(m.identity, r))
     print(f"  identity ball of radius {r}: submonoid = {ok}")
     assert ok
 

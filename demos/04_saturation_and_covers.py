@@ -7,21 +7,19 @@ Covers carry the star/wedge/order combinators that underlie dimension
 bounds for uniform structures.
 """
 
+from functools import reduce
+
 from stonework import (
     Cover,
     Partition,
-    boundedness_report,
     cover_order,
     cover_star,
     cover_wedge,
-    kernel_partition,
     refines,
     saturate,
-    star_refines,
     validate_action,
     validate_monoid,
 )
-from stonework.ultra import meet_all
 from stonework.unif import is_meet_closed, is_saturated_under
 
 # three maps on three points: identity, clamp-up, constant-top
@@ -37,14 +35,10 @@ for p in family.members:
 print("closed:", "meet-closed" if is_meet_closed(family) else "",
       "saturated" if is_saturated_under(family, action) else "")
 
-report = boundedness_report(action, family)
-print(f"\nboundedness on a finite discrete monoid: {report.bounded}")
-print("  reason:", report.witness[:60] + "...")
-
 # kernel partitions of two-valued functions separate points when their
 # meet is the discrete partition
 indicators = [[1 if x == i else 0 for x in range(4)] for i in range(4)]
-met = meet_all([kernel_partition(f) for f in indicators])
+met = reduce(Partition.meet, map(Partition.from_class_ids, indicators))
 print(f"\nmeet of the four singleton-indicator kernels on 4 points: "
       f"{met.num_classes()} classes (discrete = separating)")
 
@@ -56,7 +50,7 @@ print("cover Q:", q.sorted_blocks())
 print("P wedge Q:", cover_wedge(p, q).sorted_blocks())
 print("star of P:", cover_star(p).sorted_blocks())
 print("P refines its own star:", refines(p, cover_star(p)))
-print("P star-refines Q:", star_refines(p, q))
+print("P star-refines Q:", refines(cover_star(p), q))
 print("orders: P ->", cover_order(p), " Q ->", cover_order(q),
       " wedge ->", cover_order(cover_wedge(p, q)))
 assert cover_order(cover_wedge(p, q)) <= cover_order(p) * cover_order(q)

@@ -32,7 +32,6 @@ from .errors import (
     IdentityViolation,
     NoWitness,
     NotLipschitz,
-    PreconditionUnverified,
     ResourceLimit,
     StoneworkError,
 )
@@ -60,7 +59,6 @@ from .ultra import (
     MonotoneChain,
     Partition,
     UltraPseudometric,
-    ball_submonoid_check,
     check_left_congruence,
     d_from_chain,
     enumerate_theta,
@@ -70,19 +68,15 @@ from .ultra import (
     sup_combine,
 )
 from .unif import (
-    BoundednessReport,
     Cover,
     PartitionFamily,
-    boundedness_report,
     cover_order,
     cover_star,
     cover_wedge,
-    kernel_partition,
     preimage_partition,
     refines,
     saturate,
     star,
-    star_refines,
 )
 
 __version__ = "0.1.0"

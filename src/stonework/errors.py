@@ -41,10 +41,6 @@ class NotLipschitz(StoneworkError):
         super().__init__(f"map increases the distance between points {x} and {y}")
 
 
-class PreconditionUnverified(StoneworkError):
-    pass
-
-
 class NoWitness(StoneworkError):
     pass
 

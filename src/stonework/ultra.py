@@ -20,9 +20,8 @@ import numpy as np
 from .errors import (
     CarrierMismatch,
     ChainNotMonotone,
-    PreconditionUnverified,
 )
-from .finmon import CHUNK_ENTRIES, FiniteMonoid, SelfMapMonoid, first_true, is_submonoid
+from .finmon import CHUNK_ENTRIES, FiniteMonoid, SelfMapMonoid, first_true
 from .limits import guard_enum
 from .schema import (
     expect_field,
@@ -141,16 +140,6 @@ def partition_from_json(carrier_size: int, obj: dict) -> Partition:
     obj = expect_object(obj, "partition")
     classes = expect_rows(expect_field(obj, "classes", "partition"), "partition classes")
     return Partition.from_classes(carrier_size, classes)
-
-
-def meet_all(parts) -> Partition:
-    parts = list(parts)
-    if not parts:
-        raise ValueError("meet of an empty family")
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.meet(p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +467,6 @@ def nonexpansive_counterexample(m: FiniteMonoid, d: UltraPseudometric, side: str
     # rank of (moved[x, s], moved[y, s]) against rank of (x, y), on (x, y, s)
     return first_true((n, n, n), lambda a, b: flat.take(
         scaled[a:b, None, :] + moved) > rank[a:b, :, None])
-
-
-def ball_submonoid_check(m: FiniteMonoid, d: UltraPseudometric, r,
-                         side: str = "right") -> bool:
-    """Is the open ball around the identity a submonoid?
-
-    Requires the matching nonexpansiveness to hold (verified here; the
-    conclusion is then forced, which is the point of the check).
-    """
-    witness = nonexpansive_counterexample(m, d, side)
-    if witness is not None:
-        raise PreconditionUnverified(
-            f"{side}-nonexpansiveness fails at (x, y, s) = {witness}"
-        )
-    return is_submonoid(m, d.ball(m.identity, Fraction(r)))
 
 
 def check_left_congruence(m: FiniteMonoid, p: Partition) -> bool:

@@ -1,5 +1,5 @@
 """Pre-uniformity bases on finite carriers: partition families, the
-saturation fixed point, kernel partitions, and covering combinators.
+saturation fixed point, and covering combinators.
 
 Families of equivalence relations stand in for entourage bases; covers
 carry the star/wedge/order calculus.  Nothing here is filter-completed:
@@ -91,14 +91,6 @@ def preimage_partition(s, p: Partition) -> Partition:
     if len(s) != p.carrier_size:
         raise CarrierMismatch("map and partition carriers differ")
     return Partition.from_class_ids(map(p.class_id.__getitem__, s))
-
-
-def kernel_partition(f) -> Partition:
-    """Level sets of a two-valued function."""
-    values = list(f)
-    if len(set(values)) > 2:
-        raise ValueError("function takes more than two values")
-    return Partition.from_class_ids(values)
 
 
 class PartitionLattice:
@@ -388,48 +380,6 @@ def is_saturated_under(family: PartitionFamily, action: MonoidAction) -> bool:
                          lambda a, b: ids[a:b].take(maps, axis=1), pullback)
 
 
-@dataclass(frozen=True)
-class BoundednessReport:
-    """Boundedness of a translation family on a finite discrete monoid.
-
-    On a finite discrete monoid every singleton {s} is a neighborhood of
-    s, so the boundedness condition holds with that witness for every
-    entourage; the report says so explicitly instead of hiding the
-    vacuity behind a bare True.
-    """
-
-    monoid_size: int
-    carrier_size: int
-    entourage_count: int
-    bounded: bool
-    witness: str
-
-    def to_json(self) -> dict:
-        return {
-            "monoid_size": self.monoid_size,
-            "carrier_size": self.carrier_size,
-            "entourage_count": self.entourage_count,
-            "bounded": self.bounded,
-            "witness": self.witness,
-        }
-
-
-def boundedness_report(action: MonoidAction, family: PartitionFamily) -> BoundednessReport:
-    if family.carrier_size != action.carrier_size:
-        raise CarrierMismatch("family and action carriers differ")
-    return BoundednessReport(
-        monoid_size=action.monoid.size,
-        carrier_size=action.carrier_size,
-        entourage_count=len(family),
-        bounded=True,
-        witness=(
-            "finite discrete monoid: for every element s and entourage e the "
-            "singleton neighborhood {s} satisfies the boundedness condition "
-            "vacuously (the only competing translation is s itself)"
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # covers and the star/wedge/order calculus
 
@@ -539,11 +489,6 @@ def refines(q: Cover, p: Cover) -> bool:
     if p.carrier_size != q.carrier_size:
         raise CarrierMismatch("covers on different carriers")
     return all(any(not a & ~b for b in p.blocks) for a in q.blocks)
-
-
-def star_refines(p: Cover, q: Cover) -> bool:
-    """The star of p refines q."""
-    return refines(cover_star(p), q)
 
 
 def ord_at(p: Cover, x: int) -> int:

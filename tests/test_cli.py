@@ -347,10 +347,16 @@ def test_kantorovich_repeated_point_cancels():
     assert json.loads(proc.stdout)["norm"] == "0"
 
 
-def test_kantorovich_support_above_the_oracle_bound():
-    proc = run_cli(["kantorovich", "--metric", "discrete:9", "--vector", "0,1,2,3,4,5,6,7,8"])
-    assert proc.returncode == 2
-    assert proc.stderr == "error: support of size 9 above the pairing bound 8\n"
+def test_kantorovich_reports_the_closed_form_above_the_oracle_bound():
+    # the closed form takes any support; the search oracle only up to 8 points
+    pairs = [[0, 1], [2, 3], [4, 5], [6, 7]]
+    for support, last, oracle in [("0,1,2,3,4,5,6,7,8", [[8, 12]], None),
+                                  ("0,1,2,3,4,5,6,7", [], "1")]:
+        proc = run_cli(["kantorovich", "--metric", "discrete:12", "--vector", support])
+        assert proc.returncode == 0 and proc.stderr == ""
+        out = json.loads(proc.stdout)
+        assert out["norm"] == "1" and out["pairing"] == pairs + last
+        assert out["auxiliary_oracle_norm"] == oracle
 
 
 @pytest.mark.parametrize("args", [

@@ -156,17 +156,26 @@ def test_phi_fails_when_an_endomorphism_is_missing(monkeypatch):
     assert instances == 1
 
 
-@pytest.mark.parametrize("keep,instances,failure", [
+def without_identity(endos):
+    return [e for e in endos if e.atom_images != (1, 2)]
+
+
+@pytest.mark.parametrize("pick,instances,failure", [
     # the swap (2, 1) after itself is the missing identity (1, 2)
-    pytest.param(lambda e: e.atom_images != (1, 2), 1,
+    pytest.param(without_identity, 1,
                  "ring-endomorphism composition left the enumerated set", id="identity-dropped"),
     # the maps with an empty atom image are closed without the identity
-    pytest.param(lambda e: 0 in e.atom_images, 17, "phi is not a bijection", id="closed-without-it"),
+    pytest.param(lambda endos: [e for e in endos if 0 in e.atom_images], 17,
+                 "phi is not a bijection", id="closed-without-it"),
+    # the first map left repeated: as many maps as endomorphisms, so only
+    # the closure test tells the set from the full one
+    pytest.param(lambda endos: without_identity(endos)[:1] + without_identity(endos), 1,
+                 "ring-endomorphism composition left the enumerated set", id="one-repeated"),
 ])
-def test_phi_fails_when_the_identity_endomorphism_is_missing(monkeypatch, keep, instances, failure):
+def test_phi_fails_when_the_identity_endomorphism_is_missing(monkeypatch, pick, instances, failure):
     real = suite.enumerate_ring_endos
     monkeypatch.setattr(suite, "enumerate_ring_endos", lambda n: real(n) if n != 2
-                        else [e for e in real(n) if keep(e)])
+                        else pick(real(n)))
     assert run_check(check_phi, SMALL)[1:] == (instances, {"n": 2, "failure": failure})
 
 
@@ -393,6 +402,23 @@ def test_saturation_fails_when_both_drop_the_generator(monkeypatch):
     assert witness["failure"] == "saturation fixed point violated"
     assert witness["generator"] == {"classes": [[0, 1, 2]]}
     assert instances == 3 * 3 * 5 + 1
+
+
+def test_saturation_oracles_alone_catch_a_family_both_saturations_agree_on(monkeypatch):
+    # both saturations return the generator alone, so they agree; only
+    # is_meet_closed and is_saturated_under can see that it is not closed
+    monkeypatch.setattr(unif.PartitionLattice, "saturation",
+                        lambda self, pull, gamma: unif.make_family(3, gamma))
+    monkeypatch.setattr(suite, "saturate_worklist",
+                        lambda action, gamma: unif.make_family(action.carrier_size, gamma))
+    _, instances, witness = run_check(suite.check_saturation, SMALL)
+    assert instances == 47
+    assert witness == {
+        "monoid": {"size": 3, "identity": 0, "table": [[0, 1, 2], [1, 0, 2], [2, 2, 2]]},
+        "action": [[0, 1, 2], [0, 1, 2], [0, 0, 0]],
+        "generator": {"classes": [[0, 1], [2]]},
+        "failure": "saturation fixed point violated",
+    }
 
 
 def dropping_first_member_on(values):

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from stonework.errors import (
     CarrierMismatch,
     ChainNotMonotone,
-    PreconditionUnverified,
     ResourceLimit,
 )
 from stonework import finmon, ultra
 from stonework.contrast import build_contrast
-from stonework.finmon import FiniteMonoid, full_selfmap_monoid, validate_monoid
+from stonework.finmon import FiniteMonoid, full_selfmap_monoid, is_submonoid, validate_monoid
 from stonework.generators import (
     random_chain,
     random_one_sided_metric,
@@ -30,13 +29,11 @@ from stonework.ultra import (
     Partition,
     UltraPseudometric,
     _widest_path_depths,
-    ball_submonoid_check,
     check_left_congruence,
     d_from_chain,
     enumerate_theta,
     epsilon_A_relation,
     epsilon_A_relates,
-    meet_all,
     metric_from_json,
     minimax_path_distance,
     nonexpansive_counterexample,
@@ -93,7 +90,6 @@ def test_partition_meet_and_refines():
     assert met == Partition.from_classes(4, [[0, 1], [2], [3]])
     assert met.refines(p) and met.refines(q)
     assert not p.refines(q)
-    assert meet_all([p, q, Partition.indiscrete(4)]) == met
 
 
 def test_partition_json_round_trip():
@@ -522,8 +518,9 @@ def test_ball_submonoid_trivial_radii():
     d = random_one_sided_metric(rng, m, "right")
     positive = d.levels[1:]
     top = positive[-1] if positive else Fraction(1)
-    assert ball_submonoid_check(m, d, top * 2, side="right")       # whole monoid
-    assert ball_submonoid_check(m, d, Fraction(1, 1000), side="right")  # just {e}
+    assert nonexpansive_counterexample(m, d, "right") is None
+    assert is_submonoid(m, d.ball(m.identity, top * 2))               # whole monoid
+    assert is_submonoid(m, d.ball(m.identity, Fraction(1, 1000)))     # just {e}
 
 
 def test_ball_submonoid_sweep_random_instances():
@@ -532,16 +529,9 @@ def test_ball_submonoid_sweep_random_instances():
         m, _ = random_transformation_monoid(rng, rng.randint(2, 4), max_size=6)
         d = random_one_sided_metric(rng, m, "right")
         radii = d.levels[1:] or [Fraction(1)]
+        assert nonexpansive_counterexample(m, d, "right") is None
         for r in radii:
-            assert ball_submonoid_check(m, d, r, side="right")
-
-
-def test_ball_submonoid_requires_verified_precondition():
-    table = [[0, 1, 2], [1, 0, 2], [2, 2, 2]]
-    m = validate_monoid(table, 0)
-    d = UltraPseudometric.from_rows([[0, 1, 1], [1, 0, HALF], [1, HALF, 0]])
-    with pytest.raises(PreconditionUnverified):
-        ball_submonoid_check(m, d, Fraction(1), side="right")
+            assert is_submonoid(m, d.ball(m.identity, r))
 
 
 def test_left_congruence_basics():

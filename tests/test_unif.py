@@ -22,12 +22,10 @@ from stonework.generators import (
     random_partition,
     random_transformation_monoid,
 )
-from stonework.ultra import Partition, meet_all
+from stonework.ultra import Partition
 from stonework.unif import (
-    BoundednessReport,
     Cover,
     PartitionFamily,
-    boundedness_report,
     cover_blocks_from_json,
     cover_order,
     cover_star,
@@ -35,7 +33,6 @@ from stonework.unif import (
     family_from_json,
     is_meet_closed,
     is_saturated_under,
-    kernel_partition,
     make_family,
     ord_at,
     partition_lattice,
@@ -44,7 +41,6 @@ from stonework.unif import (
     saturate,
     saturate_worklist,
     star,
-    star_refines,
 )
 
 
@@ -92,17 +88,6 @@ def test_preimage_reads_tuple_and_numpy_rows_alike():
         assert preimage_partition(s, p) == pulled
         assert preimage_partition(list(s.tolist()), p) == pulled
         assert Partition(carrier_size=4, class_id=pulled.class_id) == pulled
-
-
-def test_kernel_partition():
-    assert kernel_partition([1, 1, 1]) == Partition.indiscrete(3)
-    assert kernel_partition([1, 0, 0, 0]) == Partition.from_classes(4, [[0], [1, 2, 3]])
-    with pytest.raises(ValueError):
-        kernel_partition([0, 1, 2])
-    # singleton indicators jointly separate points
-    indicators = [[1 if x == i else 0 for x in range(4)] for i in range(4)]
-    met = meet_all([kernel_partition(f) for f in indicators])
-    assert met == Partition.discrete(4)
 
 
 # --- saturation -------------------------------------------------------------
@@ -558,16 +543,6 @@ def test_family_json_round_trip():
     assert family_from_json(fam.to_json()) == fam
 
 
-def test_boundedness_report_states_vacuity():
-    action = chain_action()
-    fam = make_family(3, [Partition.indiscrete(3)])
-    report = boundedness_report(action, fam)
-    assert isinstance(report, BoundednessReport)
-    assert report.bounded
-    assert "singleton" in report.witness
-    assert report.to_json()["entourage_count"] == 1
-
-
 # --- covers -----------------------------------------------------------------
 
 
@@ -623,7 +598,7 @@ def test_refines_and_star_refines():
     whole = Cover.from_blocks([[0, 1, 2]])
     singletons = Cover.from_blocks([[0], [1], [2]])
     assert refines(singletons, whole)
-    assert star_refines(singletons, singletons)  # stars of singletons stay singletons
+    assert refines(cover_star(singletons), singletons)  # stars of singletons stay singletons
     # mutual refinement between distinct covers: refinement is not antisymmetric
     p = Cover.from_blocks([[0, 1], [2]])
     q = Cover.from_blocks([[0, 1], [2], [0]])
@@ -724,9 +699,9 @@ def test_bitmask_covers_match_the_frozenset_reference():
         assert ref_blocks(cover_star(p)) == ref_cover_star(rp)
         for a, b, ra, rb in [(p, q, rp, rq), (q, p, rq, rp),
                              (p, cover_star(p), rp, ref_cover_star(rp)),
+                             (cover_star(p), q, ref_cover_star(rp), rq),
                              (cover_wedge(p, q), q, ref_wedge(rp, rq), rq)]:
             assert refines(a, b) == ref_refines(ra, rb)
-        assert star_refines(p, q) == ref_refines(ref_cover_star(rp), rq)
         for mask in range(1 << n):
             points = [x for x in range(n) if mask >> x & 1]
             assert star(points, p) == ref_star(points, rp)
