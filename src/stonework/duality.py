@@ -22,7 +22,7 @@ import numpy as np
 
 from .boolring import GroupEndo, RingEndo, require_atoms
 from .errors import DimensionMismatch
-from .finmon import CHUNK_ENTRIES, SelfMapMonoid, is_self_map
+from .finmon import SelfMapMonoid, blocks, is_self_map
 from .ultra import Partition
 
 ON_MAPS = "on_maps"
@@ -151,11 +151,9 @@ def entourage_partition(maps: SelfMapMonoid, chi: int, tag: str) -> Partition:
     part = Partition.from_class_ids((preimages if tag == ON_MAPS else images).tolist())
     if tag == ON_DUAL_ENDOS:
         ids = np.asarray(part.class_id)
-        step = max(1, CHUNK_ENTRIES // parities.size)
-        for start in range(0, len(ids), step):
-            block = parities[start:start + step]
-            related = (block[:, None, :] == parities[None, :, :]).all(axis=2)
-            same_class = ids[start:start + step, None] == ids[None, :]
+        for start, stop in blocks(len(ids), parities.size):
+            related = (parities[start:stop, None, :] == parities[None, :, :]).all(axis=2)
+            same_class = ids[start:stop, None] == ids[None, :]
             if not np.array_equal(related, same_class):
                 raise AssertionError("character relation disagrees with classes")
     return part

@@ -26,13 +26,15 @@ class FiniteMonoid:
     C-ordered (k, k) array x * y (row = left factor) of the smallest
     unsigned dtype that holds k - 1.  ``table``, its rows as tuples of
     ints, is derived on first use for witnesses and the scalar oracles.
-    The constructor checks only the shape and dtype; validate_monoid
-    checks the laws."""
+    The constructor reads any square integer table through _narrowed and
+    refuses an identity outside range(k); validate_monoid checks the laws."""
 
     def __init__(self, values, identity: int):
-        self.values = _stored(values, len(values))
-        if self.values.shape[1] != len(values):
-            raise ValueError("multiplication table is not square")
+        k = len(values)
+        self.values = _narrowed(values, (k, k), "multiplication table is not square",
+                                "table entry out of range")
+        if not (is_point(identity) and 0 <= identity < k):
+            raise ValueError(f"identity index {identity} out of range")
         self.identity = int(identity)
 
     @classmethod
@@ -64,40 +66,25 @@ class FiniteMonoid:
         # block of rows at a time keeps the temporaries small
         k = self.size
         shared = np.array(range(k), dtype=object)
-        step = max(1, CHUNK_ENTRIES // k)
         rows = []
-        for start in range(0, k, step):
-            rows.extend(map(tuple, shared[self.values[start:start + step]].tolist()))
+        for start, stop in blocks(k, k):
+            rows.extend(map(tuple, shared[self.values[start:stop]].tolist()))
         return tuple(rows)
 
     def to_json(self) -> dict:
         return {"size": self.size, "identity": self.identity, "table": self.values.tolist()}
 
 
-def _stored(values, rows: int) -> np.ndarray:
-    """A read-only C-ordered copy of values, refused unless it is a 2-D
-    array of the given number of rows whose dtype is the smallest unsigned
-    one that holds every column index.  Even a read-only array is copied:
-    whoever owns its data can make it writeable again."""
-    values = np.asarray(values)
-    if (values.ndim != 2 or len(values) != rows
-            or values.dtype != np.min_scalar_type(max(values.shape[1] - 1, 0))):
-        raise ValueError(f"not a stored table of {rows} rows: {values.dtype} {values.shape}")
-    values = np.array(values, order="C")
-    values.flags.writeable = False
-    return values
-
-
 def _narrowed(rows, shape, shape_error: str, range_error: str) -> np.ndarray:
-    """rows as a read-only C-ordered array of the smallest unsigned dtype
-    for its columns, refused unless it has the given shape (if None, any
-    2-D shape with a column) and every entry indexes a column.  The entries
-    are checked as given, before narrowing, so -1 cannot wrap into range."""
+    """rows as a read-only C-ordered copy of the smallest unsigned dtype for
+    its columns, refused unless it is 2-D of the given shape (None: any
+    size) and every entry indexes a column.  The entries are checked as
+    given, before narrowing, so -1 cannot wrap into range."""
     try:
         arr = np.asarray(rows)
     except ValueError:              # ragged rows
         raise ValueError(shape_error) from None
-    if (arr.shape != shape) if shape else (arr.ndim != 2 or not arr.shape[1]):
+    if arr.ndim != 2 or any(want not in (None, got) for got, want in zip(arr.shape, shape)):
         raise ValueError(shape_error)
     cols = arr.shape[1]
     if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= cols):
@@ -135,24 +122,21 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
     which is every element.  Only if G is None or some g fails does the
     scan of all triples run, and it names the first defect.
     """
-    n = len(table)
-    if n == 0:
+    if not len(table):
         raise ValueError("empty multiplication table")
-    arr = _narrowed(table, (n, n), "multiplication table is not square", "table entry out of range")
-    if not (0 <= identity < n):
-        raise ValueError(f"identity index {identity} out of range")
-    bad = _identity_defect(arr, identity)
+    m = FiniteMonoid(table, identity)
+    bad = _identity_defect(m.values, m.identity)
     if bad is not None:
         raise IdentityViolation(bad)
 
     # (x*y)*z versus x*(y*z): associativity is the action law of m on itself
-    gens = _generating_set(arr, identity, n)
-    if gens is None or not _holds_on(arr, arr, gens):
-        bad = _action_defect(arr, arr)
+    gens = _generating_set(m.values, m.identity, m.size)
+    if gens is None or not _holds_on(m.values, m.values, gens):
+        bad = _action_defect(m.values, m.values)
         if bad is not None:
             raise AssociativityViolation(*bad)
 
-    return FiniteMonoid._adopt(arr, identity)
+    return m
 
 
 def _identity_defect(table: np.ndarray, identity: int):
@@ -179,12 +163,13 @@ class MonoidAction:
     """A left action of a monoid on range(n), stored once as ``values``:
     the read-only C-ordered (k, n) array s.x of the smallest unsigned dtype
     that holds n - 1.  ``act``, its rows as tuples of ints, is derived on
-    first use for the scalar oracles.  The constructor checks only the
-    shape and dtype; validate_action checks the laws."""
+    first use for the scalar oracles.  The constructor reads its table
+    through _narrowed; validate_action checks the laws."""
 
     def __init__(self, monoid: FiniteMonoid, values):
         self.monoid = monoid
-        self.values = _stored(values, monoid.size)
+        self.values = _narrowed(values, (monoid.size, None), "action table has wrong shape",
+                                "action entry out of range")
         self.carrier_size = self.values.shape[1]
 
     @classmethod
@@ -328,10 +313,9 @@ def _generating_set(table: np.ndarray, identity: int, width: int) -> np.ndarray 
     limit = k * k * width // (2 * max(k * k, CHUNK_ENTRIES))
     distinct = np.empty(k, dtype=np.intp)
     wide = np.promote_types(table.dtype, np.uint16)     # 8-bit sorts are an order slower
-    step = max(1, CHUNK_ENTRIES // k)
-    for start in range(0, k, step):
-        rows = np.sort(table[start:start + step].astype(wide), axis=1)
-        distinct[start:start + step] = (rows[:, 1:] != rows[:, :-1]).sum(axis=1) + 1
+    for start, stop in blocks(k, k):
+        rows = np.sort(table[start:stop].astype(wide), axis=1)
+        distinct[start:stop] = (rows[:, 1:] != rows[:, :-1]).sum(axis=1) + 1
     reached, hit = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
     reached[identity] = True
     gens, right = [], np.empty((k, 8), dtype=table.dtype)      # right[x, i] = x * gens[i]
@@ -359,11 +343,11 @@ def _generating_set(table: np.ndarray, identity: int, width: int) -> np.ndarray 
     return gens
 
 
-# Entries of one block of a computation done in row blocks, such as the rows
-# of a law array (first_true) or of a composition table's keys, so that no
-# (k, k, n) array is ever held.  Block temporaries stay near 256 KB: freeing
-# blocks of several MB raises glibc's mmap and trim thresholds, and the heap
-# then keeps what it freed.
+# Entries of one block of a computation done in row blocks (see blocks), such
+# as the rows of a law array (first_true) or of a composition table's keys, so
+# that no (k, k, n) array is ever held.  Block temporaries stay near 256 KB:
+# freeing blocks of several MB raises glibc's mmap and trim thresholds, and
+# the heap then keeps what it freed.
 CHUNK_ENTRIES = 1 << 15
 
 # Tables of at most this many entries are built in Python: below it the
@@ -372,19 +356,26 @@ CHUNK_ENTRIES = 1 << 15
 SMALL_TABLE = 32
 
 
+def blocks(count: int, row: int):
+    """The spans (start, stop) that cover range(count) in order, each of as
+    many rows of row entries as fit in CHUNK_ENTRIES (read when the first
+    span is asked for), one row at the least."""
+    step = max(1, CHUNK_ENTRIES // max(1, row))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
+
 def first_true(shape, rows):
     """Index, in C order, of the first True entry of a boolean array of
     the given shape (count, ...), or None if there is none.
 
     rows(start, stop) returns the array's rows start:stop.  They are built
-    and scanned in blocks of as many rows as fit in CHUNK_ENTRIES entries,
-    one row at the least, so the whole array never exists; the blocks go in
-    order, so the index is the one a scan of the whole array finds.
+    and scanned in blocks (see blocks), so the whole array never exists;
+    the blocks go in order, so the index is the one a scan of the whole
+    array finds.
     """
-    count, row = shape[0], math.prod(shape[1:])
-    step = max(1, CHUNK_ENTRIES // max(1, row))
-    for start in range(0, count, step):
-        block = rows(start, min(start + step, count))
+    for start, stop in blocks(shape[0], math.prod(shape[1:])):
+        block = rows(start, stop)
         if block.any():
             at = np.unravel_index(block.argmax(), block.shape)
             return (start + int(at[0]), *map(int, at[1:]))
@@ -439,11 +430,13 @@ class SelfMapMonoid:
     """
 
     def __init__(self, values):
-        values = _narrowed(values, None, "maps must form a (k, n) array with n >= 1",
+        values = _narrowed(values, (None, None), "maps must form a (k, n) array with n >= 1",
                            "map value outside the carrier")
+        n = values.shape[1]
+        if not n:
+            raise ValueError("maps must form a (k, n) array with n >= 1")
         if not _strictly_ascending(values):
             raise ValueError("elements not in canonical order")
-        n = values.shape[1]
         self.values, self.carrier_size = values, n
         found = np.flatnonzero((values == np.arange(n)).all(axis=1))
         if not found.size:
@@ -621,8 +614,7 @@ class SelfMapMonoid:
             weights = [digit_weights(self.values[:, lo:hi], n).T.astype(np.float64)
                        for lo, hi, _, _ in addressed + checked]
             out = np.empty((k, k), dtype=np.min_scalar_type(k - 1))
-            step = max(1, CHUNK_ENTRIES // k)
-            products = np.empty((min(step, k), k))
+            products = np.empty((next(blocks(k, k))[1], k))    # the first block is the longest
             keys = np.empty(products.shape, dtype=np.int64)
 
             def digits(f):
@@ -631,9 +623,9 @@ class SelfMapMonoid:
                     keys[:len(f)] = products[:len(f)]
                     yield keys[:len(f)]
 
-            for start in range(0, k, step):
-                out[start:start + step] = self._ranks(
-                    digits(values[start:start + step]),
+            for start, stop in blocks(k, k):
+                out[start:stop] = self._ranks(
+                    digits(values[start:stop]),
                     lambda at: tuple(self.values[start + at[0]][self.values[at[1]]].tolist()))
         out.flags.writeable = False
         return out
@@ -676,12 +668,15 @@ def full_selfmap_monoid(n: int) -> SelfMapMonoid:
     return SelfMapMonoid._adopt(values, sum(x * n ** (n - 1 - x) for x in range(n)))
 
 
+def is_point(v) -> bool:
+    """True iff v is read as a point: a Python or numpy integer, no bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def is_self_map(g, n: int) -> bool:
     """True iff the sequence g is a self-map of n points: n entries, each
-    a Python or numpy integer in range(n), as SelfMapMonoid takes them.
-    No bool and no float is read as a point."""
-    return len(g) == n and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                               and 0 <= v < n for v in g)
+    a point (see is_point) in range(n), as SelfMapMonoid takes them."""
+    return len(g) == n and all(is_point(v) and 0 <= v < n for v in g)
 
 
 def generated_selfmap_monoid(carrier_size: int, generators,

@@ -14,10 +14,10 @@ from itertools import product
 import numpy as np
 
 from .finmon import (
-    CHUNK_ENTRIES,
     FiniteMonoid,
     MonoidAction,
     SelfMapMonoid,
+    blocks,
     generated_selfmap_monoid,
 )
 from .ultra import MonotoneChain, Partition, UltraPseudometric, d_from_chain
@@ -148,7 +148,7 @@ def enumerate_small_monoids(size: int) -> list[FiniteMonoid]:
     The candidates set row and column 0 to the identity law and fill the
     other (size - 1)**2 entries in every way, in lexicographic order of
     the entries row by row; associativity is tested on all of them at
-    once, in chunks of at most CHUNK_ENTRIES law entries.
+    once, in row blocks (see finmon.blocks).
     """
     if size < 1:
         raise ValueError("empty multiplication table")
@@ -156,9 +156,8 @@ def enumerate_small_monoids(size: int) -> list[FiniteMonoid]:
     powers = k ** np.arange(free - 1, -1, -1, dtype=np.int64)   # the last entry is the fastest digit
     count, ks = k ** free, np.arange(k)
     out = []
-    step = max(1, CHUNK_ENTRIES // k ** 3)
-    for start in range(0, count, step):
-        cand = np.arange(start, min(start + step, count), dtype=np.int64)
+    for start, stop in blocks(count, k ** 3):
+        cand = np.arange(start, stop, dtype=np.int64)
         tables = np.empty((len(cand), k, k), dtype=np.min_scalar_type(k - 1))
         tables[:, 0], tables[:, :, 0] = ks, ks
         tables[:, 1:, 1:] = (cand[:, None] // powers % k).reshape(len(cand), k - 1, k - 1)
@@ -177,7 +176,7 @@ def enumerate_actions(m: FiniteMonoid, carrier: int) -> list[MonoidAction]:
 
     The candidates assign a self-map to each non-identity element, in
     lexicographic order of the choice tuple; the action law is tested on
-    all of them at once, in chunks of at most CHUNK_ENTRIES law entries.
+    all of them at once, in row blocks (see finmon.blocks).
     """
     maps = np.array(list(product(range(carrier), repeat=carrier)),
                     dtype=np.min_scalar_type(max(carrier - 1, 0)))
@@ -188,9 +187,8 @@ def enumerate_actions(m: FiniteMonoid, carrier: int) -> list[MonoidAction]:
     starts = np.arange(k) * carrier
     direct = (m.values.astype(np.intp)[:, :, None] * carrier + np.arange(carrier)).ravel()
     out = []
-    step = max(1, CHUNK_ENTRIES // max(1, k * k * carrier))
-    for start in range(0, count, step):
-        cand = np.arange(start, min(start + step, count))
+    for start, stop in blocks(count, k * k * carrier):
+        cand = np.arange(start, stop)
         act = np.empty((len(cand), k, carrier), dtype=maps.dtype)
         act[:, m.identity] = np.arange(carrier)
         for s in reversed(non_identity):        # the last element is the fastest digit

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotLipschitz, ResourceLimit
-from .finmon import is_self_map
+from .finmon import is_point, is_self_map
 from .ultra import UltraPseudometric
 
 MAX_SUPPORT = 8
@@ -80,9 +80,11 @@ class FreeVector:
 
 def _support(points) -> frozenset[int]:
     """The support of the sum of the given points; a repeated point cancels
-    in pairs."""
+    in pairs.  ValueError for a value that is no point (see is_point)."""
     support: set[int] = set()
     for x in points:
+        if not is_point(x):
+            raise ValueError(f"point {x!r} is not an integer")
         support ^= {int(x)}
     return frozenset(support)
 

@@ -8,7 +8,6 @@ derived for JSON, witnesses and the literal oracles.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from .errors import (
     CarrierMismatch,
     ChainNotMonotone,
 )
-from .finmon import CHUNK_ENTRIES, FiniteMonoid, SelfMapMonoid, first_true
+from .finmon import FiniteMonoid, SelfMapMonoid, blocks, first_true
 from .limits import guard_enum
 from .schema import (
     expect_field,
@@ -240,26 +239,15 @@ class UltraPseudometric:
         """The level of every pair: exact, ordered like the distances."""
         return self._rank
 
-    @cached_property
-    def _numerators(self) -> tuple[int, list[int]]:
-        """The levels as integer numerators over their common denominator."""
-        den = math.lcm(*(int(v.denominator) for v in self.levels))
-        return den, [int(v.numerator) * (den // int(v.denominator)) for v in self.levels]
-
     def below(self, radius) -> int:
         """Number of levels under radius: d(x, y) < radius iff rank < below(radius).
 
-        One bisect over the integer numerators of the levels: with radius
-        p/q, q > 0, and the levels over the denominator den, a level v/den
-        is under radius iff v * q < p * den, iff v < ceil(p * den / q).
-        A radius that is no int or Fraction (a float, a numpy integer) is
-        read exactly through Fraction first.
+        One bisect over the Fraction levels, which compare exactly with any
+        rational radius (an int, a Fraction, a numpy integer); any other
+        radius, such as a float, is read exactly through Fraction first.
         """
-        den, numerators = self._numerators
-        if type(radius) is int:
-            return bisect_left(numerators, radius * den)
-        p, q = (radius if isinstance(radius, Fraction) else Fraction(radius)).as_integer_ratio()
-        return bisect_left(numerators, -(-int(p) * den // int(q)))
+        return bisect_left(self.levels,
+                           radius if isinstance(radius, Rational) else Fraction(radius))
 
     def ball(self, center: int, radius: Fraction) -> list[int]:
         """Open ball, strict inequality."""
@@ -530,6 +518,8 @@ def enumerate_theta(d: UltraPseudometric) -> SelfMapMonoid:
 def epsilon_A_relates(theta: SelfMapMonoid, d: UltraPseudometric, points, eps, i, j):
     """d(f_i(a), f_j(a)) < eps for every a in points: a bool for two int
     indices, a bool array of the broadcast shape for index arrays."""
+    if theta.carrier_size != d.carrier_size:
+        raise CarrierMismatch("metric carrier differs from the maps' carrier")
     points = list(points)
     f, g = theta.values[i][..., points], theta.values[j][..., points]
     out = (d.rank_matrix()[f, g] < d.below(eps)).all(axis=-1)
@@ -544,6 +534,8 @@ def epsilon_A_relation(theta: SelfMapMonoid, d: UltraPseudometric,
     the classes are keyed by the ball class of every evaluation point,
     and the keying is verified against the literal pairwise relation.
     """
+    if theta.carrier_size != d.carrier_size:
+        raise CarrierMismatch("metric carrier differs from the maps' carrier")
     points = sorted(set(points))
     if not points:
         raise ValueError("evaluation point set must be nonempty")
@@ -556,10 +548,9 @@ def epsilon_A_relation(theta: SelfMapMonoid, d: UltraPseudometric,
     part = Partition.from_class_ids(map(tuple, balls[theta.values[:, points]].tolist()))
     ids = np.asarray(part.class_id)
     idx = np.arange(len(theta))
-    # all pairs in one broadcast call, in row blocks of at most CHUNK_ENTRIES
-    step = max(1, CHUNK_ENTRIES // (len(theta) * len(points)))
-    for rows in np.split(idx, range(step, len(idx), step)):
-        if not np.array_equal(epsilon_A_relates(theta, d, points, eps, rows[:, None], idx),
-                              ids[rows, None] == ids):
+    # all pairs, one broadcast call per row block (see finmon.blocks)
+    for a, b in blocks(len(theta), len(theta) * len(points)):
+        if not np.array_equal(epsilon_A_relates(theta, d, points, eps, idx[a:b, None], idx),
+                              ids[a:b, None] == ids):
             raise AssertionError("pointwise relation is not an equivalence")
     return part

@@ -17,7 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import CarrierMismatch
-from .finmon import CHUNK_ENTRIES, MonoidAction
+from .finmon import MonoidAction, blocks, is_point
 from .limits import guard_enum
 from .schema import expect_field, expect_int, expect_list, expect_object, expect_rows
 from .ultra import Partition, _normalize, partition_from_json
@@ -160,14 +160,13 @@ class PartitionLattice:
         return self._keys.searchsorted(keys).reshape(shape)
 
     def _table(self, labels_of, count: int) -> np.ndarray:
-        """A (count, B) index table, built in row blocks a:b of at most
-        CHUNK_ENTRIES class labels: labels_of(a, b) is the (b - a, B, n)
-        label array of the block."""
+        """A (count, B) index table, built in row blocks a:b of B * n class
+        labels a row (see finmon.blocks): labels_of(a, b) is the (b - a, B,
+        n) label array of the block."""
         B, n = len(self), self.n
         out = np.empty((count, B), dtype=self._dtype)
-        step = max(1, CHUNK_ENTRIES // max(1, B * n))
-        for start in range(0, count, step):
-            out[start:start + step] = self.lookup(labels_of(start, start + step))
+        for start, stop in blocks(count, B * n):
+            out[start:stop] = self.lookup(labels_of(start, stop))
         out.flags.writeable = False
         return out
 
@@ -315,18 +314,16 @@ def _every_member(family: PartitionFamily, shape, labels_of, build) -> bool:
 
     labels_of(a, b) returns the rows a:b of an integer array (count, ..., n)
     of class labels, and shape is that of its relation bits, (count, ...,
-    n, n): the rows are built in blocks of as many as fit in CHUNK_ENTRIES
-    bits, one row at the least.  The keys of _relation_keys only group the
+    n, n): the rows are built in blocks of that many bits a row (see
+    finmon.blocks).  The keys of _relation_keys only group the
     label rows that give one partition.  The partition of each distinct
     key is built once, by build(a, i) from the i-th label row, in C order,
     of the block from a, and looked up in the family, so the verdict is
     that of the literal construction.
     """
-    count, row = shape[0], math.prod(shape[1:])
-    step = max(1, CHUNK_ENTRIES // max(1, row))
     seen: set[bytes] = set()
-    for a in range(0, count, step):
-        keys = _relation_keys(labels_of(a, a + step)).ravel().tolist()
+    for a, b in blocks(shape[0], math.prod(shape[1:])):
+        keys = _relation_keys(labels_of(a, b)).ravel().tolist()
         for key in dict.fromkeys(keys):         # the distinct keys, in order
             if key not in seen:
                 seen.add(key)
@@ -416,7 +413,7 @@ class Cover:
 
     @staticmethod
     def from_blocks(blocks) -> Cover:
-        blocks = [list(map(int, block)) for block in blocks]
+        blocks = [list(block) for block in blocks]
         # the union holds every point below its largest, so a point at or past
         # the number of points listed leaves a gap: refuse it before its bit
         listed = sum(map(len, blocks))
@@ -424,11 +421,13 @@ class Cover:
         for block in blocks:
             mask = 0
             for x in block:
+                if not is_point(x):
+                    raise ValueError(f"block point {x!r} is not an integer")
                 if x < 0:
                     raise ValueError("block point outside the carrier")
                 if x >= listed:
                     raise ValueError("blocks do not cover the carrier")
-                mask |= 1 << x
+                mask |= 1 << int(x)
             masks.add(mask)
         return Cover(frozenset(masks))
 
@@ -471,11 +470,13 @@ def _star_mask(mask: int, p: Cover) -> int:
 
 
 def star(points, p: Cover) -> frozenset[int]:
-    """Union of the blocks meeting the given set."""
+    """Union of the blocks meeting the given points (see finmon.is_point)."""
     mask = 0
-    for x in map(int, points):
+    for x in points:
+        if not is_point(x):
+            raise ValueError(f"point {x!r} is not an integer")
         if 0 <= x < p.carrier_size:     # no block holds any other point
-            mask |= 1 << x
+            mask |= 1 << int(x)
     return frozenset(_points(_star_mask(mask, p)))
 
 

@@ -1,6 +1,8 @@
+import ast
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,7 +220,14 @@ def test_stored_tables_are_read_only_and_narrowed():
         assert values.dtype == dtype and values.flags.c_contiguous
         with pytest.raises(ValueError):
             values[0, 0] = 1
-    # the constructors check shape and dtype only, and keep a copy
+    # the constructors take any integer table, narrow it and keep a copy
+    for given in (SEMILATTICE, np.array(SEMILATTICE, dtype=np.int64),
+                  np.array(SEMILATTICE, dtype=np.uint8)):
+        kept, acting = FiniteMonoid(given, 0), MonoidAction(m, given)
+        assert kept == m and acting.values.tolist() == SEMILATTICE
+        for values in (kept.values, acting.values):
+            assert values.dtype == np.uint8 and not values.flags.writeable
+    assert FiniteMonoid(np.zeros((300, 300), dtype=np.int64), 0).values.dtype == np.uint16
     own = np.array(SEMILATTICE, dtype=np.uint8)
     kept = FiniteMonoid(own, 0)
     own[1, 1] = 0
@@ -237,15 +246,25 @@ def test_stored_tables_are_read_only_and_narrowed():
     own[:] = 0
     assert kept == m and hash(kept) == hash(m) and kept.table == m.table
     assert acting.values.tolist() == SEMILATTICE
-    for bad in (SEMILATTICE, np.array(SEMILATTICE), np.zeros((300, 300), dtype=np.uint8),
-                np.zeros((2, 3), dtype=np.uint8), np.zeros(2, dtype=np.uint8)):
-        with pytest.raises(ValueError):
-            FiniteMonoid(bad, 0)
-    assert FiniteMonoid(np.zeros((300, 300), dtype=np.uint16), 0).size == 300
-    with pytest.raises(ValueError):
-        MonoidAction(m, [[0, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        MonoidAction(m, np.zeros((3, 2), dtype=np.uint8))     # one row per element
+    # and refuse what the law scans would index out of range with
+    for table, identity, message in (
+            ([[0, 1], [1, 7]], 0, "table entry out of range"),
+            ([[0, 1], [1, -1]], 0, "table entry out of range"),
+            ([[0, 1], [1, 0.5]], 0, "table entry out of range"),
+            (Z2, 5, "identity index 5 out of range"),
+            (Z2, -1, "identity index -1 out of range"),
+            (Z2, 0.5, "identity index 0.5 out of range"),
+            (Z2, True, "identity index True out of range"),
+            (np.zeros((2, 3), dtype=np.uint8), 0, "multiplication table is not square"),
+            (np.zeros((3, 2), dtype=np.uint8), 0, "multiplication table is not square"),
+            (np.zeros(2, dtype=np.uint8), 0, "multiplication table is not square")):
+        with pytest.raises(ValueError, match=message):
+            FiniteMonoid(np.array(table), identity)
+    for act, message in (([[0, 1], [3, 0]], "action entry out of range"),
+                         (np.zeros((3, 2), dtype=np.uint8), "action table has wrong shape"),
+                         (np.zeros((1, 2), dtype=np.uint8), "action table has wrong shape")):
+        with pytest.raises(ValueError, match=message):
+            MonoidAction(m, np.array(act, dtype=np.uint8))
 
 
 def test_a_negative_entry_is_refused_before_narrowing():
@@ -350,6 +369,29 @@ def test_first_true_scans_row_blocks_in_order(monkeypatch):
     for _ in range(20):
         bad = rng.random((10, 4, 5)) < 0.01
         assert finmon.first_true(bad.shape, rows_of(bad)) == _first_true_by_cube(bad)
+
+
+def test_only_finmon_sizes_row_blocks():
+    # a module that imported CHUNK_ENTRIES would keep its value at import,
+    # and one that sized its own blocks would escape finmon.blocks
+    for path in sorted(Path(finmon.__file__).parent.glob("*.py")):
+        if path.name == "finmon.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = path.name, getattr(node, "lineno", None)
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            assert "CHUNK_ENTRIES" not in names, where
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            if node.func.id == "max":           # a step max(1, entries // row)
+                assert not any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.FloorDiv)
+                               for arg in node.args), where
+            if node.func.id == "range" and len(node.args) == 3:     # a computed step
+                step = node.args[2]
+                step = step.operand if isinstance(step, ast.UnaryOp) else step
+                assert isinstance(step, ast.Constant), where
 
 
 # (first defective row, rows per block): the row is the first or the last

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stonework.errors import NotLipschitz, ResourceLimit
@@ -45,6 +46,11 @@ def test_vector_guards():
     close_pair = UltraPseudometric.from_rows([[0, HALF], [HALF, 0]])
     with pytest.raises(ValueError):
         FreeVector(space=close_pair, support=frozenset({0}))  # not pointed
+    # no value but a Python or numpy integer is read as a point
+    for point in (1.7, "1", Fraction(3, 2), True, 1.0):
+        with pytest.raises(ValueError, match="is not an integer"):
+            vector(space, [point])
+    assert vector(space, [np.int64(1), np.uint8(2)]) == vector(space, [1, 2])
 
 
 def test_repeated_points_cancel_in_pairs():

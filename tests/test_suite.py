@@ -11,7 +11,7 @@ import pytest
 from test_cli import run_cli
 from test_duality import oracle_transport, phi_at
 
-from stonework import duality, navector, suite, ultra, unif
+from stonework import duality, finmon, navector, suite, ultra, unif
 from stonework.boolring import additive_monoid, enumerate_group_endos, transpose_masks
 from stonework.duality import phi_array, preimage_mask
 from stonework.errors import NoWitness
@@ -45,6 +45,20 @@ def test_verdicts_match_the_recorded_reports(recorded, argv):
     assert proc.returncode == 1 and proc.stderr == ""
     got = [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in json.loads(proc.stdout)]
     assert got == json.loads((DATA / f"{recorded}.json").read_text())
+
+
+@pytest.mark.parametrize("recorded,cfg", [
+    ("verify-seed0", SuiteConfig()),
+    ("verify-seed0-max", SuiteConfig(bound_points=4, bound_atoms=3, bound_k=7)),
+])
+def test_one_row_blocks_reproduce_the_recorded_reports(monkeypatch, recorded, cfg):
+    # every computation done in row blocks (finmon.blocks) takes one row a
+    # block, and finmon._generating_set tries a generating set on every
+    # table of more than 16 law entries
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 1)
+    reports = run_suite(cfg, suite.CHECKS + [suite.CONTROL])
+    got = [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports]
+    assert json.loads(json.dumps(got)) == json.loads((DATA / f"{recorded}.json").read_text())
 
 
 def fresh_kantorovich_spaces(seed):

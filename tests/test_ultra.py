@@ -647,6 +647,15 @@ def test_epsilon_relation_extremes():
         epsilon_A_relation(theta, d, [], eps=HALF)
     with pytest.raises(ValueError):
         epsilon_A_relation(theta, d, [0], eps=0)
+    # maps and metric on carriers of 3 and 4 points, either way round, with
+    # points of both carriers or of the larger one only
+    on3, on4 = enumerate_theta(UltraPseudometric.discrete(3)), UltraPseudometric.discrete(4)
+    for maps, metric in ((on3, on4), (enumerate_theta(on4), UltraPseudometric.discrete(3))):
+        for points in ([0, 1], [3]):
+            with pytest.raises(CarrierMismatch):
+                epsilon_A_relation(maps, metric, points, 1)
+            with pytest.raises(CarrierMismatch):
+                epsilon_A_relates(maps, metric, points, 1, 0, 1)
 
 
 def test_epsilon_relation_saturation_instance():
@@ -670,7 +679,7 @@ def test_epsilon_relation_check_runs_in_row_blocks(monkeypatch):
     d = UltraPseudometric.from_rows([[0, HALF, 1], [HALF, 0, 1], [1, 1, 0]])
     theta = enumerate_theta(d)
     whole = epsilon_A_relation(theta, d, [0, 1], eps=Fraction(3, 4))
-    monkeypatch.setattr(ultra, "CHUNK_ENTRIES", 5)      # one row of maps at a time
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 5)     # one row of maps at a time
     assert epsilon_A_relation(theta, d, [0, 1], eps=Fraction(3, 4)) == whole
     for i in range(len(theta)):
         for j in range(len(theta)):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -385,7 +386,7 @@ def test_blocked_oracles_match_the_unblocked(monkeypatch):
     # one member's pullbacks, or one member's meets, per block; two; then three
     for rows in (1, 2, 3):
         for entries in (rows * k * n * n, rows * size * n * n):
-            monkeypatch.setattr(unif, "CHUNK_ENTRIES", entries)
+            monkeypatch.setattr(finmon, "CHUNK_ENTRIES", entries)
             assert [(is_meet_closed(f), is_saturated_under(f, action))
                     for f in families] == expected
 
@@ -397,12 +398,17 @@ def test_blocked_oracles_match_the_unblocked(monkeypatch):
 # non-identity maps: the case that tells the generator path from the full one.
 @pytest.mark.parametrize("n", [3, 4])
 def test_saturation_on_generators_matches_the_oracles(monkeypatch, n):
+    chunk = finmon.CHUNK_ENTRIES
     monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 1)
     lattice, taken, verdicts = partition_lattice(n), 0, set()
     for m in enumerate_small_monoids(3):
         if len(finmon._generating_set(m.values, m.identity, 4)) > 1:
             continue
-        for action in enumerate_actions(m, n):
+        # in blocks of one candidate each, enumerate_actions takes seconds
+        with monkeypatch.context() as default:
+            default.setattr(finmon, "CHUNK_ENTRIES", chunk)
+            actions = enumerate_actions(m, n)
+        for action in actions:
             gens = action.generating_set
             if gens is None:
                 continue
@@ -523,7 +529,7 @@ def test_oracles_build_each_distinct_partition_once(monkeypatch):
                         lambda s, p: built.append("pullback") or literal_pullback(s, p))
     monkeypatch.setattr(Partition, "meet",
                         lambda p, q: built.append("meet") or literal_meet(p, q))
-    monkeypatch.setattr(unif, "CHUNK_ENTRIES", 4 * 36 * len(gens))     # blocks of 4 members
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 4 * 36 * len(gens))   # blocks of 4 members
     assert is_saturated_under(family, action) and is_meet_closed(family)
     assert (built.count("pullback"), built.count("meet")) == (len(pullbacks), len(meets))
 
@@ -555,6 +561,10 @@ def test_cover_validation():
         Cover.from_blocks([[0, 1, 5]])
     with pytest.raises(ValueError):
         Cover.from_blocks([[0], [-1, 1]])
+    for point in (1.9, "1", Fraction(1, 1), True):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Cover.from_blocks([[0, point], [2]])
+    assert Cover.from_blocks([[np.int64(0), np.uint8(1)], [2]]) == Cover.from_blocks([[0, 1], [2]])
 
 
 def test_the_carrier_of_a_cover_is_the_extent_of_its_blocks():
@@ -584,6 +594,10 @@ def test_star_whole_cover_and_partition():
     assert star([1], whole) == frozenset({0, 1, 2})
     parts = Cover.from_blocks([[0, 1], [2, 3]])
     assert star([0], parts) == frozenset({0, 1})
+    for point in (1.5, "1", Fraction(1, 1), True):
+        with pytest.raises(ValueError, match="is not an integer"):
+            star([point], parts)
+    assert star([np.int64(2), np.uint8(9)], parts) == frozenset({2, 3})
     assert cover_star(parts) == parts  # disjoint blocks meet only themselves
 
 
