@@ -486,16 +486,21 @@ class SelfMapMonoid:
 
         Exact for any carrier size: each level of _key_levels reads one
         block of base-n digits, and _ranks follows them to the element.
-        The indices are intp.  A row with a value outside the carrier
-        raises KeyError before any key is built, since such digits would
-        alias the key of an element; a row of another length raises
-        ValueError.  A missing row raises KeyError naming the first one in
-        C order.
+        The indices are intp.  Rows that are not integer arrays (bool,
+        float or object rows, whose values are no points: see is_point) and
+        a row with a value outside the carrier raise KeyError before any
+        key is built, since such digits would alias the key of an element;
+        a row of another length raises ValueError.  A missing row raises
+        KeyError naming the first one in C order.
         """
         maps, n = np.asarray(maps), self.carrier_size
         if maps.shape[-1:] != (n,):
             raise ValueError(f"maps of shape {maps.shape} on a {n}-point carrier")
         flat = maps.reshape(math.prod(maps.shape[:-1]), n)
+        if flat.dtype.kind not in "iu":
+            if flat.size:
+                raise KeyError(tuple(flat[0].tolist()))
+            flat = flat.astype(np.intp)     # no entries, as np.asarray([]) reads
         if flat.size and (flat.max() >= n or flat.dtype.kind != "u" and flat.min() < 0):
             off = ((flat < 0) | (flat >= n)).any(axis=1)
             raise KeyError(tuple(flat[off.argmax()].tolist()))

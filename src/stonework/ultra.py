@@ -20,7 +20,7 @@ from .errors import (
     CarrierMismatch,
     ChainNotMonotone,
 )
-from .finmon import FiniteMonoid, SelfMapMonoid, blocks, first_true
+from .finmon import FiniteMonoid, SelfMapMonoid, blocks, first_true, is_point
 from .limits import guard_enum
 from .schema import (
     expect_field,
@@ -515,12 +515,25 @@ def enumerate_theta(d: UltraPseudometric) -> SelfMapMonoid:
     return SelfMapMonoid._adopt(prefixes, identity)
 
 
-def epsilon_A_relates(theta: SelfMapMonoid, d: UltraPseudometric, points, eps, i, j):
-    """d(f_i(a), f_j(a)) < eps for every a in points: a bool for two int
-    indices, a bool array of the broadcast shape for index arrays."""
+def _evaluation_points(theta: SelfMapMonoid, d: UltraPseudometric, points) -> list:
+    """The points as a list, for maps and metric on one carrier.
+    ValueError for a value that is no point (see finmon.is_point) or a
+    point outside the carrier."""
     if theta.carrier_size != d.carrier_size:
         raise CarrierMismatch("metric carrier differs from the maps' carrier")
     points = list(points)
+    for a in points:
+        if not is_point(a):
+            raise ValueError(f"evaluation point {a!r} is not an integer")
+        if not 0 <= a < d.carrier_size:
+            raise ValueError("evaluation point outside the carrier")
+    return points
+
+
+def epsilon_A_relates(theta: SelfMapMonoid, d: UltraPseudometric, points, eps, i, j):
+    """d(f_i(a), f_j(a)) < eps for every a in points: a bool for two int
+    indices, a bool array of the broadcast shape for index arrays."""
+    points = _evaluation_points(theta, d, points)
     f, g = theta.values[i][..., points], theta.values[j][..., points]
     out = (d.rank_matrix()[f, g] < d.below(eps)).all(axis=-1)
     return out if out.ndim else bool(out)
@@ -534,16 +547,12 @@ def epsilon_A_relation(theta: SelfMapMonoid, d: UltraPseudometric,
     the classes are keyed by the ball class of every evaluation point,
     and the keying is verified against the literal pairwise relation.
     """
-    if theta.carrier_size != d.carrier_size:
-        raise CarrierMismatch("metric carrier differs from the maps' carrier")
-    points = sorted(set(points))
+    points = sorted(set(_evaluation_points(theta, d, points)))
     if not points:
         raise ValueError("evaluation point set must be nonempty")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if any(not 0 <= a < d.carrier_size for a in points):
-        raise ValueError("evaluation point outside the carrier")
     balls = np.asarray(d.ball_partition(eps).class_id)
     part = Partition.from_class_ids(map(tuple, balls[theta.values[:, points]].tolist()))
     ids = np.asarray(part.class_id)

@@ -921,6 +921,21 @@ def test_lookup_rejects_rows_off_the_carrier():
         cycle.lookup(np.array([[0, 1, 2, 0]]))
 
 
+@pytest.mark.parametrize("rows,named", [
+    ([[True, False]], (True, False)),               # read as the points 1, 0 before
+    ([[1.0, 0.0]], (1.0, 0.0)),
+    ([np.float64(1), np.float64(0)], (1.0, 0.0)),
+    ([[0, 1], [0.5, 1]], (0.0, 1.0)),               # no float is a point: the first row
+])
+def test_lookup_refuses_rows_of_no_points(rows, named):
+    maps = full_selfmap_monoid(2)
+    with pytest.raises(KeyError) as caught:
+        maps.lookup(rows)
+    assert caught.value.args == (named,)
+    # no rows at all, of any dtype, find no elements
+    assert maps.lookup(np.empty((0, 2))).shape == (0,)
+
+
 def test_the_tuple_view_is_built_only_on_demand():
     theta = enumerate_theta(UltraPseudometric.discrete(6))
     assert len(theta) == 6 ** 6 and "elements" not in theta.__dict__

@@ -435,26 +435,27 @@ def test_saturation_oracles_alone_catch_a_family_both_saturations_agree_on(monke
     }
 
 
-def dropping_first_member_on(values):
-    """unif.saturate, wrong only on the action table values."""
-    dropped = dropping_first_member(unif.saturate)
-    return lambda action, *args: (dropped if np.array_equal(action.values, values)
-                                  else unif.saturate)(action, *args)
+def dropping_first_member_on(action):
+    """unif.saturate, wrong only on the actions that give action's set of maps."""
+    maps, dropped = frozenset(action.act), dropping_first_member(unif.saturate)
+    return lambda a, *args: (dropped if frozenset(a.act) == maps
+                             else unif.saturate)(a, *args)
 
 
 def actions_in_scan_order():
     return [action for m in enumerate_small_monoids(3) for action in enumerate_actions(m, 3)]
 
 
-def test_saturation_checks_the_last_distinct_action_table(monkeypatch):
-    # a saturation wrong only on the action table whose first occurrence
-    # comes last is still caught there: the check skips exact repeats only
+def test_saturation_checks_the_last_distinct_map_set(monkeypatch):
+    # a saturation wrong on every action with the map set whose first
+    # action comes last is caught at that first action: the check skips
+    # repeated map sets only
     scan = actions_in_scan_order()
     firsts = {}
     for at, action in enumerate(scan):
-        firsts.setdefault(action.values.tobytes(), at)
+        firsts.setdefault(frozenset(action.act), at)
     last = max(firsts.values())
-    monkeypatch.setattr(suite, "saturate", dropping_first_member_on(scan[last].values))
+    monkeypatch.setattr(suite, "saturate", dropping_first_member_on(scan[last]))
     _, instances, witness = run_check(suite.check_saturation, SMALL)
     assert witness["failure"] == "saturation disagrees with the worklist oracle"
     assert witness["action"] == scan[last].values.tolist()
@@ -493,11 +494,11 @@ def test_saturation_law_fails_in_the_middle_of_a_monoids_actions(monkeypatch):
 
 def test_saturation_fails_before_a_later_law_defect_of_the_same_monoid(monkeypatch):
     scan, at = with_broken_action(monkeypatch)
-    # an earlier action of the same monoid whose table first occurs there
+    # an earlier action of the same monoid whose map set first occurs there
     earlier = at - 10
     assert scan[earlier].monoid == scan[at].monoid
-    assert all(not np.array_equal(a.values, scan[earlier].values) for a in scan[:earlier])
-    monkeypatch.setattr(suite, "saturate", dropping_first_member_on(scan[earlier].values))
+    assert all(set(a.act) != set(scan[earlier].act) for a in scan[:earlier])
+    monkeypatch.setattr(suite, "saturate", dropping_first_member_on(scan[earlier]))
     _, instances, witness = run_check(suite.check_saturation, SMALL)
     assert witness == {"monoid": scan[earlier].monoid.to_json(),
                        "action": scan[earlier].values.tolist(),
@@ -507,24 +508,26 @@ def test_saturation_fails_before_a_later_law_defect_of_the_same_monoid(monkeypat
 
 
 def test_equal_action_tables_saturate_alike():
-    # the premise of the check's repeat-table set, at every 3-point action
-    by_table = {}
-    for action in actions_in_scan_order():
-        by_table.setdefault(action.values.tobytes(), []).append(action)
-    repeats = [actions for actions in by_table.values() if len(actions) > 1]
-    assert len(by_table) == 108 and repeats
-    for first, *others in repeats:
+    # the premise of the check's map-set memo, at every 3-point action:
+    # actions with one set of maps, whatever rows or repeats carry them
+    # (and so actions with one table), saturate alike
+    scan = actions_in_scan_order()
+    by_maps = {}
+    for action in scan:
+        by_maps.setdefault(frozenset(action.act), []).append(action)
+    tables = {action.values.tobytes() for action in scan}
+    assert (len(scan), len(tables), len(by_maps)) == (199, 108, 50)
+    for first, *others in by_maps.values():
         for eps in unif.partition_lattice(3).partitions:
             family = unif.saturate(first, [eps])
             expected = (family, unif.saturate_worklist(first, [eps]),
                         unif.is_saturated_under(family, first))
             for action in others:
-                assert action.monoid.to_json() != first.monoid.to_json()
                 assert (unif.saturate(action, [eps]), unif.saturate_worklist(action, [eps]),
                         unif.is_saturated_under(family, action)) == expected
 
 
-def test_saturation_pulls_back_once_per_monoid_and_saturates_each_table_once(monkeypatch):
+def test_saturation_pulls_back_once_per_monoid_and_saturates_each_map_set_once(monkeypatch):
     calls = Counter()
 
     def counting(name, real):
@@ -539,10 +542,10 @@ def test_saturation_pulls_back_once_per_monoid_and_saturates_each_table_once(mon
     monkeypatch.setattr(suite, "saturate_worklist",
                         counting("saturate_worklist", unif.saturate_worklist))
     assert run_check(suite.check_saturation, SMALL)[2] is None
-    # 199 actions of the eleven 3-element monoids, 108 distinct tables, 5
+    # 199 actions of the eleven 3-element monoids, 50 distinct map sets, 5
     # generators: one pullback table per monoid holds all of its actions',
     # and every saturate call reads the check's own
-    assert calls == {"pullback": 11, "saturate": 108 * 5, "saturate_worklist": 108 * 5}
+    assert calls == {"pullback": 11, "saturate": 50 * 5, "saturate_worklist": 50 * 5}
 
 
 def scaled_chain_metric(factor):

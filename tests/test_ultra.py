@@ -658,6 +658,27 @@ def test_epsilon_relation_extremes():
                 epsilon_A_relates(maps, metric, points, 1, 0, 1)
 
 
+@pytest.mark.parametrize("points,message", [
+    ([True, 2], "evaluation point True is not an integer"),   # read as point 1 before
+    ([1.0], "evaluation point 1.0 is not an integer"),        # a raw IndexError before
+    ([np.float64(0)], "evaluation point np.float64\\(0.0\\) is not an integer"),
+    ([Fraction(1)], "evaluation point Fraction\\(1, 1\\) is not an integer"),
+    ([0, 3], "evaluation point outside the carrier"),
+    ([-1], "evaluation point outside the carrier"),           # read as point 2 by relates
+])
+def test_epsilon_relation_refuses_values_that_are_no_points(points, message):
+    d = UltraPseudometric.discrete(3)
+    theta = enumerate_theta(d)
+    with pytest.raises(ValueError, match=message):
+        epsilon_A_relation(theta, d, points, 1)
+    with pytest.raises(ValueError, match=message):
+        epsilon_A_relates(theta, d, points, 1, 0, 1)
+    # numpy integers are points
+    assert epsilon_A_relation(theta, d, [np.int64(0), np.uint8(2)], 1) == \
+        epsilon_A_relation(theta, d, [0, 2], 1)
+    assert epsilon_A_relates(theta, d, [np.int64(1)], 1, 0, 0)
+
+
 def test_epsilon_relation_saturation_instance():
     d = UltraPseudometric.from_rows([[0, HALF, 1], [HALF, 0, 1], [1, 1, 0]])
     theta = enumerate_theta(d)
