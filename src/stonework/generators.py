@@ -24,9 +24,25 @@ from .ultra import MonotoneChain, Partition, UltraPseudometric, d_from_chain
 from .unif import Cover
 
 
+def randbelow(rng: random.Random, n: int) -> int:
+    """rng.randrange(n), drawn as CPython draws it, without its argument
+    checks: getrandbits(n.bit_length()) until the value is below n, so
+    the value and rng's state afterwards are the same.  ValueError for
+    n <= 0, where randrange raises too (getrandbits(0) is 0, so the loop
+    would never end).  a + randbelow(rng, b - a + 1) is rng.randint(a, b).
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for randbelow({n})")
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
 def random_partition(rng: random.Random, n: int) -> Partition:
-    k = rng.randint(1, n)
-    return Partition.from_class_ids([rng.randrange(k) for _ in range(n)])
+    k = 1 + randbelow(rng, n)
+    return Partition.from_class_ids([randbelow(rng, k) for _ in range(n)])
 
 
 def random_refinement(rng: random.Random, p: Partition) -> Partition:
@@ -43,7 +59,7 @@ def random_refinement(rng: random.Random, p: Partition) -> Partition:
 
 
 def random_chain(rng: random.Random, n: int, depth: int | None = None) -> MonotoneChain:
-    depth = depth if depth is not None else rng.randint(0, n)
+    depth = depth if depth is not None else randbelow(rng, n + 1)
     levels = []
     current = random_partition(rng, n)
     for _ in range(depth):
@@ -53,19 +69,32 @@ def random_chain(rng: random.Random, n: int, depth: int | None = None) -> Monoto
 
 
 def random_ultrametric(rng: random.Random, n: int) -> UltraPseudometric:
-    return d_from_chain(random_chain(rng, n, depth=rng.randint(1, max(2, n))))
+    return d_from_chain(random_chain(rng, n, depth=1 + randbelow(rng, max(2, n))))
+
+
+def sample_mask(rng: random.Random, n: int, k: int) -> int:
+    """k distinct random points of range(n), as a bitmask, drawn by the
+    pool walk that random.sample runs on a population of at most 21
+    items: so for n <= 21 the points and rng's state afterwards are those
+    of rng.sample(range(n), k).  Above 21 points sample may draw by a
+    set instead, and the stream differs (the draw is still uniform).
+    ValueError unless 0 <= k <= n, as sample raises, before any draw."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot draw {k} of {n} points")
+    pool, mask = list(range(n)), 0
+    for i in range(n, n - k, -1):       # i points are left in the pool
+        j = randbelow(rng, i)
+        mask |= 1 << pool[j]
+        pool[j] = pool[i - 1]
+    return mask
 
 
 def random_cover(rng: random.Random, n: int) -> Cover:
     """Up to six random blocks, as bitmasks, and the points they miss as
-    one more block."""
-    blocks: set[int] = set()
-    for _ in range(rng.randint(1, 6)):
-        size = rng.randint(1, n)
-        mask = 0
-        for x in rng.sample(range(n), size):
-            mask |= 1 << x
-        blocks.add(mask)
+    one more block.  The blocks are drawn by sample_mask, so for n <= 21
+    the stream is the one that drawing them by rng.sample would make."""
+    blocks = {sample_mask(rng, n, 1 + randbelow(rng, n))
+              for _ in range(1 + randbelow(rng, 6))}
     missing = (1 << n) - 1
     for mask in blocks:
         missing &= ~mask
@@ -86,7 +115,7 @@ def random_transformation_monoid(rng: random.Random, carrier: int,
     for attempt in range(50):
         count = 1 if attempt > 10 or rng.random() < 0.7 else 2
         gens = [
-            tuple(rng.randrange(carrier) for _ in range(carrier))
+            tuple(randbelow(rng, carrier) for _ in range(carrier))
             for _ in range(count)
         ]
         try:
@@ -136,7 +165,7 @@ def random_one_sided_metric(rng: random.Random, m: FiniteMonoid,
     congruence closure; closures of nested relations stay nested, and the
     chain metric of a congruence chain is nonexpansive on that side.
     """
-    depth = rng.randint(1, 3)
+    depth = 1 + randbelow(rng, 3)
     raw = random_chain(rng, m.size, depth=depth)
     levels = tuple(congruence_closure(m, p, side) for p in raw.chain)
     return d_from_chain(MonotoneChain(carrier_size=m.size, chain=levels))

@@ -10,12 +10,14 @@ from stonework.generators import (
     congruence_closure,
     enumerate_actions,
     enumerate_small_monoids,
+    randbelow,
     random_chain,
     random_cover,
     random_one_sided_metric,
     random_partition,
     random_transformation_monoid,
     random_ultrametric,
+    sample_mask,
 )
 from stonework.ultra import (
     Partition,
@@ -33,6 +35,43 @@ def test_generators_are_deterministic_for_a_seed():
     c1 = random_cover(random.Random(1), 5)
     c2 = random_cover(random.Random(1), 5)
     assert c1 == c2
+
+
+def test_randbelow_draws_what_randrange_and_randint_draw():
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in range(1, 70):
+            assert randbelow(ours, n) == theirs.randrange(n)
+            a, b = n - 35, 2 * n - 35
+            assert a + randbelow(ours, b - a + 1) == theirs.randint(a, b)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_randbelow_refuses_an_empty_range():
+    rng = random.Random(0)
+    state = rng.getstate()
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            randbelow(rng, n)
+    assert rng.getstate() == state
+    for generator in (random_partition, random_cover):
+        with pytest.raises(ValueError):
+            generator(random.Random(0), 0)
+
+
+def test_sample_mask_draws_the_points_sample_draws():
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in range(22):
+            for k in range(n + 1):
+                assert sample_mask(ours, n, k) == sum(1 << x for x in theirs.sample(range(n), k))
+        assert ours.getstate() == theirs.getstate()
+    rng = random.Random(0)
+    state = rng.getstate()
+    for n, k in ((3, 4), (3, -1)):
+        with pytest.raises(ValueError):
+            sample_mask(rng, n, k)
+    assert rng.getstate() == state
 
 
 def test_random_metrics_are_valid():

@@ -357,9 +357,25 @@ def test_a_fault_on_a_repeated_instance_fails_at_its_first_occurrence(monkeypatc
 def test_contraction_fails_when_the_extension_is_applied_twice(monkeypatch):
     real = navector.lipschitz_linear_extend
     monkeypatch.setattr(navector, "lipschitz_linear_extend", lambda f, v: real(f, real(f, v)))
-    _, _, witness = run_check(suite.check_kantorovich_contraction, SMALL)
-    assert witness["failure"] == "extension is not multiplicative"
-    assert {"space", "f", "g", "support"} < set(witness)
+    _, instances, witness = run_check(suite.check_kantorovich_contraction, SMALL)
+    # the first failing (f, g, support) in the scan order f, then g, then
+    # support, on the discrete 3-point space
+    assert witness == {
+        "space": {"dist": [["0", "1", "1", "1"], ["1", "0", "1", "1"],
+                           ["1", "1", "0", "1"], ["1", "1", "1", "0"]]},
+        "f": [0, 0, 1], "g": [0, 2, 0], "support": [1],
+        "failure": "extension is not multiplicative",
+    }
+    assert instances == 483
+
+
+def test_contraction_fails_on_a_theta_not_closed_under_composition(monkeypatch):
+    # permutations are 1-Lipschitz on the discrete space, but this cycle's
+    # square is missing
+    monkeypatch.setattr(suite, "enumerate_theta",
+                        lambda d: SelfMapMonoid([[0, 1, 2], [1, 2, 0]]))
+    with pytest.raises(KeyError):
+        run_check(suite.check_kantorovich_contraction, SMALL)
 
 
 def test_contraction_fails_when_the_extension_raises_the_norm(monkeypatch):
@@ -370,6 +386,117 @@ def test_contraction_fails_when_the_extension_raises_the_norm(monkeypatch):
     _, instances, witness = run_check(suite.check_kantorovich_contraction, SMALL)
     assert witness["failure"] == "extension increased the norm"
     assert witness["map"] == [0, 0, 0] and witness["support"] == [] and instances == 1
+
+
+def test_ultranorm_fails_when_one_norm_is_too_small(monkeypatch):
+    # with the norm of support {0, 1} read as 0, the max law fails first
+    # where {0, 1} and a vector of smaller norm sum to one of larger norm
+    real = navector.kantorovich_norm
+    monkeypatch.setattr(navector, "kantorovich_norm",
+                        lambda v: Fraction(0) if v.support == {0, 1} else real(v))
+    _, instances, witness = run_check(suite.check_kantorovich_ultranorm, SMALL)
+    assert witness == {
+        "space": {"dist": [["0", "1", "1/8", "1", "1"], ["1", "0", "1", "1/8", "1"],
+                           ["1/8", "1", "0", "1", "1"], ["1", "1/8", "1", "0", "1"],
+                           ["1", "1", "1", "1", "0"]]},
+        "u": [0, 1], "v": [0, 2],
+        "failure": "ultra-norm max law",
+    }
+    assert instances == 646
+
+
+def loop_ultranorm(cfg):
+    """The pair-by-pair scan that check_kantorovich_ultranorm replaced."""
+    yield {"max_points": 4}
+    for space in suite._kantorovich_spaces(cfg.seed):
+        vectors = {s: navector.vector(space, s) for s in suite._subsets(space.carrier_size - 1)}
+        norms = {v.support: navector.kantorovich_norm(v) for v in vectors.values()}
+        for s1, v1 in vectors.items():
+            for count, (s2, v2) in enumerate(vectors.items(), 1):
+                if norms[v1.add(v2).support] > max(norms[v1.support], norms[v2.support]):
+                    yield count, {"space": space.to_json(), "u": list(s1), "v": list(s2),
+                                  "failure": "ultra-norm max law"}
+            yield len(vectors), None
+
+
+def loop_contraction(cfg):
+    """The map-by-map and pair-by-pair scan that
+    check_kantorovich_contraction replaced."""
+    yield {"points": 3}
+    for space in suite._kantorovich_spaces(cfg.seed):
+        if space.carrier_size != 4:
+            continue
+        theta = suite.enumerate_theta(ultra.UltraPseudometric.from_rows(
+            [[space.d(x, y) for y in range(3)] for x in range(3)]))
+        supports = suite._subsets(3)
+        vectors = {s: navector.vector(space, s) for s in supports}
+        norms = {s: navector.kantorovich_norm(v) for s, v in vectors.items()}
+        pushed = [{s: tuple(sorted(navector.lipschitz_linear_extend(f, v).support))
+                   for s, v in vectors.items()} for f in theta.elements]
+        for f, images in zip(theta.elements, pushed):
+            for count, s in enumerate(supports, 1):
+                if norms[images[s]] > norms[s]:
+                    yield count, {"space": space.to_json(), "map": list(f), "support": list(s),
+                                  "failure": "extension increased the norm"}
+            yield len(supports), None
+        for i, f in enumerate(theta.elements):
+            for j, g in enumerate(theta.elements):
+                direct = pushed[theta.compose(i, j)]
+                for count, s in enumerate(supports, 1):
+                    if direct[s] != pushed[i][pushed[j][s]]:
+                        yield count, {"space": space.to_json(), "f": list(f), "g": list(g),
+                                      "support": list(s),
+                                      "failure": "extension is not multiplicative"}
+                yield len(supports), None
+
+
+def norm_read_as(value, support, carrier=None):
+    real = navector.kantorovich_norm
+
+    def norm(v):
+        hit = v.support == support and carrier in (None, v.space.carrier_size)
+        return value(real(v)) if hit else real(v)
+    return norm
+
+
+def extension_sending(support, f, image, source=None):
+    real = navector.lipschitz_linear_extend
+
+    def extend(g, v):
+        out = real(g, v)
+        if out.support == support and list(g) == f and source in (None, v.support):
+            return navector.vector(v.space, image)
+        return out
+    return extend
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("fault", [
+    None,
+    *(norm_read_as(lambda r: Fraction(0), s) for s in [{0}, {1}, {0, 1}, {2}, {1, 2}]),
+    norm_read_as(lambda r: r / 2, {1, 2}, carrier=5),
+    norm_read_as(lambda r: r + 1, {0, 2}, carrier=4),
+])
+def test_the_ultranorm_arrays_report_what_the_scan_reported(monkeypatch, seed, fault):
+    if fault is not None:
+        monkeypatch.setattr(navector, "kantorovich_norm", fault)
+    cfg = SuiteConfig(seed=seed)
+    assert run_check(suite.check_kantorovich_ultranorm, cfg) == run_check(loop_ultranorm, cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("fault", [
+    None,
+    extension_sending({1}, [1, 1, 2], [0, 2]),
+    extension_sending({2}, [2, 2, 2], [0], source={0, 1, 2}),
+    extension_sending({0}, [0, 0, 0], [0, 1, 2]),
+    extension_sending(set(), [1, 2, 2], [1]),
+])
+def test_the_contraction_arrays_report_what_the_scan_reported(monkeypatch, seed, fault):
+    if fault is not None:
+        monkeypatch.setattr(navector, "lipschitz_linear_extend", fault)
+    cfg = SuiteConfig(seed=seed)
+    assert run_check(suite.check_kantorovich_contraction, cfg) == run_check(loop_contraction, cfg)
 
 
 def test_oracle_agreement_fails_when_the_norm_is_off(monkeypatch):
