@@ -150,10 +150,15 @@ def _identity_defect(table: np.ndarray, identity: int):
 
 
 def is_submonoid(m: FiniteMonoid, subset) -> bool:
-    """True iff the subset contains the identity and is product-closed."""
-    sub = sorted(set(subset))
-    if not set(sub) <= set(range(m.size)):
+    """True iff the subset contains the identity and is product-closed.
+    ValueError for a member that is no point (see is_point) or no element."""
+    sub = set(subset)
+    for x in sub:
+        if not is_point(x):
+            raise ValueError(f"subset member {x!r} is not an integer")
+    if not sub <= set(range(m.size)):
         raise ValueError("subset contains non-elements")
+    sub = sorted(sub)
     inside = np.zeros(m.size, dtype=bool)
     inside[sub] = True
     return bool(inside[m.identity] and inside[m.values[np.ix_(sub, sub)]].all())

@@ -250,7 +250,12 @@ class UltraPseudometric:
                            radius if isinstance(radius, Rational) else Fraction(radius))
 
     def ball(self, center: int, radius: Fraction) -> list[int]:
-        """Open ball, strict inequality."""
+        """Open ball, strict inequality.  ValueError for a center that is no
+        point (see finmon.is_point) or a point outside the carrier."""
+        if not is_point(center):
+            raise ValueError(f"ball center {center!r} is not an integer")
+        if not 0 <= center < self.carrier_size:
+            raise ValueError("ball center outside the carrier")
         return np.flatnonzero(self._rank[center] < self.below(radius)).tolist()
 
     def ball_partition(self, radius: Fraction) -> Partition:

@@ -142,6 +142,19 @@ def test_is_submonoid():
         is_submonoid(m, {0, 5})
 
 
+@pytest.mark.parametrize("subset,message", [
+    ({0, 1.0}, "subset member 1.0 is not an integer"),     # a raw IndexError before
+    ({True}, "subset member True is not an integer"),      # a raw IndexError before
+    ({0, np.float64(1)}, "subset member np.float64\\(1.0\\) is not an integer"),
+    ({-1}, "subset contains non-elements"),
+])
+def test_is_submonoid_refuses_values_that_are_no_elements(subset, message):
+    m = validate_monoid(SEMILATTICE, 0)
+    with pytest.raises(ValueError, match=message):
+        is_submonoid(m, subset)
+    assert is_submonoid(m, {np.int64(0), np.uint8(1)})
+
+
 def test_adjoin_identity():
     # a left-zero semigroup has no identity; adjoining one as a new last
     # element fixes that

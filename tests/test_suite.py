@@ -270,10 +270,20 @@ SWEEPS = {
 }
 
 
+def ranks(d):
+    """A metric as the sweeps' laws read it: its rank matrix, as nested tuples."""
+    return tuple(map(tuple, d.rank_matrix().tolist()))
+
+
+def as_read(x):
+    """x as the sweeps' laws read it: a metric as its ranks, else x."""
+    return ranks(x) if isinstance(x, ultra.UltraPseudometric) else x
+
+
 def recording_draws(monkeypatch, name):
     """Record what the sweep draws; returns a function that gives its
     instances so far, in draw order, as values equal where the laws read
-    equal data."""
+    equal data (a metric as its ranks)."""
     out = []
     for attr in SWEEPS[name][0]:
         real = getattr(suite, attr)
@@ -281,10 +291,10 @@ def recording_draws(monkeypatch, name):
 
     def instances():
         if name.startswith("ball-"):     # the monoid of its (table, maps) and the metric
-            return [(m, d) for (m, _), d in zip(out[::2], out[1::2])]
+            return [(m, ranks(d)) for (m, _), d in zip(out[::2], out[1::2])]
         if name == "theta-pointwise-entourages":
-            return [ultra.UltraPseudometric.discrete(3), TWO_LEVEL, *out]
-        return list(out)
+            return [ranks(d) for d in [ultra.UltraPseudometric.discrete(3), TWO_LEVEL, *out]]
+        return list(map(as_read, out))
     return instances
 
 
@@ -300,7 +310,7 @@ def test_sweeps_run_their_laws_once_per_distinct_instance(monkeypatch, name, see
     law = SWEEPS[name][1]
     real = getattr(suite, law)
     monkeypatch.setattr(suite, law, lambda first, *rest: calls.append(
-        (first, rest[0]) if rest else first) or real(first, *rest))
+        (first, as_read(rest[0])) if rest else as_read(first)) or real(first, *rest))
     drawn = recording_draws(monkeypatch, name)
     _, instances, witness = run_check(dict(suite.CHECKS)[name], SuiteConfig(seed=seed))
     assert witness is None and instances == recorded_instances(seed)[name]
@@ -326,14 +336,15 @@ def fault_on(monkeypatch, name, target):
         monkeypatch.setattr(suite, "minimax_path_distance",
                             lambda chain, x, y: real(chain, x, y) + (chain == target))
     elif name == "theta-closure":
-        closure, bad = SelfMapMonoid.verify_closure, ultra.enumerate_theta(target)
+        closure = SelfMapMonoid.verify_closure
+        bad = ultra.enumerate_theta(ultra.UltraPseudometric(range(max(map(max, target)) + 1), target))
         monkeypatch.setattr(SelfMapMonoid, "verify_closure", lambda self: closure(self) and self != bad)
     elif name == "theta-pointwise-entourages":
         real = suite.epsilon_A_relation
 
         def split(theta, d, points, eps):       # as in the class-split test above
             p = real(theta, d, points, eps)
-            if list(points) != [0] or d != target:
+            if list(points) != [0] or ranks(d) != target:
                 return p
             ids = list(p.class_id)
             ids[-1] = max(ids) + 1
@@ -342,7 +353,7 @@ def fault_on(monkeypatch, name, target):
     else:
         real = suite.nonexpansive_counterexample
         monkeypatch.setattr(suite, "nonexpansive_counterexample", lambda m, d, side: (
-            (0, 0, 0) if (m, d) == target else real(m, d, side)))
+            (0, 0, 0) if (m, ranks(d)) == target else real(m, d, side)))
 
 
 @pytest.mark.parametrize("name", list(SWEEPS))
@@ -352,6 +363,113 @@ def test_a_fault_on_a_repeated_instance_fails_at_its_first_occurrence(monkeypatc
     fault_on(monkeypatch, name, latest_repeated_instance(name, seed=0))
     _, instances, witness = run_check(dict(suite.CHECKS)[name], SuiteConfig(seed=0))
     assert {"instances": instances, "witness": witness} == expected
+
+
+def run_on(monkeypatch, name, m, d):
+    """The named metric sweep with every draw replaced by the metric d
+    (and, for a ball check, the monoid m): (instances, passed)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(suite, "random_ultrametric", lambda rng, n: d)
+        patch.setattr(suite, "random_transformation_monoid", lambda rng, n, max_size: (m, None))
+        patch.setattr(suite, "random_one_sided_metric", lambda rng, m, side: d)
+        _, instances, witness = run_check(dict(suite.CHECKS)[name], SuiteConfig())
+    return instances, witness is None
+
+
+def relevelled(d, rng):
+    """d at other distances: the same ranks, positive levels in thirds
+    that are no integers, so none of them is a level of d."""
+    levels, c = [Fraction(0)], 0
+    for _ in d.levels[1:]:
+        c += 1 + rng.randrange(3)
+        levels.append(Fraction(3 * c + 1, 3))
+    return ultra.UltraPseudometric(levels, d.rank_matrix())
+
+
+@pytest.mark.parametrize("name", [n for n in SWEEPS if n != "chain-metrization"])
+def test_metrics_of_equal_ranks_check_alike(monkeypatch, name):
+    # the premise of the metric sweeps' rank key: a metric and a copy of
+    # it at other levels get one count and verdict from every law; with
+    # the precondition waived, an arbitrary metric fails a ball law at
+    # some radius, and its copy fails it at the same one
+    rng = random.Random(name)
+    outcomes = set()
+    for _ in range(12):
+        m, _ = suite.random_transformation_monoid(rng, 2 + rng.randrange(3), max_size=6)
+        n = 3 if name == "theta-pointwise-entourages" else m.size
+        metrics = [random_ultrametric(rng, n)]
+        if name.startswith("ball-"):
+            side = "right" if name == "ball-submonoids" else "left"
+            metrics.append(suite.random_one_sided_metric(rng, m, side))
+        for d in metrics:
+            copy = relevelled(d, rng)
+            assert set(copy.levels) & set(d.levels) == {0}
+            outcomes.add(run_on(monkeypatch, name, m, d))
+            assert run_on(monkeypatch, name, m, copy) == run_on(monkeypatch, name, m, d)
+            if name.startswith("ball-"):
+                with monkeypatch.context() as patch:
+                    patch.setattr(suite, "nonexpansive_counterexample", lambda m, d, side: None)
+                    outcomes.add(run_on(patch, name, m, d))
+                    assert run_on(patch, name, m, copy) == run_on(patch, name, m, d)
+    # the sweeps met more than one count, and the ball checks failures too
+    assert len(outcomes) > 1 and any(not ok for _, ok in outcomes) == name.startswith("ball-")
+
+
+BALL_LAWS = {
+    "ball-submonoids": ("right", lambda m, d, r: finmon.is_submonoid(m, d.ball(m.identity, r))),
+    "ball-left-congruences": ("left", lambda m, d, r: ultra.check_left_congruence(
+        m, d.ball_partition(r))),
+}
+
+
+def loop_ball_check(name):
+    """The radius-by-radius scan that the ball checks replaced, on every
+    draw: one library call per radius."""
+    side, law = BALL_LAWS[name]
+
+    def check(cfg):
+        rng = suite._rng(cfg, name)
+        yield {"instances": suite.BALL_INSTANCE_COUNT, "max_monoid": 6}
+        for _ in range(suite.BALL_INSTANCE_COUNT):
+            m, _ = suite.random_transformation_monoid(rng, 2 + suite.randbelow(rng, 3), max_size=6)
+            d = suite.random_one_sided_metric(rng, m, side)
+            if suite.nonexpansive_counterexample(m, d, side) is not None:
+                yield 0, {"monoid": m.to_json(), "metric": d.to_json(),
+                          "failure": f"generator produced a non-{side}-nonexpansive metric"}
+            positive = d.levels[1:]
+            radii = [positive[0] / 2, *positive, positive[-1] * 2] if positive else [Fraction(1)]
+            for count, r in enumerate(radii, 1):
+                if not law(m, d, r):
+                    yield count, {"monoid": m.to_json(), "metric": d.to_json(), "radius": str(r)}
+            yield len(radii), None
+    return check
+
+
+def any_metric_on_large_monoids(monkeypatch):
+    """Waive the precondition and give every monoid of four or more
+    elements an arbitrary metric, which breaks the ball laws at some
+    radius between the least and the greatest."""
+    real = suite.random_one_sided_metric
+    monkeypatch.setattr(suite, "nonexpansive_counterexample", lambda m, d, side: None)
+    monkeypatch.setattr(suite, "random_one_sided_metric", lambda rng, m, side: (
+        random_ultrametric(rng, m.size) if m.size >= 4 else real(rng, m, side)))
+
+
+# (instances, witness radius) at seeds 0 and 7, as the scan reported them
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name,fault,pinned", [
+    ("ball-submonoids", None, {0: (312, None), 7: (294, None)}),
+    ("ball-submonoids", any_metric_on_large_monoids, {0: (10, "1/4"), 7: (63, "1")}),
+    ("ball-left-congruences", None, {0: (300, None), 7: (306, None)}),
+    ("ball-left-congruences", any_metric_on_large_monoids, {0: (3, "1/2"), 7: (3, "1")}),
+])
+def test_the_ball_arrays_report_what_the_scan_reported(monkeypatch, seed, name, fault, pinned):
+    if fault is not None:
+        fault(monkeypatch)
+    cfg = SuiteConfig(seed=seed)
+    got = run_check(dict(suite.CHECKS)[name], cfg)
+    assert got == run_check(loop_ball_check(name), cfg)
+    assert (got[1], (got[2] or {}).get("radius")) == pinned[seed]
 
 
 def test_contraction_fails_when_the_extension_is_applied_twice(monkeypatch):

@@ -134,6 +134,19 @@ def test_metric_takes_int_and_fraction_levels():
     assert d.ball(0, Fraction(3, 4)) == [0, 1]
 
 
+@pytest.mark.parametrize("center,message", [
+    (-1, "ball center outside the carrier"),        # read as point 2 before
+    (3, "ball center outside the carrier"),         # a raw IndexError before
+    (True, "ball center True is not an integer"),   # flat indices of a mask before
+    (1.0, "ball center 1.0 is not an integer"),     # a raw IndexError before
+])
+def test_ball_refuses_a_center_that_is_no_point(center, message):
+    d = UltraPseudometric.discrete(3)
+    with pytest.raises(ValueError, match=message):
+        d.ball(center, HALF)
+    assert d.ball(np.int64(2), HALF) == [2] and d.ball(np.uint8(0), 2) == [0, 1, 2]
+
+
 def test_metric_needs_a_point():
     with pytest.raises(ValueError, match="at least one point"):
         UltraPseudometric.discrete(0)
