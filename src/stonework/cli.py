@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:
-        print(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}",
+        print(f"error: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 2
     except (StoneworkError, ValueError, KeyError) as exc:

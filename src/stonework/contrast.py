@@ -138,7 +138,9 @@ def rna_certificate(instance: ContrastInstance) -> ContrastCertificate:
     searches for the expected right-nonexpansiveness counterexample.  A
     left translation x -> s*x is 1-Lipschitz exactly when
     d(s*x, s*y) <= d(x, y) for every pair, which is the left law itself,
-    so translations_lipschitz is read off its witness.
+    so translations_lipschitz is read off its witness.  The two laws and
+    the action law read the monoid's generating set, which build_contrast
+    has proven (see FiniteMonoid.generating_set).
     """
     m, d = instance.monoid, instance.metric
     left_witness = nonexpansive_counterexample(m, d, "left")

@@ -37,6 +37,10 @@ def preimage_mask(s, chi: int) -> int:
     return sum(1 << y for y, sy in enumerate(s) if chi >> sy & 1)
 
 
+def _not_a_self_map(s, n: int) -> ValueError:
+    return ValueError(f"[{', '.join(map(str, s))}] is not a self-map of {n} points")
+
+
 def phi(s) -> RingEndo:
     """Ring endomorphism indicator(A) -> indicator(preimage of A).
 
@@ -44,15 +48,35 @@ def phi(s) -> RingEndo:
     """
     s = tuple(s)
     if not is_self_map(s, len(s)):
-        raise ValueError(f"[{', '.join(map(str, s))}] is not a self-map of {len(s)} points")
+        raise _not_a_self_map(s, len(s))
     images = tuple(preimage_mask(s, 1 << a) for a in range(len(s)))
     return RingEndo(images)
 
 
 def phi_array(values) -> np.ndarray:
-    """phi on a (k, n) array of self-maps: out[s] = phi(values[s]).atom_images."""
-    values = np.asarray(values)
+    """phi on a (k, n) array of self-maps: out[s] = phi(values[s]).atom_images.
+
+    Each row is read as phi reads a map, and the first that is no self-map
+    of n points is refused with phi's ValueError.  Rows that are not an
+    array are checked entry by entry before numpy reads them, since it
+    would read True as 1; an array is refused unless its dtype is integer.
+    """
+    if not isinstance(values, np.ndarray):
+        rows = [tuple(row) for row in values]
+        n = len(rows[0]) if rows else 0
+        for row in rows:
+            if not is_self_map(row, n):
+                raise _not_a_self_map(row, n)
+        values = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+    if values.ndim != 2:
+        raise ValueError(f"self-maps must form a (k, n) array, not one of shape {values.shape}")
     n = values.shape[1]
+    if values.size and (values.dtype.kind not in "iu" or values.min() < 0 or values.max() >= n):
+        # the first row phi refuses: any row, in an array of no points
+        off = (values < 0) | (values >= n) | (values.dtype.kind not in "iu")
+        raise _not_a_self_map(values[off.any(axis=1).argmax()].tolist(), n)
+    if len(values):
+        require_atoms(n)            # as phi's RingEndo refuses maps on no points
     hits = values[:, :, None] == np.arange(n)                 # hits[s, y, a]
     return (hits * (1 << np.arange(n, dtype=np.int64))[:, None]).sum(axis=1)
 
@@ -84,8 +108,16 @@ def delta_eval(y: int, n: int) -> int:
     return 1 << y
 
 
-def hom_embed(s) -> GroupEndo:
-    """The composite embedding into dual-group endomorphisms."""
+def hom_embed(s):
+    """The composite embedding into dual-group endomorphisms.
+
+    A single map gives its GroupEndo.  A (k, n) array of maps gives the
+    (k, n) array whose row s is hom_embed(values[s]).rows, read through
+    phi_array: the adjoint of the transpose is the matrix itself, whose
+    rows are phi's atom images.
+    """
+    if np.ndim(s) == 2:
+        return phi_array(s)
     return delta_adjoint(phi(s).to_group_endo())
 
 

@@ -45,6 +45,27 @@ class FiniteMonoid:
         m.values, m.identity = values, int(identity)
         return m
 
+    @cached_property
+    def generating_set(self) -> np.ndarray | None:
+        """Indices G of elements that generate the monoid, on which its
+        laws are proven, or None where no such set is known.
+
+        G is _generating_set of the table at width k, kept only if the
+        identity is two-sided and associativity holds against every member
+        of G (_holds_on), which is Light's test: then the table is
+        associative (see validate_monoid), and every element is the
+        identity or a product g1*g2*...*gm of members of G.  So a law
+        whose holders contain the identity and are closed under products
+        holds everywhere once it holds on G.  validate_monoid hands its
+        monoid the set it has checked.
+        """
+        table, identity = self.values, self.identity
+        gens = _generating_set(table, identity, self.size)
+        if (gens is None or _identity_defect(table, identity) is not None
+                or not _holds_on(table, table, gens)):
+            return None
+        return gens
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteMonoid) and self.identity == other.identity
                 and np.array_equal(self.values, other.values))
@@ -120,7 +141,8 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
     not: for a, b in A, (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) =
     x*(a*(b*y)) = x*((a*b)*y).  So A holds every product of members of G,
     which is every element.  Only if G is None or some g fails does the
-    scan of all triples run, and it names the first defect.
+    scan of all triples run, and it names the first defect.  The monoid
+    keeps G as its generating_set.
     """
     if not len(table):
         raise ValueError("empty multiplication table")
@@ -135,7 +157,7 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
         bad = _action_defect(m.values, m.values)
         if bad is not None:
             raise AssociativityViolation(*bad)
-
+    m.generating_set = gens
     return m
 
 
@@ -246,14 +268,14 @@ def action_from_json(obj: dict) -> MonoidAction:
 def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
     """Check act[e] = id and act[s*t] = act[s] after act[t].
 
-    For a large monoid the law is first checked on a generating set G
-    (see _generating_set), after m's own identity and its associativity
-    on G (see validate_monoid), since m carries no proof of its laws.
-    That suffices: in an associative monoid the set of the t with
+    For a large monoid the law is first checked on m.generating_set G,
+    whose identity and associativity are proven (validate_monoid hands
+    its monoid G; any other monoid checks it on first use).  That
+    suffices: in an associative monoid the set of the t with
     act[s*t] = act[s] after act[t] for every s holds the identity, and
     with t and u it holds t*u, as act[s*(t*u)] = act[(s*t)*u] =
     act[s*t] after act[u] = act[s] after act[t] after act[u] =
-    act[s] after act[t*u].  Only if G is None or some check on it fails
+    act[s] after act[t*u].  Only if G is None or the law fails on it
     does the scan of all triples run, and it names the first defect.
 
     The action keeps G as its generating_set; where the scan ran instead,
@@ -263,10 +285,8 @@ def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
                     "action table has wrong shape", "action entry out of range")
     if not np.array_equal(arr[m.identity], np.arange(carrier_size)):
         raise ValueError("identity does not act as the identity map")
-    table = m.values
-    gens = (None if _identity_defect(table, m.identity) is not None
-            else _generating_set(table, m.identity, carrier_size))
-    if gens is None or not (_holds_on(table, table, gens) and _holds_on(table, arr, gens)):
+    table, gens = m.values, m.generating_set
+    if gens is None or not _holds_on(table, arr, gens):
         gens = None
         bad = _action_defect(table, arr)
         if bad is not None:
@@ -335,17 +355,25 @@ def _generating_set(table: np.ndarray, identity: int, width: int) -> np.ndarray 
         gens.append(g)
         hit[table[reached, g]] = True       # the identity's product reaches g itself
         hit[reached] = False
-        while hit.any():                    # hit: the products new in this round
-            reached |= hit
-            products = right[hit, :len(gens)]
-            hit[:] = False
-            hit[products] = True
-            hit[reached] = False
+        _close(reached, hit, right[:, :len(gens)])
         if reached.all():
             break
     gens = np.array(gens, dtype=np.intp)
     gens.flags.writeable = False        # an action keeps it as its generating_set
     return gens
+
+
+def _close(reached: np.ndarray, hit: np.ndarray, right: np.ndarray) -> None:
+    """Breadth-first along right, in place: hit, the elements new in this
+    round, joins reached, and the next round's hit is the products
+    right[x, i] of its members x not yet reached, until none is new.
+    reached and hit are (k,) boolean arrays, right a (k, m) index table."""
+    while hit.any():
+        reached |= hit
+        products = right[hit]
+        hit[:] = False
+        hit[products] = True
+        hit[reached] = False
 
 
 # Entries of one block of a computation done in row blocks (see blocks), such
@@ -421,6 +449,9 @@ class SelfMapMonoid:
     per row, rows in strictly ascending lexicographic order; the identity
     map must be present.  ``elements``, the maps as tuples of ints, is
     derived on first use for JSON, witnesses and the scalar oracles.
+    ``generators`` is None, or the read-only indices of maps that its
+    builder names as candidate generators: a law proven on them holds only
+    where certify(generators) confirms them.
 
     ``compose(i, j)`` is the one composition primitive, and it reads one
     table: the (k, k) composition array, built on first use (see
@@ -442,20 +473,23 @@ class SelfMapMonoid:
             raise ValueError("maps must form a (k, n) array with n >= 1")
         if not _strictly_ascending(values):
             raise ValueError("elements not in canonical order")
-        self.values, self.carrier_size = values, n
+        self.values, self.carrier_size, self.generators = values, n, None
         found = np.flatnonzero((values == np.arange(n)).all(axis=1))
         if not found.size:
             raise ValueError("identity map missing")
         self.identity_index = int(found[0])
 
     @classmethod
-    def _adopt(cls, values: np.ndarray, identity_index: int) -> SelfMapMonoid:
+    def _adopt(cls, values: np.ndarray, identity_index: int,
+               generators: np.ndarray | None = None) -> SelfMapMonoid:
         """The monoid on value rows that this package built read-only and
         C-ordered, of the smallest unsigned dtype for their columns, in
         strictly ascending order and closed under composition, with the
-        identity map at row identity_index: kept, not copied, not checked."""
+        identity map at row identity_index: kept, not copied, not checked.
+        generators, if given, are read-only candidate generator indices."""
         s = cls.__new__(cls)
         s.values, s.carrier_size, s.identity_index = values, values.shape[1], int(identity_index)
+        s.generators = generators
         return s
 
     def __eq__(self, other) -> bool:
@@ -640,6 +674,34 @@ class SelfMapMonoid:
         out.flags.writeable = False
         return out
 
+    def right(self, gens) -> np.ndarray:
+        """out[f, i] = index of map f after map gens[i], as intp, for every
+        element f: one lookup of the (k, len(gens), n) composite maps, and
+        no (k, k) table.  KeyError if some composite is not an element."""
+        return self.lookup(self.values[:, self.values[np.asarray(gens, dtype=np.intp)]])
+
+    def certify(self, gens) -> np.ndarray | None:
+        """right(gens), if it certifies that the maps gens generate the set;
+        else None.
+
+        The certificate: every composite f after g, for an element f and g
+        in gens, is an element, and the breadth-first search along those
+        composites from the identity reaches every element.  Then every
+        element is a word, the identity after g1 after ... after gm, and
+        the set is closed: for a and such a word b, a after b is
+        (((a after g1) after g2) ...) after gm, an element at each step.
+        So a law whose holders f contain the identity and, with f, hold f
+        after g for every g in gens holds on every element.
+        """
+        try:
+            right = self.right(gens)
+        except KeyError:
+            return None
+        reached, hit = np.zeros(len(self), dtype=bool), np.zeros(len(self), dtype=bool)
+        hit[self.identity_index] = True
+        _close(reached, hit, right)
+        return right if reached.all() else None
+
     def composites(self) -> np.ndarray | None:
         """out[i, j] = index of map i after map j, read-only; None if some
         composite is not an element."""
@@ -666,16 +728,30 @@ def _strictly_ascending(rows: np.ndarray) -> bool:
 
 
 def full_selfmap_monoid(n: int) -> SelfMapMonoid:
-    """All n**n self-maps of an n-point set, lexicographically ordered."""
+    """All n**n self-maps of an n-point set, lexicographically ordered.
+
+    Its generators are Howie's: the transposition of points 0 and 1, the
+    n-cycle x -> x + 1 mod n and the rank n - 1 map that sends 1 to 0 and
+    fixes the rest (J. M. Howie, Fundamentals of Semigroup Theory, 1995),
+    distinct, in index order; none for one point.
+    """
     if n < 1:
         raise ValueError("carrier must be nonempty")
     guard_enum(n**n, f"full self-map monoid on {n} points")
     # row r holds the n base-n digits of r, most significant first, so the
-    # rows ascend and the identity is row sum(x * n**(n - 1 - x))
+    # rows ascend and a map's row is the number its digits write
     values = np.ascontiguousarray(
         np.indices((n,) * n, dtype=np.min_scalar_type(n - 1)).reshape(n, -1).T)
     values.flags.writeable = False
-    return SelfMapMonoid._adopt(values, sum(x * n ** (n - 1 - x) for x in range(n)))
+
+    def row(digits) -> int:
+        return sum(v * n ** (n - 1 - x) for x, v in enumerate(digits))
+
+    rest = [*range(2, n)]
+    howie = [[1, 0, *rest], [*range(1, n), 0], [0, 0, *rest]] if n > 1 else []
+    generators = np.array(sorted({row(g) for g in howie}), dtype=np.intp)
+    generators.flags.writeable = False
+    return SelfMapMonoid._adopt(values, row(range(n)), generators)
 
 
 def is_point(v) -> bool:

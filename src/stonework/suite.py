@@ -188,8 +188,56 @@ def _adjoint_pointwise_ok(values: np.ndarray, adjoint: np.ndarray) -> bool:
     return bool(np.array_equal(lhs, rhs))
 
 
-def _anti_law(source: SelfMapMonoid, target: SelfMapMonoid, image, order: np.ndarray):
-    """Check that f, i -> image[i], is an anti-isomorphism from source onto target.
+# Sets of at most this many maps go straight to the scan of all pairs: below
+# it, certifying a generating set and its law costs more than the scan.
+GENERATOR_MIN_SIZE = 16
+
+
+def _anti_law_on_generators(source: SelfMapMonoid, target: SelfMapMonoid, image,
+                            gens) -> bool:
+    """True iff the maps gens, indices into source, prove that f, i ->
+    image[i], is an anti-isomorphism from source onto target; False where
+    they prove nothing.  image and the sets are as for _anti_law_pairs.
+
+    The proof reads k * len(gens) pairs: source.certify(gens) must hold,
+    image must be a bijection onto target, f(identity) the identity, and
+    f(s after g) = f(g) after f(s) for every s and every g in gens.  Then
+    f(a after b) = f(b) after f(a) for all a, b, by induction on b as a
+    word in gens (f(a after w after g) = f(g) after f(a after w) =
+    f(g) after f(w) after f(a)), and target = f(source) is closed:
+    f(w) after t = f(g_m) after ... after f(g_1) after t, and each
+    f(g) after f(s) is f(s after g).  So the scan of all pairs passes.
+    """
+    right = None if image is None else source.certify(gens)
+    if right is None or not np.array_equal(np.sort(image), np.arange(len(target))):
+        return False
+    if image[source.identity_index] != target.identity_index:
+        return False
+    mapped = target.values[image]                   # mapped[s]: the maps f(s)
+    # after[i, s]: f(gens[i]) after f(s), as value rows
+    after = mapped[gens][:, mapped]
+    return bool(np.array_equal(mapped[right], after.transpose(1, 0, 2)))
+
+
+def _proved_on_generators(source: SelfMapMonoid, target: SelfMapMonoid, image, gens) -> bool:
+    """_anti_law_on_generators where source has more than
+    GENERATOR_MIN_SIZE maps and gens are given; else False."""
+    return (gens is not None and len(source) > GENERATOR_MIN_SIZE
+            and _anti_law_on_generators(source, target, image, gens))
+
+
+def _anti_law(source: SelfMapMonoid, target: SelfMapMonoid, image, order: np.ndarray,
+              gens=None):
+    """None where gens, indices into source, prove that f is an
+    anti-isomorphism (_proved_on_generators); else _anti_law_pairs."""
+    if _proved_on_generators(source, target, image, gens):
+        return None
+    return _anti_law_pairs(source, target, image, order)
+
+
+def _anti_law_pairs(source: SelfMapMonoid, target: SelfMapMonoid, image, order: np.ndarray):
+    """Check that f, i -> image[i], is an anti-isomorphism from source onto
+    target, on all pairs: the oracle of _anti_law_on_generators.
 
     source and target hold maps as self-maps of one carrier; image[i] is
     the index of f(i) in target, or image is None where some f(i) is not
@@ -214,17 +262,18 @@ def _anti_law(source: SelfMapMonoid, target: SelfMapMonoid, image, order: np.nda
     return None
 
 
-def _delta_law(source: SelfMapMonoid, target: SelfMapMonoid, order: np.ndarray):
-    """_anti_law for the transpose of additive maps, as self-maps of the
-    ring elements, from source onto target; then the transposes must
-    realize character precomposition."""
+def _delta_law(source: SelfMapMonoid, target: SelfMapMonoid, order: np.ndarray, gens=None):
+    """_anti_law, on candidate generators gens where given, for the
+    transpose of additive maps, as self-maps of the ring elements, from
+    source onto target; then the transposes must realize character
+    precomposition."""
     n = source.carrier_size.bit_length() - 1
     columns = source.values[:, 1 << np.arange(n)]
     try:
         delta = target.lookup(additive_values(transpose_masks(columns, n), n))
     except KeyError:
         delta = None
-    failure = _anti_law(source, target, delta, order)
+    failure = _anti_law(source, target, delta, order, gens)
     if failure is None and not _adjoint_pointwise_ok(source.values, target.values[delta]):
         return "transpose does not realize the adjoint"
     return failure
@@ -258,18 +307,27 @@ def check_phi(cfg: SuiteConfig):
         # every composite of two members is a member
         ring_maps, where = additive_monoid(
             [identity_ring_endo(n).atom_images, *(e.atom_images for e in endos)], n)
-        members, table = where[1:], ring_maps.composites()
+        members, phi_idx = where[1:], None
+        if len(ring_maps) == len(endos):
+            try:
+                phi_idx = ring_maps.lookup(additive_values(phi_array(maps.values), n))
+            except KeyError:
+                pass
+        # where the enumerated maps are ring_maps, each once, and Howie's
+        # generators prove phi an anti-isomorphism onto them, ring_maps is
+        # closed and both scans below pass
+        if (np.array_equal(np.sort(members), np.arange(len(ring_maps)))
+                and _proved_on_generators(maps, ring_maps, phi_idx, maps.generators)):
+            yield len(maps) ** 2, None
+            continue
+        table = ring_maps.composites()
         if table is None or not np.isin(table[np.ix_(members, members)], members).all():
             yield 0, {
                 "n": n, "failure": "ring-endomorphism composition left the enumerated set"}
         yield len(maps) ** 2, None
         failure = "phi is not a bijection"
         if len(ring_maps) == len(endos):
-            try:
-                phi_idx = ring_maps.lookup(additive_values(phi_array(maps.values), n))
-            except KeyError:
-                phi_idx = None
-            failure = _anti_law(maps, ring_maps, phi_idx, np.arange(len(maps)))
+            failure = _anti_law_pairs(maps, ring_maps, phi_idx, np.arange(len(maps)))
         if isinstance(failure, str):
             yield 0, {"n": n, "failure": "phi is not a bijection"}
         elif failure is not None:
@@ -280,6 +338,19 @@ def check_phi(cfg: SuiteConfig):
                 "t": maps.values[t].tolist(),
                 "failure": "phi(s.t) != phi(t).phi(s)",
             }
+
+
+def _matrix_generators(n: int) -> np.ndarray:
+    """Columns (atom images) of n-by-n bit matrices that generate them all:
+    the transposition of atoms 0 and 1, the n-cycle and the transvection
+    that adds atom 1 to atom 0's image generate the invertible ones, and
+    one rank n - 1 idempotent, atom 0 to zero, the rest.  check_delta
+    reads them as candidates only: SelfMapMonoid.certify decides."""
+    atoms = [1 << a for a in range(n)]
+    if n == 1:
+        return np.array([[0]])
+    return np.array([[atoms[1], atoms[0], *atoms[2:]], [*atoms[1:], atoms[0]],
+                     [atoms[0] | atoms[1], *atoms[1:]], [0, *atoms[1:]]])
 
 
 # how check_delta words two of _delta_law's failures on the phi image
@@ -298,7 +369,11 @@ def check_delta(cfg: SuiteConfig):
         endos = enumerate_group_endos(n)
         matrices, order = additive_monoid(transpose_masks([e.rows for e in endos], n), n)
         yield len(endos) ** 2, None
-        failure = _delta_law(matrices, matrices, order)
+        try:
+            gens = matrices.lookup(additive_values(_matrix_generators(n), n))
+        except KeyError:
+            gens = None
+        failure = _delta_law(matrices, matrices, order, gens)
         if isinstance(failure, str):
             yield 0, {"n": n, "failure": failure}
         elif failure is not None:
@@ -316,7 +391,8 @@ def check_delta(cfg: SuiteConfig):
         image, order = additive_monoid(images, n)
         transposes, _ = additive_monoid(transpose_masks(images, n), n)
         yield len(maps) ** 2, None
-        failure = _delta_law(image, transposes, order)
+        # order[s] indexes phi(s) in image: the phi images of Howie's generators
+        failure = _delta_law(image, transposes, order, order[maps.generators])
         if isinstance(failure, str):
             yield 0, {"n": n, "failure": _ON_PHI_IMAGE.get(failure, failure)}
         elif failure is not None:
@@ -342,17 +418,20 @@ def check_evaluation(cfg: SuiteConfig):
                 "evaluation_image": sorted(image),
             }
         maps = full_selfmap_monoid(n)
-        for s in maps.elements:
-            endo = hom_embed(s)
-            for y in range(n):
-                yield 1, None
-                if endo.apply(evals[y]) != evals[s[y]]:
-                    yield 0, {
-                        "n": n,
-                        "s": list(s),
-                        "y": y,
-                        "failure": "evaluation is not equivariant",
-                    }
+        # rows[s, i]: row i of hom_embed(s), whose image of evals[y] has bit i
+        # the parity of rows[s, i] & evals[y]; it must be evals[s(y)]
+        rows, evals = hom_embed(maps.values), np.array(evals)
+        parities = np.bitwise_count(rows[:, None, :] & evals[None, :, None]) & 1
+        bad = parities @ (1 << np.arange(n)) != evals[maps.values]
+        if bad.any():
+            s, y = np.unravel_index(bad.argmax(), bad.shape)
+            yield int(s) * n + int(y) + 1, {
+                "n": n,
+                "s": maps.values[s].tolist(),
+                "y": int(y),
+                "failure": "evaluation is not equivariant",
+            }
+        yield bad.size, None
 
 
 def check_entourage_transport(cfg: SuiteConfig):

@@ -446,19 +446,41 @@ def nonexpansive_counterexample(m: FiniteMonoid, d: UltraPseudometric, side: str
     d(s*x, s*y) <= d(x, y).  Scan order is ascending (x, y, s).  The
     triples are compared in blocks of x (see finmon.first_true), which
     keeps that order, so no (n, n, n) array is built.
+
+    Where m has a generating set G (FiniteMonoid.generating_set, on which
+    the identity and associativity are proven), the law is first checked
+    for s in G only.  That suffices: the s that satisfy it hold the
+    identity, and with s and t they hold s*t, as on the left
+    d((s*t)*x, (s*t)*y) = d(s*(t*x), s*(t*y)) <= d(t*x, t*y) <= d(x, y),
+    and on the right likewise.  Only if G is None or some g fails does
+    the scan of all triples run, and it names the first defect.
     """
     if d.carrier_size != m.size:
         raise CarrierMismatch("metric carrier differs from monoid size")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    gens = m.generating_set
+    if gens is not None and _translation_defect(m, d, side, gens) is None:
+        return None
+    return _translation_defect(m, d, side)
+
+
+def _translation_defect(m: FiniteMonoid, d: UltraPseudometric, side: str, among=None):
+    """The first (x, y, i), ascending, with d(moved x, moved y) > d(x, y)
+    where moved translates on the side by the i-th of the elements among
+    (by default every element, when i is the element itself), or None:
+    the scan of all triples that nonexpansive_counterexample's generator
+    check stands in for, and its oracle."""
     n = m.size
     rank = d.rank_matrix()
     rank = rank.astype(np.min_scalar_type(rank.max()))
     flat = rank.ravel()
     moved = m.values if side == "right" else m.values.T     # moved[x, s]: x*s or s*x
+    if among is not None:
+        moved = moved[:, among]
     scaled = moved.astype(np.intp) * n
-    # rank of (moved[x, s], moved[y, s]) against rank of (x, y), on (x, y, s)
-    return first_true((n, n, n), lambda a, b: flat.take(
+    # rank of (moved[x, i], moved[y, i]) against rank of (x, y), on (x, y, i)
+    return first_true((n, n, moved.shape[1]), lambda a, b: flat.take(
         scaled[a:b, None, :] + moved) > rank[a:b, :, None])
 
 

@@ -224,10 +224,17 @@ def test_verify_reports_reproducible_across_runs():
     assert strip(first) == strip(second)
 
 
-def test_parse_error_exit_code_and_location():
+def test_parse_error_exit_code_and_location(tmp_path):
     proc = run_cli(["dualize"], stdin="{bad json")
-    assert proc.returncode == 2
-    assert "line 1" in proc.stderr
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: parse error at line 1 column 2: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    path = tmp_path / "bad.json"
+    path.write_text("{\n")
+    proc = run_cli(["theta", "--metric", str(path)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: parse error at line 2 column 1: ")
+    assert proc.stderr.count("\n") == 1
     proc = run_cli(["metrize", "--chain", "/nonexistent/file.json"])
     assert proc.returncode == 2
 

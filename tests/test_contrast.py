@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stonework import finmon
+from stonework import contrast, finmon, suite, ultra
 from stonework.contrast import (
     ContrastInstance,
     _mul,
@@ -18,6 +19,7 @@ from stonework.contrast import (
 from stonework.errors import NoWitness, ResourceLimit
 from stonework.finmon import FiniteMonoid, full_selfmap_monoid
 from stonework.generators import random_one_sided_metric, random_ultrametric
+from stonework.suite import SuiteConfig, run_check
 from stonework.ultra import UltraPseudometric, nonexpansive_counterexample
 
 
@@ -190,3 +192,52 @@ def test_blocked_certificate_matches_the_whole_cube(monkeypatch, step):
                 assert (cert.left_witness, cert.right_witness) == (left, right)
                 assert cert.translations_lipschitz == (left is None and lipschitz)
                 assert cert.embedding_homomorphism == (not (table[table, :] != table[:, table]).any())
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_both_sides_agree_with_the_scan_of_all_triples(k):
+    inst = build_contrast(k)
+    m, d = inst.monoid, inst.metric
+    # the carrier of 135 points at k = 7 is the first whose laws run on generators
+    assert (m.generating_set is not None) == (k == 7)
+    for side in ("left", "right"):
+        assert nonexpansive_counterexample(m, d, side) == ultra._translation_defect(m, d, side)
+
+
+def near_segments(inst):
+    """The instance with segment elements 1 and 2 at distance 1/k: a cube
+    element that reads coordinate 2 but not 3 sends them to distance 1."""
+    rank = inst.metric.rank_matrix().copy()
+    a, b = inst.segment_label(1), inst.segment_label(2)
+    rank[a, b] = rank[b, a] = 1
+    return dataclasses.replace(inst, metric=UltraPseudometric(inst.metric.levels, rank))
+
+
+def test_a_metric_perturbed_at_k7_reports_the_all_pairs_witness(monkeypatch):
+    real = contrast.build_contrast
+    monkeypatch.setattr(contrast, "build_contrast",
+                        lambda k: near_segments(real(k)) if k == 7 else real(k))
+    got = run_check(suite.check_contrast, SuiteConfig(bound_k=7))
+    inst = contrast.build_contrast(7)
+    left = ultra._translation_defect(inst.monoid, inst.metric, "left")
+    assert left is not None and inst.monoid.generating_set is not None
+    assert got[2] == {"k": 7, "certificate": rna_certificate(inst).to_json()}
+    assert got[2]["certificate"]["left_witness"] == left
+    # no generating set anywhere: the same report
+    monkeypatch.setattr(finmon, "_generating_set", lambda *args: None)
+    assert run_check(suite.check_contrast, SuiteConfig(bound_k=7)) == got
+
+
+def test_a_law_that_holds_on_generators_of_a_table_that_is_no_monoid_is_scanned():
+    inst = build_contrast(7)
+    table = inst.monoid.values.copy()
+    # 3 = C:1100000 now sends C:0111111 to a segment element, though it sends
+    # C:0111110, at distance 1/7, into the cube
+    table[3, 126] = inst.segment_label(3)
+    m = FiniteMonoid(table, inst.identity)
+    gens = finmon._generating_set(table, m.identity, m.size)
+    assert gens is not None and 3 not in gens.tolist()
+    assert ultra._translation_defect(m, inst.metric, "left", gens) is None
+    assert m.generating_set is None         # associativity fails on gens
+    witness = nonexpansive_counterexample(m, inst.metric, "left")
+    assert witness == ultra._translation_defect(m, inst.metric, "left") == (0, 126, 3)

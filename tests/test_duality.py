@@ -29,7 +29,7 @@ from stonework.duality import (
     preimage_mask,
 )
 from stonework.errors import DimensionMismatch
-from stonework.finmon import SelfMapMonoid, full_selfmap_monoid
+from stonework.finmon import SelfMapMonoid, full_selfmap_monoid, is_self_map
 
 
 def test_phi_identity_and_constant():
@@ -68,6 +68,47 @@ def test_phi_takes_only_integer_points_of_the_carrier(embed, s):
     # int() would read [1.9, 0.2] as the swap and [True, False] as (1, 0)
     with pytest.raises(ValueError, match=r"is not a self-map of 2 points"):
         embed(s)
+
+
+@pytest.mark.parametrize("embed", [phi_array, hom_embed])
+@pytest.mark.parametrize("rows", [[[0, 5]], [[True, 0]], [[0.0, 1.0]], [[-1, 0]],
+                                  [[1, 0], [0, 2]]])
+def test_the_array_forms_refuse_what_phi_refuses(embed, rows):
+    bad = next(row for row in rows if not is_self_map(row, 2))
+    with pytest.raises(ValueError) as exc:
+        phi(bad)
+    with pytest.raises(ValueError) as arr:
+        embed(rows)
+    assert str(arr.value) == str(exc.value)
+    if rows != [[True, 0]]:         # as an array, [True, 0] is the swap's row of ints
+        with pytest.raises(ValueError) as arr:
+            embed(np.array(rows))
+        assert str(arr.value) == str(exc.value).replace("True", "1")
+
+
+@pytest.mark.parametrize("rows", [np.array([[True, False]]), np.array([[1.0, 0.0]])])
+def test_phi_array_refuses_arrays_of_no_points(rows):
+    with pytest.raises(ValueError, match=r"is not a self-map of 2 points"):
+        phi_array(rows)
+
+
+def test_phi_array_refuses_maps_on_no_points_as_phi_does():
+    with pytest.raises(ValueError) as exc:
+        phi(())
+    for rows in ([()], np.zeros((2, 0), dtype=np.int64)):
+        with pytest.raises(ValueError) as arr:
+            phi_array(rows)
+        assert str(arr.value) == str(exc.value)
+    assert phi_array(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hom_embed_of_an_array_gives_the_rows_of_each_map(n):
+    maps = full_selfmap_monoid(n)
+    rows = hom_embed(maps.values)
+    assert rows.shape == (len(maps), n)
+    assert [tuple(r) for r in rows.tolist()] == [hom_embed(s).rows for s in maps.elements]
+    assert isinstance(hom_embed(maps.elements[0]), GroupEndo)
 
 
 def test_phi_takes_numpy_integer_points():

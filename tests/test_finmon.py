@@ -1063,3 +1063,62 @@ def test_generated_monoid_takes_the_entries_the_constructor_takes(row, accepted)
             SelfMapMonoid(rows)
         with pytest.raises(ValueError, match="is not a self-map of 2 points"):
             generated_selfmap_monoid(2, [row])
+
+
+# ---------------------------------------------------------------------------
+# generator certificates
+
+
+HOWIE = {1: [], 2: [(0, 0), (1, 0)], 3: [(0, 0, 2), (1, 0, 2), (1, 2, 0)]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_howie_generators_certify_the_full_transformation_monoid(n):
+    maps = full_selfmap_monoid(n)
+    gens = maps.generators
+    assert not gens.flags.writeable and len(gens) == {1: 0, 2: 2}.get(n, 3)
+    if n in HOWIE:
+        assert [tuple(g) for g in maps.values[gens].tolist()] == HOWIE[n]
+    right = maps.certify(gens)
+    assert len(maps) == n ** n and right.shape == (n ** n, len(gens))
+    # right[f, i] is f after gens[i], as the composition table has it
+    assert np.array_equal(maps.values[right], maps.values[:, maps.values[gens]])
+    if n <= 3:
+        assert np.array_equal(right, maps.composites()[:, gens])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_certificate_refuses_the_symmetric_group_without_the_rank_map(n):
+    maps = full_selfmap_monoid(n)
+    # the permutations among Howie's generators reach the n! permutations only
+    permutations = [g for g in maps.generators.tolist()
+                    if len(set(maps.values[g].tolist())) == n]
+    assert len(permutations) == len(maps.generators) - 1
+    assert maps.certify(permutations) is None
+    assert maps.certify(maps.generators) is not None
+
+
+def test_the_certificate_refuses_a_set_not_closed_under_a_generator():
+    # S_3 and one rank-2 map c: c after a transposition is a map off the set
+    perms = [list(p) for p in full_selfmap_monoid(3).elements if len(set(p)) == 3]
+    maps = SelfMapMonoid(sorted(perms + [[0, 0, 2]]))
+    gens = maps.lookup([[1, 0, 2], [1, 2, 0], [0, 0, 2]])
+    with pytest.raises(KeyError):
+        maps.right(gens)
+    assert maps.certify(gens) is None
+    assert maps.certify(gens[:2]) is None        # closed, but c is never reached
+    assert not maps.verify_closure()
+
+
+def test_validate_monoid_hands_its_generating_set_on(monkeypatch):
+    m = build_contrast(7).monoid
+    assert "generating_set" in m.__dict__ and len(m.generating_set) == 14
+    calls = []
+    real = finmon._generating_set
+    monkeypatch.setattr(finmon, "_generating_set", lambda *a: calls.append(a) or real(*a))
+    assert validate_action(m, m.size, m.values).generating_set is m.generating_set
+    assert rna_certificate(build_contrast(7)).ok
+    assert len(calls) == 1       # the validate_monoid of the second build_contrast
+    # a monoid that no validation built finds and proves its set on first use
+    fresh = FiniteMonoid(m.values, m.identity)
+    assert np.array_equal(fresh.generating_set, m.generating_set) and len(calls) == 2

@@ -12,7 +12,13 @@ from test_cli import run_cli
 from test_duality import oracle_transport, phi_at
 
 from stonework import duality, finmon, navector, suite, ultra, unif
-from stonework.boolring import additive_monoid, enumerate_group_endos, transpose_masks
+from stonework.boolring import (
+    additive_monoid,
+    additive_values,
+    enumerate_group_endos,
+    enumerate_ring_endos,
+    transpose_masks,
+)
 from stonework.duality import phi_array, preimage_mask
 from stonework.errors import NoWitness
 from stonework.finmon import MonoidAction, SelfMapMonoid, full_selfmap_monoid
@@ -893,3 +899,139 @@ def test_covering_combinators_fail_when_the_wedge_is_every_subset(monkeypatch):
         "q": {"blocks": [[0], [0, 1, 2, 3, 4, 5], [0, 1, 3], [0, 1, 3, 4, 5], [2, 4]]},
         "failure": "wedge order exceeds the product bound",
     }
+
+
+# ---------------------------------------------------------------------------
+# the duality laws on certified generating sets, against the scans of all
+# pairs they stand in for
+
+MAX = SuiteConfig(bound_points=4, bound_atoms=3, bound_k=7)
+
+
+def all_pairs(monkeypatch):
+    """Every law runs as its scan of all pairs or triples: no generating
+    set is found for a monoid, and no anti-law is tried on generators."""
+    monkeypatch.setattr(suite, "GENERATOR_MIN_SIZE", float("inf"))
+    monkeypatch.setattr(finmon, "_generating_set", lambda *args: None)
+
+
+def transpose_image(source, target):
+    """The index in target of each source map's transpose, as _delta_law reads it."""
+    n = source.carrier_size.bit_length() - 1
+    return target.lookup(additive_values(transpose_masks(source.values[:, 1 << np.arange(n)], n), n))
+
+
+def anti_law_instances():
+    """(name, source, target, image, gens) for every anti-law verify runs at
+    the largest bounds: phi on T_1 to T_4, the transpose on the bit matrices
+    of 1 to 3 atoms, and on the phi images of T_1 to T_4."""
+    for n in range(1, 5):
+        maps = full_selfmap_monoid(n)
+        ring_maps, _ = additive_monoid([e.atom_images for e in enumerate_ring_endos(n)], n)
+        image = ring_maps.lookup(additive_values(phi_array(maps.values), n))
+        yield f"phi-{n}", maps, ring_maps, image, maps.generators
+    for n in range(1, 4):
+        endos = enumerate_group_endos(n)
+        matrices, _ = additive_monoid(transpose_masks([e.rows for e in endos], n), n)
+        gens = matrices.lookup(additive_values(suite._matrix_generators(n), n))
+        yield f"matrices-{n}", matrices, matrices, transpose_image(matrices, matrices), gens
+    for n in range(1, 5):
+        maps = full_selfmap_monoid(n)
+        images = phi_array(maps.values)
+        image, where = additive_monoid(images, n)
+        transposes, _ = additive_monoid(transpose_masks(images, n), n)
+        yield (f"phi-image-{n}", image, transposes, transpose_image(image, transposes),
+               where[maps.generators])
+
+
+def spoiled(image, how):
+    """image with its last two entries swapped, or the last set to the one before."""
+    image = image.copy()
+    if how == "swap":
+        image[[-2, -1]] = image[[-1, -2]]
+    else:
+        image[-1] = image[-2]
+    return image
+
+
+@pytest.mark.parametrize("source,target,image,gens", [
+    pytest.param(*instance, id=name) for name, *instance in anti_law_instances()])
+def test_anti_laws_on_generators_agree_with_all_pairs(source, target, image, gens):
+    assert source.certify(gens) is not None
+    cases = [image] if len(image) < 3 else [image, spoiled(image, "swap"), spoiled(image, "repeat")]
+    for i, case in enumerate(cases):
+        pairs = suite._anti_law_pairs(source, target, case, np.arange(len(source)))
+        assert suite._anti_law_on_generators(source, target, case, gens) == (pairs is None)
+        assert (pairs is None) == (i == 0)
+
+
+def wrong_phi_at_4(values):
+    # a bijection onto the ring endomorphisms at 4 points that is not phi
+    images = phi_array(values)
+    if values.shape[1] == 4:
+        images[[1, 2]] = images[[2, 1]]
+    return images
+
+
+@pytest.mark.parametrize("check,name,fault,n", [
+    pytest.param(check_phi, "phi_array", wrong_phi_at_4, 4, id="phi-bijection-at-4"),
+    pytest.param(check_delta, "transpose_masks",
+                 lambda masks, n: np.asarray(masks) if n == 3 else transpose_masks(masks, n), 3,
+                 id="identity-transpose-at-3-atoms"),
+])
+def test_faults_where_generators_run_report_the_all_pairs_witness(monkeypatch, check, name,
+                                                                   fault, n):
+    monkeypatch.setattr(suite, name, fault)
+    tried, real = [], suite._anti_law_on_generators
+
+    def recorded(*args):
+        tried.append(real(*args))
+        return tried[-1]
+    monkeypatch.setattr(suite, "_anti_law_on_generators", recorded)
+    got = run_check(check, MAX)
+    assert got[2] is not None and got[2]["n"] == n and tried[-1] is False
+    all_pairs(monkeypatch)
+    tried.clear()
+    assert run_check(check, MAX) == got and not tried
+
+
+@pytest.mark.parametrize("check", [check_phi, check_delta, suite.check_evaluation,
+                                   suite.check_contrast])
+def test_the_generator_paths_report_what_all_pairs_report(monkeypatch, check):
+    got = run_check(check, MAX)
+    assert got[2] is None
+    all_pairs(monkeypatch)
+    assert run_check(check, MAX) == got
+
+
+def old_evaluation_scan(bound, embed):
+    """check_evaluation's equivariance law as the loop over maps and points
+    it was: (instances, witness); embed(s) is a GroupEndo."""
+    instances = 0
+    for n in range(1, bound + 1):
+        evals = [duality.delta_eval(y, n) for y in range(n)]
+        instances += n
+        for s in full_selfmap_monoid(n).elements:
+            endo = embed(s)
+            for y in range(n):
+                instances += 1
+                if endo.apply(evals[y]) != evals[s[y]]:
+                    return instances, {"n": n, "s": list(s), "y": y,
+                                       "failure": "evaluation is not equivariant"}
+    return instances, None
+
+
+def shifted_at(values, n):
+    """The maps on n points followed by the cyclic shift; others as they are."""
+    values = np.asarray(values)
+    return (values + 1) % n if values.shape[-1] == n else values
+
+
+@pytest.mark.parametrize("n", [None, 3, 4])
+def test_evaluation_arrays_report_what_the_loop_reported(monkeypatch, n):
+    if n is not None:
+        monkeypatch.setattr(suite, "hom_embed", lambda s: duality.hom_embed(shifted_at(s, n)))
+    _, instances, witness = run_check(suite.check_evaluation, MAX)
+    assert (instances, witness) == old_evaluation_scan(4, lambda s: duality.hom_embed(
+        tuple(shifted_at(s, n).tolist()) if n else s))
+    assert (witness is None) == (n is None)
