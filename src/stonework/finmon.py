@@ -50,21 +50,15 @@ class FiniteMonoid:
         """Indices G of elements that generate the monoid, on which its
         laws are proven, or None where no such set is known.
 
-        G is _generating_set of the table at width k, kept only if the
-        identity is two-sided and associativity holds against every member
-        of G (_holds_on), which is Light's test: then the table is
-        associative (see validate_monoid), and every element is the
-        identity or a product g1*g2*...*gm of members of G.  So a law
-        whose holders contain the identity and are closed under products
-        holds everywhere once it holds on G.  validate_monoid hands its
-        monoid the set it has checked.
+        G is _proven_generators of the table at width k: the identity is
+        two-sided and associativity holds against every member of G, which
+        is Light's test.  Then the table is associative (see
+        validate_monoid), and every element is the identity or a product
+        g1*g2*...*gm of members of G.  So a law whose holders contain the
+        identity and are closed under products holds everywhere once it
+        holds on G.  validate_monoid reads it for its associativity law.
         """
-        table, identity = self.values, self.identity
-        gens = _generating_set(table, identity, self.size)
-        if (gens is None or _identity_defect(table, identity) is not None
-                or not _holds_on(table, table, gens)):
-            return None
-        return gens
+        return _proven_generators(self.values, self.identity, self.size)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteMonoid) and self.identity == other.identity
@@ -140,9 +134,9 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
     x, y holds the identity and is closed under products, associative or
     not: for a, b in A, (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) =
     x*(a*(b*y)) = x*((a*b)*y).  So A holds every product of members of G,
-    which is every element.  Only if G is None or some g fails does the
-    scan of all triples run, and it names the first defect.  The monoid
-    keeps G as its generating_set.
+    which is every element.  G is the monoid's generating_set, which
+    holds only where that test passed; where it is None the scan of all
+    triples runs, and it names the first defect.
     """
     if not len(table):
         raise ValueError("empty multiplication table")
@@ -152,12 +146,10 @@ def validate_monoid(table, identity: int) -> FiniteMonoid:
         raise IdentityViolation(bad)
 
     # (x*y)*z versus x*(y*z): associativity is the action law of m on itself
-    gens = _generating_set(m.values, m.identity, m.size)
-    if gens is None or not _holds_on(m.values, m.values, gens):
+    if m.generating_set is None:
         bad = _action_defect(m.values, m.values)
         if bad is not None:
             raise AssociativityViolation(*bad)
-    m.generating_set = gens
     return m
 
 
@@ -268,15 +260,17 @@ def action_from_json(obj: dict) -> MonoidAction:
 def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
     """Check act[e] = id and act[s*t] = act[s] after act[t].
 
-    For a large monoid the law is first checked on m.generating_set G,
-    whose identity and associativity are proven (validate_monoid hands
-    its monoid G; any other monoid checks it on first use).  That
-    suffices: in an associative monoid the set of the t with
-    act[s*t] = act[s] after act[t] for every s holds the identity, and
-    with t and u it holds t*u, as act[s*(t*u)] = act[(s*t)*u] =
-    act[s*t] after act[u] = act[s] after act[t] after act[u] =
-    act[s] after act[t*u].  Only if G is None or the law fails on it
-    does the scan of all triples run, and it names the first defect.
+    For a large monoid or carrier the law is first checked on a
+    generating set G whose identity and associativity are proven:
+    m.generating_set, found at m's width k (validate_monoid has found it
+    already), or where that is None and the carrier is wider, the set
+    _proven_generators finds at the carrier's width n, as the law's
+    triples are (k, k, n).  That suffices: in an associative monoid the
+    set of the t with act[s*t] = act[s] after act[t] for every s holds
+    the identity, and with t and u it holds t*u, as act[s*(t*u)] =
+    act[(s*t)*u] = act[s*t] after act[u] = act[s] after act[t] after
+    act[u] = act[s] after act[t*u].  Only if G is None or the law fails
+    on it does the scan of all triples run, and it names the first defect.
 
     The action keeps G as its generating_set; where the scan ran instead,
     the action looks for one on first use.
@@ -286,6 +280,8 @@ def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
     if not np.array_equal(arr[m.identity], np.arange(carrier_size)):
         raise ValueError("identity does not act as the identity map")
     table, gens = m.values, m.generating_set
+    if gens is None and carrier_size > m.size:
+        gens = _proven_generators(table, m.identity, carrier_size)
     if gens is None or not _holds_on(table, arr, gens):
         gens = None
         bad = _action_defect(table, arr)
@@ -310,6 +306,17 @@ def _holds_on(table: np.ndarray, act: np.ndarray, gens: np.ndarray) -> bool:
     right, images = table[:, gens], act[gens]
     return first_true((k, len(gens), n),
                       lambda a, b: act[right[a:b]] != act[a:b].take(images, axis=1)) is None
+
+
+def _proven_generators(table: np.ndarray, identity: int, width: int) -> np.ndarray | None:
+    """_generating_set of the (k, k) table at the given width, kept only
+    if identity is two-sided and associativity holds against every member
+    (_holds_on, Light's test); else None."""
+    gens = _generating_set(table, identity, width)
+    if (gens is None or _identity_defect(table, identity) is not None
+            or not _holds_on(table, table, gens)):
+        return None
+    return gens
 
 
 def _generating_set(table: np.ndarray, identity: int, width: int) -> np.ndarray | None:

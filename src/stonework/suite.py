@@ -188,16 +188,12 @@ def _adjoint_pointwise_ok(values: np.ndarray, adjoint: np.ndarray) -> bool:
     return bool(np.array_equal(lhs, rhs))
 
 
-# Sets of at most this many maps go straight to the scan of all pairs: below
-# it, certifying a generating set and its law costs more than the scan.
-GENERATOR_MIN_SIZE = 16
-
-
 def _anti_law_on_generators(source: SelfMapMonoid, target: SelfMapMonoid, image,
                             gens) -> bool:
     """True iff the maps gens, indices into source, prove that f, i ->
     image[i], is an anti-isomorphism from source onto target; False where
-    they prove nothing.  image and the sets are as for _anti_law_pairs.
+    they prove nothing, or gens is None.  image and the sets are as for
+    _anti_law_pairs.
 
     The proof reads k * len(gens) pairs: source.certify(gens) must hold,
     image must be a bijection onto target, f(identity) the identity, and
@@ -208,7 +204,7 @@ def _anti_law_on_generators(source: SelfMapMonoid, target: SelfMapMonoid, image,
     f(w) after t = f(g_m) after ... after f(g_1) after t, and each
     f(g) after f(s) is f(s after g).  So the scan of all pairs passes.
     """
-    right = None if image is None else source.certify(gens)
+    right = None if image is None or gens is None else source.certify(gens)
     if right is None or not np.array_equal(np.sort(image), np.arange(len(target))):
         return False
     if image[source.identity_index] != target.identity_index:
@@ -219,18 +215,11 @@ def _anti_law_on_generators(source: SelfMapMonoid, target: SelfMapMonoid, image,
     return bool(np.array_equal(mapped[right], after.transpose(1, 0, 2)))
 
 
-def _proved_on_generators(source: SelfMapMonoid, target: SelfMapMonoid, image, gens) -> bool:
-    """_anti_law_on_generators where source has more than
-    GENERATOR_MIN_SIZE maps and gens are given; else False."""
-    return (gens is not None and len(source) > GENERATOR_MIN_SIZE
-            and _anti_law_on_generators(source, target, image, gens))
-
-
 def _anti_law(source: SelfMapMonoid, target: SelfMapMonoid, image, order: np.ndarray,
               gens=None):
     """None where gens, indices into source, prove that f is an
-    anti-isomorphism (_proved_on_generators); else _anti_law_pairs."""
-    if _proved_on_generators(source, target, image, gens):
+    anti-isomorphism (_anti_law_on_generators); else _anti_law_pairs."""
+    if _anti_law_on_generators(source, target, image, gens):
         return None
     return _anti_law_pairs(source, target, image, order)
 
@@ -317,7 +306,7 @@ def check_phi(cfg: SuiteConfig):
         # generators prove phi an anti-isomorphism onto them, ring_maps is
         # closed and both scans below pass
         if (np.array_equal(np.sort(members), np.arange(len(ring_maps)))
-                and _proved_on_generators(maps, ring_maps, phi_idx, maps.generators)):
+                and _anti_law_on_generators(maps, ring_maps, phi_idx, maps.generators)):
             yield len(maps) ** 2, None
             continue
         table = ring_maps.composites()

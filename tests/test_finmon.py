@@ -523,6 +523,28 @@ def test_large_laws_run_on_generators_and_scan_only_to_name_a_defect(monkeypatch
     assert len(calls) == 1
 
 
+def test_an_action_wider_than_its_monoid_is_checked_on_generators(monkeypatch):
+    # the cyclic group of order 50 rotating each of 10 blocks of 500 points:
+    # too small a monoid for a generating set at its own width, but the
+    # action's (k, k, n) law is wide enough for one at the carrier's
+    k, n = 50, 500
+    m = validate_monoid(np.add.outer(np.arange(k), np.arange(k)) % k, 0)
+    assert m.generating_set is None
+    points = np.arange(n)
+    act = points // k * k + (points % k + np.arange(k)[:, None]) % k
+    _counted_full_scans(monkeypatch, fail=True)
+    assert validate_action(m, n, act).generating_set.tolist() == [1]
+
+    spoiled = act.copy()
+    spoiled[[7, 8], 3] = spoiled[[8, 7], 3]
+    expected = _first_true_by_cube(spoiled[m.values, :] != spoiled[:, spoiled])
+    calls = _counted_full_scans(monkeypatch, fail=False)
+    with pytest.raises(ValueError, match=r"action law fails at \(s, t, x\) = \({}, {}, {}\)".format(
+            *expected)):
+        validate_action(m, n, spoiled)
+    assert len(calls) == 1
+
+
 def test_the_action_law_of_a_table_that_is_no_monoid_is_scanned():
     # the left translations of a monoid, as an action of its table spoiled
     # on one product off the generators, or on the identity's square: the
