@@ -22,7 +22,7 @@ import numpy as np
 
 from .boolring import GroupEndo, RingEndo, require_atoms
 from .errors import DimensionMismatch
-from .finmon import SelfMapMonoid, blocks, is_self_map
+from .finmon import SelfMapMonoid, blocks, is_point, is_self_map
 from .ultra import Partition
 
 ON_MAPS = "on_maps"
@@ -56,11 +56,22 @@ def phi(s) -> RingEndo:
 def phi_array(values) -> np.ndarray:
     """phi on a (k, n) array of self-maps: out[s] = phi(values[s]).atom_images.
 
-    Each row is read as phi reads a map, and the first that is no self-map
-    of n points is refused with phi's ValueError.  Rows that are not an
-    array are checked entry by entry before numpy reads them, since it
-    would read True as 1; an array is refused unless its dtype is integer.
+    The rows are read by _self_maps, as phi reads a map.
     """
+    values = _self_maps(values)
+    n = values.shape[1]
+    if len(values):
+        require_atoms(n)            # as phi's RingEndo refuses maps on no points
+    hits = values[:, :, None] == np.arange(n)                 # hits[s, y, a]
+    return (hits * (1 << np.arange(n, dtype=np.int64))[:, None]).sum(axis=1)
+
+
+def _self_maps(values) -> np.ndarray:
+    """values as a (k, n) integer array, each row read as phi reads a map:
+    the first that is no self-map of n points is refused with phi's
+    ValueError.  Rows that are not an array are checked entry by entry
+    before numpy reads them, since it would read True as 1; an array is
+    refused unless its dtype is integer."""
     if not isinstance(values, np.ndarray):
         rows = [tuple(row) for row in values]
         n = len(rows[0]) if rows else 0
@@ -75,10 +86,7 @@ def phi_array(values) -> np.ndarray:
         # the first row phi refuses: any row, in an array of no points
         off = (values < 0) | (values >= n) | (values.dtype.kind not in "iu")
         raise _not_a_self_map(values[off.any(axis=1).argmax()].tolist(), n)
-    if len(values):
-        require_atoms(n)            # as phi's RingEndo refuses maps on no points
-    hits = values[:, :, None] == np.arange(n)                 # hits[s, y, a]
-    return (hits * (1 << np.arange(n, dtype=np.int64))[:, None]).sum(axis=1)
+    return values
 
 
 def phi_inverse(mu: RingEndo) -> tuple[int, ...]:
@@ -135,14 +143,15 @@ def entourage_keys(values, chi: int):
     images from phi_array over the bits of chi; and the (k, 2**n) parities
     of that element against every character of the dual group.  Two maps
     are related in a representation exactly when their keys for it are
-    equal.
+    equal.  The maps are read as phi_array reads them, and chi, a ring
+    element, must be a point (see is_point) in range(2**n).
     """
-    values = np.asarray(values, dtype=np.int64)
-    n = require_atoms(values.shape[-1])
+    values = _self_maps(values)
+    n = require_atoms(values.shape[1])
+    if not is_point(chi):
+        raise ValueError(f"chi {chi!r} is not an integer")
     if not 0 <= chi < 1 << n:
         raise ValueError("chi out of range")
-    if values.size and not (values.min() >= 0 and values.max() < n):
-        raise ValueError("map value outside the carrier")
     bits = [a for a in range(n) if chi >> a & 1]
     images = np.bitwise_xor.reduce(phi_array(values)[:, bits], axis=1)
     parities = np.bitwise_count(images[:, None] & np.arange(1 << n)) & 1
@@ -153,19 +162,20 @@ def entourage_transport(chi: int, s1, s2):
     """Membership of map pairs in the three representations of the chi-entourage.
 
     s1 and s2 are (m, n) arrays of self-maps that broadcast against each
-    other; the result is a (3, m) boolean array whose row t tells which
-    pairs TAGS[t] relates.  Two single maps are the one-row case and give
-    a tuple of three bools.  The rows are always equal; the third compares
-    parities over every character rather than using the separation
-    shortcut, so the agreement is informative.
+    other, read as entourage_keys reads them; the result is a (3, m)
+    boolean array whose row t tells which pairs TAGS[t] relates.  Two
+    single maps are the one-row case and give a tuple of three bools.  The
+    rows are always equal; the third compares parities over every
+    character rather than using the separation shortcut, so the agreement
+    is informative.
     """
-    s1, s2 = np.asarray(s1, dtype=np.int64), np.asarray(s2, dtype=np.int64)
-    if s1.shape[-1:] != s2.shape[-1:]:
+    dims = np.ndim(s1), np.ndim(s2)
+    if np.shape(s1)[-1:] != np.shape(s2)[-1:]:
         raise DimensionMismatch("self-maps on different carriers")
     (pre1, img1, par1), (pre2, img2, par2) = (
-        entourage_keys(np.atleast_2d(s), chi) for s in (s1, s2))
+        entourage_keys([s] if dim == 1 else s, chi) for s, dim in zip((s1, s2), dims))
     memberships = np.stack([pre1 == pre2, img1 == img2, (par1 == par2).all(axis=1)])
-    return tuple(memberships[:, 0].tolist()) if s1.ndim == s2.ndim == 1 else memberships
+    return tuple(memberships[:, 0].tolist()) if dims == (1, 1) else memberships
 
 
 def entourage_partition(maps: SelfMapMonoid, chi: int, tag: str) -> Partition:

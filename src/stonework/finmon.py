@@ -56,7 +56,8 @@ class FiniteMonoid:
         validate_monoid), and every element is the identity or a product
         g1*g2*...*gm of members of G.  So a law whose holders contain the
         identity and are closed under products holds everywhere once it
-        holds on G.  validate_monoid reads it for its associativity law.
+        holds on G.  validate_monoid reads it for its associativity law, and
+        MonoidAction.generating_set derives an action's set from it.
         """
         return _proven_generators(self.values, self.identity, self.size)
 
@@ -192,16 +193,11 @@ class MonoidAction:
         self.carrier_size = self.values.shape[1]
 
     @classmethod
-    def _adopt(cls, monoid: FiniteMonoid, values: np.ndarray,
-               generating_set: np.ndarray | None = None) -> MonoidAction:
+    def _adopt(cls, monoid: FiniteMonoid, values: np.ndarray) -> MonoidAction:
         """The action on a stored table that this package built read-only
-        and hands to no caller writeable: kept, not copied.  A checked
-        generating set is kept too; without one, generating_set is found
-        on first use."""
+        and hands to no caller writeable: kept, not copied."""
         a = cls.__new__(cls)
         a.monoid, a.values, a.carrier_size = monoid, values, values.shape[1]
-        if generating_set is not None:
-            a.generating_set = generating_set
         return a
 
     @cached_property
@@ -209,22 +205,24 @@ class MonoidAction:
         """Indices G of monoid elements whose maps give every map act[s]
         as a composite, or None where no such set is known.
 
-        G is _generating_set of the monoid's table at the carrier's width,
-        so a small action gets None at once, kept only if act[identity] is
-        the identity map and act[x*g] = act[x] after act[g] for every x and
-        every g in G (_holds_on).  Then s is in G or a product
-        ((identity*g1)*g2)*...*gm of members of G, and by the law act[s] =
-        act[g1] after ... after act[gm], the empty composite being the
-        identity.  Neither associativity nor a left identity is needed.
-        So a family of partitions closed under the pullbacks along every
-        act[g] is closed under those along every map, as pulling back
-        along f after h is h's pullback of f's.  validate_action hands its
-        action the set it has checked.
+        G is the monoid's generating_set, or where that is None and the
+        carrier is wider than the monoid, _proven_generators of its table
+        at the carrier's width n, as the law's triples are (k, k, n): either
+        way the monoid's identity and associativity are proven.  G is kept
+        only where act[identity] is the identity map and the action law
+        holds against every member of G.  Then the law holds everywhere
+        (see validate_action), and every s is the identity or a product
+        g1*...*gm of members of G, so act[s] = act[g1] after ... after
+        act[gm].  So a family of partitions closed under the pullbacks
+        along every act[g] is closed under those along every map, as
+        pulling back along f after h is h's pullback of f's.
         """
-        table, identity, act = self.monoid.values, self.monoid.identity, self.values
-        gens = _generating_set(table, identity, self.carrier_size)
-        if (gens is None or not np.array_equal(act[identity], np.arange(self.carrier_size))
-                or not _holds_on(table, act, gens)):
+        m, act, n = self.monoid, self.values, self.carrier_size
+        gens = m.generating_set
+        if gens is None and n > m.size:
+            gens = _proven_generators(m.values, m.identity, n)
+        if (gens is None or not np.array_equal(act[m.identity], np.arange(n))
+                or _action_defect(m.values, act, gens) is not None):
             return None
         return gens
 
@@ -260,61 +258,46 @@ def action_from_json(obj: dict) -> MonoidAction:
 def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
     """Check act[e] = id and act[s*t] = act[s] after act[t].
 
-    For a large monoid or carrier the law is first checked on a
-    generating set G whose identity and associativity are proven:
-    m.generating_set, found at m's width k (validate_monoid has found it
-    already), or where that is None and the carrier is wider, the set
-    _proven_generators finds at the carrier's width n, as the law's
-    triples are (k, k, n).  That suffices: in an associative monoid the
-    set of the t with act[s*t] = act[s] after act[t] for every s holds
-    the identity, and with t and u it holds t*u, as act[s*(t*u)] =
-    act[(s*t)*u] = act[s*t] after act[u] = act[s] after act[t] after
-    act[u] = act[s] after act[t*u].  Only if G is None or the law fails
-    on it does the scan of all triples run, and it names the first defect.
-
-    The action keeps G as its generating_set; where the scan ran instead,
-    the action looks for one on first use.
+    For a large monoid or carrier the law is first checked on the
+    action's generating_set G, whose identity and associativity are
+    proven.  That suffices: in an associative monoid the set of the t
+    with act[s*t] = act[s] after act[t] for every s holds the identity,
+    and with t and u it holds t*u, as act[s*(t*u)] = act[(s*t)*u] =
+    act[s*t] after act[u] = act[s] after act[t] after act[u] = act[s]
+    after act[t*u].  Only if G is None, as it is where the law fails on
+    it, does the scan of all triples run, and it names the first defect.
     """
     arr = _narrowed(act, (m.size, carrier_size),
                     "action table has wrong shape", "action entry out of range")
     if not np.array_equal(arr[m.identity], np.arange(carrier_size)):
         raise ValueError("identity does not act as the identity map")
-    table, gens = m.values, m.generating_set
-    if gens is None and carrier_size > m.size:
-        gens = _proven_generators(table, m.identity, carrier_size)
-    if gens is None or not _holds_on(table, arr, gens):
-        gens = None
-        bad = _action_defect(table, arr)
+    action = MonoidAction._adopt(m, arr)
+    if action.generating_set is None:
+        bad = _action_defect(m.values, arr)
         if bad is not None:
             raise ValueError("action law fails at (s, t, x) = ({}, {}, {})".format(*bad))
-    return MonoidAction._adopt(m, arr, gens)
+    return action
 
 
-def _action_defect(table: np.ndarray, act: np.ndarray):
-    """First (s, t, x), ascending, with act[s*t][x] != act[s][act[t][x]],
-    or None; table is the (k, k) monoid, act a (k, n) stored table."""
+def _action_defect(table: np.ndarray, act: np.ndarray, among=None):
+    """The first (s, i, x), ascending, with act[s*t][x] != act[s][act[t][x]]
+    for t the i-th of the elements among (by default every element, when
+    i is t itself), or None; table is the (k, k) monoid, act a (k, n)
+    stored table."""
     k, n = act.shape
-    # act[s][act[t][x]]: one take from the block's rows, indexed by act itself
-    return first_true((k, k, n), lambda a, b: act[table[a:b]] != act[a:b].take(act, axis=1))
-
-
-def _holds_on(table: np.ndarray, act: np.ndarray, gens: np.ndarray) -> bool:
-    """True iff act[s*g][x] = act[s][act[g][x]] for every s, x and every g
-    in gens: the (k, len(gens), n) slice of _action_defect's law array,
-    compared in row blocks through first_true."""
-    k, n = act.shape
-    right, images = table[:, gens], act[gens]
-    return first_true((k, len(gens), n),
-                      lambda a, b: act[right[a:b]] != act[a:b].take(images, axis=1)) is None
+    right, images = (table, act) if among is None else (table[:, among], act[among])
+    # act[s][act[t][x]]: one take from the block's rows, indexed by the images
+    return first_true((k, right.shape[1], n),
+                      lambda a, b: act[right[a:b]] != act[a:b].take(images, axis=1))
 
 
 def _proven_generators(table: np.ndarray, identity: int, width: int) -> np.ndarray | None:
     """_generating_set of the (k, k) table at the given width, kept only
     if identity is two-sided and associativity holds against every member
-    (_holds_on, Light's test); else None."""
+    (Light's test); else None."""
     gens = _generating_set(table, identity, width)
     if (gens is None or _identity_defect(table, identity) is not None
-            or not _holds_on(table, table, gens)):
+            or _action_defect(table, table, gens) is not None):
         return None
     return gens
 
@@ -522,8 +505,6 @@ class SelfMapMonoid:
         read-only view for two slices.  KeyError if the set is not closed,
         whichever composites are asked for.
         """
-        if type(i) is int and type(j) is int:
-            return int(self._product[i, j])
         out = self._product[i, j]
         return out if out.ndim else int(out)
 

@@ -239,7 +239,7 @@ def saturate(action: MonoidAction, gamma, pull: np.ndarray | None = None) -> Par
     PartitionLattice.saturation on the action's pullback table: pull, if
     the caller has built it with PartitionLattice.pullback, else a table
     built here.  Where the action has a generating set G
-    (MonoidAction.generating_set, found and checked once per action), only
+    (MonoidAction.generating_set, derived from its monoid's), only
     the rows of G are pulled back along: the families closed under their
     pullbacks are those closed under every map's, so the least one is the
     same.  Raises ResourceLimit where the lattice tables exceed the

@@ -44,6 +44,13 @@ def test_cube_metric_first_difference_rule():
     assert inst.metric.d(inst.segment_label(0), inst.segment_label(1)) == 1
 
 
+def test_the_unchecked_metric_passes_the_checking_constructor():
+    # build_contrast skips UltraPseudometric's checks, which must accept it
+    for k in range(1, 8):
+        inst = build_contrast(k)
+        assert UltraPseudometric(inst.metric.levels, inst.metric.rank_matrix()) == inst.metric
+
+
 def test_identity_and_sink_behaviour():
     inst = build_contrast(2)
     m = inst.monoid

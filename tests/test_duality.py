@@ -226,6 +226,12 @@ def test_transport_broadcasts_one_map_against_many():
 @pytest.mark.parametrize("s1,s2,error", [
     ((0, 1), (0, 1, 2), DimensionMismatch),
     ((0, 2), (0, 1), ValueError),          # a value outside the carrier
+    # entries that are no points, as phi refuses them, whatever numpy reads
+    ((1.5, 0), (0, 1), ValueError),
+    ((True, 0), (0, 1), ValueError),
+    ([(0, 1), (True, 0)], (0, 1), ValueError),
+    (np.array([[True, False]]), (0, 1), ValueError),
+    (np.array([[1.0, 0.0]]), (0, 1), ValueError),
 ])
 def test_transport_rejects_bad_maps(s1, s2, error):
     with pytest.raises(error):
@@ -236,6 +242,14 @@ def test_transport_rejects_chi_out_of_range():
     for chi in (4, -1):
         with pytest.raises(ValueError, match="chi out of range"):
             entourage_transport(chi, (0, 1), (1, 0))
+    # a ring element is a point: no bool or float, as is_point reads it
+    maps = full_selfmap_monoid(2)
+    for chi in (True, 1.0, np.float64(1)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            entourage_transport(chi, (0, 1), (1, 0))
+        with pytest.raises(ValueError, match="is not an integer"):
+            entourage_partition(maps, chi, ON_MAPS)
+    assert entourage_transport(np.int64(1), (0, 1), (1, 0)) == (False, False, False)
 
 
 def test_zero_point_maps_are_refused():

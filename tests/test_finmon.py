@@ -489,14 +489,15 @@ _FULL_SCAN = finmon._action_defect
 
 
 def _counted_full_scans(monkeypatch, fail: bool) -> list:
-    """Replace finmon._action_defect, the scan of all triples, by one that
-    records each call and then fails or scans."""
+    """Replace finmon._action_defect by one that records each scan of all
+    triples, a call without among, and then fails or scans."""
     calls = []
 
-    def counted(table, act):
-        calls.append(act.shape)
-        assert not fail, "the scan of all triples ran"
-        return _FULL_SCAN(table, act)
+    def counted(table, act, among=None):
+        if among is None:
+            calls.append(act.shape)
+            assert not fail, "the scan of all triples ran"
+        return _FULL_SCAN(table, act, among)
     monkeypatch.setattr(finmon, "_action_defect", counted)
     return calls
 
@@ -1144,3 +1145,15 @@ def test_validate_monoid_hands_its_generating_set_on(monkeypatch):
     # a monoid that no validation built finds and proves its set on first use
     fresh = FiniteMonoid(m.values, m.identity)
     assert np.array_equal(fresh.generating_set, m.generating_set) and len(calls) == 2
+
+
+def test_an_unchecked_action_reads_its_validated_monoids_generating_set(monkeypatch):
+    m = validate_monoid(full_selfmap_monoid(4).to_monoid().values, 27)
+    assert m.generating_set is not None
+    calls = []
+    real = finmon._generating_set
+    monkeypatch.setattr(finmon, "_generating_set", lambda *a: calls.append(a) or real(*a))
+    # the left self-action, and a wider action: m on two copies of itself
+    for values in (m.values, np.hstack((m.values, m.values.astype(np.intp) + m.size))):
+        assert MonoidAction(m, values).generating_set is m.generating_set
+    assert calls == []

@@ -446,9 +446,10 @@ def test_saturation_falls_back_to_every_map_where_the_generators_fail(monkeypatc
     # the identity acts as a projection, under which the law holds on G
     spoiled_law = _cyclic_action(cyclic, [(0, 1, 2, 3), (1, 0, 2, 3), (0, 0, 2, 3)])
     spoiled_identity = _cyclic_action(cyclic, [(0, 1, 2, 2), (0, 0, 0, 1), (0, 0, 0, 0)])
-    assert not finmon._holds_on(spoiled_law.monoid.values, spoiled_law.values, np.array([1]))
-    assert finmon._holds_on(spoiled_identity.monoid.values, spoiled_identity.values,
-                            np.array([1]))
+    assert finmon._action_defect(spoiled_law.monoid.values, spoiled_law.values,
+                                 np.array([1])) is not None
+    assert finmon._action_defect(spoiled_identity.monoid.values, spoiled_identity.values,
+                                 np.array([1])) is None
     eps = Partition.discrete(4)
     lattice = partition_lattice(4)
     for action in (spoiled_law, spoiled_identity):
@@ -464,13 +465,14 @@ def test_saturation_falls_back_to_every_map_where_the_generators_fail(monkeypatc
         assert is_saturated_under(family, action)
 
 
-def test_saturation_on_generators_needs_no_associativity(monkeypatch):
+def test_an_action_of_a_table_that_is_not_associative_has_no_generating_set(monkeypatch):
     monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 1)
     # (2*2)*1 = 1 but 2*(2*1) = 2, and the action law fails at (2, 2); it
-    # holds on the generator 1, whose map f, a 3-cycle, has act[2] = f**2
+    # holds on the generator 1, whose map f, a 3-cycle, has act[2] = f**2,
+    # but a generating set is kept only where associativity is proven
     cycle = [(0, 1, 2, 3), (1, 2, 0, 3), (2, 0, 1, 3)]
     action = _cyclic_action([[0, 1, 2], [1, 2, 0], [2, 0, 0]], cycle)
-    assert action.generating_set.tolist() == [1]
+    assert action.generating_set is None
     for eps in partition_lattice(4).partitions:
         family = saturate(action, [eps])
         assert family == saturate_worklist(action, [eps])
@@ -478,16 +480,17 @@ def test_saturation_on_generators_needs_no_associativity(monkeypatch):
             assert is_saturated_under(fam, action) == literal_saturated(fam, action)
 
 
-def test_saturation_on_generators_needs_no_left_identity(monkeypatch):
+def test_an_action_of_a_table_with_no_left_identity_has_no_generating_set(monkeypatch):
     monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 1)
     # 0 is a right identity only (0*1 = 2), so the products
-    # ((0*g1)*g2)*... of the generator 1 reach 0 and 2 but not 1 itself
+    # ((0*g1)*g2)*... of the generator 1 reach 0 and 2 but not 1 itself,
+    # and a generating set is kept only where the identity is two-sided
     table = np.array([[0, 2, 0], [1, 0, 0], [2, 0, 2]], dtype=np.uint8)
     assert (table[:, 0] == np.arange(3)).all() and not (table[0] == np.arange(3)).all()
     swap = (2, 3, 0, 1)
     action = MonoidAction(FiniteMonoid(table, 0), np.array([(0, 1, 2, 3), swap, swap],
                                                           dtype=np.uint8))
-    assert action.generating_set.tolist() == [1]
+    assert action.generating_set is None
     for eps in partition_lattice(4).partitions:
         assert saturate(action, [eps]) == saturate_worklist(action, [eps])
 
@@ -502,15 +505,45 @@ def test_the_action_keeps_the_generating_set_validate_action_checked(monkeypatch
     assert len(calls) == 1
     wrapped = MonoidAction(m, checked.values)
     eps = [Partition.from_class_ids((0, 1, 1, 0, 1, 2))]
-    # the validated action reuses validate_action's set; the wrapped one
-    # looks for it once
-    for action, looked in ((checked, 0), (wrapped, 1)):
+    # both actions read the set the monoid proved in validate_action
+    for action, looked in ((checked, 0), (wrapped, 0)):
         before = len(calls)
         family = saturate(action, eps)
         assert is_saturated_under(family, action)
         assert len(calls) - before == looked
     assert not checked.generating_set.flags.writeable
     assert np.array_equal(wrapped.generating_set, checked.generating_set)
+
+
+def test_an_action_whose_law_fails_on_its_monoids_generating_set_has_none(monkeypatch):
+    monkeypatch.setattr(finmon, "CHUNK_ENTRIES", 1)     # 3 * 3 * 3 entries take generators
+    m = validate_monoid([[0, 1, 2], [1, 2, 2], [2, 2, 2]], 0)
+    assert m.generating_set.tolist() == [1]
+    # act[1 * 1] = act[2] is not the swap after the swap
+    act = np.array([(0, 1, 2, 3), (1, 0, 2, 3), (0, 0, 2, 3)], dtype=np.uint8)
+    action = MonoidAction(m, act)
+    assert action.generating_set is None
+    for eps in partition_lattice(4).partitions:
+        assert saturate(action, [eps]) == saturate_worklist(action, [eps])
+    with pytest.raises(ValueError, match=r"action law fails at \(s, t, x\) = \(1, 1, 1\)"):
+        validate_action(m, 4, act)
+
+
+def test_the_three_point_actions_of_the_small_monoids_have_no_generating_set():
+    # the actions the suite's action-saturation check saturates: too small
+    # for a generating set to pay off, so saturate pulls back along every map
+    actions = [a for m in enumerate_small_monoids(3) for a in enumerate_actions(m, 3)]
+    assert len(actions) == 199
+    assert all(a.generating_set is None for a in actions)
+
+
+def test_the_frontier_saturation_action_keeps_its_generators():
+    # the saturate-6 instance of the frontier benchmark, unshuffled: its
+    # action reads the generating set validate_monoid proves for its monoid
+    maps = generated_selfmap_monoid(6, [(3, 4, 5, 2, 0, 0), (2, 1, 1, 3, 0, 1)])
+    action = validate_action(maps.to_monoid(), 6, maps.elements)
+    assert action.generating_set is action.monoid.generating_set
+    assert action.generating_set.tolist() == [259, 119]
 
 
 def test_oracles_build_each_distinct_partition_once(monkeypatch):
