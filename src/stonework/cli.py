@@ -153,6 +153,8 @@ def cmd_cover_ops(args) -> int:
     needed, word = (2, "two covers") if args.op == "wedge" else (1, "one cover")
     if len(args.covers) != needed:
         raise StoneworkError(f"{args.op} needs exactly {word}")
+    if args.set is not None and args.op != "star":
+        raise StoneworkError(f"--set is for star only, not {args.op}")
     parsed = [Cover.from_blocks(cover_blocks_from_json(_load_json(path))) for path in args.covers]
     if not all(p.carrier_size for p in parsed):
         raise StoneworkError("the covers hold no points; a cover needs at least one")
@@ -160,8 +162,9 @@ def cmd_cover_ops(args) -> int:
     if args.op == "wedge":
         _emit(cover_wedge(*parsed).to_json())
     elif args.op == "star":
-        if args.set:
-            points = [_parse_int(v, "--set") for v in args.set.split(",")]
+        if args.set is not None:
+            # an empty --set is no points, as an empty --vector is the zero vector
+            points = [_parse_int(v, "--set") for v in args.set.split(",")] if args.set else []
             for x in points:
                 if not 0 <= x < p.carrier_size:
                     raise StoneworkError(

@@ -148,7 +148,10 @@ def rna_certificate(instance: ContrastInstance) -> ContrastCertificate:
     right_witness = nonexpansive_counterexample(m, d, "right")
 
     table = m.values
-    injective = len(np.unique(table, axis=0)) == m.size
+    # where the identity is a right identity, its column s*e = s already
+    # tells the rows apart; only elsewhere are the rows compared
+    injective = (np.array_equal(table[:, m.identity], np.arange(m.size))
+                 or len(np.unique(table, axis=0)) == m.size)
     # the translations multiply like the monoid: the left self-action law
     try:
         validate_action(m, m.size, table)

@@ -110,7 +110,11 @@ def delta_adjoint(sigma: GroupEndo) -> GroupEndo:
 
 
 def delta_eval(y: int, n: int) -> int:
-    """Evaluation character of the point y, as a dual-group mask."""
+    """Evaluation character of the point y, as a dual-group mask.
+    ValueError for a y that is no point (see is_point) or lies outside
+    the n-point carrier."""
+    if not is_point(y):
+        raise ValueError(f"point {y!r} is not an integer")
     if not 0 <= y < require_atoms(n):
         raise ValueError(f"point {y} outside the {n}-point carrier")
     return 1 << y

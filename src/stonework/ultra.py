@@ -74,9 +74,14 @@ class Partition:
 
     @staticmethod
     def from_classes(carrier_size: int, classes) -> Partition:
+        """The partition of the given classes.  ValueError for a member that
+        is no point (see finmon.is_point), lies outside the carrier or is
+        listed twice, or for a point of the carrier in no class."""
         ids = [-1] * carrier_size
         for k, cls in enumerate(classes):
             for x in cls:
+                if not is_point(x):
+                    raise ValueError(f"class member {x!r} is not an integer")
                 if not 0 <= x < carrier_size:
                     raise ValueError(f"point {x} outside the carrier")
                 if ids[x] != -1:

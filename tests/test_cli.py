@@ -509,6 +509,9 @@ def test_cover_ops_rejects_malformed_covers(tmp_path, cover, problem):
     # refused before the bit of the far point is built
     ("star", {"blocks": [[0], [1, 2**70]]}, [], "blocks do not cover the carrier"),
     ("ord", {"blocks": [[0, 10**9]]}, [], "blocks do not cover the carrier"),
+    # ignored in silence before
+    ("ord", {"blocks": [[0, 1], [2]]}, ["--set", "0"], "--set is for star only, not ord"),
+    ("wedge", {"blocks": [[0, 1], [2]]}, ["--set", ""], "--set is for star only, not wedge"),
 ])
 def test_cover_ops_rejects_empty_covers_and_outside_points(tmp_path, op, cover, extra, problem):
     path = tmp_path / "cover.json"
@@ -535,6 +538,14 @@ def test_cover_ops_refuse_any_other_count_of_covers(tmp_path, op, count, problem
     proc = run_cli(["cover-ops", "--op", op, *map(str, files)])
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: {problem}\n"
+
+
+def test_cover_ops_read_an_empty_set_as_no_points(tmp_path):
+    # as an empty --vector is the zero vector, not the cover's star
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"blocks": [[0, 1], [2]]}))
+    proc = run_cli(["cover-ops", "--op", "star", str(path), "--set", ""])
+    assert proc.returncode == 0 and json.loads(proc.stdout) == {"star": []}
 
 
 @pytest.mark.parametrize("p,q,problem", [

@@ -201,6 +201,36 @@ def test_blocked_certificate_matches_the_whole_cube(monkeypatch, step):
                 assert cert.embedding_homomorphism == (not (table[table, :] != table[:, table]).any())
 
 
+def distinct_rows(m):
+    """The whole-table reference for embedding_injective."""
+    return len(np.unique(m.values, axis=0)) == m.size
+
+
+def planted_monoids(step):
+    """The tables of test_blocked_certificate_matches_the_whole_cube."""
+    nprng = np.random.default_rng(step)
+    for base in (full_selfmap_monoid(3).to_monoid(), build_contrast(3).monoid):
+        for planted in (False, True):
+            table = base.values.copy()
+            if planted:
+                x, y = nprng.choice(np.delete(np.arange(base.size), base.identity), 2)
+                table[x, y] = (table[x, y] + nprng.integers(1, base.size)) % base.size
+            yield FiniteMonoid(table, base.identity)
+
+
+@pytest.mark.parametrize("m", [
+    *(build_contrast(k).monoid for k in range(1, 8)),
+    *(m for step in (1, 2, 3) for m in planted_monoids(step)),
+    # a left identity that is no right identity: equal rows, then distinct ones
+    FiniteMonoid([[0, 1], [0, 1]], 0),
+    FiniteMonoid([[0, 1, 2], [2, 0, 1], [1, 2, 0]], 0),
+])
+def test_injectivity_is_the_verdict_of_the_distinct_rows(m):
+    d = UltraPseudometric.discrete(m.size)
+    cert = rna_certificate(ContrastInstance(k=1, monoid=m, metric=d))
+    assert cert.embedding_injective == distinct_rows(m)
+
+
 @pytest.mark.parametrize("k", range(1, 8))
 def test_both_sides_agree_with_the_scan_of_all_triples(k):
     inst = build_contrast(k)

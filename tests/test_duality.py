@@ -158,6 +158,11 @@ def test_delta_eval_tiny_and_image():
     assert len(image) == 3
     with pytest.raises(ValueError):
         delta_eval(3, 3)
+    # read as point 1, and a raw TypeError, before
+    for y in (True, 1.0):
+        with pytest.raises(ValueError, match=f"point {y!r} is not an integer"):
+            delta_eval(y, 3)
+    assert delta_eval(np.int64(1), 3) == 2
 
 
 def test_evaluation_equivariance_exhaustive():

@@ -1,4 +1,5 @@
 import ast
+import json
 import random
 import re
 import tracemalloc
@@ -19,6 +20,7 @@ from stonework.finmon import (
     FiniteMonoid,
     MonoidAction,
     SelfMapMonoid,
+    action_from_json,
     cayley_embed,
     digit_weights,
     full_selfmap_monoid,
@@ -192,6 +194,16 @@ def test_selfmap_monoid_constructor_guards():
 def test_monoid_json_round_trip():
     m = validate_monoid(SEMILATTICE, 0)
     assert monoid_from_json(m.to_json()) == m
+
+
+def test_action_json_round_trip():
+    m = validate_monoid(SEMILATTICE, 0)
+    translations = validate_action(m, m.size, m.values)
+    # the carrier of 3 points is wider than the 2-element monoid
+    wider = enumerate_actions(m, 3)
+    assert wider[-1].carrier_size > m.size
+    for a in (translations, wider[0], wider[-1], *enumerate_actions(build_contrast(1).monoid, 2)):
+        assert action_from_json(json.loads(json.dumps(a.to_json()))) == a
 
 
 def test_action_validation():

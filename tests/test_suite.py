@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from test_cli import run_cli
 from test_duality import oracle_transport, phi_at
 
-from stonework import duality, finmon, navector, suite, ultra, unif
+from stonework import contrast, duality, finmon, navector, suite, ultra, unif
 from stonework.boolring import (
     additive_monoid,
     additive_values,
@@ -181,16 +182,16 @@ def without_identity(endos):
 
 
 @pytest.mark.parametrize("pick,instances,failure", [
-    # the swap (2, 1) after itself is the missing identity (1, 2)
-    pytest.param(without_identity, 1,
-                 "ring-endomorphism composition left the enumerated set", id="identity-dropped"),
+    # with the identity added the maps are all four endomorphisms, closed,
+    # but phi is no bijection onto the enumerated ones
+    pytest.param(without_identity, 17, "phi is not a bijection", id="identity-dropped"),
     # the maps with an empty atom image are closed without the identity
     pytest.param(lambda endos: [e for e in endos if 0 in e.atom_images], 17,
                  "phi is not a bijection", id="closed-without-it"),
-    # the first map left repeated: as many maps as endomorphisms, so only
-    # the closure test tells the set from the full one
-    pytest.param(lambda endos: without_identity(endos)[:1] + without_identity(endos), 1,
-                 "ring-endomorphism composition left the enumerated set", id="one-repeated"),
+    # the first map left repeated: as many maps as endomorphisms, but the
+    # enumerated maps are not the set, each listed once
+    pytest.param(lambda endos: without_identity(endos)[:1] + without_identity(endos), 17,
+                 "phi is not a bijection", id="one-repeated"),
 ])
 def test_phi_fails_when_the_identity_endomorphism_is_missing(monkeypatch, pick, instances, failure):
     real = suite.enumerate_ring_endos
@@ -1035,3 +1036,82 @@ def test_evaluation_arrays_report_what_the_loop_reported(monkeypatch, n):
     assert (instances, witness) == old_evaluation_scan(4, lambda s: duality.hom_embed(
         tuple(shifted_at(s, n).tolist()) if n else s))
     assert (witness is None) == (n is None)
+
+
+# faults that produce the witnesses no passing run yields: each case patches
+# one primitive the suite reads and names the witness's keys and wording
+
+REAL_RNA_CERTIFICATE = contrast.rna_certificate
+REAL_OBSTRUCTION_WITNESS = contrast.obstruction_witness
+
+
+def reversed_atoms(masks, n):
+    """P X P for the atom-reversing permutation P, on columns of bit masks."""
+    masks = np.asarray(masks)[..., ::-1]
+    return sum(((masks >> a) & 1) << (n - 1 - a) for a in range(n))
+
+
+def norm_off_on_supports_of(size):
+    real = navector.kantorovich_norm
+    return lambda v: real(v) + 1 if len(v.support) == size else real(v)
+
+
+def certificate_not_injective(instance):
+    return dataclasses.replace(REAL_RNA_CERTIFICATE(instance), embedding_injective=False)
+
+
+def no_obstruction(instance, j):
+    raise NoWitness("none")
+
+
+def obstruction_beyond_the_truncation(instance, j):
+    return (0, 0) if j == instance.k else REAL_OBSTRUCTION_WITNESS(instance, j)
+
+
+@pytest.mark.parametrize("check,module,name,fault,keys,failure", [
+    pytest.param(suite.check_duality_counts, suite, "enumerate_ring_endos",
+                 lambda n: enumerate_ring_endos(n)[:-1] or enumerate_ring_endos(n),
+                 {"n", "selfmaps", "ring_endos", "expected"}, None, id="selfmap-vs-ring-endo-counts"),
+    pytest.param(suite.check_evaluation, suite, "ring_homs_to_Z2", lambda n: [],
+                 {"n", "ring_homs", "evaluation_image"}, None, id="evaluation-ring-homs"),
+    pytest.param(suite.check_theta_discrete, suite, "enumerate_theta",
+                 lambda d: SelfMapMonoid([np.arange(d.carrier_size)]),
+                 {"n", "theta", "maps"}, None, id="theta-discrete-identification"),
+    pytest.param(suite.check_covering_combinators, suite, "cover_order",
+                 lambda c: unif.cover_order(c) + 1, {"cover", "failure"}, "partition order",
+                 id="partition-order"),
+    pytest.param(suite.check_kantorovich_extension, navector, "kantorovich_norm",
+                 norm_off_on_supports_of(0), {"space", "failure"}, "zero vector",
+                 id="extension-zero-vector"),
+    pytest.param(suite.check_kantorovich_extension, navector, "kantorovich_norm",
+                 norm_off_on_supports_of(1), {"space", "point"}, None, id="extension-point"),
+    pytest.param(suite.check_kantorovich_extension, navector, "kantorovich_norm",
+                 norm_off_on_supports_of(2), {"space", "pair", "norm", "distance"}, None,
+                 id="extension-pair"),
+    pytest.param(suite.check_contrast, contrast, "rna_certificate", certificate_not_injective,
+                 {"k", "certificate"}, None, id="contrast-certificate"),
+    pytest.param(suite.check_contrast, contrast, "obstruction_witness", no_obstruction,
+                 {"k", "j", "failure"}, "missing witness", id="contrast-missing-witness"),
+    pytest.param(suite.check_contrast, contrast, "obstruction_witness",
+                 lambda instance, j: (instance.identity, instance.identity),
+                 {"k", "j", "u", "n"}, None, id="contrast-wrong-witness"),
+    pytest.param(suite.check_contrast, contrast, "obstruction_witness",
+                 obstruction_beyond_the_truncation, {"k", "failure"},
+                 "witness beyond the truncation",
+                 id="contrast-witness-beyond-the-truncation"),
+    # an anti-automorphism of the bit matrices that is not the transpose
+    pytest.param(suite.check_delta, suite, "transpose_masks",
+                 lambda masks, n: reversed_atoms(transpose_masks(masks, n), n),
+                 {"n", "failure"}, "transpose does not realize the adjoint",
+                 id="delta-adjoint"),
+    pytest.param(suite.check_corrupted_table_control, suite, "validate_monoid",
+                 lambda table, identity: None, {"table", "identity", "failure"},
+                 "corruption was not detected", id="control-not-detected"),
+])
+def test_a_fault_yields_a_json_witness(monkeypatch, check, module, name, fault, keys, failure):
+    monkeypatch.setattr(module, name, fault)
+    _, _, witness = run_check(check, SMALL)
+    assert witness is not None and set(witness) == keys
+    assert witness.get("failure") == failure
+    json.dumps(witness)
+

@@ -147,6 +147,20 @@ def test_ball_refuses_a_center_that_is_no_point(center, message):
     assert d.ball(np.int64(2), HALF) == [2] and d.ball(np.uint8(0), 2) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("classes,message", [
+    ([[0, 3], [1, 2]], "point 3 outside the carrier"),
+    ([[0, 1], [1, 2]], "point 1 listed twice"),
+    ([[0, 1]], "classes do not cover the carrier"),
+    ([[True, 0], [2]], "class member True is not an integer"),    # read as point 1 before
+    ([[1.0, 0], [2]], "class member 1.0 is not an integer"),      # a raw TypeError before
+])
+def test_partition_from_classes_refuses_members_that_are_no_points(classes, message):
+    with pytest.raises(ValueError, match=message):
+        Partition.from_classes(3, classes)
+    assert Partition.from_classes(3, [[np.int64(1), 0], [np.uint8(2)]]) == Partition.from_classes(
+        3, [[0, 1], [2]])
+
+
 def test_metric_needs_a_point():
     with pytest.raises(ValueError, match="at least one point"):
         UltraPseudometric.discrete(0)

@@ -391,11 +391,13 @@ def test_blocked_oracles_match_the_unblocked(monkeypatch):
                     for f in families] == expected
 
 
-# With one entry a block, finmon._generating_set leaves the full scan from
-# k * k * n > 16 entries, but gives up past n // 2 generators.  So the
-# actions of the one-generator monoids of 3 elements take the generator
-# path on 3 and on 4 points, and pull back along one of their two
-# non-identity maps: the case that tells the generator path from the full one.
+# Actions read their monoid's generating set, which finmon._generating_set
+# finds at the monoid's width 3.  With one entry a block, that search leaves
+# the full scan, as 3 * 3 * 3 > 16 entries, but gives up past 3 // 2 = 1
+# generator.  So only the actions of the one-generator monoids of 3 elements
+# take the generator path, 54 on 3 points and 321 on 4, and pull back along
+# one of their two non-identity maps: the case that tells the generator path
+# from the full one.
 @pytest.mark.parametrize("n", [3, 4])
 def test_saturation_on_generators_matches_the_oracles(monkeypatch, n):
     chunk = finmon.CHUNK_ENTRIES
