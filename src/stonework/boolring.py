@@ -186,6 +186,7 @@ def additive_values(columns, n: int) -> np.ndarray:
     """Value tables of additive maps from their atom images (a matrix's
     columns): out[e, x] is the XOR of columns[e, a] over the bits a of x."""
     columns = np.asarray(columns, dtype=np.int64)
+    guard_enum(len(columns) << n, f"value tables of {len(columns)} maps on {1 << n} elements")
     out = np.zeros((len(columns), 1 << n), dtype=np.int64)
     for x in range(1, 1 << n):
         lsb = x & -x
@@ -215,6 +216,8 @@ def _is_ring_hom(f: int, one: int) -> bool:
 
 
 def ring_homs_to_Z2(n: int) -> list[int]:
-    """Characters that are also multiplicative and unital (brute filter)."""
+    """Characters that are also multiplicative and unital (brute filter,
+    over every pair of ring elements for each character)."""
     one = (1 << require_atoms(n)) - 1
+    guard_enum(1 << 2 * n, f"element pairs of a {n}-atom ring")
     return [f for f in range(one + 1) if _is_ring_hom(f, one)]

@@ -23,6 +23,7 @@ import numpy as np
 from .boolring import GroupEndo, RingEndo, require_atoms
 from .errors import DimensionMismatch
 from .finmon import SelfMapMonoid, blocks, is_point, is_self_map
+from .limits import guard_enum
 from .ultra import Partition
 
 ON_MAPS = "on_maps"
@@ -49,6 +50,7 @@ def phi(s) -> RingEndo:
     s = tuple(s)
     if not is_self_map(s, len(s)):
         raise _not_a_self_map(s, len(s))
+    guard_enum(len(s) ** 2, f"the {len(s)}x{len(s)} bits of phi of a map")
     images = tuple(preimage_mask(s, 1 << a) for a in range(len(s)))
     return RingEndo(images)
 
@@ -71,7 +73,8 @@ def _self_maps(values) -> np.ndarray:
     the first that is no self-map of n points is refused with phi's
     ValueError.  Rows that are not an array are checked entry by entry
     before numpy reads them, since it would read True as 1; an array is
-    refused unless its dtype is integer."""
+    refused unless its dtype is integer.  Maps on more than 63 points
+    are refused (see _mask_points)."""
     if not isinstance(values, np.ndarray):
         rows = [tuple(row) for row in values]
         n = len(rows[0]) if rows else 0
@@ -81,12 +84,21 @@ def _self_maps(values) -> np.ndarray:
         values = np.array(rows, dtype=np.intp).reshape(len(rows), n)
     if values.ndim != 2:
         raise ValueError(f"self-maps must form a (k, n) array, not one of shape {values.shape}")
-    n = values.shape[1]
+    n = _mask_points(values.shape[1])
     if values.size and (values.dtype.kind not in "iu" or values.min() < 0 or values.max() >= n):
         # the first row phi refuses: any row, in an array of no points
         off = (values < 0) | (values >= n) | (values.dtype.kind not in "iu")
         raise _not_a_self_map(values[off.any(axis=1).argmax()].tolist(), n)
     return values
+
+
+def _mask_points(n: int) -> int:
+    """n, refused with a ValueError past 63 points: the array forms hold a
+    subset of the carrier as one int64 mask, bit y for point y, and bit 63
+    is the sign."""
+    if n > 63:
+        raise ValueError(f"maps on {n} points exceed the 63 points an int64 mask holds")
+    return n
 
 
 def phi_inverse(mu: RingEndo) -> tuple[int, ...]:
@@ -117,7 +129,7 @@ def delta_eval(y: int, n: int) -> int:
         raise ValueError(f"point {y!r} is not an integer")
     if not 0 <= y < require_atoms(n):
         raise ValueError(f"point {y} outside the {n}-point carrier")
-    return 1 << y
+    return 1 << int(y)
 
 
 def hom_embed(s):
@@ -134,9 +146,10 @@ def hom_embed(s):
 
 
 def preimage_masks(values, chi: int) -> np.ndarray:
-    """preimage_mask(s, chi) for every row s of a (k, n) array of self-maps."""
+    """preimage_mask(s, chi) for every row s of a (k, n) array of self-maps
+    on at most 63 points."""
     values = np.asarray(values, dtype=np.int64)
-    return (chi >> values & 1) @ (1 << np.arange(values.shape[-1], dtype=np.int64))
+    return (chi >> values & 1) @ (1 << np.arange(_mask_points(values.shape[-1]), dtype=np.int64))
 
 
 def entourage_keys(values, chi: int):
@@ -156,6 +169,7 @@ def entourage_keys(values, chi: int):
         raise ValueError(f"chi {chi!r} is not an integer")
     if not 0 <= chi < 1 << n:
         raise ValueError("chi out of range")
+    guard_enum(len(values) << n, f"parities of {len(values)} maps against the {1 << n} characters")
     bits = [a for a in range(n) if chi >> a & 1]
     images = np.bitwise_xor.reduce(phi_array(values)[:, bits], axis=1)
     parities = np.bitwise_count(images[:, None] & np.arange(1 << n)) & 1

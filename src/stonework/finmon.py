@@ -50,16 +50,21 @@ class FiniteMonoid:
         """Indices G of elements that generate the monoid, on which its
         laws are proven, or None where no such set is known.
 
-        G is _proven_generators of the table at width k: the identity is
+        G is _generating_set of the table, kept only where the identity is
         two-sided and associativity holds against every member of G, which
         is Light's test.  Then the table is associative (see
         validate_monoid), and every element is the identity or a product
         g1*g2*...*gm of members of G.  So a law whose holders contain the
         identity and are closed under products holds everywhere once it
         holds on G.  validate_monoid reads it for its associativity law, and
-        MonoidAction.generating_set derives an action's set from it.
+        MonoidAction.generating_set is this set or None.
         """
-        return _proven_generators(self.values, self.identity, self.size)
+        table, identity = self.values, self.identity
+        gens = _generating_set(table, identity)
+        if (gens is None or _identity_defect(table, identity) is not None
+                or _action_defect(table, table, gens) is not None):
+            return None
+        return gens
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteMonoid) and self.identity == other.identity
@@ -205,22 +210,17 @@ class MonoidAction:
         """Indices G of monoid elements whose maps give every map act[s]
         as a composite, or None where no such set is known.
 
-        G is the monoid's generating_set, or where that is None and the
-        carrier is wider than the monoid, _proven_generators of its table
-        at the carrier's width n, as the law's triples are (k, k, n): either
-        way the monoid's identity and associativity are proven.  G is kept
-        only where act[identity] is the identity map and the action law
-        holds against every member of G.  Then the law holds everywhere
-        (see validate_action), and every s is the identity or a product
-        g1*...*gm of members of G, so act[s] = act[g1] after ... after
-        act[gm].  So a family of partitions closed under the pullbacks
+        G is the monoid's generating_set, on which its identity and
+        associativity are proven, kept only where act[identity] is the
+        identity map and the action law holds against every member of G.
+        Then the law holds everywhere (see validate_action), and every s is
+        the identity or a product g1*...*gm of members of G, so act[s] =
+        act[g1] after ... after act[gm].  So a family of partitions closed under the pullbacks
         along every act[g] is closed under those along every map, as
         pulling back along f after h is h's pullback of f's.
         """
         m, act, n = self.monoid, self.values, self.carrier_size
         gens = m.generating_set
-        if gens is None and n > m.size:
-            gens = _proven_generators(m.values, m.identity, n)
         if (gens is None or not np.array_equal(act[m.identity], np.arange(n))
                 or _action_defect(m.values, act, gens) is not None):
             return None
@@ -258,14 +258,14 @@ def action_from_json(obj: dict) -> MonoidAction:
 def validate_action(m: FiniteMonoid, carrier_size: int, act) -> MonoidAction:
     """Check act[e] = id and act[s*t] = act[s] after act[t].
 
-    For a large monoid or carrier the law is first checked on the
-    action's generating_set G, whose identity and associativity are
-    proven.  That suffices: in an associative monoid the set of the t
-    with act[s*t] = act[s] after act[t] for every s holds the identity,
-    and with t and u it holds t*u, as act[s*(t*u)] = act[(s*t)*u] =
-    act[s*t] after act[u] = act[s] after act[t] after act[u] = act[s]
-    after act[t*u].  Only if G is None, as it is where the law fails on
-    it, does the scan of all triples run, and it names the first defect.
+    For a large monoid the law is first checked on the action's
+    generating_set G, whose identity and associativity are proven.  That
+    suffices: in an associative monoid the set of the t with act[s*t] =
+    act[s] after act[t] for every s holds the identity, and with t and u
+    it holds t*u, as act[s*(t*u)] = act[(s*t)*u] = act[s*t] after act[u]
+    = act[s] after act[t] after act[u] = act[s] after act[t*u].  Only if
+    G is None, as it is where the law fails on it, does the scan of all
+    triples run, and it names the first defect.
     """
     arr = _narrowed(act, (m.size, carrier_size),
                     "action table has wrong shape", "action entry out of range")
@@ -291,41 +291,29 @@ def _action_defect(table: np.ndarray, act: np.ndarray, among=None):
                       lambda a, b: act[right[a:b]] != act[a:b].take(images, axis=1))
 
 
-def _proven_generators(table: np.ndarray, identity: int, width: int) -> np.ndarray | None:
-    """_generating_set of the (k, k) table at the given width, kept only
-    if identity is two-sided and associativity holds against every member
-    (Light's test); else None."""
-    gens = _generating_set(table, identity, width)
-    if (gens is None or _identity_defect(table, identity) is not None
-            or _action_defect(table, table, gens) is not None):
-        return None
-    return gens
-
-
-def _generating_set(table: np.ndarray, identity: int, width: int) -> np.ndarray | None:
+def _generating_set(table: np.ndarray, identity: int) -> np.ndarray | None:
     """Indices G of elements such that every element of range(k) is in G
     or a product ((identity*g1)*g2)*..., for g1, g2, ... in G, in the
     (k, k) table (with a two-sided identity, every member of G is such a
-    product too); or None where a law with a last axis of the given width
-    (k for associativity, n for an action on n points) is best compared
-    on all (k, k, width) triples.
+    product too); or None where associativity is best compared on all
+    (k, k, k) triples.
 
     Greedy: the candidates go in order of decreasing count of distinct
     products x*y in their row x, then by index.  A candidate already
     reached is skipped; any other joins G, and the reached set is closed
     under right multiplication by the members so far.
 
-    Cost, in compared law entries: the full scan compares k*k*width.
-    Where that is at most 16 blocks of CHUNK_ENTRIES, the table stays on
-    it, since the candidate order and the closure cost about as much.
+    Cost, in compared law entries: the full scan compares k**3.  Where
+    that is at most 16 blocks of CHUNK_ENTRIES, the table stays on it,
+    since the candidate order and the closure cost about as much.
     Beyond, each member of G costs its k*k entries of associativity, but
     at least about one block for the numpy calls that pick and close it;
     G is given up, None, once that would pass half the full scan.
     """
     k = len(table)
-    if k * k * width <= 16 * CHUNK_ENTRIES:
+    if k**3 <= 16 * CHUNK_ENTRIES:
         return None
-    limit = k * k * width // (2 * max(k * k, CHUNK_ENTRIES))
+    limit = k**3 // (2 * max(k * k, CHUNK_ENTRIES))
     distinct = np.empty(k, dtype=np.intp)
     wide = np.promote_types(table.dtype, np.uint16)     # 8-bit sorts are an order slower
     for start, stop in blocks(k, k):
@@ -333,19 +321,16 @@ def _generating_set(table: np.ndarray, identity: int, width: int) -> np.ndarray 
         distinct[start:stop] = (rows[:, 1:] != rows[:, :-1]).sum(axis=1) + 1
     reached, hit = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
     reached[identity] = True
-    gens, right = [], np.empty((k, 8), dtype=table.dtype)      # right[x, i] = x * gens[i]
+    gens = []
     for g in np.argsort(-distinct, kind="stable").tolist():
         if reached[g]:
             continue
         if len(gens) == limit:
             return None
-        if len(gens) == right.shape[1]:
-            right = np.hstack((right, np.empty_like(right)))
-        right[:, len(gens)] = table[:, g]
         gens.append(g)
         hit[table[reached, g]] = True       # the identity's product reaches g itself
         hit[reached] = False
-        _close(reached, hit, right[:, :len(gens)])
+        _close(reached, hit, table[:, gens])
         if reached.all():
             break
     gens = np.array(gens, dtype=np.intp)

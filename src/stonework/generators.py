@@ -20,6 +20,7 @@ from .finmon import (
     blocks,
     generated_selfmap_monoid,
 )
+from .limits import guard_enum
 from .ultra import MonotoneChain, Partition, UltraPseudometric, d_from_chain
 from .unif import Cover
 
@@ -182,8 +183,9 @@ def enumerate_small_monoids(size: int) -> list[FiniteMonoid]:
     if size < 1:
         raise ValueError("empty multiplication table")
     k, free = size, (size - 1) ** 2
-    powers = k ** np.arange(free - 1, -1, -1, dtype=np.int64)   # the last entry is the fastest digit
     count, ks = k ** free, np.arange(k)
+    guard_enum(count, f"candidate tables of a {k}-element monoid")
+    powers = k ** np.arange(free - 1, -1, -1, dtype=np.int64)   # the last entry is the fastest digit
     out = []
     for start, stop in blocks(count, k ** 3):
         cand = np.arange(start, stop, dtype=np.int64)
@@ -207,10 +209,12 @@ def enumerate_actions(m: FiniteMonoid, carrier: int) -> list[MonoidAction]:
     lexicographic order of the choice tuple; the action law is tested on
     all of them at once, in row blocks (see finmon.blocks).
     """
+    guard_enum(carrier**carrier, f"self-maps of {carrier} points")
+    non_identity = [s for s in range(m.size) if s != m.identity]
+    k, count = m.size, carrier ** (carrier * len(non_identity))
+    guard_enum(count, f"candidate actions of a {k}-element monoid on {carrier} points")
     maps = np.array(list(product(range(carrier), repeat=carrier)),
                     dtype=np.min_scalar_type(max(carrier - 1, 0)))
-    non_identity = [s for s in range(m.size) if s != m.identity]
-    k, count = m.size, len(maps) ** len(non_identity)
     # in a candidate's table flattened to k * carrier entries, act[s][y] is
     # entry s * carrier + y, so act[s*t][x] has the same entry in every one
     starts = np.arange(k) * carrier

@@ -1,9 +1,15 @@
 """Enumeration size guard.
 
 Exhaustive enumerations (all self-maps, all bit matrices, all ring
-endomorphisms) are capped so that desk-scale runs stay desk-scale.  The
-default cap can be overridden through the STONEWORK_MAX_ENUM environment
-variable.
+endomorphisms) are capped so that desk-scale runs stay desk-scale, and so
+are the tables the library builds for them: among others the candidate
+tables of generators.enumerate_small_monoids, the self-maps and candidate
+actions of generators.enumerate_actions, the value tables of
+boolring.additive_values, the element pairs of boolring.ring_homs_to_Z2,
+the character parities of duality.entourage_keys, and the n x n bits of
+duality.phi (so `stonework dualize` too).  Each build is guarded on what
+it is about to build, before building it.  The default cap can be
+overridden through the STONEWORK_MAX_ENUM environment variable.
 """
 
 import os

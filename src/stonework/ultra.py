@@ -150,6 +150,12 @@ def partition_from_json(carrier_size: int, obj: dict) -> Partition:
 # ultra-pseudometrics
 
 
+def _distance(v, x: int, y: int) -> Fraction:
+    if isinstance(v, (bool, np.bool_)):
+        raise ValueError(f"distance entry ({x}, {y}) is {v!r}, not a rational")
+    return Fraction(v)
+
+
 class UltraPseudometric:
     """Symmetric rational matrix with zero diagonal satisfying
     d(x,z) <= max(d(x,y), d(y,z)) on every triple.
@@ -206,7 +212,10 @@ class UltraPseudometric:
 
     @staticmethod
     def from_rows(rows) -> UltraPseudometric:
-        dist = [[Fraction(v) for v in row] for row in rows]
+        """The metric of a square matrix of rationals, each read by Fraction
+        (ints, Fractions, floats, strings such as "1/2"); a bool entry is
+        refused, as the constructor refuses bool levels."""
+        dist = [[_distance(v, x, y) for y, v in enumerate(row)] for x, row in enumerate(rows)]
         if any(len(row) != len(dist) for row in dist):
             raise ValueError("distance matrix has wrong shape")
         # 0 is a level even where the diagonal misses it: a nonzero diagonal

@@ -236,23 +236,21 @@ def saturate(action: MonoidAction, gamma, pull: np.ndarray | None = None) -> Par
     """Least family containing gamma closed under translation preimages
     and pairwise meets.
 
-    PartitionLattice.saturation on the action's pullback table: pull, if
+    PartitionLattice.saturation on a pullback table: pull, as given, if
     the caller has built it with PartitionLattice.pullback, else a table
     built here.  Where the action has a generating set G
-    (MonoidAction.generating_set, derived from its monoid's), only
-    the rows of G are pulled back along: the families closed under their
-    pullbacks are those closed under every map's, so the least one is the
-    same.  Raises ResourceLimit where the lattice tables exceed the
-    enumeration bound (by default past 7 points); saturate_worklist, which
-    pulls back along every map, is the oracle.
+    (MonoidAction.generating_set), the table built here holds only the
+    rows of G: the families closed under their pullbacks are those closed
+    under every map's, so the least one is the same.  Raises ResourceLimit
+    where the lattice tables exceed the enumeration bound (by default past
+    7 points); saturate_worklist, which pulls back along every map, is the
+    oracle.
     """
     gamma = _generators(action, gamma)
     lattice = partition_lattice(action.carrier_size)
-    gens = action.generating_set
     if pull is None:
+        gens = action.generating_set
         pull = lattice.pullback(action.values if gens is None else action.values[gens])
-    elif gens is not None:
-        pull = pull[gens]
     return lattice.saturation(pull, gamma)
 
 

@@ -5,6 +5,7 @@ from stonework.boolring import (
     GroupEndo,
     RingEndo,
     additive_monoid,
+    additive_values,
     enumerate_group_endos,
     enumerate_ring_endos,
     mask_to_bits,
@@ -12,7 +13,7 @@ from stonework.boolring import (
     ring_homs_to_Z2,
     transpose_masks,
 )
-from stonework.errors import DimensionMismatch
+from stonework.errors import DimensionMismatch, ResourceLimit
 from stonework.finmon import full_selfmap_monoid
 from stonework.duality import phi
 
@@ -191,3 +192,19 @@ def test_transpose_masks_matches_group_endo_transpose():
     transposed = transpose_masks([e.rows for e in endos], 3)
     assert [tuple(row) for row in transposed.tolist()] == \
         [e.transpose().rows for e in endos]
+
+
+def test_the_brute_force_builds_are_capped(monkeypatch):
+    # the 3 x 8 value tables of three additive maps of a 3-atom ring; the
+    # 64 element pairs ring_homs_to_Z2 tests for each character
+    columns = [[1, 2, 4], [2, 1, 4], [0, 0, 0]]
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "24")
+    assert additive_values(columns, 3).shape == (3, 8)
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "23")
+    with pytest.raises(ResourceLimit, match="value tables of 3 maps .* needs 24 items"):
+        additive_values(columns, 3)
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "64")
+    assert ring_homs_to_Z2(3) == [1, 2, 4]
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "63")
+    with pytest.raises(ResourceLimit, match="element pairs of a 3-atom ring needs 64 items"):
+        ring_homs_to_Z2(3)

@@ -286,6 +286,17 @@ def test_enumeration_cap_env_var():
     assert proc.returncode == 0
 
 
+def test_dualize_is_capped(monkeypatch):
+    # phi of a map on 3 points builds 3 x 3 bits
+    stdin = json.dumps({"map": [1, 0, 2]})
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "9")
+    assert run_cli(["dualize"], stdin=stdin).returncode == 0
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "8")
+    proc = run_cli(["dualize"], stdin=stdin)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: the 3x3 bits of phi") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("size,problem", [
     (5, "monoid size is 5, not the table's row count 1"),
     ("x", "monoid size is a string, not an integer"),

@@ -272,7 +272,7 @@ def test_a_law_that_holds_on_generators_of_a_table_that_is_no_monoid_is_scanned(
     # C:0111110, at distance 1/7, into the cube
     table[3, 126] = inst.segment_label(3)
     m = FiniteMonoid(table, inst.identity)
-    gens = finmon._generating_set(table, m.identity, m.size)
+    gens = finmon._generating_set(table, m.identity)
     assert gens is not None and 3 not in gens.tolist()
     assert ultra._translation_defect(m, inst.metric, "left", gens) is None
     assert m.generating_set is None         # associativity fails on gens

@@ -20,6 +20,7 @@ from stonework.duality import (
     TAGS,
     delta_adjoint,
     delta_eval,
+    entourage_keys,
     entourage_partition,
     entourage_transport,
     hom_embed,
@@ -27,8 +28,9 @@ from stonework.duality import (
     phi_array,
     phi_inverse,
     preimage_mask,
+    preimage_masks,
 )
-from stonework.errors import DimensionMismatch
+from stonework.errors import DimensionMismatch, ResourceLimit
 from stonework.finmon import SelfMapMonoid, full_selfmap_monoid, is_self_map
 
 
@@ -111,6 +113,37 @@ def test_hom_embed_of_an_array_gives_the_rows_of_each_map(n):
     assert isinstance(hom_embed(maps.elements[0]), GroupEndo)
 
 
+def test_the_array_forms_hold_maps_on_up_to_63_points():
+    # bit 63 of an int64 mask is its sign: phi_array gave -2**63 for the
+    # last atom of the identity on 64 points, and hom_embed zeros on 70
+    values = np.array([np.arange(63), np.arange(63)[::-1], np.arange(63) // 2, np.zeros(63, int)])
+    assert phi_array(values).tolist() == [list(phi(s).atom_images) for s in values.tolist()]
+    chi = 1 << 62 | 1
+    assert preimage_masks(values, chi).tolist() == [preimage_mask(s, chi) for s in values.tolist()]
+    for width in (64, 70):
+        wide = np.arange(width)[None]
+        for entry in (phi_array, hom_embed, lambda v: preimage_masks(v, 1),
+                      lambda v: entourage_keys(v, 1)):
+            with pytest.raises(ValueError, match=f"maps on {width} points exceed the 63 points"):
+                entry(wide)
+
+
+def test_the_dual_builds_are_capped(monkeypatch):
+    maps = full_selfmap_monoid(2).values
+    # 4 maps against the 4 characters of a 2-atom ring; the 2 x 2 bits of phi
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "16")
+    assert entourage_keys(maps, 1)[2].shape == (4, 4)
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "15")
+    with pytest.raises(ResourceLimit, match="parities of 4 maps .* needs 16 items"):
+        entourage_keys(maps, 1)
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "4")
+    assert phi((1, 0)).atom_images == (2, 1)
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "3")
+    for embed in (phi, hom_embed):
+        with pytest.raises(ResourceLimit, match="the 2x2 bits of phi .* needs 4 items"):
+            embed((1, 0))
+
+
 def test_phi_takes_numpy_integer_points():
     assert phi(np.array([1, 0])) == phi((np.uint8(1), np.int64(0))) == phi((1, 0))
 
@@ -163,6 +196,7 @@ def test_delta_eval_tiny_and_image():
         with pytest.raises(ValueError, match=f"point {y!r} is not an integer"):
             delta_eval(y, 3)
     assert delta_eval(np.int64(1), 3) == 2
+    assert type(delta_eval(np.int64(1), 3)) is int        # np.int64(2), which json refuses
 
 
 def test_evaluation_equivariance_exhaustive():

@@ -516,7 +516,7 @@ def _counted_full_scans(monkeypatch, fail: bool) -> list:
 
 def test_large_laws_run_on_generators_and_scan_only_to_name_a_defect(monkeypatch):
     m = full_selfmap_monoid(4).to_monoid()
-    assert len(finmon._generating_set(m.values, m.identity, m.size)) == 4
+    assert len(finmon._generating_set(m.values, m.identity)) == 4
     _counted_full_scans(monkeypatch, fail=True)
     assert validate_monoid(m.values, m.identity) == m
     assert validate_action(m, m.size, m.values).values.shape == (256, 256)
@@ -536,22 +536,27 @@ def test_large_laws_run_on_generators_and_scan_only_to_name_a_defect(monkeypatch
     assert len(calls) == 1
 
 
-def test_an_action_wider_than_its_monoid_is_checked_on_generators(monkeypatch):
-    # the cyclic group of order 50 rotating each of 10 blocks of 500 points:
-    # too small a monoid for a generating set at its own width, but the
-    # action's (k, k, n) law is wide enough for one at the carrier's
+def _rotations():
+    """The cyclic group of order 50 rotating each of 10 blocks of 500
+    points: too small a monoid for a generating set, on a carrier ten
+    times as wide."""
     k, n = 50, 500
     m = validate_monoid(np.add.outer(np.arange(k), np.arange(k)) % k, 0)
-    assert m.generating_set is None
     points = np.arange(n)
-    act = points // k * k + (points % k + np.arange(k)[:, None]) % k
-    _counted_full_scans(monkeypatch, fail=True)
-    assert validate_action(m, n, act).generating_set.tolist() == [1]
+    return m, points // k * k + (points % k + np.arange(k)[:, None]) % k
+
+
+def test_an_action_wider_than_its_monoid_is_scanned(monkeypatch):
+    m, act = _rotations()
+    n = act.shape[1]
+    assert m.generating_set is None
+    calls = _counted_full_scans(monkeypatch, fail=False)
+    assert validate_action(m, n, act).generating_set is None and len(calls) == 1
 
     spoiled = act.copy()
     spoiled[[7, 8], 3] = spoiled[[8, 7], 3]
     expected = _first_true_by_cube(spoiled[m.values, :] != spoiled[:, spoiled])
-    calls = _counted_full_scans(monkeypatch, fail=False)
+    calls.clear()
     with pytest.raises(ValueError, match=r"action law fails at \(s, t, x\) = \({}, {}, {}\)".format(
             *expected)):
         validate_action(m, n, spoiled)
@@ -580,11 +585,10 @@ def test_laws_needing_every_element_as_a_generator_keep_their_verdicts(monkeypat
     table = np.repeat(np.arange(k, dtype=np.uint8)[:, None], k, axis=1)
     table[0] = np.arange(k)
     # in blocks of k * k entries, 80 generators cost more than the full
-    # scan of associativity, but not than that of an action on 2k points,
-    # where the band acts by constant maps
+    # scan of associativity, so the laws, and those of an action on 2k
+    # points where the band acts by constant maps, are scanned
     monkeypatch.setattr(finmon, "CHUNK_ENTRIES", k * k)
-    assert finmon._generating_set(table, 0, k) is None
-    assert len(finmon._generating_set(table, 0, 2 * k)) == k - 1
+    assert finmon._generating_set(table, 0) is None
     m = validate_monoid(table, 0)
     act = np.repeat(np.arange(k, dtype=np.uint8)[:, None], 2 * k, axis=1)
     act[0] = np.arange(2 * k)
@@ -1168,4 +1172,16 @@ def test_an_unchecked_action_reads_its_validated_monoids_generating_set(monkeypa
     # the left self-action, and a wider action: m on two copies of itself
     for values in (m.values, np.hstack((m.values, m.values.astype(np.intp) + m.size))):
         assert MonoidAction(m, values).generating_set is m.generating_set
+    assert calls == []
+
+
+def test_an_action_searches_no_generating_set_of_its_own(monkeypatch):
+    # a monoid with none, on a carrier wide enough that a search at its
+    # width would find one: the action takes the monoid's None
+    m, act = _rotations()
+    assert m.generating_set is None
+    calls = []
+    real = finmon._generating_set
+    monkeypatch.setattr(finmon, "_generating_set", lambda *a: calls.append(a) or real(*a))
+    assert MonoidAction(m, act).generating_set is None
     assert calls == []

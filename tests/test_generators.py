@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from stonework.errors import AssociativityViolation, IdentityViolation
+from stonework.errors import AssociativityViolation, IdentityViolation, ResourceLimit
 from stonework.finmon import validate_action, validate_monoid
 from stonework.generators import (
     congruence_closure,
@@ -181,6 +181,22 @@ def test_enumerate_small_monoids_and_actions():
                 st = m.mul(s, t)
                 for x in range(2):
                     assert action.act[st][x] == action.act[s][action.act[t][x]]
+
+
+def test_the_enumerations_are_capped(monkeypatch):
+    # 3**4 tables of 3 elements; the 27 self-maps of 3 points; the 4**2
+    # candidate actions of a 3-element monoid on 2 points
+    two, three = enumerate_small_monoids(2)[0], enumerate_small_monoids(3)[0]
+    for size, build, what in (
+            (81, lambda: enumerate_small_monoids(3), "candidate tables of a 3-element monoid"),
+            (27, lambda: enumerate_actions(two, 3), "self-maps of 3 points"),
+            (16, lambda: enumerate_actions(three, 2),
+             "candidate actions of a 3-element monoid on 2 points")):
+        monkeypatch.setenv("STONEWORK_MAX_ENUM", str(size))
+        assert build()
+        monkeypatch.setenv("STONEWORK_MAX_ENUM", str(size - 1))
+        with pytest.raises(ResourceLimit, match=f"{what} needs {size} items"):
+            build()
 
 
 def monoids_by_filter(size):

@@ -112,6 +112,10 @@ def test_metric_validation_catches_asymmetry_and_triangle():
         UltraPseudometric.from_rows([[1]])
     with pytest.raises(ValueError):
         UltraPseudometric.from_rows([[0, -1], [-1, 0]])
+    # read as distance 1 before, though the constructor refuses bool levels
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match=r"distance entry \(0, 1\) is .*True.*, not a rational"):
+            UltraPseudometric.from_rows([[0, flag], [True, 0]])
 
 
 @pytest.mark.parametrize("levels", [
