@@ -16,13 +16,12 @@ rows of one array, to a SelfMapMonoid, which keys and composes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .finmon import SelfMapMonoid
+from .finmon import SelfMapMonoid, distinct_rows
 from .limits import guard_enum
 
 
@@ -56,7 +55,6 @@ def _same_atoms(x, y) -> None:
         raise DimensionMismatch("endomorphisms of rings with different atom counts")
 
 
-@dataclass(frozen=True)
 class RingEndo:
     """Unital multiplicative additive self-map, stored by atom images.
 
@@ -65,12 +63,10 @@ class RingEndo:
     extends by XOR, so the two stored conditions pin the whole law set.
     """
 
-    atom_images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = require_atoms(len(self.atom_images))
+    def __init__(self, atom_images: tuple[int, ...]):
+        n = require_atoms(len(atom_images))
         union = 0
-        for a, img in enumerate(self.atom_images):
+        for a, img in enumerate(atom_images):
             if not 0 <= img < 1 << n:
                 raise ValueError(f"atom image {a} out of range")
             if union & img:
@@ -78,6 +74,15 @@ class RingEndo:
             union |= img
         if union != (1 << n) - 1:
             raise ValueError("atom images do not cover the unit")
+        self.atom_images = atom_images
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atom_images == other.atom_images
+
+    def __hash__(self) -> int:
+        return hash((self.atom_images,))
 
     def apply(self, x: int) -> int:
         return xor_over_bits(self.atom_images, x)
@@ -130,7 +135,6 @@ def enumerate_ring_endos(n: int) -> list[RingEndo]:
     return out
 
 
-@dataclass(frozen=True)
 class GroupEndo:
     """Additive self-map of the ring, an n-by-n bit matrix.
 
@@ -138,12 +142,19 @@ class GroupEndo:
     so the action on a mask x is y with y_i = parity(rows[i] & x).
     """
 
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        n = require_atoms(len(self.rows))
-        if any(not 0 <= r < 1 << n for r in self.rows):
+    def __init__(self, rows: tuple[int, ...]):
+        n = require_atoms(len(rows))
+        if any(not 0 <= r < 1 << n for r in rows):
             raise ValueError("matrix row out of range")
+        self.rows = rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     def apply(self, x: int) -> int:
         return sum(parity(row & x) << i for i, row in enumerate(self.rows))
@@ -201,8 +212,8 @@ def additive_monoid(columns, n: int) -> tuple[SelfMapMonoid, np.ndarray]:
     include the identity, and the index of each input map in it.  Closure
     is not assumed.
     """
-    values, where = np.unique(additive_values(columns, n), axis=0, return_inverse=True)
-    return SelfMapMonoid(values), where.reshape(-1)
+    values, where = distinct_rows(additive_values(columns, n))
+    return SelfMapMonoid(values), where
 
 
 def _is_ring_hom(f: int, one: int) -> bool:
@@ -217,7 +228,8 @@ def _is_ring_hom(f: int, one: int) -> bool:
 
 def ring_homs_to_Z2(n: int) -> list[int]:
     """Characters that are also multiplicative and unital (brute filter,
-    over every pair of ring elements for each character)."""
+    over every pair of ring elements for each character).  Each of the n
+    homomorphisms passes all 4**n pairs, so n * 4**n pairs are guarded."""
     one = (1 << require_atoms(n)) - 1
-    guard_enum(1 << 2 * n, f"element pairs of a {n}-atom ring")
+    guard_enum(n << 2 * n, f"element pairs of a {n}-atom ring, for each of its {n} homomorphisms")
     return [f for f in range(one + 1) if _is_ring_hom(f, one)]

@@ -15,26 +15,32 @@ element whose coordinate it leaves free.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import NoWitness, ResourceLimit
-from .finmon import FiniteMonoid, validate_action, validate_monoid
+from .finmon import FiniteMonoid, distinct_rows, validate_action, validate_monoid
 from .ultra import UltraPseudometric, nonexpansive_counterexample
 from .limits import max_enum
 
 MAX_K = 16
 
 
-@dataclass(frozen=True)
 class ContrastInstance:
-    k: int
-    monoid: FiniteMonoid
-    metric: UltraPseudometric
+    def __init__(self, k: int, monoid: FiniteMonoid, metric: UltraPseudometric):
+        self.k = k
+        self.monoid = monoid
+        self.metric = metric
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.monoid, self.metric) == (other.k, other.monoid, other.metric)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.monoid, self.metric))
 
     @property
     def cube_size(self) -> int:
@@ -99,15 +105,30 @@ def build_contrast(k: int) -> ContrastInstance:
     return ContrastInstance(k=k, monoid=monoid, metric=metric)
 
 
-@dataclass(frozen=True)
 class ContrastCertificate:
-    k: int
-    left_nonexpansive: bool
-    left_witness: tuple[int, int, int] | None
-    embedding_injective: bool
-    embedding_homomorphism: bool
-    translations_lipschitz: bool
-    right_witness: tuple[int, int, int] | None
+    def __init__(self, k: int, left_nonexpansive: bool,
+                 left_witness: tuple[int, int, int] | None, embedding_injective: bool,
+                 embedding_homomorphism: bool, translations_lipschitz: bool,
+                 right_witness: tuple[int, int, int] | None):
+        self.k = k
+        self.left_nonexpansive = left_nonexpansive
+        self.left_witness = left_witness
+        self.embedding_injective = embedding_injective
+        self.embedding_homomorphism = embedding_homomorphism
+        self.translations_lipschitz = translations_lipschitz
+        self.right_witness = right_witness
+
+    def _fields(self) -> tuple:
+        return (self.k, self.left_nonexpansive, self.left_witness, self.embedding_injective,
+                self.embedding_homomorphism, self.translations_lipschitz, self.right_witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def ok(self) -> bool:
@@ -151,7 +172,7 @@ def rna_certificate(instance: ContrastInstance) -> ContrastCertificate:
     # where the identity is a right identity, its column s*e = s already
     # tells the rows apart; only elsewhere are the rows compared
     injective = (np.array_equal(table[:, m.identity], np.arange(m.size))
-                 or len(np.unique(table, axis=0)) == m.size)
+                 or len(distinct_rows(table)[0]) == m.size)
     # the translations multiply like the monoid: the left self-action law
     try:
         validate_action(m, m.size, table)
@@ -196,6 +217,8 @@ def obstruction_witness(instance: ContrastInstance, j: int) -> tuple[int, int]:
 
 
 def table_digest(m: FiniteMonoid) -> str:
+    import hashlib                  # on first use: no verdict reads a digest
+
     payload = json.dumps(m.to_json(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 

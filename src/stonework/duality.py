@@ -145,11 +145,23 @@ def hom_embed(s):
     return delta_adjoint(phi(s).to_group_endo())
 
 
+def _ring_element(chi, n: int) -> int:
+    """chi, refused with a ValueError unless it is a point (see is_point) in
+    range(2**n), an element of the n-atom ring."""
+    if not is_point(chi):
+        raise ValueError(f"chi {chi!r} is not an integer")
+    if not 0 <= chi < 1 << n:
+        raise ValueError("chi out of range")
+    return int(chi)
+
+
 def preimage_masks(values, chi: int) -> np.ndarray:
     """preimage_mask(s, chi) for every row s of a (k, n) array of self-maps
-    on at most 63 points."""
+    on at most 63 points; chi must be a point in range(2**n)."""
     values = np.asarray(values, dtype=np.int64)
-    return (chi >> values & 1) @ (1 << np.arange(_mask_points(values.shape[-1]), dtype=np.int64))
+    n = _mask_points(values.shape[-1])
+    chi = _ring_element(chi, n)
+    return (chi >> values & 1) @ (1 << np.arange(n, dtype=np.int64))
 
 
 def entourage_keys(values, chi: int):
@@ -165,10 +177,7 @@ def entourage_keys(values, chi: int):
     """
     values = _self_maps(values)
     n = require_atoms(values.shape[1])
-    if not is_point(chi):
-        raise ValueError(f"chi {chi!r} is not an integer")
-    if not 0 <= chi < 1 << n:
-        raise ValueError("chi out of range")
+    chi = _ring_element(chi, n)
     guard_enum(len(values) << n, f"parities of {len(values)} maps against the {1 << n} characters")
     bits = [a for a in range(n) if chi >> a & 1]
     images = np.bitwise_xor.reduce(phi_array(values)[:, bits], axis=1)

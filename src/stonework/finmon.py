@@ -700,6 +700,20 @@ def _strictly_ascending(rows: np.ndarray) -> bool:
     return bool((rows[1:][at] > rows[:-1][at]).all())
 
 
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array with at least one column,
+    in ascending lexicographic order, and the index of each input row
+    among them: np.unique(rows, axis=0, return_inverse=True), by one
+    lexsort, without the import of numpy.ma that np.unique makes."""
+    order = np.lexsort(rows.T[::-1])        # the last key is the primary one
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    where = np.empty(len(rows), dtype=np.intp)
+    where[order] = np.cumsum(new) - 1
+    return ordered[new], where
+
+
 def full_selfmap_monoid(n: int) -> SelfMapMonoid:
     """All n**n self-maps of an n-point set, lexicographically ordered.
 
@@ -786,5 +800,5 @@ def cayley_embed(m: FiniteMonoid) -> tuple[SelfMapMonoid, tuple[int, ...]]:
     the element-to-map index table.  The representation is injective
     (evaluate at the identity) and multiplication-preserving.
     """
-    maps = SelfMapMonoid(np.unique(m.values, axis=0))
-    return maps, tuple(maps.lookup(m.values).tolist())
+    rows, where = distinct_rows(m.values)
+    return SelfMapMonoid(rows), tuple(where.tolist())

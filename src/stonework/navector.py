@@ -10,7 +10,6 @@ metric is truncated at 1 first so this stays an ultrametric).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +35,6 @@ def free_space(d: UltraPseudometric) -> UltraPseudometric:
     return UltraPseudometric((*d.levels[:one], Fraction(1)), rank)
 
 
-@dataclass(frozen=True)
 class FreeVector:
     """A two-element-field combination of base points, stored as its support.
 
@@ -44,16 +42,23 @@ class FreeVector:
     index is the zero point and never appears in a support.
     """
 
-    space: UltraPseudometric
-    support: frozenset[int]
-
-    def __post_init__(self):
-        zero = self.space.carrier_size - 1
-        if any(not 0 <= x < zero for x in self.support):
+    def __init__(self, space: UltraPseudometric, support: frozenset[int]):
+        zero = space.carrier_size - 1
+        if any(not 0 <= x < zero for x in support):
             raise ValueError("support must avoid the zero point and stay in range")
-        column = self.space.rank_matrix()[:zero, zero].tolist()
-        if any(self.space.levels[r] != 1 for r in set(column)):
+        column = space.rank_matrix()[:zero, zero].tolist()
+        if any(space.levels[r] != 1 for r in set(column)):
             raise ValueError("space is not pointed: zero point not at distance 1")
+        self.space = space
+        self.support = support
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.support) == (other.space, other.support)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.support))
 
     @property
     def zero_point(self) -> int:
@@ -62,12 +67,10 @@ class FreeVector:
     @classmethod
     def _unchecked(cls, space: UltraPseudometric, support: frozenset[int]) -> FreeVector:
         """A vector over a space already checked to be pointed, on a support
-        already inside its base points; skips __post_init__ (and the frozen
-        __setattr__)."""
+        already inside its base points; skips the checks of __init__."""
         v = object.__new__(cls)
-        fields = v.__dict__
-        fields["space"] = space
-        fields["support"] = support
+        v.space = space
+        v.support = support
         return v
 
     def add(self, other: FreeVector) -> FreeVector:

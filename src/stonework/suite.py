@@ -15,7 +15,6 @@ import functools
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -76,12 +75,21 @@ SANDWICH_FAILURES = ("finer level escapes the open ball", "diagonal",
                      "open ball escapes the coarser level")
 
 
-@dataclass
 class SuiteConfig:
-    bound_points: int = 3      # carrier sizes for the dualities
-    bound_atoms: int = 3       # ring sizes for full additive-endomorphism sweeps
-    bound_k: int = 4           # truncation level of the contrast instance
-    seed: int = 0
+    def __init__(self, bound_points: int = 3,   # carrier sizes for the dualities
+                 bound_atoms: int = 3,          # ring sizes for full additive-endomorphism sweeps
+                 bound_k: int = 4,              # truncation level of the contrast instance
+                 seed: int = 0):
+        self.bound_points = bound_points
+        self.bound_atoms = bound_atoms
+        self.bound_k = bound_k
+        self.seed = seed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.bound_points, self.bound_atoms, self.bound_k, self.seed)
+                == (other.bound_points, other.bound_atoms, other.bound_k, other.seed))
 
     def validate(self) -> None:
         from .errors import ConfigError
@@ -94,14 +102,24 @@ class SuiteConfig:
             raise ConfigError("bound_k must be between 1 and 7")
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    params: dict
-    instances: int
-    outcome: str                   # "pass" or "fail"
-    witness: object = None
-    elapsed_ms: float = 0.0
+    def __init__(self, check: str, params: dict, instances: int,
+                 outcome: str,          # "pass" or "fail"
+                 witness: object = None, elapsed_ms: float = 0.0):
+        self.check = check
+        self.params = params
+        self.instances = instances
+        self.outcome = outcome
+        self.witness = witness
+        self.elapsed_ms = elapsed_ms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.check, self.params, self.instances, self.outcome, self.witness,
+                 self.elapsed_ms)
+                == (other.check, other.params, other.instances, other.outcome, other.witness,
+                    other.elapsed_ms))
 
     @property
     def passed(self) -> bool:

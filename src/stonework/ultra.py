@@ -9,7 +9,6 @@ derived for JSON, witnesses and the literal oracles.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from numbers import Rational
@@ -36,7 +35,6 @@ from .schema import (
 # partitions
 
 
-@dataclass(frozen=True)
 class Partition:
     """An equivalence relation on range(carrier_size).
 
@@ -44,18 +42,25 @@ class Partition:
     occurrence, so equal partitions have equal arrays.
     """
 
-    carrier_size: int
-    class_id: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.class_id) != self.carrier_size:
+    def __init__(self, carrier_size: int, class_id: tuple[int, ...]):
+        if len(class_id) != carrier_size:
             raise ValueError("class_id length differs from carrier size")
         seen = 0                # each id is one of the seen classes or the next one
-        for k in self.class_id:
+        for k in class_id:
             if k == seen:
                 seen += 1
             elif not 0 <= k < seen:
                 raise ValueError("class_id is not in first-occurrence normal form")
+        self.carrier_size = carrier_size
+        self.class_id = class_id
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier_size, self.class_id) == (other.carrier_size, other.class_id)
+
+    def __hash__(self) -> int:
+        return hash((self.carrier_size, self.class_id))
 
     @staticmethod
     def from_class_ids(ids) -> Partition:
@@ -65,11 +70,10 @@ class Partition:
     @classmethod
     def _unchecked(cls, class_id: tuple[int, ...]) -> Partition:
         """A partition from ids already in first-occurrence normal form;
-        skips __post_init__ (and the frozen __setattr__)."""
+        skips the checks of __init__."""
         p = object.__new__(cls)
-        fields = p.__dict__
-        fields["carrier_size"] = len(class_id)
-        fields["class_id"] = class_id
+        p.carrier_size = len(class_id)
+        p.class_id = class_id
         return p
 
     @staticmethod
@@ -186,7 +190,8 @@ class UltraPseudometric:
         if bad.any():
             x, y = np.argwhere(bad)[0]
             raise ValueError(f"nonzero diagonal at {x}" if x == y else f"asymmetry at ({x}, {y})")
-        if not np.array_equal(np.unique(rank), np.arange(len(levels))):
+        if (rank.min() < 0 or rank.max() >= len(levels)
+                or not np.bincount(rank.ravel(), minlength=len(levels)).all()):
             raise ValueError(f"ranks must use each of the {len(levels)} levels")
         bad = _strong_triangle_violation(rank)
         if bad is not None:
@@ -301,7 +306,6 @@ def _strong_triangle_violation(rank: np.ndarray):
 # metrization of nested chains
 
 
-@dataclass(frozen=True)
 class MonotoneChain:
     """Nested equivalence relations: each level refines the previous one.
 
@@ -311,15 +315,22 @@ class MonotoneChain:
     distance 2**-m.
     """
 
-    carrier_size: int
-    chain: tuple[Partition, ...]
-
-    def __post_init__(self):
-        for i, part in enumerate(self.chain):
-            if part.carrier_size != self.carrier_size:
+    def __init__(self, carrier_size: int, chain: tuple[Partition, ...]):
+        for i, part in enumerate(chain):
+            if part.carrier_size != carrier_size:
                 raise CarrierMismatch(f"chain level {i + 1} on a different carrier")
-            if i > 0 and not part.refines(self.chain[i - 1]):
+            if i > 0 and not part.refines(chain[i - 1]):
                 raise ChainNotMonotone(i + 1)
+        self.carrier_size = carrier_size
+        self.chain = chain
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier_size, self.chain) == (other.carrier_size, other.chain)
+
+    def __hash__(self) -> int:
+        return hash((self.carrier_size, self.chain))
 
     def __len__(self) -> int:
         return len(self.chain)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -27,29 +26,35 @@ from .ultra import Partition, _normalize, partition_from_json
 # partition families and saturation
 
 
-@dataclass(frozen=True)
 class PartitionFamily:
     """A finite set of partitions of one carrier, canonically ordered."""
 
-    carrier_size: int
-    members: tuple[Partition, ...]
-
-    def __post_init__(self):
-        for p in self.members:
-            if p.carrier_size != self.carrier_size:
+    def __init__(self, carrier_size: int, members: tuple[Partition, ...]):
+        for p in members:
+            if p.carrier_size != carrier_size:
                 raise CarrierMismatch("family member on a different carrier")
-        ids = [p.class_id for p in self.members]
+        ids = [p.class_id for p in members]
         if len(set(ids)) != len(ids) or ids != sorted(ids):
             raise ValueError("members must be distinct and canonically ordered")
+        self.carrier_size = carrier_size
+        self.members = members
 
     @classmethod
     def _unchecked(cls, carrier_size: int, members: tuple[Partition, ...]) -> PartitionFamily:
         """A family of members on the carrier that their producer has made
-        distinct and canonically ordered; skips __post_init__ (and the
-        frozen __setattr__)."""
+        distinct and canonically ordered; skips the checks of __init__."""
         f = object.__new__(cls)
-        f.__dict__.update(carrier_size=carrier_size, members=members)
+        f.carrier_size = carrier_size
+        f.members = members
         return f
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier_size, self.members) == (other.carrier_size, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.carrier_size, self.members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -384,7 +389,6 @@ def _points(mask: int) -> list[int]:
     return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
-@dataclass(frozen=True)
 class Cover:
     """A family of nonempty subsets whose union is the carrier.
 
@@ -393,12 +397,9 @@ class Cover:
     carrier, points 0 to n - 1 for n the union's bit length, is derived.
     """
 
-    blocks: frozenset[int]
-    carrier_size: int = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, blocks: frozenset[int]):
         union = 0
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty block")
             if block < 0:
@@ -407,7 +408,16 @@ class Cover:
         # the union covers the points below its bit length iff it is all ones
         if union & (union + 1):
             raise ValueError("blocks do not cover the carrier")
-        object.__setattr__(self, "carrier_size", union.bit_length())
+        self.blocks = blocks
+        self.carrier_size = union.bit_length()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.blocks, self.carrier_size) == (other.blocks, other.carrier_size)
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.carrier_size))
 
     @staticmethod
     def from_blocks(blocks) -> Cover:

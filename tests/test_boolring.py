@@ -196,15 +196,16 @@ def test_transpose_masks_matches_group_endo_transpose():
 
 def test_the_brute_force_builds_are_capped(monkeypatch):
     # the 3 x 8 value tables of three additive maps of a 3-atom ring; the
-    # 64 element pairs ring_homs_to_Z2 tests for each character
+    # 64 element pairs ring_homs_to_Z2 tests for each of the 3 homomorphisms
     columns = [[1, 2, 4], [2, 1, 4], [0, 0, 0]]
     monkeypatch.setenv("STONEWORK_MAX_ENUM", "24")
     assert additive_values(columns, 3).shape == (3, 8)
     monkeypatch.setenv("STONEWORK_MAX_ENUM", "23")
     with pytest.raises(ResourceLimit, match="value tables of 3 maps .* needs 24 items"):
         additive_values(columns, 3)
-    monkeypatch.setenv("STONEWORK_MAX_ENUM", "64")
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "192")
     assert ring_homs_to_Z2(3) == [1, 2, 4]
-    monkeypatch.setenv("STONEWORK_MAX_ENUM", "63")
-    with pytest.raises(ResourceLimit, match="element pairs of a 3-atom ring needs 64 items"):
+    monkeypatch.setenv("STONEWORK_MAX_ENUM", "191")
+    with pytest.raises(ResourceLimit, match="element pairs of a 3-atom ring, for each of "
+                                            "its 3 homomorphisms needs 192 items"):
         ring_homs_to_Z2(3)

@@ -760,3 +760,23 @@ def test_readme_command_line_matches_the_parser():
     for command, opts in options.items():
         assert named[command] == opts, command
     assert mentioned <= set().union(*options.values())
+
+
+def loaded_after(code: str, modules) -> set[str]:
+    """Which of the named modules a fresh interpreter holds after running code."""
+    probe = f"{code}\nimport sys\nprint(*[m for m in {list(modules)!r} if m in sys.modules], file=sys.stderr)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=300, check=True)
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize("bounds", [[], ["--bound-points", "4", "--bound-atoms", "3",
+                                         "--bound-k", "7"]])
+def test_a_verdict_loads_no_module_it_does_not_run(bounds):
+    # numpy.ma adds its import time and memory to a fresh process; hashlib
+    # serves only the contrast digest, and dataclasses nothing at all
+    assert loaded_after(f"from stonework import cli\nassert cli.main({['verify', '--all'] + bounds})"
+                        " == 0", ["numpy.ma"]) <= loaded_after("import numpy", ["numpy.ma"])
+    optional = ["hashlib", "dataclasses"]
+    assert loaded_after("import stonework", optional) <= loaded_after(
+        "import numpy, fractions, json, random", optional)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -247,7 +246,8 @@ def near_segments(inst):
     rank = inst.metric.rank_matrix().copy()
     a, b = inst.segment_label(1), inst.segment_label(2)
     rank[a, b] = rank[b, a] = 1
-    return dataclasses.replace(inst, metric=UltraPseudometric(inst.metric.levels, rank))
+    return ContrastInstance(k=inst.k, monoid=inst.monoid,
+                            metric=UltraPseudometric(inst.metric.levels, rank))
 
 
 def test_a_metric_perturbed_at_k7_reports_the_all_pairs_witness(monkeypatch):

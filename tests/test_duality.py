@@ -291,6 +291,19 @@ def test_transport_rejects_chi_out_of_range():
     assert entourage_transport(np.int64(1), (0, 1), (1, 0)) == (False, False, False)
 
 
+def test_preimage_masks_check_chi_as_entourage_keys_does():
+    # numpy would read 1 << 63 as an overflow and -1 as every point
+    values = np.array([[0, 1]])
+    for entry in (preimage_masks, entourage_keys):
+        for chi in (1 << 63, -1, 4):
+            with pytest.raises(ValueError, match="chi out of range"):
+                entry(values, chi)
+        for chi in (True, 1.0):
+            with pytest.raises(ValueError, match="is not an integer"):
+                entry(values, chi)
+    assert preimage_masks(values, 3).tolist() == [3]
+
+
 def test_zero_point_maps_are_refused():
     # the powerset ring of no points has no atoms
     with pytest.raises(ValueError, match="ring needs at least one atom"):

@@ -23,6 +23,7 @@ from stonework.finmon import (
     action_from_json,
     cayley_embed,
     digit_weights,
+    distinct_rows,
     full_selfmap_monoid,
     generated_selfmap_monoid,
     is_submonoid,
@@ -127,6 +128,21 @@ def test_cayley_injective_homomorphism_small_monoids(builder):
     for s in range(m.size):
         for t in range(m.size):
             assert to_map[m.mul(s, t)] == maps.compose(to_map[s], to_map[t])
+
+
+def test_distinct_rows_match_numpy_unique():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        k, n = map(int, rng.integers(1, 9, size=2))
+        few = rng.integers(0, 3, size=(k, n))
+        tables = [few, np.vstack([few, few[::-1]]),                  # repeated rows
+                  rng.permutation(k * n).reshape(k, n),              # distinct rows
+                  few[:1], few.astype(np.uint8)]
+        for rows in tables:
+            want, inverse = np.unique(rows, axis=0, return_inverse=True)
+            got, where = distinct_rows(rows)
+            assert got.dtype == rows.dtype and np.array_equal(got, want)
+            assert np.array_equal(where, inverse.reshape(-1))
 
 
 def test_cayley_lands_in_full_selfmap_monoid():

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 import random
@@ -1057,7 +1056,11 @@ def norm_off_on_supports_of(size):
 
 
 def certificate_not_injective(instance):
-    return dataclasses.replace(REAL_RNA_CERTIFICATE(instance), embedding_injective=False)
+    c = REAL_RNA_CERTIFICATE(instance)
+    return contrast.ContrastCertificate(
+        k=c.k, left_nonexpansive=c.left_nonexpansive, left_witness=c.left_witness,
+        embedding_injective=False, embedding_homomorphism=c.embedding_homomorphism,
+        translations_lipschitz=c.translations_lipschitz, right_witness=c.right_witness)
 
 
 def no_obstruction(instance, j):

@@ -138,6 +138,18 @@ def test_metric_takes_int_and_fraction_levels():
     assert d.ball(0, Fraction(3, 4)) == [0, 1]
 
 
+@pytest.mark.parametrize("rank", [
+    [[0, -1], [-1, 0]],                         # negative
+    [[0, 1, 2], [1, 0, -1], [2, -1, 0]],        # negative beside all three levels
+    [[0, 2], [2, 0]],                           # level 1 skipped
+    [[0, 3], [3, 0]],                           # past the last level
+    [[0, 1, 3], [1, 0, 2], [3, 2, 0]],          # past it beside all three levels
+])
+def test_metric_refuses_ranks_off_its_levels(rank):
+    with pytest.raises(ValueError, match="ranks must use each of the 3 levels"):
+        UltraPseudometric([0, HALF, 1], rank)
+
+
 @pytest.mark.parametrize("center,message", [
     (-1, "ball center outside the carrier"),        # read as point 2 before
     (3, "ball center outside the carrier"),         # a raw IndexError before
